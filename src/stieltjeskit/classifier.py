@@ -12,7 +12,7 @@ difference quotients in two directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +25,25 @@ from .errors import (
     UnsupportedKind,
 )
 from .limits import limit_at_infinity
-from .matmeasure import is_psd, total_mass
+from .matmeasure import is_psd, svd_rank, total_mass
 from .representations import (
+    KINDS,
     Evaluator,
     Representation,
+    StieltjesPair,
+    endpoint_side,
     evaluator,
+    measure_of,
     mulz_evaluator,
 )
 
 TOL_CERT = 1e-9
 TOL_CR = 1e-6
 CR_STEP = 1e-5
+# Rank of a sampled F(z): its entries carry the rounding of an atomic sum,
+# so the cut sits far above that and the rank is stable between samples.
 RTOL_RANK = 1e-8
+RANK_ZERO = 1e-12  # sigma_1 at or below this: F(z) counts as the zero matrix
 PROJ_TOL = 1e-9
 
 S_KINDS = ("s", "s_via_pair", "s0", "sdot", "sinf")
@@ -124,9 +131,12 @@ class Certificate:
 
 def _value(F: Evaluator, z: complex) -> np.ndarray:
     try:
-        return F.raw(z)
+        V = F.raw(z)
     except Exception as exc:  # noqa: BLE001 - wrapped with the witness point
         raise EvaluationFailed(f"evaluator raised at z = {z}: {exc}", witness=z) from exc
+    if not np.isfinite(V).all():
+        raise EvaluationFailed(f"evaluator returned a non-finite value at z = {z}", witness=z)
+    return V
 
 
 def _herm(M: np.ndarray) -> np.ndarray:
@@ -142,11 +152,17 @@ def _psd_margin(H: np.ndarray, scale: float) -> float:
 
 
 def _worst(points, score):
-    """Minimize score(z) over points; returns (margin, witness)."""
+    """Minimize score(z) over points; returns (margin, witness).
+
+    A NaN score fails: it is returned at once as the margin, and no
+    comparison with a tolerance passes it.
+    """
     best = math.inf
     witness = points[0]
     for z in points:
         m = score(z)
+        if math.isnan(m):
+            return m, z
         if m < best:
             best = m
             witness = z
@@ -211,7 +227,11 @@ def certify_class(
         margin, witness = _worst(points, score)
         conditions.append({"name": name, "margin": margin, "witness": witness})
 
-    add("holomorphic", all_points, lambda z: TOL_CR - cr_residual(F, z))
+    # A gap point on the evaluator's own excluded ray (a class claimed for
+    # the other side) leaves the difference stencil no room: holomorphy is
+    # sampled only where the evaluator is defined.
+    defined = [z for z in all_points if F.distance(z) > 0.0]
+    add("holomorphic", defined, lambda z: TOL_CR - cr_residual(F, z))
     add("herglotz_upper", upper, scaled(lambda z, V, s: _psd_margin(_im(V), s)))
     add("herglotz_lower_conj", lower, scaled(lambda z, V, s: _psd_margin(-_im(V), s)))
 
@@ -280,12 +300,10 @@ def range_projector(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
 
 def _svd_projectors(M: np.ndarray, rtol: float = RTOL_RANK):
     """(range projector, null projector, rank) of a general complex matrix."""
-    U, s, Vh = np.linalg.svd(M)
-    s1 = float(s[0]) if s.size else 0.0
-    if s1 <= 1e-12:
+    U, s, Vh, r = svd_rank(M, rtol, RANK_ZERO)
+    if r == 0:
         q = M.shape[0]
         return np.zeros_like(M), np.eye(q, dtype=complex), 0
-    r = int(np.sum(s > rtol * s1))
     Ur = U[:, :r]
     Vr = Vh[:r, :].conj().T
     q = M.shape[1]
@@ -298,20 +316,11 @@ def _structural_sum(repr_: Representation) -> np.ndarray:
     For PSD summands, N(A) ∩ N(B) = N(A + B) and R(A) + R(B) = R(A + B),
     so the predicted intersection/sum is realized by a single matrix sum.
     """
-    kind = repr_.KIND
-    if kind == "stieltjes_pair" or kind == "t_pair":
-        return repr_.gamma + total_mass(repr_.mu)
-    if kind in ("s0", "t0"):
-        return total_mass(repr_.sigma)
-    if kind in ("sinf_triple", "tinf_triple"):
-        return repr_.D + repr_.E + total_mass(repr_.rho)
-    raise UnsupportedKind(f"no structural subspace statement for kind {kind}")
-
-
-def _repr_side(repr_: Representation) -> tuple[float, str]:
-    if repr_.KIND in ("stieltjes_pair", "kk_pair", "s0", "sinf_triple"):
-        return repr_.alpha, "right"
-    return repr_.beta, "left"
+    names = KINDS[repr_.KIND].structural
+    if names is None:
+        raise UnsupportedKind(f"no structural subspace statement for kind {repr_.KIND}")
+    terms = [getattr(repr_, name) for name in names] + [total_mass(measure_of(repr_))]
+    return sum(terms[1:], terms[0])
 
 
 def kernel_range_report(repr_: Representation, n_samples: int = 10, seed: int = 7) -> dict:
@@ -325,7 +334,7 @@ def kernel_range_report(repr_: Representation, n_samples: int = 10, seed: int = 
     P_range = range_projector(S)
     q = S.shape[0]
     P_null = np.eye(q, dtype=complex) - P_range
-    endpoint, side = _repr_side(repr_)
+    endpoint, side = endpoint_side(repr_)
     F = evaluator(repr_)
     worst = 0.0
     ranks = set()
@@ -361,37 +370,24 @@ def rank_constancy(F: Evaluator, samples) -> tuple[int, bool]:
     return ranks[0], True
 
 
-_EIGEN_PRECONDITIONS = {
-    "stieltjes_pair": lambda r, lam: (r.gamma - lam * np.eye(r.q), "gamma - lam*I"),
-    "sinf_triple": lambda r, lam: (r.D + lam * np.eye(r.q), "D + lam*I"),
-    "t_pair": lambda r, lam: (r.gamma + lam * np.eye(r.q), "gamma + lam*I"),
-    "tinf_triple": lambda r, lam: (r.D - lam * np.eye(r.q), "D - lam*I"),
-}
-
-
-def _null_projector(M: np.ndarray, rtol: float = RTOL_RANK) -> np.ndarray:
-    _, Pn, _ = _svd_projectors(M, rtol)
-    return Pn
-
-
 def eigen_invariance(repr_: Representation, lam: float, n_samples: int = 10, seed: int = 7) -> bool:
     """Check that the lambda-eigenspaces of F(z) do not depend on z.
 
     Requires the class-specific PSD precondition on (parameters, lambda);
     otherwise PreconditionUnmet is raised.
     """
-    precond = _EIGEN_PRECONDITIONS.get(repr_.KIND)
+    precond = KINDS[repr_.KIND].eigen
     if precond is None:
         raise UnsupportedKind(f"eigen invariance not stated for kind {repr_.KIND}")
-    M, label = precond(repr_, lam)
-    if not is_psd(M):
-        raise PreconditionUnmet(f"{label} is not PSD for lambda = {lam}")
-    endpoint, side = _repr_side(repr_)
+    name, sign = precond
+    if not is_psd(getattr(repr_, name) + sign * lam * np.eye(repr_.q)):
+        raise PreconditionUnmet(f"{name} {'+' if sign > 0 else '-'} lam*I is not PSD for lambda = {lam}")
+    endpoint, side = endpoint_side(repr_)
     F = evaluator(repr_)
     q = repr_.q
     projectors = []
     for z in sample_points(endpoint, side, n_samples, seed):
-        projectors.append(_null_projector(F.raw(z) - lam * np.eye(q)))
+        projectors.append(_svd_projectors(F.raw(z) - lam * np.eye(q))[1])
     worst = 0.0
     for i in range(len(projectors)):
         for j in range(i + 1, len(projectors)):
@@ -409,7 +405,7 @@ def null_domination(repr_, A, n_samples: int = 10, seed: int = 7, tol: float = 1
       left_projector:  A^+ A F(z) = F(z)
       range_params:    R(gamma) + R(mu(Omega)) subset of R(A*)
     """
-    if repr_.KIND != "stieltjes_pair":
+    if not isinstance(repr_, StieltjesPair):
         raise UnsupportedKind("null domination is stated for StieltjesPair")
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] != repr_.q:

@@ -12,44 +12,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .classifier import GridConfig, certify_class
+from .classifier import S_KINDS, T_KINDS, GridConfig, certify_class
 from .errors import ClassMismatch, StieltjesKitError
 from .limits import MODES, LimitEstimate, extract_params, limit_at_infinity
 from .matmeasure import MatrixMeasure, matrix_to_json, moments as measure_moments
 from .representations import (
+    KINDS,
     Evaluator,
     convert,
+    endpoint_side,
     evaluator,
+    measure_of,
     repr_from_json,
     repr_to_json,
 )
 from .transforms import dual_map, neg_pinv_map, pinv_map, transpose_map
-
-# Default class claimed for each representation kind.
-KIND_TO_CLASS = {
-    "stieltjes_pair": "s",
-    "kk_pair": "s",
-    "nevanlinna": "s",
-    "s0": "s0",
-    "sinf_triple": "sinf",
-    "t_pair": "t",
-    "t0": "t0",
-    "tinf_triple": "tinf",
-}
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("STIELTJES_KIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_json(path: str) -> dict:
@@ -72,15 +54,6 @@ def _load_repr(path: str):
         raise StieltjesKitError(f"{path}: missing field {exc}")
 
 
-def _endpoint_side(repr_):
-    if repr_.KIND in ("stieltjes_pair", "kk_pair", "s0", "sinf_triple"):
-        return repr_.alpha, "right"
-    if repr_.KIND in ("t_pair", "t0", "tinf_triple"):
-        return repr_.beta, "left"
-    nodes = repr_.nu.nodes
-    return (float(nodes.min()) if nodes.size else 0.0), "right"
-
-
 def _eval_grid(endpoint: float, side: str, seed: int):
     rng = np.random.default_rng(seed)
     sign = -1.0 if side == "right" else 1.0
@@ -95,15 +68,7 @@ def _eval_grid(endpoint: float, side: str, seed: int):
 
 
 def _dump_grid(F: Evaluator, pts) -> list:
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(F, pts))
-    else:
-        values = [F(z) for z in pts]
-    return [
-        {"z": [z.real, z.imag], "F": matrix_to_json(V)} for z, V in zip(pts, values)
-    ]
+    return [{"z": [z.real, z.imag], "F": matrix_to_json(F(z))} for z in pts]
 
 
 def _limit_json(est: LimitEstimate) -> dict:
@@ -114,23 +79,15 @@ def _limit_json(est: LimitEstimate) -> dict:
     }
 
 
-def _measure_of(repr_) -> MatrixMeasure:
-    for name in ("mu", "sigma", "eta", "nu", "rho"):
-        if hasattr(repr_, name):
-            return getattr(repr_, name)
-    raise StieltjesKitError(f"no measure on kind {repr_.KIND}")
-
-
 def _hankel_margin(s_list) -> float:
     n = (len(s_list) - 1) // 2 + 1
-    q = s_list[0].shape[0]
     H = np.block([[s_list[j + k] for k in range(n)] for j in range(n)])
     return float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0])
 
 
 def _cmd_eval(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
-    endpoint, side = _endpoint_side(r)
+    endpoint, side = endpoint_side(r)
     pts = _eval_grid(endpoint, side, args.grid_seed)
     report = {
         "command": "eval",
@@ -141,29 +98,33 @@ def _cmd_eval(args) -> tuple[int, dict]:
     return 0, report
 
 
+def _certificate(args, r, endpoint: float):
+    """Certificate for --kind, by default the class of the representation's kind."""
+    kind = args.kind or KINDS[r.KIND].default_class
+    tol = args.tol if args.tol is not None else 1e-9
+    return certify_class(evaluator(r), endpoint, kind, GridConfig(seed=args.grid_seed), tol)
+
+
 def _cmd_certify(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
-    endpoint, _ = _endpoint_side(r)
+    endpoint, _ = endpoint_side(r)
     if args.alpha is not None:
         endpoint = args.alpha
     if args.beta is not None:
         endpoint = args.beta
-    kind = args.kind or KIND_TO_CLASS[r.KIND]
-    grid = GridConfig(seed=args.grid_seed)
-    tol = args.tol if args.tol is not None else 1e-9
-    cert = certify_class(evaluator(r), endpoint, kind, grid, tol)
+    cert = _certificate(args, r, endpoint)
     report = {"command": "certify", "certificate": cert.to_json()}
     return (0 if cert.verdict else 2), report
 
 
 def _cmd_params(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
-    endpoint, _ = _endpoint_side(r)
+    endpoint, _ = endpoint_side(r)
     F = evaluator(r)
     if args.mode:
         est = limit_at_infinity(F, args.mode, alpha=endpoint, phi=args.phi)
         return 0, {"command": "params", "mode": args.mode, "phi": args.phi, "limit": _limit_json(est)}
-    claimed = args.kind or KIND_TO_CLASS[r.KIND]
+    claimed = args.kind or KINDS[r.KIND].default_class
     if claimed in ("sinf", "tinf"):
         raise StieltjesKitError(f"no limit parameters for class {claimed}; use --mode")
     try:
@@ -187,7 +148,7 @@ def _cmd_convert(args) -> tuple[int, dict]:
 
 def _cmd_transform(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
-    endpoint, side = _endpoint_side(r)
+    endpoint, side = endpoint_side(r)
     op = args.op
     if op == "dual":
         target = args.beta if side == "right" else args.alpha
@@ -213,7 +174,7 @@ def _cmd_transform(args) -> tuple[int, dict]:
 def _cmd_moments(args) -> tuple[int, dict]:
     obj = _load_json(args.input)
     if "kind" in obj:
-        mu = _measure_of(repr_from_json(obj))
+        mu = measure_of(repr_from_json(obj))
     else:
         mu = MatrixMeasure.from_json(obj)
     s_list = measure_moments(mu, args.m)
@@ -227,13 +188,10 @@ def _cmd_moments(args) -> tuple[int, dict]:
 
 def _cmd_report(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
-    endpoint, side = _endpoint_side(r)
-    kind = args.kind or KIND_TO_CLASS[r.KIND]
-    grid = GridConfig(seed=args.grid_seed)
-    tol = args.tol if args.tol is not None else 1e-9
-    cert = certify_class(evaluator(r), endpoint, kind, grid, tol)
+    endpoint, side = endpoint_side(r)
+    cert = _certificate(args, r, endpoint)
     pts = _eval_grid(endpoint, side, args.grid_seed)
-    mu = _measure_of(r)
+    mu = measure_of(r)
     s_list = measure_moments(mu, args.m)
     report = {
         "command": "report",
@@ -257,13 +215,8 @@ _COMMANDS = {
     "report": _cmd_report,
 }
 
-ALL_CLASS_KINDS = (
-    "s", "s_via_pair", "s0", "sdot", "sinf",
-    "t", "t_via_pair", "t0", "tdot", "tinf",
-    # convert targets share the flag
-    "stieltjes_pair", "kk_pair", "nevanlinna", "sinf_triple",
-    "t_pair", "tinf_triple",
-)
+# Class kinds, then the convert targets that share the flag.
+ALL_CLASS_KINDS = S_KINDS + T_KINDS + tuple(k for k in KINDS if k not in S_KINDS + T_KINDS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -300,7 +253,6 @@ def run(argv=None) -> int:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
     report["tol"] = args.tol
-    report["threads"] = _threads()
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,8 +13,9 @@ merged by weight addition, zero weights dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import (
     NonPsdDensity,
     NotHermitian,
     NotPsd,
+    StieltjesKitError,
     SupportViolation,
 )
 
@@ -64,6 +66,18 @@ def as_psd(M, eps: float = EPS_PSD) -> np.ndarray:
     return H
 
 
+def svd_rank(M, rtol: float, zero: float = 0.0):
+    """SVD (U, s, Vh) of M with its numerical rank r.
+
+    r counts the singular values above rtol * sigma_1; it is 0 when
+    sigma_1 <= zero.
+    """
+    U, s, Vh = np.linalg.svd(M)
+    s1 = float(s[0]) if s.size else 0.0
+    r = 0 if s1 <= zero else int(np.sum(s > rtol * s1))
+    return U, s, Vh, r
+
+
 def is_psd(M, eps: float = EPS_PSD) -> bool:
     try:
         as_psd(M, eps)
@@ -89,6 +103,8 @@ class SupportSet:
         object.__setattr__(self, "endpoint", float(self.endpoint))
 
     def contains(self, t: float) -> bool:
+        if not math.isfinite(t):
+            return False
         a = self.endpoint
         if self.kind == "right_ray":
             return t >= a
@@ -200,9 +216,6 @@ class MatrixMeasure:
     def is_zero(self) -> bool:
         return not self.atoms
 
-    def with_support(self, support: SupportSet) -> "MatrixMeasure":
-        return MatrixMeasure(self.q, support, self.atoms)
-
     def to_json(self) -> dict:
         return {
             "q": self.q,
@@ -262,29 +275,19 @@ def integrate(mu: MatrixMeasure, f: Callable[[float], complex]) -> np.ndarray:
     return out
 
 
+_MIRROR = {
+    "right_ray": "left_ray",
+    "open_right_ray": "open_left_ray",
+    "left_ray": "right_ray",
+    "open_left_ray": "open_right_ray",
+}
+
+
 def _map_support(support: SupportSet, a: float, b: float) -> SupportSet:
-    """Image of a support set under t -> a*t + b (a != 0)."""
+    """Image of a support set under t -> a*t + b (a != 0); a < 0 mirrors a ray."""
     if support.kind == "line":
         return support
-    e = a * support.endpoint + b
-    closed_right = support.kind == "right_ray"
-    open_right = support.kind == "open_right_ray"
-    closed_left = support.kind == "left_ray"
-    if a > 0:
-        if closed_right:
-            return right_ray(e)
-        if open_right:
-            return open_right_ray(e)
-        if closed_left:
-            return left_ray(e)
-        return open_left_ray(e)
-    if closed_right:
-        return left_ray(e)
-    if open_right:
-        return open_left_ray(e)
-    if closed_left:
-        return right_ray(e)
-    return open_right_ray(e)
+    return SupportSet(support.kind if a > 0 else _MIRROR[support.kind], a * support.endpoint + b)
 
 
 def image_measure(mu: MatrixMeasure, a: float, b: float) -> MatrixMeasure:
@@ -362,4 +365,13 @@ def matrix_to_json(M) -> list:
 
 
 def matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    """Inverse of matrix_to_json; ragged, non-2-D or non-finite input raises."""
+    try:
+        M = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed matrix: {exc}") from exc
+    if M.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise StieltjesKitError("matrix has a non-finite entry")
+    return M

@@ -17,11 +17,18 @@ and evaluation is always a finite atomic sum:
 
 Conversions between them are exact atom-wise reweightings, never numeric
 integration.
+
+What a kind is (its fields and their constraints, support ray, kernel
+numerator, affine part, default class, dual) is written once, in its
+:class:`KindSpec` in the ``KINDS`` table; every function below that
+depends on the kind reads that table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,6 +38,7 @@ from .errors import (
     IllegalConversion,
     NotAnAtom,
     PoleProximity,
+    StieltjesKitError,
     UnsupportedPath,
 )
 from .matmeasure import (
@@ -42,14 +50,15 @@ from .matmeasure import (
     left_ray,
     matrix_from_json,
     matrix_to_json,
-    open_left_ray,
-    open_right_ray,
     right_ray,
-    total_mass,
     whole_line,
 )
 
 EPS_NEAR = 1e-9  # evaluation refused within EPS_NEAR*(1+|z|) of the support ray
+
+# Field roles in a KindSpec.
+ENDPOINT, PSD, HERM, MEASURE = "endpoint", "psd", "herm", "measure"
+_COERCE = {ENDPOINT: float, PSD: as_psd, HERM: as_hermitian}
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +66,33 @@ EPS_NEAR = 1e-9  # evaluation refused within EPS_NEAR*(1+|z|) of the support ray
 # ---------------------------------------------------------------------------
 
 
-def _require_support(mu: MatrixMeasure, kind: str, endpoint: float, what: str):
-    if mu.support.kind != kind or mu.support.endpoint != endpoint:
-        raise DimensionMismatch(
-            f"{what} must live on {kind}({endpoint}), got "
-            f"{mu.support.kind}({mu.support.endpoint})"
-        )
+class _Record:
+    """Validation and ``q`` shared by the records, driven by their KindSpec."""
+
+    def __post_init__(self):
+        spec = KINDS[self.KIND]
+        mu = getattr(self, spec.measure)
+        for name, role in spec.fields:
+            if role != MEASURE:
+                object.__setattr__(self, name, _COERCE[role](getattr(self, name)))
+        matrices = [name for name, role in spec.fields if role in (PSD, HERM)]
+        if any(getattr(self, name).shape != (mu.q, mu.q) for name in matrices):
+            raise DimensionMismatch(f"{', '.join(matrices)} and {spec.measure} dimensions differ")
+        if spec.support is not None:
+            endpoint = getattr(self, spec.endpoint)
+            if mu.support.kind != spec.support or mu.support.endpoint != endpoint:
+                raise DimensionMismatch(
+                    f"{spec.measure} must live on {spec.support}({endpoint}), got "
+                    f"{mu.support.kind}({mu.support.endpoint})"
+                )
+
+    @property
+    def q(self) -> int:
+        return measure_of(self).q
 
 
 @dataclass(frozen=True)
-class StieltjesPair:
+class StieltjesPair(_Record):
     """(gamma, mu) with gamma PSD and mu on [alpha, inf)."""
 
     KIND = "stieltjes_pair"
@@ -75,20 +101,9 @@ class StieltjesPair:
     gamma: np.ndarray
     mu: MatrixMeasure
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "gamma", as_psd(self.gamma))
-        if self.gamma.shape != (self.mu.q, self.mu.q):
-            raise DimensionMismatch("gamma and mu dimensions differ")
-        _require_support(self.mu, "right_ray", self.alpha, "mu")
-
-    @property
-    def q(self) -> int:
-        return self.mu.q
-
 
 @dataclass(frozen=True)
-class KKPair:
+class KKPair(_Record):
     """(C, eta) with C PSD and eta on [alpha, inf); kernel (1+t^2)/(t-z)."""
 
     KIND = "kk_pair"
@@ -97,20 +112,9 @@ class KKPair:
     C: np.ndarray
     eta: MatrixMeasure
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "C", as_psd(self.C))
-        if self.C.shape != (self.eta.q, self.eta.q):
-            raise DimensionMismatch("C and eta dimensions differ")
-        _require_support(self.eta, "right_ray", self.alpha, "eta")
-
-    @property
-    def q(self) -> int:
-        return self.eta.q
-
 
 @dataclass(frozen=True)
-class NevanlinnaTriple:
+class NevanlinnaTriple(_Record):
     """(A, B, nu): A Hermitian, B PSD, nu on the real line."""
 
     KIND = "nevanlinna"
@@ -119,19 +123,9 @@ class NevanlinnaTriple:
     B: np.ndarray
     nu: MatrixMeasure
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", as_hermitian(self.A))
-        object.__setattr__(self, "B", as_psd(self.B))
-        if self.A.shape != (self.nu.q, self.nu.q) or self.B.shape != self.A.shape:
-            raise DimensionMismatch("A, B, nu dimensions differ")
-
-    @property
-    def q(self) -> int:
-        return self.nu.q
-
 
 @dataclass(frozen=True)
-class S0Measure:
+class S0Measure(_Record):
     """Plain resolvent transform of a measure on [alpha, inf)."""
 
     KIND = "s0"
@@ -139,17 +133,9 @@ class S0Measure:
     alpha: float
     sigma: MatrixMeasure
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        _require_support(self.sigma, "right_ray", self.alpha, "sigma")
-
-    @property
-    def q(self) -> int:
-        return self.sigma.q
-
 
 @dataclass(frozen=True)
-class SInfTriple:
+class SInfTriple(_Record):
     """(D, E, rho) with rho on the open ray (alpha, inf); no atom at alpha."""
 
     KIND = "sinf_triple"
@@ -159,21 +145,9 @@ class SInfTriple:
     E: np.ndarray
     rho: MatrixMeasure
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "D", as_psd(self.D))
-        object.__setattr__(self, "E", as_psd(self.E))
-        if self.D.shape != (self.rho.q, self.rho.q) or self.E.shape != self.D.shape:
-            raise DimensionMismatch("D, E, rho dimensions differ")
-        _require_support(self.rho, "open_right_ray", self.alpha, "rho")
-
-    @property
-    def q(self) -> int:
-        return self.rho.q
-
 
 @dataclass(frozen=True)
-class TPair:
+class TPair(_Record):
     """(gamma, mu) with gamma PSD and mu on (-inf, beta]; kernel (1+beta-t)/(t-z)."""
 
     KIND = "t_pair"
@@ -182,36 +156,19 @@ class TPair:
     gamma: np.ndarray
     mu: MatrixMeasure
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "gamma", as_psd(self.gamma))
-        if self.gamma.shape != (self.mu.q, self.mu.q):
-            raise DimensionMismatch("gamma and mu dimensions differ")
-        _require_support(self.mu, "left_ray", self.beta, "mu")
-
-    @property
-    def q(self) -> int:
-        return self.mu.q
-
 
 @dataclass(frozen=True)
-class T0Measure:
+class T0Measure(_Record):
+    """Plain resolvent transform of a measure on (-inf, beta]."""
+
     KIND = "t0"
 
     beta: float
     sigma: MatrixMeasure
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        _require_support(self.sigma, "left_ray", self.beta, "sigma")
-
-    @property
-    def q(self) -> int:
-        return self.sigma.q
-
 
 @dataclass(frozen=True)
-class TInfTriple:
+class TInfTriple(_Record):
     """(D, E, rho) with rho on the open ray (-inf, beta); no atom at beta."""
 
     KIND = "tinf_triple"
@@ -220,18 +177,6 @@ class TInfTriple:
     D: np.ndarray
     E: np.ndarray
     rho: MatrixMeasure
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "D", as_psd(self.D))
-        object.__setattr__(self, "E", as_psd(self.E))
-        if self.D.shape != (self.rho.q, self.rho.q) or self.E.shape != self.D.shape:
-            raise DimensionMismatch("D, E, rho dimensions differ")
-        _require_support(self.rho, "open_left_ray", self.beta, "rho")
-
-    @property
-    def q(self) -> int:
-        return self.rho.q
 
 
 Representation = (
@@ -245,8 +190,129 @@ Representation = (
     | TInfTriple
 )
 
-S_SIDE_KINDS = ("stieltjes_pair", "kk_pair", "s0", "sinf_triple")
-T_SIDE_KINDS = ("t_pair", "t0", "tinf_triple")
+
+# ---------------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One representation kind: F(z) = affine(r, z, sum c(t, z)/(t - z) W).
+
+    ``fields`` lists the record's fields in order as (name, role), the role
+    being ENDPOINT (a float), PSD or HERM (a q x q matrix held to that
+    constraint) or MEASURE.  The kernel numerator is
+    c(t, z) = numerator(t, e) + z * numerator_z(t, e) with e the endpoint;
+    ``numerator_z`` is None when c does not depend on z.
+    """
+
+    cls: type
+    fields: tuple
+    support: str | None  # support kind the measure must have at the endpoint; None: any
+    side: str  # "right" or "left": where the excluded ray lies from the endpoint
+    numerator: Callable
+    affine: Callable  # (record, z, kernel sum) -> F(z)
+    default_class: str  # the certify_class kind claimed by default
+    dual: str | None = None  # the kind dual_map reflects onto
+    structural: tuple | None = None  # matrices whose sum with the total mass pins N(F(z)), R(F(z))
+    eigen: tuple | None = None  # (matrix, sign): eigen_invariance needs matrix + sign*lam*I PSD
+    residue: bool = False  # residue_weight is stated for this kind
+    numerator_z: Callable | None = None
+
+    @property
+    def kind(self) -> str:
+        return self.cls.KIND
+
+    @cached_property
+    def endpoint(self) -> str | None:
+        """Name of the endpoint field; None for a kind without one."""
+        return next((name for name, role in self.fields if role == ENDPOINT), None)
+
+    @cached_property
+    def measure(self) -> str:
+        return next(name for name, role in self.fields if role == MEASURE)
+
+
+def _right_numerator(t, a):
+    return 1.0 + t - a
+
+
+def _left_numerator(t, b):
+    return 1.0 + b - t
+
+
+def _unit_numerator(t, _):
+    return np.ones_like(t)
+
+
+KINDS = {
+    spec.kind: spec
+    for spec in (
+        KindSpec(
+            StieltjesPair, (("alpha", ENDPOINT), ("gamma", PSD), ("mu", MEASURE)), "right_ray", "right",
+            _right_numerator, lambda r, z, S: r.gamma + S, "s",
+            dual="t_pair", structural=("gamma",), eigen=("gamma", -1.0), residue=True,
+        ),
+        KindSpec(
+            KKPair, (("alpha", ENDPOINT), ("C", PSD), ("eta", MEASURE)), "right_ray", "right",
+            lambda t, _: 1.0 + t * t, lambda r, z, S: r.C + S, "s",
+        ),
+        KindSpec(
+            NevanlinnaTriple, (("A", HERM), ("B", PSD), ("nu", MEASURE)), None, "right",
+            _unit_numerator, lambda r, z, S: r.A + z * r.B + S, "s",
+            numerator_z=lambda t, _: t,
+        ),
+        KindSpec(
+            S0Measure, (("alpha", ENDPOINT), ("sigma", MEASURE)), "right_ray", "right",
+            _unit_numerator, lambda r, z, S: S, "s0",
+            dual="t0", structural=(), residue=True,
+        ),
+        KindSpec(
+            SInfTriple, (("alpha", ENDPOINT), ("D", PSD), ("E", PSD), ("rho", MEASURE)), "open_right_ray", "right",
+            _right_numerator, lambda r, z, S: -r.D + (z - r.alpha) * (r.E + S), "sinf",
+            dual="tinf_triple", structural=("D", "E"), eigen=("D", 1.0),
+        ),
+        KindSpec(
+            TPair, (("beta", ENDPOINT), ("gamma", PSD), ("mu", MEASURE)), "left_ray", "left",
+            _left_numerator, lambda r, z, S: -r.gamma + S, "t",
+            dual="stieltjes_pair", structural=("gamma",), eigen=("gamma", 1.0), residue=True,
+        ),
+        KindSpec(
+            T0Measure, (("beta", ENDPOINT), ("sigma", MEASURE)), "left_ray", "left",
+            _unit_numerator, lambda r, z, S: S, "t0",
+            dual="s0", structural=(), residue=True,
+        ),
+        KindSpec(
+            TInfTriple, (("beta", ENDPOINT), ("D", PSD), ("E", PSD), ("rho", MEASURE)), "open_left_ray", "left",
+            _left_numerator, lambda r, z, S: r.D + (r.beta - z) * (-r.E + S), "tinf",
+            dual="sinf_triple", structural=("D", "E"), eigen=("D", -1.0),
+        ),
+    )
+}
+
+
+def map_fields(repr_: Representation, endpoint: Callable, matrix: Callable, measure: Callable) -> dict:
+    """The record's fields in order, name -> value mapped by the function for its role."""
+    by_role = {ENDPOINT: endpoint, PSD: matrix, HERM: matrix, MEASURE: measure}
+    return {name: by_role[role](getattr(repr_, name)) for name, role in KINDS[repr_.KIND].fields}
+
+
+def measure_of(repr_: Representation) -> MatrixMeasure:
+    return getattr(repr_, KINDS[repr_.KIND].measure)
+
+
+def endpoint_side(repr_: Representation) -> tuple[float, str]:
+    """Endpoint and side of the ray the function is holomorphic off.
+
+    A Nevanlinna triple has no endpoint field; it reports its lowest node
+    (0.0 without atoms) on the right.
+    """
+    spec = KINDS[repr_.KIND]
+    if spec.endpoint is not None:
+        return getattr(repr_, spec.endpoint), spec.side
+    nodes = measure_of(repr_).nodes
+    return (float(nodes.min()) if nodes.size else 0.0), spec.side
 
 
 # ---------------------------------------------------------------------------
@@ -280,122 +346,37 @@ class Evaluator:
         return self.fn(complex(z))
 
 
-def _atomic_sum(mu: MatrixMeasure, coeff: np.ndarray, z: complex) -> np.ndarray:
-    """sum coeff_k / (t_k - z) * W_k over the atoms of mu."""
-    out = np.zeros((mu.q, mu.q), dtype=complex)
-    if not mu.atoms:
-        return out
-    t = mu.nodes
-    factors = coeff / (t - z)
-    W = mu.weights
-    return np.tensordot(factors, W, axes=(0, 0))
-
-
-def _pair_fn(repr_: StieltjesPair) -> Callable[[complex], np.ndarray]:
-    coeff = 1.0 + repr_.mu.nodes - repr_.alpha
-
-    def fn(z: complex) -> np.ndarray:
-        return repr_.gamma + _atomic_sum(repr_.mu, coeff, z)
-
-    return fn
-
-
-def _kk_fn(repr_: KKPair) -> Callable[[complex], np.ndarray]:
-    coeff = 1.0 + repr_.eta.nodes**2
-
-    def fn(z: complex) -> np.ndarray:
-        return repr_.C + _atomic_sum(repr_.eta, coeff, z)
-
-    return fn
-
-
-def _nev_fn(repr_: NevanlinnaTriple) -> Callable[[complex], np.ndarray]:
-    t = repr_.nu.nodes
-
-    def fn(z: complex) -> np.ndarray:
-        return repr_.A + z * repr_.B + _atomic_sum(repr_.nu, 1.0 + t * z, z)
-
-    return fn
-
-
-def _s0_fn(repr_: S0Measure) -> Callable[[complex], np.ndarray]:
-    ones = np.ones_like(repr_.sigma.nodes)
-
-    def fn(z: complex) -> np.ndarray:
-        return _atomic_sum(repr_.sigma, ones, z)
-
-    return fn
-
-
-def _sinf_fn(repr_: SInfTriple) -> Callable[[complex], np.ndarray]:
-    coeff = 1.0 + repr_.rho.nodes - repr_.alpha
-
-    def fn(z: complex) -> np.ndarray:
-        inner = repr_.E + _atomic_sum(repr_.rho, coeff, z)
-        return -repr_.D + (z - repr_.alpha) * inner
-
-    return fn
-
-
-def _tpair_fn(repr_: TPair) -> Callable[[complex], np.ndarray]:
-    coeff = 1.0 + repr_.beta - repr_.mu.nodes
-
-    def fn(z: complex) -> np.ndarray:
-        return -repr_.gamma + _atomic_sum(repr_.mu, coeff, z)
-
-    return fn
-
-
-def _t0_fn(repr_: T0Measure) -> Callable[[complex], np.ndarray]:
-    ones = np.ones_like(repr_.sigma.nodes)
-
-    def fn(z: complex) -> np.ndarray:
-        return _atomic_sum(repr_.sigma, ones, z)
-
-    return fn
-
-
-def _tinf_fn(repr_: TInfTriple) -> Callable[[complex], np.ndarray]:
-    coeff = 1.0 + repr_.beta - repr_.rho.nodes
-
-    def fn(z: complex) -> np.ndarray:
-        inner = -repr_.E + _atomic_sum(repr_.rho, coeff, z)
-        return repr_.D + (repr_.beta - z) * inner
-
-    return fn
-
-
-_FN_FACTORY = {
-    "stieltjes_pair": _pair_fn,
-    "kk_pair": _kk_fn,
-    "nevanlinna": _nev_fn,
-    "s0": _s0_fn,
-    "sinf_triple": _sinf_fn,
-    "t_pair": _tpair_fn,
-    "t0": _t0_fn,
-    "tinf_triple": _tinf_fn,
-}
+def _kernel_fn(repr_: Representation) -> Callable[[complex], np.ndarray]:
+    """z -> F(z); nodes, weights and the z-free numerator are stacked once here."""
+    spec = KINDS[repr_.KIND]
+    mu = measure_of(repr_)
+    endpoint, _ = endpoint_side(repr_)
+    t, W, affine = mu.nodes, mu.weights, spec.affine
+    coeff = spec.numerator(t, endpoint)
+    if spec.numerator_z is None:
+        return lambda z: affine(repr_, z, np.tensordot(coeff / (t - z), W, axes=(0, 0)))
+    slope = spec.numerator_z(t, endpoint)
+    return lambda z: affine(repr_, z, np.tensordot((coeff + slope * z) / (t - z), W, axes=(0, 0)))
 
 
 def excluded_set(repr_: Representation) -> SupportSet | None:
-    kind = repr_.KIND
-    if kind in ("stieltjes_pair", "kk_pair", "s0", "sinf_triple"):
-        return right_ray(repr_.alpha)
-    if kind in ("t_pair", "t0", "tinf_triple"):
-        return left_ray(repr_.beta)
+    spec = KINDS[repr_.KIND]
+    if spec.endpoint is not None:
+        endpoint = getattr(repr_, spec.endpoint)
+        return right_ray(endpoint) if spec.side == "right" else left_ray(endpoint)
     # Nevanlinna: holomorphic off the support of nu; when the measure lives
     # on a right ray we exclude that ray (conservative), otherwise the line.
-    if repr_.nu.is_zero():
+    nu = measure_of(repr_)
+    if nu.is_zero():
         return None
-    nodes = repr_.nu.nodes
-    if repr_.nu.support.kind == "line":
-        return right_ray(float(nodes.min()))
-    return repr_.nu.support
+    if nu.support.kind == "line":
+        return right_ray(float(nu.nodes.min()))
+    return nu.support
 
 
 def evaluator(repr_: Representation) -> Evaluator:
     """Build the pure evaluator of a representation."""
-    return Evaluator(repr_.q, excluded_set(repr_), _FN_FACTORY[repr_.KIND](repr_))
+    return Evaluator(repr_.q, excluded_set(repr_), _kernel_fn(repr_))
 
 
 def evaluate(repr_: Representation, z: complex) -> np.ndarray:
@@ -404,12 +385,12 @@ def evaluate(repr_: Representation, z: complex) -> np.ndarray:
 
 def evaluate_raw(repr_: Representation, z: complex) -> np.ndarray:
     """Evaluate without the pole-proximity guard."""
-    return _FN_FACTORY[repr_.KIND](repr_)(complex(z))
+    return _kernel_fn(repr_)(complex(z))
 
 
 def eval_mulz(repr_: StieltjesPair, z: complex) -> np.ndarray:
     """(z - alpha) * F(z), the product transform of a pair."""
-    if repr_.KIND != "stieltjes_pair":
+    if not isinstance(repr_, StieltjesPair):
         raise DimensionMismatch("eval_mulz is defined for StieltjesPair only")
     return (complex(z) - repr_.alpha) * evaluate(repr_, z)
 
@@ -426,8 +407,7 @@ def im_re_parts(repr_: StieltjesPair, z: complex) -> tuple[np.ndarray, np.ndarra
     Im F(z) = (Im z) * sum (1+t-a)/|t-z|^2 W
     """
     z = complex(z)
-    ev = evaluator(repr_)
-    if ev.distance(z) < EPS_NEAR * (1.0 + abs(z)):
+    if excluded_set(repr_).distance(z) < EPS_NEAR * (1.0 + abs(z)):
         raise PoleProximity(f"z = {z} is within tolerance of the support ray")
     q = repr_.q
     re = np.array(repr_.gamma, dtype=complex)
@@ -457,65 +437,52 @@ def im_mulz_closed(repr_: StieltjesPair, z: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _reweight(mu: MatrixMeasure, factor: Callable[[float], float], support=None) -> MatrixMeasure:
-    atoms = [(t, factor(t) * W) for t, W in mu.atoms]
-    return MatrixMeasure(mu.q, support if support is not None else mu.support, atoms)
+def _reweight(mu: MatrixMeasure, factor: Callable[[float], float]) -> MatrixMeasure:
+    return MatrixMeasure(mu.q, mu.support, [(t, factor(t) * W) for t, W in mu.atoms])
 
 
-def _is_zero_matrix(M: np.ndarray) -> bool:
-    return float(np.linalg.norm(M)) <= 1e-13
-
-
-def _pair_to_kk(p: StieltjesPair) -> KKPair:
-    a = p.alpha
-    eta = _reweight(p.mu, lambda t: (1.0 + t - a) / (1.0 + t * t))
-    return KKPair(a, p.gamma, eta)
-
-
-def _kk_to_pair(k: KKPair) -> StieltjesPair:
-    a = k.alpha
-    mu = _reweight(k.eta, lambda t: (1.0 + t * t) / (1.0 + t - a))
-    return StieltjesPair(a, k.C, mu)
-
-
-def _kk_to_nev(k: KKPair) -> NevanlinnaTriple:
-    # A = C + integral of t deta; B = 0; nu = eta extended by zero to R.
-    first = np.zeros((k.q, k.q), dtype=complex)
-    for t, W in k.eta.atoms:
+def _first_moment(mu: MatrixMeasure) -> np.ndarray:
+    first = np.zeros((mu.q, mu.q), dtype=complex)
+    for t, W in mu.atoms:
         first += t * W
-    A = k.C + first
+    return first
+
+
+def _rekernel(r, target: str, _alpha):
+    """The same function with the target's kernel: W' = c(t) / c'(t) W.
+
+    Serves pair <-> kk_pair, pair <-> s0 and t_pair <-> t0.  The PSD
+    constant carries over; a target without one needs it to vanish.
+    """
+    src, dst = KINDS[r.KIND], KINDS[target]
+    e, _ = endpoint_side(r)
+    mu = _reweight(measure_of(r), lambda t: src.numerator(t, e) / dst.numerator(t, e))
+    const = next((getattr(r, name) for name, role in src.fields if role == PSD), None)
+    if any(role == PSD for _, role in dst.fields):
+        return dst.cls(e, np.zeros((r.q, r.q)) if const is None else const, mu)
+    if np.any(np.abs(const) > 1e-13 * (1.0 + np.linalg.norm(const))):
+        raise IllegalConversion("gamma != 0: the function has a nonzero limit at i*inf")
+    return dst.cls(e, mu)
+
+
+def _kk_to_nev(k: KKPair, *_) -> NevanlinnaTriple:
+    # A = C + integral of t deta; B = 0; nu = eta extended by zero to R.
+    A = k.C + _first_moment(k.eta)
     nu = MatrixMeasure(k.q, whole_line(), k.eta.atoms)
     return NevanlinnaTriple(A, np.zeros((k.q, k.q)), nu)
 
 
-def _nev_to_kk(n: NevanlinnaTriple, alpha: float | None) -> KKPair:
-    if not _is_zero_matrix(n.B):
+def _nev_to_kk(n: NevanlinnaTriple, _target, alpha: float | None) -> KKPair:
+    if float(np.linalg.norm(n.B)) > 1e-13:
         raise IllegalConversion("triple has B != 0; not a right-ray restriction")
     nodes = n.nu.nodes
     if alpha is None:
         alpha = float(nodes.min()) if nodes.size else 0.0
     if nodes.size and float(nodes.min()) < alpha:
         raise IllegalConversion(f"nu carries mass below alpha = {alpha}")
-    first = np.zeros((n.q, n.q), dtype=complex)
-    for t, W in n.nu.atoms:
-        first += t * W
-    C = as_psd(n.A - first)
+    C = as_psd(n.A - _first_moment(n.nu))
     eta = MatrixMeasure(n.q, right_ray(alpha), n.nu.atoms)
     return KKPair(alpha, C, eta)
-
-
-def _pair_to_s0(p: StieltjesPair) -> S0Measure:
-    if np.any(np.abs(p.gamma) > 1e-13 * (1.0 + np.linalg.norm(p.gamma))):
-        raise IllegalConversion("gamma != 0: the function has a nonzero limit at i*inf")
-    a = p.alpha
-    sigma = _reweight(p.mu, lambda t: 1.0 + t - a)
-    return S0Measure(a, sigma)
-
-
-def _s0_to_pair(s: S0Measure) -> StieltjesPair:
-    a = s.alpha
-    mu = _reweight(s.sigma, lambda t: 1.0 / (1.0 + t - a))
-    return StieltjesPair(a, np.zeros((s.q, s.q)), mu)
 
 
 def _split_endpoint_atom(mu: MatrixMeasure, endpoint: float):
@@ -531,60 +498,38 @@ def _split_endpoint_atom(mu: MatrixMeasure, endpoint: float):
     return at, rest
 
 
-def _sinf_to_pair(s: SInfTriple) -> StieltjesPair:
-    """Pair of P(z) = (z - alpha)^{-1} F(z): gamma_P = E, mu_P = rho + delta_alpha D."""
-    atoms = [(s.alpha, s.D)] + list(s.rho.atoms)
-    mu = MatrixMeasure(s.q, right_ray(s.alpha), atoms)
-    return StieltjesPair(s.alpha, s.E, mu)
+# The product forms serve both rays: the target's support comes from the table.
 
 
-def _pair_to_sinf(p: StieltjesPair) -> SInfTriple:
-    """Inverse of the split: F(z) = (z - alpha) P(z) from the pair of P."""
-    D, rest = _split_endpoint_atom(p.mu, p.alpha)
-    rho = MatrixMeasure(p.q, open_right_ray(p.alpha), rest)
-    return SInfTriple(p.alpha, D, p.gamma, rho)
+def _product_to_pair(s, target: str, _alpha):
+    """Pair of P(z) = F(z)/(z - alpha) (or G(z)/(beta - z)): gamma_P = E, mu_P = rho + delta_e D."""
+    e, _ = endpoint_side(s)
+    spec = KINDS[target]
+    mu = MatrixMeasure(s.q, SupportSet(spec.support, e), [(e, s.D)] + list(s.rho.atoms))
+    return spec.cls(e, s.E, mu)
 
 
-def _tpair_to_t0(p: TPair) -> T0Measure:
-    if np.any(np.abs(p.gamma) > 1e-13 * (1.0 + np.linalg.norm(p.gamma))):
-        raise IllegalConversion("gamma != 0: the function has a nonzero limit at i*inf")
-    b = p.beta
-    sigma = _reweight(p.mu, lambda t: 1.0 + b - t)
-    return T0Measure(b, sigma)
-
-
-def _t0_to_tpair(s: T0Measure) -> TPair:
-    b = s.beta
-    mu = _reweight(s.sigma, lambda t: 1.0 / (1.0 + b - t))
-    return TPair(b, np.zeros((s.q, s.q)), mu)
-
-
-def _tinf_to_tpair(s: TInfTriple) -> TPair:
-    """Pair of Q(z) = (beta - z)^{-1} G(z): gamma_Q = E, mu_Q = rho + delta_beta D."""
-    atoms = [(s.beta, s.D)] + list(s.rho.atoms)
-    mu = MatrixMeasure(s.q, left_ray(s.beta), atoms)
-    return TPair(s.beta, s.E, mu)
-
-
-def _tpair_to_tinf(p: TPair) -> TInfTriple:
-    D, rest = _split_endpoint_atom(p.mu, p.beta)
-    rho = MatrixMeasure(p.q, open_left_ray(p.beta), rest)
-    return TInfTriple(p.beta, D, p.gamma, rho)
+def _pair_to_product(p, target: str, _alpha):
+    """Inverse of the split: F(z) = (z - alpha) P(z) (or (beta - z) P(z)) from the pair of P."""
+    e, _ = endpoint_side(p)
+    spec = KINDS[target]
+    D, rest = _split_endpoint_atom(p.mu, e)
+    return spec.cls(e, D, p.gamma, MatrixMeasure(p.q, SupportSet(spec.support, e), rest))
 
 
 _CONVERTERS = {
-    ("stieltjes_pair", "kk_pair"): lambda r, a: _pair_to_kk(r),
-    ("kk_pair", "stieltjes_pair"): lambda r, a: _kk_to_pair(r),
-    ("kk_pair", "nevanlinna"): lambda r, a: _kk_to_nev(r),
+    ("stieltjes_pair", "kk_pair"): _rekernel,
+    ("kk_pair", "stieltjes_pair"): _rekernel,
+    ("kk_pair", "nevanlinna"): _kk_to_nev,
     ("nevanlinna", "kk_pair"): _nev_to_kk,
-    ("stieltjes_pair", "s0"): lambda r, a: _pair_to_s0(r),
-    ("s0", "stieltjes_pair"): lambda r, a: _s0_to_pair(r),
-    ("sinf_triple", "stieltjes_pair"): lambda r, a: _sinf_to_pair(r),
-    ("stieltjes_pair", "sinf_triple"): lambda r, a: _pair_to_sinf(r),
-    ("t_pair", "t0"): lambda r, a: _tpair_to_t0(r),
-    ("t0", "t_pair"): lambda r, a: _t0_to_tpair(r),
-    ("tinf_triple", "t_pair"): lambda r, a: _tinf_to_tpair(r),
-    ("t_pair", "tinf_triple"): lambda r, a: _tpair_to_tinf(r),
+    ("stieltjes_pair", "s0"): _rekernel,
+    ("s0", "stieltjes_pair"): _rekernel,
+    ("sinf_triple", "stieltjes_pair"): _product_to_pair,
+    ("stieltjes_pair", "sinf_triple"): _pair_to_product,
+    ("t_pair", "t0"): _rekernel,
+    ("t0", "t_pair"): _rekernel,
+    ("tinf_triple", "t_pair"): _product_to_pair,
+    ("t_pair", "tinf_triple"): _pair_to_product,
 }
 
 
@@ -602,7 +547,7 @@ def convert(repr_: Representation, target_kind: str, alpha: float | None = None)
     fn = _CONVERTERS.get(key)
     if fn is None:
         raise UnsupportedPath(f"no direct conversion {key[0]} -> {target_kind}")
-    return fn(repr_, alpha)
+    return fn(repr_, target_kind, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -618,27 +563,18 @@ def residue_weight(repr_: Representation, t0: float, verify: bool = False) -> np
     analytic value is cross-checked against the numeric limit of
     (t0 - z) F(z) along z = t0 + i 2^{-k}.
     """
-    kind = repr_.KIND
-    if kind == "stieltjes_pair":
-        mu, factor = repr_.mu, lambda t: 1.0 + t - repr_.alpha
-    elif kind == "s0":
-        mu, factor = repr_.sigma, lambda t: 1.0
-    elif kind == "t_pair":
-        mu, factor = repr_.mu, lambda t: 1.0 + repr_.beta - t
-    elif kind == "t0":
-        mu, factor = repr_.sigma, lambda t: 1.0
-    else:
-        raise UnsupportedPath(f"residue_weight not defined for kind {kind}")
-
+    spec = KINDS[repr_.KIND]
+    if not spec.residue:
+        raise UnsupportedPath(f"residue_weight not defined for kind {spec.kind}")
     hit = None
-    for t, W in mu.atoms:
+    for t, W in measure_of(repr_).atoms:
         if abs(t - t0) <= 10 * EPS_MERGE * (1.0 + abs(t0)):
             hit = (t, W)
             break
     if hit is None:
         raise NotAnAtom(f"no atom within tolerance of t0 = {t0}")
     t, W = hit
-    value = factor(t) * W
+    value = spec.numerator(t, endpoint_side(repr_)[0]) * W
     if verify:
         eps = 2.0**-26
         approx = (-1j * eps) * evaluate_raw(repr_, t + 1j * eps)
@@ -654,55 +590,36 @@ def residue_weight(repr_: Representation, t0: float, verify: bool = False) -> np
 
 
 def repr_to_json(repr_: Representation) -> dict:
-    kind = repr_.KIND
-    if kind == "stieltjes_pair":
-        return {"kind": kind, "alpha": repr_.alpha, "gamma": matrix_to_json(repr_.gamma), "mu": repr_.mu.to_json()}
-    if kind == "kk_pair":
-        return {"kind": kind, "alpha": repr_.alpha, "C": matrix_to_json(repr_.C), "eta": repr_.eta.to_json()}
-    if kind == "nevanlinna":
-        return {"kind": kind, "A": matrix_to_json(repr_.A), "B": matrix_to_json(repr_.B), "nu": repr_.nu.to_json()}
-    if kind == "s0":
-        return {"kind": kind, "alpha": repr_.alpha, "sigma": repr_.sigma.to_json()}
-    if kind == "sinf_triple":
-        return {
-            "kind": kind,
-            "alpha": repr_.alpha,
-            "D": matrix_to_json(repr_.D),
-            "E": matrix_to_json(repr_.E),
-            "rho": repr_.rho.to_json(),
-        }
-    if kind == "t_pair":
-        return {"kind": kind, "beta": repr_.beta, "gamma": matrix_to_json(repr_.gamma), "mu": repr_.mu.to_json()}
-    if kind == "t0":
-        return {"kind": kind, "beta": repr_.beta, "sigma": repr_.sigma.to_json()}
-    if kind == "tinf_triple":
-        return {
-            "kind": kind,
-            "beta": repr_.beta,
-            "D": matrix_to_json(repr_.D),
-            "E": matrix_to_json(repr_.E),
-            "rho": repr_.rho.to_json(),
-        }
-    raise UnsupportedPath(f"unknown kind {kind}")
+    return {"kind": repr_.KIND, **map_fields(repr_, float, matrix_to_json, MatrixMeasure.to_json)}
+
+
+def _finite_endpoint(value) -> float:
+    e = float(value)
+    if not math.isfinite(e):
+        raise StieltjesKitError(f"non-finite endpoint {e}")
+    return e
+
+
+_FROM_JSON = {
+    ENDPOINT: _finite_endpoint,
+    PSD: matrix_from_json,
+    HERM: matrix_from_json,
+    MEASURE: MatrixMeasure.from_json,
+}
 
 
 def repr_from_json(obj: dict) -> Representation:
-    kind = obj["kind"]
-    M = MatrixMeasure.from_json
-    if kind == "stieltjes_pair":
-        return StieltjesPair(obj["alpha"], matrix_from_json(obj["gamma"]), M(obj["mu"]))
-    if kind == "kk_pair":
-        return KKPair(obj["alpha"], matrix_from_json(obj["C"]), M(obj["eta"]))
-    if kind == "nevanlinna":
-        return NevanlinnaTriple(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]), M(obj["nu"]))
-    if kind == "s0":
-        return S0Measure(obj["alpha"], M(obj["sigma"]))
-    if kind == "sinf_triple":
-        return SInfTriple(obj["alpha"], matrix_from_json(obj["D"]), matrix_from_json(obj["E"]), M(obj["rho"]))
-    if kind == "t_pair":
-        return TPair(obj["beta"], matrix_from_json(obj["gamma"]), M(obj["mu"]))
-    if kind == "t0":
-        return T0Measure(obj["beta"], M(obj["sigma"]))
-    if kind == "tinf_triple":
-        return TInfTriple(obj["beta"], matrix_from_json(obj["D"]), matrix_from_json(obj["E"]), M(obj["rho"]))
-    raise UnsupportedPath(f"unknown kind {kind}")
+    """Load a representation; malformed or non-finite input raises a StieltjesKitError.
+
+    ``matrix_from_json`` rejects a non-finite matrix before any
+    factorization sees it, and a non-finite node lies outside every
+    support set.
+    """
+    spec = KINDS.get(obj["kind"])
+    if spec is None:
+        raise UnsupportedPath(f"unknown kind {obj['kind']}")
+    try:
+        values = [_FROM_JSON[role](obj[name]) for name, role in spec.fields]
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed {spec.kind} input: {exc}") from exc
+    return spec.cls(*values)

@@ -15,22 +15,24 @@ import numpy as np
 
 from .classifier import rank_constancy, sample_points
 from .errors import DimensionMismatch, ShiftNotPsd, UnsupportedKind
-from .matmeasure import MatrixMeasure, as_hermitian, image_measure, is_psd
+from .matmeasure import MatrixMeasure, as_hermitian, image_measure, is_psd, svd_rank
 from .representations import (
+    KINDS,
     Evaluator,
     Representation,
-    KKPair,
-    NevanlinnaTriple,
-    S0Measure,
-    SInfTriple,
     StieltjesPair,
-    T0Measure,
-    TInfTriple,
-    TPair,
+    endpoint_side,
     evaluator,
+    map_fields,
 )
 
-PINV_RTOL_FACTOR = 1e-12  # default rtol = 1e-12 * q
+# pinv keeps every singular value above rounding level (default rtol =
+# 1e-12 * q), so the Penrose identities hold to near machine precision.
+PINV_RTOL_FACTOR = 1e-12
+# is_ep compares range projectors of given matrices, not of sampled
+# function values, so its rank cut sits between pinv's and RTOL_RANK.
+EP_RTOL = 1e-10
+EP_ZERO = 1e-14  # sigma_1 at or below this: the matrix is EP trivially
 
 
 @dataclass(frozen=True)
@@ -52,26 +54,20 @@ def pinv(M, rtol: float | None = None) -> PinvResult:
     q = M.shape[0]
     if rtol is None:
         rtol = PINV_RTOL_FACTOR * q
-    U, s, Vh = np.linalg.svd(M)
-    s1 = float(s[0]) if s.size else 0.0
-    if s1 == 0.0:
+    U, s, Vh, r = svd_rank(M, rtol)
+    if r == 0:
         return PinvResult(np.zeros_like(M), 0, s)
-    keep = s > rtol * s1
-    r = int(np.sum(keep))
     s_inv = np.zeros_like(s)
-    s_inv[keep] = 1.0 / s[keep]
+    s_inv[:r] = 1.0 / s[:r]
     P = (Vh.conj().T * s_inv) @ U.conj().T
     return PinvResult(P, r, s)
 
 
 def is_ep(M, tol: float = 1e-9) -> bool:
     """EP test: range of M equals range of M* (as orthogonal projectors)."""
-    M = np.asarray(M, dtype=complex)
-    U, s, Vh = np.linalg.svd(M)
-    s1 = float(s[0]) if s.size else 0.0
-    if s1 <= 1e-14:
+    U, _, Vh, r = svd_rank(np.asarray(M, dtype=complex), EP_RTOL, EP_ZERO)
+    if r == 0:
         return True
-    r = int(np.sum(s > 1e-10 * s1))
     Pu = U[:, :r] @ U[:, :r].conj().T
     Pv = Vh[:r, :].conj().T @ Vh[:r, :]
     return float(np.linalg.norm(Pu - Pv, 2)) <= tol
@@ -87,23 +83,22 @@ def ep_im_identity_defect(M, rtol: float | None = None) -> float:
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
-def _as_evaluator(F, what: str) -> tuple[Evaluator, float | None, str | None]:
-    """Normalize a representation-or-evaluator argument.
+def _guarded_input(F, endpoint: float | None, side: str, what: str) -> tuple[Evaluator, float, str]:
+    """(evaluator, endpoint, side) of a representation or Evaluator input, rank-probed.
 
-    Returns (evaluator, endpoint or None, side or None).
+    A representation supplies its own endpoint and side.
     """
     if isinstance(F, Evaluator):
-        return F, None, None
-    if F.KIND in ("stieltjes_pair", "kk_pair", "s0", "sinf_triple"):
-        return evaluator(F), F.alpha, "right"
-    if F.KIND in ("t_pair", "t0", "tinf_triple"):
-        return evaluator(F), F.beta, "left"
-    raise UnsupportedKind(f"{what}: unsupported input kind {F.KIND}")
-
-
-def _rank_guard(F: Evaluator, endpoint: float, side: str):
-    probes = sample_points(endpoint, side, n=8, seed=11)
-    rank_constancy(F, probes)  # raises RankInstability on disagreement
+        ev = F
+    elif KINDS[F.KIND].endpoint is None:
+        raise UnsupportedKind(f"{what}: unsupported input kind {F.KIND}")
+    else:
+        ev = evaluator(F)
+        endpoint, side = endpoint_side(F)
+    if endpoint is None:
+        raise ValueError("endpoint is required for a bare Evaluator input")
+    rank_constancy(ev, sample_points(endpoint, side, n=8, seed=11))  # raises RankInstability
+    return ev, endpoint, side
 
 
 def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator:
@@ -113,12 +108,7 @@ def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator
     class.  The input must have constant rank off the ray; an 8-point rank
     probe refuses inputs whose numerical rank jumps.
     """
-    ev, ep, sd = _as_evaluator(F, "pinv_map")
-    if ep is not None:
-        endpoint, side = ep, sd
-    if endpoint is None:
-        raise ValueError("endpoint is required for a bare Evaluator input")
-    _rank_guard(ev, endpoint, side)
+    ev, endpoint, side = _guarded_input(F, endpoint, side, "pinv_map")
     if side == "right":
         fn = lambda z: -pinv(ev.fn(z)).pinv / (z - endpoint)  # noqa: E731
     else:
@@ -132,12 +122,7 @@ def neg_pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evalu
     Involutive on class members: applying it twice returns the original
     values wherever the rank is constant.
     """
-    ev, ep, sd = _as_evaluator(F, "neg_pinv_map")
-    if ep is not None:
-        endpoint, side = ep, sd
-    if endpoint is None:
-        raise ValueError("endpoint is required for a bare Evaluator input")
-    _rank_guard(ev, endpoint, side)
+    ev, _, _ = _guarded_input(F, endpoint, side, "neg_pinv_map")
     return Evaluator(ev.q, ev.excluded, lambda z: -pinv(ev.fn(z)).pinv)
 
 
@@ -154,26 +139,13 @@ def dual_map(repr_: Representation, target: float) -> Representation:
     and pushing the measure forward under t -> a + b - t.  Involution:
     dual_map(dual_map(r, b), a) == r exactly on atoms.
     """
-    k = repr_.KIND
-    if k == "stieltjes_pair":
-        a, b = repr_.alpha, float(target)
-        return TPair(b, repr_.gamma, image_measure(repr_.mu, -1.0, a + b))
-    if k == "t_pair":
-        bta, a = repr_.beta, float(target)
-        return StieltjesPair(a, repr_.gamma, image_measure(repr_.mu, -1.0, a + bta))
-    if k == "s0":
-        a, b = repr_.alpha, float(target)
-        return T0Measure(b, image_measure(repr_.sigma, -1.0, a + b))
-    if k == "t0":
-        bta, a = repr_.beta, float(target)
-        return S0Measure(a, image_measure(repr_.sigma, -1.0, a + bta))
-    if k == "sinf_triple":
-        a, b = repr_.alpha, float(target)
-        return TInfTriple(b, repr_.D, repr_.E, image_measure(repr_.rho, -1.0, a + b))
-    if k == "tinf_triple":
-        bta, a = repr_.beta, float(target)
-        return SInfTriple(a, repr_.D, repr_.E, image_measure(repr_.rho, -1.0, a + bta))
-    raise UnsupportedKind(f"dual_map not defined for kind {k}")
+    dual = KINDS[repr_.KIND].dual
+    if dual is None:
+        raise UnsupportedKind(f"dual_map not defined for kind {repr_.KIND}")
+    e, _ = endpoint_side(repr_)
+    b = float(target)
+    values = map_fields(repr_, lambda _: b, lambda M: M, lambda mu: image_measure(mu, -1.0, e + b))
+    return KINDS[dual].cls(*values.values())  # alpha and beta trade places
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +228,4 @@ def transpose_map(repr_: Representation) -> Representation:
 
     eval(transpose_map(r), z) equals eval(r, z) transposed, exactly.
     """
-    k = repr_.KIND
-    if k == "stieltjes_pair":
-        return StieltjesPair(repr_.alpha, repr_.gamma.T, _transpose_measure(repr_.mu))
-    if k == "kk_pair":
-        return KKPair(repr_.alpha, repr_.C.T, _transpose_measure(repr_.eta))
-    if k == "nevanlinna":
-        return NevanlinnaTriple(repr_.A.T, repr_.B.T, _transpose_measure(repr_.nu))
-    if k == "s0":
-        return S0Measure(repr_.alpha, _transpose_measure(repr_.sigma))
-    if k == "sinf_triple":
-        return SInfTriple(repr_.alpha, repr_.D.T, repr_.E.T, _transpose_measure(repr_.rho))
-    if k == "t_pair":
-        return TPair(repr_.beta, repr_.gamma.T, _transpose_measure(repr_.mu))
-    if k == "t0":
-        return T0Measure(repr_.beta, _transpose_measure(repr_.sigma))
-    if k == "tinf_triple":
-        return TInfTriple(repr_.beta, repr_.D.T, repr_.E.T, _transpose_measure(repr_.rho))
-    raise UnsupportedKind(f"transpose_map not defined for kind {k}")
+    return type(repr_)(**map_fields(repr_, float, np.transpose, _transpose_measure))

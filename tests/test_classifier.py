@@ -163,6 +163,27 @@ def test_evaluation_failure_carries_witness():
     assert exc.value.witness is not None
 
 
+def test_non_finite_value_is_an_evaluation_failure():
+    F = sk.Evaluator(1, None, lambda z: np.array([[np.nan]], dtype=complex))
+    with pytest.raises(sk.EvaluationFailed) as exc:
+        sk.certify_class(F, 0.0, "s", SMALL_GRID)
+    assert exc.value.witness is not None
+
+
+def test_nan_margin_fails_the_certificate():
+    # Finite values of +-1e308 that jump at the real part of one upper grid
+    # point: the difference quotient there overflows and its CR residual is
+    # NaN, while every PSD condition holds (the values are real, and
+    # positive left of the endpoint).
+    z0 = next(z for z in build_grid(0.0, "right", SMALL_GRID)[0] if z.real > 0.0)
+    F = sk.Evaluator(1, sk.right_ray(0.0), lambda z: np.array([[1e308 if z.real < z0.real else -1e308]], dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = sk.certify_class(F, 0.0, "s", SMALL_GRID)
+    assert not cert.verdict
+    assert np.isnan(cert.margin("holomorphic"))
+    assert [c["witness"] for c in cert.conditions if c["name"] == "holomorphic"] == [z0]
+
+
 # --- kernel_range_report ---
 
 

@@ -6,7 +6,7 @@ import pytest
 import stieltjeskit as sk
 from stieltjeskit.cli import run
 
-from genutil import psd, random_pair, random_s0
+from genutil import RANDOM_KINDS, psd, random_pair, random_s0
 
 
 def write_repr(tmp_path, r, name="input.json"):
@@ -50,6 +50,21 @@ def test_malformed_json_exit_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "line" in err
+
+
+@pytest.mark.parametrize("defect", ["ragged_gamma", "nan_gamma", "atom_at_infinity"])
+def test_malformed_representation_exit_one(tmp_path, capsys, defect):
+    obj = sk.repr_to_json(one_atom_pair(np.random.default_rng(13)))
+    if defect == "ragged_gamma":
+        obj["gamma"][1] = obj["gamma"][1][:1]
+    elif defect == "nan_gamma":
+        obj["gamma"][0][0] = [float("nan"), 0.0]
+    else:
+        obj["mu"]["atoms"][0]["t"] = float("inf")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))  # json writes NaN and Infinity as bare tokens
+    assert run(["certify", "--input", str(path)]) == 1
+    assert "error" in json.loads(capsys.readouterr().err)
 
 
 def test_missing_file_exit_one(tmp_path, capsys):
@@ -165,3 +180,38 @@ def test_dual_requires_target(tmp_path, capsys):
     path = write_repr(tmp_path, p)
     assert run(["transform", "--op", "dual", "--input", path]) == 1
     capsys.readouterr()
+
+
+# Default certificate class of each representation kind.
+KIND_CLASS = {
+    "stieltjes_pair": "s",
+    "kk_pair": "s",
+    "nevanlinna": "s",
+    "s0": "s0",
+    "sinf_triple": "sinf",
+    "t_pair": "t",
+    "t0": "t0",
+    "tinf_triple": "tinf",
+}
+
+
+def make_kind(kind, rng):
+    if kind in RANDOM_KINDS:
+        return RANDOM_KINDS[kind](rng, q=2)
+    kk = sk.convert(random_pair(rng, q=2), "kk_pair")
+    return kk if kind == "kk_pair" else sk.convert(kk, "nevanlinna")
+
+
+@pytest.mark.parametrize("command", ["certify", "report"])
+@pytest.mark.parametrize("kind", sorted(KIND_CLASS))
+def test_every_kind_passes_its_default_class(tmp_path, capsys, kind, command):
+    r = make_kind(kind, np.random.default_rng(20))
+    path = write_repr(tmp_path, r)
+    assert run([command, "--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["certificate"]["verdict"] == "pass"
+    assert report["certificate"]["kind"] == KIND_CLASS[kind]
+    if command == "report":
+        assert report["kind"] == kind
+        assert len(report["samples"]) == 20
+        assert len(report["moments"]) == 3
