@@ -68,7 +68,7 @@ def _eval_grid(endpoint: float, side: str, seed: int):
 
 
 def _dump_grid(F: Evaluator, pts) -> list:
-    return [{"z": [z.real, z.imag], "F": matrix_to_json(F(z))} for z in pts]
+    return [{"z": [z.real, z.imag], "F": matrix_to_json(V)} for z, V in zip(pts, F.batch(pts))]
 
 
 def _limit_json(est: LimitEstimate) -> dict:

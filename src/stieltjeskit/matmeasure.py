@@ -67,14 +67,14 @@ def as_psd(M, eps: float = EPS_PSD) -> np.ndarray:
 
 
 def svd_rank(M, rtol: float, zero: float = 0.0):
-    """SVD (U, s, Vh) of M with its numerical rank r.
+    """SVD (U, s, Vh) of M, or of each matrix of a stack, with the numerical rank r.
 
     r counts the singular values above rtol * sigma_1; it is 0 when
-    sigma_1 <= zero.
+    sigma_1 <= zero.  For a stack of shape (m, p, q), r has shape (m,).
     """
     U, s, Vh = np.linalg.svd(M)
-    s1 = float(s[0]) if s.size else 0.0
-    r = 0 if s1 <= zero else int(np.sum(s > rtol * s1))
+    s1 = s[..., :1]
+    r = np.where(s1[..., 0] <= zero, 0, np.sum(s > rtol * s1, axis=-1))
     return U, s, Vh, r
 
 

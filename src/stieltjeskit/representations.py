@@ -326,37 +326,89 @@ class Evaluator:
 
     ``excluded=None`` means the map is defined on the whole plane.
     Calling the evaluator enforces the pole-proximity guard; ``raw``
-    skips it (used internally for residue limits).
+    skips it (used internally for residue limits).  ``batch`` and
+    ``batch_raw`` evaluate many points at once and return an array of
+    shape (m, q, q); they run ``batch_fn`` (a 1-D complex array of m
+    points -> (m, q, q) values) when the evaluator has one and otherwise
+    loop over ``fn``.
     """
 
     q: int
     excluded: SupportSet | None
     fn: Callable[[complex], np.ndarray]
+    batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @classmethod
+    def of_batch(cls, q: int, excluded: SupportSet | None, batch_fn: Callable) -> "Evaluator":
+        """Evaluator whose scalar call is the batch of one."""
+        return cls(q, excluded, lambda z: batch_fn(np.array([z]))[0], batch_fn)
 
     def distance(self, z: complex) -> float:
         return np.inf if self.excluded is None else self.excluded.distance(z)
 
-    def __call__(self, z: complex) -> np.ndarray:
-        z = complex(z)
+    def _guard(self, z: complex) -> None:
         if self.distance(z) < EPS_NEAR * (1.0 + abs(z)):
             raise PoleProximity(f"z = {z} is within tolerance of the excluded set")
+
+    def __call__(self, z: complex) -> np.ndarray:
+        z = complex(z)
+        self._guard(z)
         return self.fn(z)
 
     def raw(self, z: complex) -> np.ndarray:
         return self.fn(complex(z))
 
+    def batch(self, zs) -> np.ndarray:
+        """Guarded values at each point; PoleProximity names the first point too near."""
+        zs = _points(zs)
+        for z in zs.tolist():
+            self._guard(z)
+        return self.batch_raw(zs)
 
-def _kernel_fn(repr_: Representation) -> Callable[[complex], np.ndarray]:
-    """z -> F(z); nodes, weights and the z-free numerator are stacked once here."""
+    def batch_raw(self, zs) -> np.ndarray:
+        zs = _points(zs)
+        if self.batch_fn is not None:
+            return self.batch_fn(zs)
+        out = np.empty((zs.size, self.q, self.q), dtype=complex)
+        for i, z in enumerate(zs.tolist()):
+            out[i] = self.fn(z)
+        return out
+
+
+def _points(zs) -> np.ndarray:
+    return np.asarray(zs, dtype=complex).reshape(-1)
+
+
+# Entries per block of the atomic kernel's (points, atoms) coefficient
+# array: a block holds KERNEL_ENTRIES // n points, so its temporaries stay
+# near 256 KB each (cache-resident) whatever the batch size.
+KERNEL_ENTRIES = 16384
+
+
+def _kernel_batch(repr_: Representation) -> Callable[[np.ndarray], np.ndarray]:
+    """zs -> F(zs) of shape (m, q, q): affine(r, z, (c(t, z)/(t - z)) @ W) in blocks of points.
+
+    Nodes, weights and the z-free numerator are stacked once here.
+    """
     spec = KINDS[repr_.KIND]
     mu = measure_of(repr_)
     endpoint, _ = endpoint_side(repr_)
-    t, W, affine = mu.nodes, mu.weights, spec.affine
+    q, t, affine = mu.q, mu.nodes, spec.affine
+    W = mu.weights.reshape(t.size, q * q)
     coeff = spec.numerator(t, endpoint)
-    if spec.numerator_z is None:
-        return lambda z: affine(repr_, z, np.tensordot(coeff / (t - z), W, axes=(0, 0)))
-    slope = spec.numerator_z(t, endpoint)
-    return lambda z: affine(repr_, z, np.tensordot((coeff + slope * z) / (t - z), W, axes=(0, 0)))
+    slope = None if spec.numerator_z is None else spec.numerator_z(t, endpoint)
+    block = max(1, KERNEL_ENTRIES // max(1, t.size))
+
+    def batch(zs):
+        out = np.empty((zs.size, q, q), dtype=complex)
+        for start in range(0, zs.size, block):
+            z = zs[start : start + block, None]
+            c = coeff if slope is None else coeff + slope * z
+            S = ((c / (t - z)) @ W).reshape(-1, q, q)
+            out[start : start + block] = affine(repr_, z[:, :, None], S)
+        return out
+
+    return batch
 
 
 def excluded_set(repr_: Representation) -> SupportSet | None:
@@ -376,7 +428,7 @@ def excluded_set(repr_: Representation) -> SupportSet | None:
 
 def evaluator(repr_: Representation) -> Evaluator:
     """Build the pure evaluator of a representation."""
-    return Evaluator(repr_.q, excluded_set(repr_), _kernel_fn(repr_))
+    return Evaluator.of_batch(repr_.q, excluded_set(repr_), _kernel_batch(repr_))
 
 
 def evaluate(repr_: Representation, z: complex) -> np.ndarray:
@@ -385,7 +437,7 @@ def evaluate(repr_: Representation, z: complex) -> np.ndarray:
 
 def evaluate_raw(repr_: Representation, z: complex) -> np.ndarray:
     """Evaluate without the pole-proximity guard."""
-    return _kernel_fn(repr_)(complex(z))
+    return evaluator(repr_).raw(z)
 
 
 def eval_mulz(repr_: StieltjesPair, z: complex) -> np.ndarray:
@@ -393,11 +445,6 @@ def eval_mulz(repr_: StieltjesPair, z: complex) -> np.ndarray:
     if not isinstance(repr_, StieltjesPair):
         raise DimensionMismatch("eval_mulz is defined for StieltjesPair only")
     return (complex(z) - repr_.alpha) * evaluate(repr_, z)
-
-
-def mulz_evaluator(F: Evaluator, endpoint: float) -> Evaluator:
-    """Evaluator of z -> (z - endpoint) * F(z)."""
-    return Evaluator(F.q, F.excluded, lambda z: (z - endpoint) * F.fn(z))
 
 
 def im_re_parts(repr_: StieltjesPair, z: complex) -> tuple[np.ndarray, np.ndarray]:

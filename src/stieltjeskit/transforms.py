@@ -42,6 +42,19 @@ class PinvResult:
     singular_values: np.ndarray
 
 
+def _pinv_stack(M: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pseudoinverses, ranks, singular values) of a stack of square matrices.
+
+    Singular values at or below rtol * sigma_1 are treated as zero; a zero
+    matrix has rank 0 and pseudoinverse 0.
+    """
+    U, s, Vh, r = svd_rank(M, rtol)
+    keep = np.arange(s.shape[-1]) < r[:, None]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    P = (Vh.conj().swapaxes(-1, -2) * s_inv[:, None, :]) @ U.conj().swapaxes(-1, -2)
+    return P, r, s
+
+
 def pinv(M, rtol: float | None = None) -> PinvResult:
     """SVD pseudoinverse with a relative singular-value cutoff.
 
@@ -52,20 +65,14 @@ def pinv(M, rtol: float | None = None) -> PinvResult:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
     q = M.shape[0]
-    if rtol is None:
-        rtol = PINV_RTOL_FACTOR * q
-    U, s, Vh, r = svd_rank(M, rtol)
-    if r == 0:
-        return PinvResult(np.zeros_like(M), 0, s)
-    s_inv = np.zeros_like(s)
-    s_inv[:r] = 1.0 / s[:r]
-    P = (Vh.conj().T * s_inv) @ U.conj().T
-    return PinvResult(P, r, s)
+    P, r, s = _pinv_stack(M[None], PINV_RTOL_FACTOR * q if rtol is None else rtol)
+    return PinvResult(P[0], int(r[0]), s[0])
 
 
 def is_ep(M, tol: float = 1e-9) -> bool:
     """EP test: range of M equals range of M* (as orthogonal projectors)."""
     U, _, Vh, r = svd_rank(np.asarray(M, dtype=complex), EP_RTOL, EP_ZERO)
+    r = int(r)
     if r == 0:
         return True
     Pu = U[:, :r] @ U[:, :r].conj().T
@@ -101,6 +108,10 @@ def _guarded_input(F, endpoint: float | None, side: str, what: str) -> tuple[Eva
     return ev, endpoint, side
 
 
+def _neg_pinv(ev: Evaluator, zs: np.ndarray) -> np.ndarray:
+    return -_pinv_stack(ev.batch_raw(zs), PINV_RTOL_FACTOR * ev.q)[0]
+
+
 def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator:
     """z -> -(z - a)^{-1} F(z)^+ (right ray) or -(b - z)^{-1} F(z)^+ (left).
 
@@ -110,10 +121,10 @@ def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator
     """
     ev, endpoint, side = _guarded_input(F, endpoint, side, "pinv_map")
     if side == "right":
-        fn = lambda z: -pinv(ev.fn(z)).pinv / (z - endpoint)  # noqa: E731
+        batch = lambda zs: _neg_pinv(ev, zs) / (zs - endpoint)[:, None, None]  # noqa: E731
     else:
-        fn = lambda z: -pinv(ev.fn(z)).pinv / (endpoint - z)  # noqa: E731
-    return Evaluator(ev.q, ev.excluded, fn)
+        batch = lambda zs: _neg_pinv(ev, zs) / (endpoint - zs)[:, None, None]  # noqa: E731
+    return Evaluator.of_batch(ev.q, ev.excluded, batch)
 
 
 def neg_pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator:
@@ -123,7 +134,7 @@ def neg_pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evalu
     values wherever the rank is constant.
     """
     ev, _, _ = _guarded_input(F, endpoint, side, "neg_pinv_map")
-    return Evaluator(ev.q, ev.excluded, lambda z: -pinv(ev.fn(z)).pinv)
+    return Evaluator.of_batch(ev.q, ev.excluded, lambda zs: _neg_pinv(ev, zs))
 
 
 # ---------------------------------------------------------------------------

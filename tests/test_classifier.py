@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stieltjeskit as sk
-from stieltjeskit.classifier import build_grid, sample_points
+from stieltjeskit.classifier import TOL_CR, build_grid, sample_points
 
 from genutil import (
     RANDOM_KINDS,
@@ -182,6 +182,78 @@ def test_nan_margin_fails_the_certificate():
     assert not cert.verdict
     assert np.isnan(cert.margin("holomorphic"))
     assert [c["witness"] for c in cert.conditions if c["name"] == "holomorphic"] == [z0]
+
+
+def test_member_with_large_values_passes_holomorphy():
+    # A tinf triple (q = 1) whose |F| reaches about 77 near the upper grid
+    # point -4.885+0.464i: the truncation error of a second-order stencil
+    # gave a CR residual of 1.06e-6 > TOL_CR there and rejected a member.
+    r = sk.TInfTriple(
+        -1.427563988274403,
+        [[2.5597370498127003]],
+        [[1.3424441346393903]],
+        sk.MatrixMeasure(
+            1,
+            sk.open_left_ray(-1.427563988274403),
+            [
+                (-5.313144772473837, [[1.6303730139635322]]),
+                (-4.399427029506333, [[2.9464489472588165]]),
+                (-3.281704636258046, [[0.4476872100178185]]),
+                (-2.2404016630693118, [[0.15033189898206453]]),
+                (-1.6566286823271195, [[0.43612060709566935]]),
+            ],
+        ),
+    )
+    cert = sk.certify_class(sk.evaluator(r), r.beta, "tinf")
+    assert cert.verdict
+    assert cert.margin("holomorphic") > 0.9 * TOL_CR
+
+
+@pytest.mark.parametrize("t", [1e7, 1e10])
+def test_far_atom_s0_and_t0_pass(t):
+    s = sk.S0Measure(0.0, sk.MatrixMeasure(2, sk.right_ray(0.0), [(t, I2)]))
+    cert = sk.certify_class(sk.evaluator(s), 0.0, "s0", SMALL_GRID)
+    assert cert.verdict and cert.margin("y_norm_bounded") > 0.49
+    mirror = sk.T0Measure(0.0, sk.MatrixMeasure(2, sk.left_ray(0.0), [(-t, I2)]))
+    cert = sk.certify_class(sk.evaluator(mirror), 0.0, "t0", SMALL_GRID)
+    assert cert.verdict and cert.margin("y_norm_bounded") > 0.49
+
+
+# Atoms at 1 and 10, two of the gap points of a left-side grid at endpoint 0
+# (gap distances 1e-3 .. 1e3 by decades): the first failing point in
+# evaluation order (upper, lower, then gap points) is z = 1.
+PARITY_GRID = sk.GridConfig(n_upper=8, n_lower=8, n_gap=7)
+
+
+def _atomic_and_opaque():
+    mu = sk.MatrixMeasure(2, sk.right_ray(0.0), [(1.0, I2), (10.0, 2.0 * I2)])
+    F = sk.evaluator(sk.StieltjesPair(0.0, I2, mu))
+    return F, sk.Evaluator(F.q, F.excluded, F.fn)
+
+
+def test_non_finite_value_fails_at_the_same_point_on_both_paths():
+    for F in _atomic_and_opaque():
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(sk.EvaluationFailed) as exc:
+            sk.certify_class(F, 0.0, "t", PARITY_GRID)
+        assert exc.value.witness == 1.0 and "non-finite" in str(exc.value)
+
+
+def test_raised_exception_fails_at_the_same_point_on_both_paths():
+    for F in _atomic_and_opaque():
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(sk.EvaluationFailed) as exc:
+            sk.certify_class(F, 0.0, "t", PARITY_GRID)
+        assert exc.value.witness == 1.0 and "raised" in str(exc.value)
+
+    def raise_beyond_half(z):
+        if z.real > 0.5:
+            raise ValueError("outside the model")
+        return np.eye(2, dtype=complex)
+
+    F = sk.Evaluator(2, None, raise_beyond_half)
+    first = next(z for z in build_grid(0.0, "left", PARITY_GRID)[0] if z.real > 0.5)
+    with pytest.raises(sk.EvaluationFailed) as exc:
+        sk.certify_class(F, 0.0, "t", PARITY_GRID)
+    assert exc.value.witness == first
 
 
 # --- kernel_range_report ---

@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
-from stieltjeskit.representations import evaluate_raw
+from stieltjeskit.representations import KINDS, endpoint_side, evaluate_raw, measure_of
 
 from genutil import (
     RANDOM_KINDS,
@@ -368,3 +368,86 @@ def test_repr_json_round_trip_all_kinds():
         assert back.KIND == r.KIND
         z = 1.7 + 2.3j
         np.testing.assert_array_equal(sk.evaluate(back, z), sk.evaluate(r, z))
+
+
+# --- batched evaluation ---
+
+# A batch sums the atoms as one matrix product per block of points, a
+# per-atom loop sums them one term at a time; the two orders agree to a
+# few hundred roundings of the largest term, far inside BATCH_RTOL
+# relative to 1 + ||F(z)||.  A pseudoinverse can amplify that gap by the
+# condition number of F(z), hence the looser bound for the pinv maps.
+BATCH_RTOL = 1e-12
+PINV_BATCH_RTOL = 1e-10
+ALL_KINDS = tuple(RANDOM_KINDS) + ("kk_pair", "nevanlinna")
+
+
+def _instance(kind, rng, q, n):
+    """A random representation of any of the eight kinds."""
+    if kind in RANDOM_KINDS:
+        return RANDOM_KINDS[kind](rng, q=q, n_atoms=n)
+    kk = sk.convert(random_pair(rng, q=q, n_atoms=n), "kk_pair")
+    return kk if kind == "kk_pair" else sk.convert(kk, "nevanlinna")
+
+
+def _reference(r, z):
+    """F(z) summed atom by atom from the kind table."""
+    spec = KINDS[r.KIND]
+    e, _ = endpoint_side(r)
+    S = np.zeros((r.q, r.q), dtype=complex)
+    for t, W in measure_of(r).atoms:
+        c = spec.numerator(np.array(t), e) + (0.0 if spec.numerator_z is None else z * spec.numerator_z(np.array(t), e))
+        S = S + (c / (t - z)) * W
+    return spec.affine(r, z, S)
+
+
+def _batch_points(rng, r, m):
+    """Off-ray points, gap points, and (for a measure with atoms) one point on an atom."""
+    e, side = endpoint_side(r)
+    sign = -1.0 if side == "right" else 1.0
+    pts = off_ray_points(rng, e, side, m) + [complex(e + sign * d, 0.0) for d in rng.uniform(0.1, 5.0, 3)]
+    nodes = measure_of(r).nodes
+    if nodes.size:
+        pts.insert(int(rng.integers(0, len(pts))), complex(rng.choice(nodes), 0.0))
+    return pts
+
+
+def _assert_close(A, B, rtol):
+    for a, b in zip(A, B):
+        assert np.linalg.norm(a - b) <= rtol * (1.0 + np.linalg.norm(b))
+
+
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(ALL_KINDS), q=st.integers(1, 8), n=st.integers(1, 500))
+@example(seed=1, kind="nevanlinna", q=8, n=500)
+@example(seed=2, kind="tinf_triple", q=8, n=500)
+@settings(max_examples=40, deadline=None)
+def test_batch_agrees_with_scalar_evaluation(seed, kind, q, n):
+    rng = np.random.default_rng(seed)
+    r = _instance(kind, rng, q, n)
+    F = sk.evaluator(r)
+    pts = _batch_points(rng, r, 12)
+    near = [z for z in pts if F.distance(z) < 1e-9 * (1.0 + abs(z))]
+    if near:
+        with pytest.raises(sk.PoleProximity) as batch_exc:
+            F.batch(pts)
+        with pytest.raises(sk.PoleProximity) as scalar_exc:
+            F(near[0])
+        assert str(batch_exc.value) == str(scalar_exc.value)
+        pts = [z for z in pts if z not in near]
+    values = F.batch(pts)
+    assert values.shape == (len(pts), r.q, r.q)
+    _assert_close(values, [F(z) for z in pts], BATCH_RTOL)
+    _assert_close(values, [_reference(r, z) for z in pts], BATCH_RTOL)
+    opaque = sk.Evaluator(F.q, F.excluded, F.fn)
+    assert np.array_equal(opaque.batch(pts), np.array([F(z) for z in pts]))
+    if kind == "nevanlinna":  # the pinv maps need an endpoint
+        return
+    e, side = endpoint_side(r)
+    pinv_ref = lambda z: -np.linalg.pinv(_reference(r, z), rcond=1e-12 * r.q)  # noqa: E731
+    for G, scale in (
+        (sk.pinv_map(r), lambda z: (z - e) if side == "right" else (e - z)),
+        (sk.neg_pinv_map(r), lambda z: 1.0),
+    ):
+        values = G.batch(pts)
+        _assert_close(values, [G(z) for z in pts], PINV_BATCH_RTOL)
+        _assert_close(values, [pinv_ref(z) / scale(z) for z in pts], PINV_BATCH_RTOL)
