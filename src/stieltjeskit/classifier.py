@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .limits import limit_at_infinity
-from .matmeasure import is_psd, svd_rank, total_mass
+from .matmeasure import is_psd, norm2, svd_rank, total_mass
 from .representations import (
     KINDS,
     Evaluator,
@@ -167,14 +167,9 @@ def _im(M: np.ndarray) -> np.ndarray:
     return (M - M.conj().swapaxes(-1, -2)) / 2j
 
 
-def _norm2(V: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix of a stack."""
-    return np.linalg.norm(V, 2, axis=(-2, -1))
-
-
-def _psd_margins(H: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """lambda_min(H)/(1 + ||V||) for each matrix of the stacks."""
-    return np.linalg.eigvalsh(_herm(H))[:, 0] / (1.0 + _norm2(V))
+def _lam_min(H: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each matrix of a stack."""
+    return np.linalg.eigvalsh(_herm(H))[:, 0]
 
 
 def _worst(points, margins):
@@ -265,7 +260,8 @@ def certify_class(
     points = upper + lower + gap
     zs = np.array(points)
     V = _values(F, zs)
-    dist = np.array([F.distance(z) for z in points])
+    scale = 1.0 + norm2(V)  # PSD margins are lambda_min / (1 + ||F(z)||)
+    dist = F.distance(zs)
     index = np.arange(zs.size)
     is_upper = index < len(upper)
     on_gap = index >= len(upper) + len(lower)
@@ -273,22 +269,22 @@ def certify_class(
     conditions = []
 
     def add(name, mask, margins):
-        """Worst of margins(values at the masked points), witnessed in grid order."""
+        """Worst of margins(values, scales at the masked points), witnessed in grid order."""
         sub = np.flatnonzero(mask)
-        margin, witness = _worst([points[i] for i in sub], margins(V[sub]))
+        margin, witness = _worst([points[i] for i in sub], margins(V[sub], scale[sub]))
         conditions.append({"name": name, "margin": margin, "witness": witness})
 
-    psd = lambda W: _psd_margins(W, W)  # noqa: E731
-    npsd = lambda W: _psd_margins(-W, W)  # noqa: E731
+    psd = lambda W, s: _lam_min(W) / s  # noqa: E731
+    npsd = lambda W, s: _lam_min(-W) / s  # noqa: E731
 
     # A gap point on the evaluator's own excluded ray (a class claimed for
     # the other side) leaves the difference stencil no room: holomorphy is
     # sampled only where the evaluator is defined.
     defined = dist > 0.0
-    add("holomorphic", defined, lambda _: TOL_CR - _cr_residuals(F, zs[defined], dist[defined]))
-    herglotz = lambda W: _psd_margins(_im(W), W)  # noqa: E731
+    add("holomorphic", defined, lambda *_: TOL_CR - _cr_residuals(F, zs[defined], dist[defined]))
+    herglotz = lambda W, s: _lam_min(_im(W)) / s  # noqa: E731
     add("herglotz_upper", is_upper, herglotz)
-    add("herglotz_lower_conj", ~is_upper & ~on_gap, lambda W: _psd_margins(-_im(W), W))
+    add("herglotz_lower_conj", ~is_upper & ~on_gap, lambda W, s: _lam_min(-_im(W)) / s)
 
     if kind in ("s", "s0", "sdot", "tinf"):
         add("psd_on_gap", on_gap, psd)
@@ -301,8 +297,12 @@ def certify_class(
     if kind in ("s_via_pair", "t_via_pair"):
         # (z - a) F(z) resp. (b - z) F(z) from the shared values.
         factor = zs - endpoint if kind == "s_via_pair" else endpoint - zs
-        product = lambda W: _finite(zs[is_upper], factor[is_upper, None, None] * W)  # noqa: E731
-        add("herglotz_upper_mulz", is_upper, lambda W: herglotz(product(W)))
+
+        def mulz(W, _):
+            P = _finite(zs[is_upper], factor[is_upper, None, None] * W)
+            return herglotz(P, 1.0 + norm2(P))
+
+        add("herglotz_upper_mulz", is_upper, mulz)
 
     if kind in ("s0", "t0"):
         margin, witness = _y_norm_bounded(F, "y_scaled" if kind == "s0" else "neg_y_scaled")
@@ -385,7 +385,7 @@ def kernel_range_report(repr_: Representation, n_samples: int = 10, seed: int = 
     endpoint, side = endpoint_side(repr_)
     Pr, Pn, r = _svd_projectors(evaluator(repr_).batch_raw(sample_points(endpoint, side, n_samples, seed)))
     ranks = set(r.tolist())
-    worst = float(np.max(np.maximum(_norm2(Pr - P_range), _norm2(Pn - P_null)), initial=0.0))
+    worst = float(np.max(np.maximum(norm2(Pr - P_range), norm2(Pn - P_null)), initial=0.0))
     rank_param = int(round(float(np.real(np.trace(P_range)))))
     ok = worst <= PROJ_TOL and ranks == {rank_param}
     return {
@@ -423,7 +423,7 @@ def eigen_invariance(repr_: Representation, lam: float, n_samples: int = 10, see
     V = evaluator(repr_).batch_raw(sample_points(endpoint, side, n_samples, seed))
     P = _svd_projectors(V - lam * np.eye(repr_.q))[1]
     i, j = np.triu_indices(len(P), 1)
-    return float(np.max(_norm2(P[i] - P[j]), initial=0.0)) <= PROJ_TOL
+    return float(np.max(norm2(P[i] - P[j]), initial=0.0)) <= PROJ_TOL
 
 
 def null_domination(repr_, A, n_samples: int = 10, seed: int = 7, tol: float = 1e-8) -> dict:
@@ -447,8 +447,8 @@ def null_domination(repr_, A, n_samples: int = 10, seed: int = 7, tol: float = 1
     Pn = np.eye(q, dtype=complex) - P
     S = _structural_sum(repr_)
     V = evaluator(repr_).batch_raw(sample_points(repr_.alpha, "right", n_samples, seed))
-    s = 1.0 + _norm2(V)
-    worst = lambda D: float(np.max(_norm2(D) / s, initial=0.0))  # noqa: E731
+    s = 1.0 + norm2(V)
+    worst = lambda D: float(np.max(norm2(D) / s, initial=0.0))  # noqa: E731
     worst_null, worst_right, worst_left = worst(V @ Pn), worst(V @ P - V), worst(P @ V - V)
     s_par = 1.0 + float(np.linalg.norm(S, 2))
     dev_params = float(np.linalg.norm(S @ Pn, 2)) / s_par

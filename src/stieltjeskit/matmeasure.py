@@ -1,19 +1,23 @@
 """Finite atomic nonnegative Hermitian matrix measures.
 
-A :class:`MatrixMeasure` is a finite list of (node, weight) atoms on a real
-support set, with PSD Hermitian weights.  All measure-level plumbing lives
-here: total mass, integration of scalar kernels, affine pushforwards,
-power moments, quadrature discretization of densities, and scalar
-projections u* mu u.
+A :class:`MatrixMeasure` on a real support set is stored once, as two
+read-only arrays: ``nodes`` of shape (n,), ascending, and ``weights`` of
+shape (n, q, q), PSD Hermitian.  ``atoms`` is a tuple of (t, W) pairs
+derived from them.  All measure-level plumbing lives here and works on
+the whole stack at once: total mass, integration of scalar kernels,
+affine pushforwards, power moments, quadrature discretization of
+densities, and scalar projections u* mu u.  Sums over the atoms add them
+in node order, as a loop over the atoms would.
 
-Everything is immutable and canonicalized at construction: weights are
-symmetrized and PSD-checked, nodes sorted ascending, near-duplicate nodes
-merged by weight addition, zero weights dropped.
+Everything is immutable and canonicalized at construction, by stacked
+array operations: weights are checked finite, symmetrized and PSD-checked
+(one stacked ``eigvalsh``; the first failing atom in input order raises),
+nodes stably sorted ascending, near-duplicate nodes merged by weight
+addition, zero weights dropped.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,35 +39,72 @@ EPS_HERM = 1e-10
 EPS_PSD = 1e-10
 EPS_MERGE = 1e-12
 
-_RAY_KINDS = ("right_ray", "open_right_ray", "left_ray", "open_left_ray", "line")
+_INSIDE = {  # support kind -> (t, endpoint) -> whether t lies in the set
+    "right_ray": np.greater_equal,
+    "open_right_ray": np.greater,
+    "left_ray": np.less_equal,
+    "open_left_ray": np.less,
+    "line": lambda t, _: True,
+}
 
 
-def _opnorm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
-
-
-def as_hermitian(M, eps: float = EPS_HERM) -> np.ndarray:
-    """Validate hermiticity within tolerance and return the symmetrized copy."""
+def _square(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    scale = 1.0 + _opnorm(M)
-    defect = _opnorm(M - M.conj().T)
-    if defect > eps * scale:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {eps * scale:.3e}")
-    H = 0.5 * (M + M.conj().T)
+    return M
+
+
+def norm2(M: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a stack."""
+    return np.linalg.norm(M, 2, axis=(-2, -1))
+
+
+def _hermitian_stack(M: np.ndarray, eps: float, psd: bool) -> np.ndarray:
+    """Read-only symmetrized copies (M + M*)/2 of a stack of square matrices, validated.
+
+    The first matrix in stack order that fails raises: a non-finite entry
+    (StieltjesKitError, before any arithmetic touches it), a hermiticity
+    defect ||M - M*||_2 above eps (1 + ||M||_2) (NotHermitian) or, with
+    ``psd``, lambda_min(H) below -eps (1 + ||H||_2) (NotPsd).  ||H||_2 is
+    read off the eigenvalues; the two SVDs of the defect test run only for
+    matrices that differ from their conjugate transpose.
+    """
+    finite = np.isfinite(M).all(axis=(1, 2))
+    m = len(M) if finite.all() else int(np.argmin(finite))
+    M = M[:m]  # the matrices before the first non-finite one are checked first
+    Mh = M.conj().swapaxes(1, 2)
+    H = 0.5 * (M + Mh)
+    D = M - Mh
+    asym = D.any(axis=(1, 2))
+    defect, scale = np.zeros(m), np.ones(m)
+    if asym.any():
+        defect[asym], scale[asym] = norm2(D[asym]), 1.0 + norm2(M[asym])
+    lam_min, psd_scale = np.zeros(m), np.ones(m)
+    if psd and M.shape[-1]:
+        lam = np.linalg.eigvalsh(H)
+        lam_min, psd_scale = lam[:, 0], 1.0 + np.maximum(-lam[:, 0], lam[:, -1])
+    herm_bad = defect > eps * scale
+    fail = herm_bad | (lam_min < -eps * psd_scale)
+    if fail.any():
+        k = int(np.argmax(fail))
+        if herm_bad[k]:
+            raise NotHermitian(f"hermiticity defect {defect[k]:.3e} exceeds {eps * scale[k]:.3e}")
+        raise NotPsd(f"lambda_min {lam_min[k]:.3e} below -{eps * psd_scale[k]:.3e}")
+    if m < len(finite):
+        raise StieltjesKitError("matrix has a non-finite entry")
     H.flags.writeable = False
     return H
 
 
+def as_hermitian(M, eps: float = EPS_HERM) -> np.ndarray:
+    """Validate finiteness and hermiticity within tolerance; return the symmetrized copy."""
+    return _hermitian_stack(_square(M)[None], eps, psd=False)[0]
+
+
 def as_psd(M, eps: float = EPS_PSD) -> np.ndarray:
-    """Validate that M is Hermitian PSD within tolerance; returns symmetrized copy."""
-    H = as_hermitian(M, eps)
-    scale = 1.0 + _opnorm(H)
-    lam_min = float(np.linalg.eigvalsh(H)[0]) if H.size else 0.0
-    if lam_min < -eps * scale:
-        raise NotPsd(f"lambda_min {lam_min:.3e} below -{eps * scale:.3e}")
-    return H
+    """Validate that M is finite Hermitian PSD within tolerance; returns symmetrized copy."""
+    return _hermitian_stack(_square(M)[None], eps, psd=True)[0]
 
 
 def svd_rank(M, rtol: float, zero: float = 0.0):
@@ -98,37 +139,26 @@ class SupportSet:
     endpoint: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _RAY_KINDS:
+        if self.kind not in _INSIDE:
             raise ValueError(f"unknown support kind {self.kind!r}")
         object.__setattr__(self, "endpoint", float(self.endpoint))
 
-    def contains(self, t: float) -> bool:
-        if not math.isfinite(t):
-            return False
-        a = self.endpoint
-        if self.kind == "right_ray":
-            return t >= a
-        if self.kind == "open_right_ray":
-            return t > a
-        if self.kind == "left_ray":
-            return t <= a
-        if self.kind == "open_left_ray":
-            return t < a
-        return True  # line
+    def contains(self, t):
+        """Whether t lies in the set, elementwise for an array; a non-finite t never does."""
+        t = np.asarray(t, dtype=float)
+        inside = np.isfinite(t) & _INSIDE[self.kind](t, self.endpoint)
+        return inside if inside.ndim else bool(inside)
 
-    def distance(self, z: complex) -> float:
-        """Distance from z to the closure of the support set."""
-        z = complex(z)
+    def distance(self, z):
+        """Distance from z to the closure of the support set; elementwise for an array of points."""
+        z = np.asarray(z, dtype=complex)
         a = self.endpoint
         if self.kind == "line":
-            return abs(z.imag)
-        if self.kind in ("right_ray", "open_right_ray"):
-            if z.real >= a:
-                return abs(z.imag)
-            return abs(z - a)
-        if z.real <= a:
-            return abs(z.imag)
-        return abs(z - a)
+            d = np.abs(z.imag)
+        else:  # hypot is abs() of a Python complex bit for bit; np.abs may differ in the last bit
+            beside = z.real >= a if self.kind in ("right_ray", "open_right_ray") else z.real <= a
+            d = np.where(beside, np.abs(z.imag), np.hypot(z.real - a, z.imag))
+        return d if d.ndim else float(d)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "endpoint": self.endpoint}
@@ -158,76 +188,132 @@ def whole_line() -> SupportSet:
     return SupportSet("line", 0.0)
 
 
-def _canonicalize(q: int, support: SupportSet, atoms) -> tuple:
-    """Sort, merge near-duplicates, drop zero weights, validate support."""
-    cleaned = []
-    for t, W in atoms:
-        t = float(t)
-        W = as_psd(W)
-        if W.shape != (q, q):
-            raise DimensionMismatch(f"weight shape {W.shape} != ({q}, {q})")
-        cleaned.append((t, W))
-    cleaned.sort(key=lambda tw: tw[0])
+def _weight_stack(q: int, weights) -> np.ndarray:
+    """Validated symmetrized weights of shape (n, q, q), checked atom by atom in input order.
 
-    merged: list[tuple[float, np.ndarray]] = []
-    for t, W in cleaned:
-        if merged and abs(t - merged[-1][0]) <= EPS_MERGE * (1.0 + abs(t)):
-            t0, W0 = merged[-1]
-            merged[-1] = (t0, W0 + W)
-        else:
-            merged.append((t, W))
-
-    out = []
-    for t, W in merged:
-        if not np.any(W):
-            continue
-        if not support.contains(t):
-            raise SupportViolation(f"node {t} outside support {support.kind}({support.endpoint})")
-        W = np.ascontiguousarray(W)
-        W.flags.writeable = False
-        out.append((t, W))
-    return tuple(out)
+    An atom fails on its first failing check: square shape, finite
+    entries, hermiticity, PSD, then the shape (q, q).
+    """
+    if not len(weights):
+        return np.zeros((0, q, q), dtype=complex)
+    try:
+        W = np.asarray(weights, dtype=complex)
+    except ValueError:  # ragged: the atoms differ in shape
+        W = None
+    if W is not None and W.shape[1:] == (q, q):
+        return _hermitian_stack(W, EPS_PSD, psd=True)
+    for w in weights:  # some atom is not q x q: the first failing atom raises
+        shape = as_psd(w).shape
+        if shape != (q, q):
+            raise DimensionMismatch(f"weight shape {shape} != ({q}, {q})")
 
 
-@dataclass(frozen=True)
+def _merge(t: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add every sorted node within EPS_MERGE (1 + |t|) of its group's first node into that node."""
+    ts = t.tolist()
+    starts = [0]
+    for i in range(1, len(ts)):
+        if abs(ts[i] - ts[starts[-1]]) > EPS_MERGE * (1.0 + abs(ts[i])):
+            starts.append(i)
+    ends = starts[1:] + [len(ts)]
+    return t[starts], np.stack([np.cumsum(W[i:j], axis=0)[-1] for i, j in zip(starts, ends)])
+
+
+def _canonicalize(q: int, support: SupportSet, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights): validated, stably sorted, near-duplicates merged, zero weights dropped.
+
+    The weights are checked first, then the nodes.  A non-finite node lies
+    outside every support set, whatever its weight.
+    """
+    W = _weight_stack(q, weights)
+    t = np.asarray(nodes, dtype=float)
+    if t.shape != (len(W),):
+        raise DimensionMismatch(f"{t.shape} nodes for {len(W)} weights")
+    if np.isfinite(t).all():
+        order = np.argsort(t, kind="stable")
+        t, W = t[order], W[order]
+        if np.any(np.diff(t) <= EPS_MERGE * (1.0 + np.abs(t[1:]))):
+            t, W = _merge(t, W)
+        keep = W.any(axis=(1, 2))
+        t, W = t[keep], W[keep]
+    outside = ~support.contains(t)
+    if outside.any():
+        raise SupportViolation(f"node {float(t[np.argmax(outside)])} outside support {support.kind}({support.endpoint})")
+    t.flags.writeable = False
+    W.flags.writeable = False
+    return t, W
+
+
+@dataclass(frozen=True, init=False)
 class MatrixMeasure:
-    """Finite atomic nonnegative Hermitian q x q measure on a real support set."""
+    """Finite atomic nonnegative Hermitian q x q measure on a real support set.
+
+    Stored once as two read-only arrays: ``nodes`` of shape (n,), ascending,
+    and ``weights`` of shape (n, q, q).  ``MatrixMeasure(q, support, atoms)``
+    takes (t, W) pairs and ``from_arrays`` the two stacks; both run the same
+    canonicalization.
+    """
 
     q: int
     support: SupportSet
-    atoms: tuple = field(default=())
+    nodes: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __init__(self, q: int, support: SupportSet, atoms=()):
+        atoms = list(atoms)
+        self._canonical(q, support, [t for t, _ in atoms], [W for _, W in atoms])
+
+    @classmethod
+    def from_arrays(cls, q: int, support: SupportSet, nodes, weights) -> "MatrixMeasure":
+        """The measure with atoms at ``nodes`` (n,) carrying ``weights`` (n, q, q)."""
+        mu = cls.__new__(cls)
+        mu._canonical(q, support, nodes, weights)
+        return mu
+
+    def _canonical(self, q, support, nodes, weights) -> None:
+        if q < 1:
             raise DimensionMismatch("q must be a positive integer")
-        object.__setattr__(self, "atoms", _canonicalize(self.q, self.support, self.atoms))
+        nodes, weights = _canonicalize(q, support, nodes, weights)
+        for name, value in (("q", q), ("support", support), ("nodes", nodes), ("weights", weights)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MatrixMeasure):
+            return NotImplemented
+        same = (self.q, self.support) == (other.q, other.support)
+        return same and np.array_equal(self.nodes, other.nodes) and np.array_equal(self.weights, other.weights)
 
     @property
-    def nodes(self) -> np.ndarray:
-        return np.array([t for t, _ in self.atoms], dtype=float)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Stacked weights, shape (n_atoms, q, q)."""
-        if not self.atoms:
-            return np.zeros((0, self.q, self.q), dtype=complex)
-        return np.stack([W for _, W in self.atoms])
+    def atoms(self) -> tuple:
+        """The (t, W) pairs, a read-only view derived from the arrays."""
+        return tuple(zip(self.nodes.tolist(), self.weights))
 
     def is_zero(self) -> bool:
-        return not self.atoms
+        return not self.nodes.size
 
     def to_json(self) -> dict:
         return {
             "q": self.q,
             "support": self.support.to_json(),
-            "atoms": [{"t": t, "W": matrix_to_json(W)} for t, W in self.atoms],
+            "atoms": [{"t": t, "W": W} for t, W in zip(self.nodes.tolist(), matrix_to_json(self.weights))],
         }
 
     @staticmethod
     def from_json(obj: dict) -> "MatrixMeasure":
+        """Load a measure; all atom weights are read in one array conversion.
+
+        Input that is not a regular array of finite [re, im] number pairs
+        falls back to ``matrix_from_json`` atom by atom, which raises its
+        typed error; atoms of differing shapes raise at construction.
+        """
         support = SupportSet.from_json(obj["support"])
-        atoms = [(a["t"], matrix_from_json(a["W"])) for a in obj.get("atoms", [])]
-        return MatrixMeasure(obj["q"], support, atoms)
+        atoms = obj.get("atoms", [])
+        weights = _json_stack([a["W"] for a in atoms])
+        if weights is None:
+            weights = [matrix_from_json(a["W"]) for a in atoms]
+        elif not np.isfinite(weights).all():
+            raise StieltjesKitError("matrix has a non-finite entry")
+        return MatrixMeasure.from_arrays(obj["q"], support, [a["t"] for a in atoms], weights)
 
 
 @dataclass(frozen=True)
@@ -253,26 +339,34 @@ class ScalarMeasure:
         return sum(w for _, w in self.atoms)
 
 
+def atom_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading (atom) axis, bit for bit as a loop adding each atom to zero in order.
+
+    cumsum adds in atom order where np.sum may add pairwise; adding 0.0
+    turns a -0.0 total into 0.0, as starting from zero does.
+    """
+    if not len(terms):
+        return np.zeros(terms.shape[1:], dtype=complex)
+    return np.cumsum(terms, axis=0)[-1] + 0.0
+
+
 def total_mass(mu: MatrixMeasure) -> np.ndarray:
     """mu(Omega) = sum of all atom weights; PSD Hermitian."""
-    out = np.zeros((mu.q, mu.q), dtype=complex)
-    for _, W in mu.atoms:
-        out += W
-    return out
+    return atom_sum(mu.weights)
 
 
 def integrate(mu: MatrixMeasure, f: Callable[[float], complex]) -> np.ndarray:
     """Sum of f(t_k) W_k over the atoms; linear in f, integrate(1) = total mass."""
-    out = np.zeros((mu.q, mu.q), dtype=complex)
-    for t, W in mu.atoms:
+    values = []
+    for t in mu.nodes.tolist():
         try:
             v = complex(f(t))
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise NonFiniteKernel(f"kernel raised at node {t}: {exc}") from exc
         if not np.isfinite(v.real) or not np.isfinite(v.imag):
             raise NonFiniteKernel(f"kernel not finite at node {t}: {v}")
-        out += v * W
-    return out
+        values.append(v)
+    return atom_sum(np.array(values, dtype=complex)[:, None, None] * mu.weights)
 
 
 _MIRROR = {
@@ -300,9 +394,7 @@ def image_measure(mu: MatrixMeasure, a: float, b: float) -> MatrixMeasure:
     b = float(b)
     if a == 0.0:
         raise DegenerateMap("affine map must have nonzero slope")
-    support = _map_support(mu.support, a, b)
-    atoms = [(a * t + b, W) for t, W in mu.atoms]
-    return MatrixMeasure(mu.q, support, atoms)
+    return MatrixMeasure.from_arrays(mu.q, _map_support(mu.support, a, b), a * mu.nodes + b, mu.weights)
 
 
 def moments(mu: MatrixMeasure, m: int) -> list[np.ndarray]:
@@ -352,16 +444,32 @@ def scalar_projection(mu: MatrixMeasure, u) -> ScalarMeasure:
         raise DimensionMismatch(f"vector length {u.shape[0]} != q = {mu.q}")
     if not np.any(u):
         raise ValueError("u must be nonzero")
-    atoms = [(t, float(np.real(u.conj() @ W @ u))) for t, W in mu.atoms]
-    return ScalarMeasure(mu.support, atoms)
+    return ScalarMeasure(mu.support, zip(mu.nodes.tolist(), ((u.conj() @ mu.weights) @ u).real.tolist()))
 
 
 # --- JSON helpers for complex matrices ([re, im] pairs, row-major) ---
 
 
 def matrix_to_json(M) -> list:
+    """[re, im] pairs, row-major; a stack of matrices gives a list of matrices."""
     M = np.asarray(M, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+    return np.stack((M.real, M.imag), axis=-1).tolist()
+
+
+def _json_stack(data) -> np.ndarray | None:
+    """Stack of complex matrices from a list of JSON matrices, in one array conversion.
+
+    None when ``data`` is not a regular (n, p, r) array of [re, im] number
+    pairs (ragged, a non-pair entry, a string or null); the caller then
+    finds the typed error matrix by matrix.
+    """
+    try:
+        A = np.array(data)
+    except ValueError:  # ragged
+        return None
+    if A.dtype.kind not in "biuf" or A.ndim != 4 or A.shape[-1] != 2:
+        return None
+    return np.ascontiguousarray(A, dtype=float).view(complex)[..., 0]
 
 
 def matrix_from_json(rows: list) -> np.ndarray:

@@ -47,6 +47,7 @@ from .matmeasure import (
     SupportSet,
     as_hermitian,
     as_psd,
+    atom_sum,
     left_ray,
     matrix_from_json,
     matrix_to_json,
@@ -343,8 +344,11 @@ class Evaluator:
         """Evaluator whose scalar call is the batch of one."""
         return cls(q, excluded, lambda z: batch_fn(np.array([z]))[0], batch_fn)
 
-    def distance(self, z: complex) -> float:
-        return np.inf if self.excluded is None else self.excluded.distance(z)
+    def distance(self, z):
+        """Distance from z to the excluded set; elementwise for an array of points."""
+        if self.excluded is not None:
+            return self.excluded.distance(z)
+        return np.full(np.shape(z), np.inf) if np.ndim(z) else np.inf
 
     def _guard(self, z: complex) -> None:
         if self.distance(z) < EPS_NEAR * (1.0 + abs(z)):
@@ -361,8 +365,9 @@ class Evaluator:
     def batch(self, zs) -> np.ndarray:
         """Guarded values at each point; PoleProximity names the first point too near."""
         zs = _points(zs)
-        for z in zs.tolist():
-            self._guard(z)
+        near = self.distance(zs) < EPS_NEAR * (1.0 + np.hypot(zs.real, zs.imag))  # abs(z) bit for bit
+        if near.any():
+            self._guard(complex(zs[np.argmax(near)]))
         return self.batch_raw(zs)
 
     def batch_raw(self, zs) -> np.ndarray:
@@ -388,7 +393,8 @@ KERNEL_ENTRIES = 16384
 def _kernel_batch(repr_: Representation) -> Callable[[np.ndarray], np.ndarray]:
     """zs -> F(zs) of shape (m, q, q): affine(r, z, (c(t, z)/(t - z)) @ W) in blocks of points.
 
-    Nodes, weights and the z-free numerator are stacked once here.
+    The weights are the measure's stored stack, viewed as (n, q^2); the
+    z-free numerator is computed once here.
     """
     spec = KINDS[repr_.KIND]
     mu = measure_of(repr_)
@@ -456,15 +462,10 @@ def im_re_parts(repr_: StieltjesPair, z: complex) -> tuple[np.ndarray, np.ndarra
     z = complex(z)
     if excluded_set(repr_).distance(z) < EPS_NEAR * (1.0 + abs(z)):
         raise PoleProximity(f"z = {z} is within tolerance of the support ray")
-    q = repr_.q
-    re = np.array(repr_.gamma, dtype=complex)
-    im = np.zeros((q, q), dtype=complex)
-    for t, W in repr_.mu.atoms:
-        k = 1.0 + t - repr_.alpha
-        d2 = abs(t - z) ** 2
-        re = re + (k * (t - z.real) / d2) * W
-        im = im + (k / d2) * W
-    return re, z.imag * im
+    t, W = repr_.mu.nodes, repr_.mu.weights
+    k = (1.0 + t - repr_.alpha) / np.abs(t - z) ** 2
+    re = repr_.gamma + atom_sum((k * (t - z.real))[:, None, None] * W)
+    return re, z.imag * atom_sum(k[:, None, None] * W)
 
 
 def im_mulz_closed(repr_: StieltjesPair, z: complex) -> np.ndarray:
@@ -473,10 +474,9 @@ def im_mulz_closed(repr_: StieltjesPair, z: complex) -> np.ndarray:
     Im F_mul(z) = (Im z) * [gamma + sum (1+t-a)(t-a)/|t-z|^2 W]
     """
     z = complex(z)
-    out = np.array(repr_.gamma, dtype=complex)
-    for t, W in repr_.mu.atoms:
-        out = out + ((1.0 + t - repr_.alpha) * (t - repr_.alpha) / abs(t - z) ** 2) * W
-    return z.imag * out
+    t, W = repr_.mu.nodes, repr_.mu.weights
+    k = (1.0 + t - repr_.alpha) * (t - repr_.alpha) / np.abs(t - z) ** 2
+    return z.imag * (repr_.gamma + atom_sum(k[:, None, None] * W))
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +484,8 @@ def im_mulz_closed(repr_: StieltjesPair, z: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _reweight(mu: MatrixMeasure, factor: Callable[[float], float]) -> MatrixMeasure:
-    return MatrixMeasure(mu.q, mu.support, [(t, factor(t) * W) for t, W in mu.atoms])
-
-
 def _first_moment(mu: MatrixMeasure) -> np.ndarray:
-    first = np.zeros((mu.q, mu.q), dtype=complex)
-    for t, W in mu.atoms:
-        first += t * W
-    return first
+    return atom_sum(mu.nodes[:, None, None] * mu.weights)
 
 
 def _rekernel(r, target: str, _alpha):
@@ -503,7 +496,9 @@ def _rekernel(r, target: str, _alpha):
     """
     src, dst = KINDS[r.KIND], KINDS[target]
     e, _ = endpoint_side(r)
-    mu = _reweight(measure_of(r), lambda t: src.numerator(t, e) / dst.numerator(t, e))
+    mu = measure_of(r)
+    c = src.numerator(mu.nodes, e) / dst.numerator(mu.nodes, e)
+    mu = MatrixMeasure.from_arrays(r.q, mu.support, mu.nodes, c[:, None, None] * mu.weights)
     const = next((getattr(r, name) for name, role in src.fields if role == PSD), None)
     if any(role == PSD for _, role in dst.fields):
         return dst.cls(e, np.zeros((r.q, r.q)) if const is None else const, mu)
@@ -515,7 +510,7 @@ def _rekernel(r, target: str, _alpha):
 def _kk_to_nev(k: KKPair, *_) -> NevanlinnaTriple:
     # A = C + integral of t deta; B = 0; nu = eta extended by zero to R.
     A = k.C + _first_moment(k.eta)
-    nu = MatrixMeasure(k.q, whole_line(), k.eta.atoms)
+    nu = MatrixMeasure.from_arrays(k.q, whole_line(), k.eta.nodes, k.eta.weights)
     return NevanlinnaTriple(A, np.zeros((k.q, k.q)), nu)
 
 
@@ -528,21 +523,13 @@ def _nev_to_kk(n: NevanlinnaTriple, _target, alpha: float | None) -> KKPair:
     if nodes.size and float(nodes.min()) < alpha:
         raise IllegalConversion(f"nu carries mass below alpha = {alpha}")
     C = as_psd(n.A - _first_moment(n.nu))
-    eta = MatrixMeasure(n.q, right_ray(alpha), n.nu.atoms)
+    eta = MatrixMeasure.from_arrays(n.q, right_ray(alpha), n.nu.nodes, n.nu.weights)
     return KKPair(alpha, C, eta)
 
 
-def _split_endpoint_atom(mu: MatrixMeasure, endpoint: float):
-    """Return (weight at endpoint or zero, remaining atoms)."""
-    q = mu.q
-    at = np.zeros((q, q), dtype=complex)
-    rest = []
-    for t, W in mu.atoms:
-        if abs(t - endpoint) <= 10 * EPS_MERGE * (1.0 + abs(endpoint)):
-            at = at + W
-        else:
-            rest.append((t, W))
-    return at, rest
+def _at_node(mu: MatrixMeasure, t0: float) -> np.ndarray:
+    """Mask of the atoms within 10 EPS_MERGE (1 + |t0|) of t0."""
+    return np.abs(mu.nodes - t0) <= 10 * EPS_MERGE * (1.0 + abs(t0))
 
 
 # The product forms serve both rays: the target's support comes from the table.
@@ -552,7 +539,8 @@ def _product_to_pair(s, target: str, _alpha):
     """Pair of P(z) = F(z)/(z - alpha) (or G(z)/(beta - z)): gamma_P = E, mu_P = rho + delta_e D."""
     e, _ = endpoint_side(s)
     spec = KINDS[target]
-    mu = MatrixMeasure(s.q, SupportSet(spec.support, e), [(e, s.D)] + list(s.rho.atoms))
+    nodes, weights = np.concatenate(([e], s.rho.nodes)), np.concatenate((s.D[None], s.rho.weights))
+    mu = MatrixMeasure.from_arrays(s.q, SupportSet(spec.support, e), nodes, weights)
     return spec.cls(e, s.E, mu)
 
 
@@ -560,8 +548,9 @@ def _pair_to_product(p, target: str, _alpha):
     """Inverse of the split: F(z) = (z - alpha) P(z) (or (beta - z) P(z)) from the pair of P."""
     e, _ = endpoint_side(p)
     spec = KINDS[target]
-    D, rest = _split_endpoint_atom(p.mu, e)
-    return spec.cls(e, D, p.gamma, MatrixMeasure(p.q, SupportSet(spec.support, e), rest))
+    at = _at_node(p.mu, e)
+    rho = MatrixMeasure.from_arrays(p.q, SupportSet(spec.support, e), p.mu.nodes[~at], p.mu.weights[~at])
+    return spec.cls(e, atom_sum(p.mu.weights[at]), p.gamma, rho)
 
 
 _CONVERTERS = {
@@ -613,14 +602,12 @@ def residue_weight(repr_: Representation, t0: float, verify: bool = False) -> np
     spec = KINDS[repr_.KIND]
     if not spec.residue:
         raise UnsupportedPath(f"residue_weight not defined for kind {spec.kind}")
-    hit = None
-    for t, W in measure_of(repr_).atoms:
-        if abs(t - t0) <= 10 * EPS_MERGE * (1.0 + abs(t0)):
-            hit = (t, W)
-            break
-    if hit is None:
+    mu = measure_of(repr_)
+    at = _at_node(mu, t0)
+    if not at.any():
         raise NotAnAtom(f"no atom within tolerance of t0 = {t0}")
-    t, W = hit
+    k = int(np.argmax(at))
+    t, W = float(mu.nodes[k]), mu.weights[k]
     value = spec.numerator(t, endpoint_side(repr_)[0]) * W
     if verify:
         eps = 2.0**-26

@@ -180,7 +180,7 @@ def congruence_sum(terms) -> StieltjesPair:
     alpha = alphas.pop()
     q_out = None
     gamma = None
-    atoms = []
+    nodes, weights = [], []
     for A, p in terms:
         A = np.asarray(A, dtype=complex)
         if A.ndim != 2 or A.shape[0] != p.q:
@@ -191,9 +191,9 @@ def congruence_sum(terms) -> StieltjesPair:
         elif A.shape[1] != q_out:
             raise DimensionMismatch("terms map to different output dimensions")
         gamma = gamma + A.conj().T @ p.gamma @ A
-        for t, W in p.mu.atoms:
-            atoms.append((t, A.conj().T @ W @ A))
-    mu = MatrixMeasure(q_out, terms[0][1].mu.support, atoms)
+        nodes.append(p.mu.nodes)
+        weights.append(A.conj().T @ p.mu.weights @ A)
+    mu = MatrixMeasure.from_arrays(q_out, terms[0][1].mu.support, np.concatenate(nodes), np.concatenate(weights))
     return StieltjesPair(alpha, gamma, mu)
 
 
@@ -218,20 +218,20 @@ def direct_sum(pairs) -> StieltjesPair:
     q = sum(qs)
     offsets = np.cumsum([0] + qs[:-1])
     gamma = np.zeros((q, q), dtype=complex)
-    atoms = []
+    weights = []
     for off, p in zip(offsets, pairs):
         sl = slice(off, off + p.q)
         gamma[sl, sl] = p.gamma
-        for t, W in p.mu.atoms:
-            big = np.zeros((q, q), dtype=complex)
-            big[sl, sl] = W
-            atoms.append((t, big))
-    mu = MatrixMeasure(q, pairs[0].mu.support, atoms)
+        big = np.zeros((len(p.mu.nodes), q, q), dtype=complex)
+        big[:, sl, sl] = p.mu.weights
+        weights.append(big)
+    nodes = np.concatenate([p.mu.nodes for p in pairs])
+    mu = MatrixMeasure.from_arrays(q, pairs[0].mu.support, nodes, np.concatenate(weights))
     return StieltjesPair(alphas.pop(), gamma, mu)
 
 
 def _transpose_measure(mu: MatrixMeasure) -> MatrixMeasure:
-    return MatrixMeasure(mu.q, mu.support, [(t, W.T) for t, W in mu.atoms])
+    return MatrixMeasure.from_arrays(mu.q, mu.support, mu.nodes, mu.weights.swapaxes(1, 2))
 
 
 def transpose_map(repr_: Representation) -> Representation:

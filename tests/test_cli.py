@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -215,3 +216,20 @@ def test_every_kind_passes_its_default_class(tmp_path, capsys, kind, command):
         assert report["kind"] == kind
         assert len(report["samples"]) == 20
         assert len(report["moments"]) == 3
+
+
+# convert --kind kk_pair, dual and transpose reach their output through
+# elementwise arithmetic only (reweighting, t -> a + b - t, transposition),
+# so the bytes do not depend on the BLAS build.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["convert", "--kind", "kk_pair"], "d865f600183df6192bdd7bd9ac5a28cd3caac76e6216f96923696cbdf2539600"),
+        (["transform", "--op", "dual", "--beta", "1.5"], "72e0786c061958f18e67059edc258109cde3c1a64dc99eb8b3f046a1f3b55c5b"),
+        (["transform", "--op", "transpose"], "8a27614f5ad10dc64a2047bd7d5d945ddbd63f836c1b1918b64d3c011261c34c"),
+    ],
+)
+def test_elementwise_outputs_are_byte_stable(tmp_path, capsys, argv, digest):
+    path = write_repr(tmp_path, random_pair(np.random.default_rng(2024), q=3, n_atoms=6))
+    assert run(argv + ["--input", path]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
-from stieltjeskit.matmeasure import matrix_from_json, matrix_to_json
+from stieltjeskit.matmeasure import EPS_MERGE, EPS_PSD, matrix_from_json, matrix_to_json
 
 from genutil import measure_left, measure_right, psd
 
@@ -31,6 +31,7 @@ def test_canonicalization_idempotent():
     rng = np.random.default_rng(3)
     mu = measure_right(rng, 3, 0.5)
     again = sk.MatrixMeasure(mu.q, mu.support, mu.atoms)
+    assert again == mu and again != sk.image_measure(mu, 1.0, 1.0)
     assert len(again.atoms) == len(mu.atoms)
     for (t1, W1), (t2, W2) in zip(mu.atoms, again.atoms):
         assert t1 == t2
@@ -53,12 +54,156 @@ def test_non_psd_weight_rejected():
         sk.MatrixMeasure(2, sk.whole_line(), [(0.0, np.array([[1.0, 1.0], [0.0, 1.0]]))])
 
 
+# --- canonicalization on the stack against a per-atom reference ---
+
+
+def _reference_canonical(q, support, atoms):
+    """Canonical (t, W) list, each atom checked on its own in input order, or the exception raised."""
+    norm = lambda M: np.linalg.norm(M, 2)  # noqa: E731
+    try:
+        cleaned = []
+        for t, W in atoms:
+            W = np.asarray(W, dtype=complex)
+            if W.ndim != 2 or W.shape[0] != W.shape[1]:
+                raise sk.DimensionMismatch("not square")
+            if not np.isfinite(W).all():
+                raise sk.StieltjesKitError("non-finite")
+            if norm(W - W.conj().T) > EPS_PSD * (1.0 + norm(W)):
+                raise sk.NotHermitian("not Hermitian")
+            H = 0.5 * (W + W.conj().T)
+            if np.linalg.eigvalsh(H)[0] < -EPS_PSD * (1.0 + norm(H)):
+                raise sk.NotPsd("not PSD")
+            if H.shape != (q, q):
+                raise sk.DimensionMismatch("wrong size")
+            cleaned.append((float(t), H))
+        if not all(np.isfinite(t) for t, _ in cleaned):
+            raise sk.SupportViolation("non-finite node")
+        cleaned.sort(key=lambda tw: tw[0])
+        merged = []
+        for t, W in cleaned:
+            if merged and abs(t - merged[-1][0]) <= EPS_MERGE * (1.0 + abs(t)):
+                merged[-1] = (merged[-1][0], merged[-1][1] + W)
+            else:
+                merged.append((t, W))
+        out = [(t, W) for t, W in merged if np.any(W)]
+        if not all(support.contains(t) for t, _ in out):
+            raise sk.SupportViolation("outside")
+        return out
+    except sk.StieltjesKitError as exc:
+        return exc
+
+
+def _ill_conditioned_psd(rng, q):
+    """U diag(lam) U* with eigenvalues spread over 16 decades, some exactly zero."""
+    U = np.linalg.qr(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)))[0]
+    lam = 10.0 ** rng.uniform(-12.0, 4.0, size=q) * (rng.random(q) < 0.8)
+    M = (U * lam) @ U.conj().T
+    if rng.random() < 0.5:  # a last-bit hermiticity defect, well inside EPS_HERM
+        M = M + 1e-14 * np.abs(M).max() * (rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)))
+    return M
+
+
+def _random_atoms(rng, q, support, n, defect):
+    e = support.endpoint
+    sign = -1.0 if support.kind in ("left_ray", "open_left_ray") else 1.0
+    nodes = []
+    for _ in range(n):
+        pick = rng.random()
+        if nodes and pick < 0.3:  # near-duplicate of an earlier node, either side of EPS_MERGE
+            t0 = nodes[int(rng.integers(len(nodes)))]
+            f = rng.choice([0.25, 0.5, 0.99, 1.01, 2.0])
+            nodes.append(t0 + rng.choice([-1, 1]) * f * EPS_MERGE * (1.0 + abs(t0)))
+        elif pick < 0.45:
+            nodes.append(e)  # endpoint atom: in a closed ray, outside an open one
+        else:
+            nodes.append(e + sign * 10.0 ** rng.uniform(-8.0, 8.0))
+    weights = [
+        np.zeros((q, q)) if rng.random() < 0.15 else _ill_conditioned_psd(rng, q) for _ in range(n)
+    ]
+    if defect and n:
+        k = int(rng.integers(n))
+        W = psd(rng, q)
+        scale = 1.0 + np.linalg.norm(W, 2)
+        weights[k] = {
+            "herm": W + 1e-4 * scale * np.triu(np.ones((q, q)), 1),
+            "psd": W - (np.linalg.eigvalsh(W)[-1] + 1e-3 * scale) * np.eye(q),
+            "nan": np.where(np.eye(q) > 0, np.nan, W),
+            "inf": W + np.diag([np.inf] + [0.0] * (q - 1)),
+            "size": psd(rng, q + 1),
+            "square": np.ones((q, q + 1)),
+        }.get(defect, weights[k])
+        if defect == "inf_node":
+            nodes[k] = sign * np.inf
+    return list(zip(nodes, weights))
+
+
+SUPPORTS = ("right_ray", "open_right_ray", "left_ray", "open_left_ray", "line")
+DEFECTS = (None, None, None, "herm", "psd", "nan", "inf", "size", "square", "inf_node")
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    q=st.integers(1, 4),
+    n=st.integers(0, 12),
+    kind=st.sampled_from(SUPPORTS),
+    defect=st.sampled_from(DEFECTS),
+)
+@settings(max_examples=300, deadline=None)
+def test_stacked_canonicalization_matches_per_atom_reference(seed, q, n, kind, defect):
+    rng = np.random.default_rng(seed)
+    endpoint = 0.0 if kind == "line" else float(rng.choice([0.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-8.0, 8.0))
+    support = sk.SupportSet(kind, endpoint)
+    atoms = _random_atoms(rng, q, support, n, defect)
+    expected = _reference_canonical(q, support, atoms)
+    if isinstance(expected, Exception):
+        with pytest.raises(sk.StieltjesKitError) as exc:
+            sk.MatrixMeasure(q, support, atoms)
+        assert type(exc.value) is type(expected)
+        return
+    mu = sk.MatrixMeasure(q, support, atoms)
+    assert mu.nodes.tolist() == [t for t, _ in expected]
+    assert mu.weights.shape == (len(expected), q, q)
+    for W, (_, W_ref) in zip(mu.weights, expected):
+        assert np.array_equal(W, W_ref)
+    assert not mu.nodes.flags.writeable and not mu.weights.flags.writeable
+    assert sk.MatrixMeasure.from_arrays(q, support, mu.nodes, mu.weights) == mu
+
+
+NON_FINITE = (float("nan"), float("inf"), -float("inf"), complex(0.0, float("nan")))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("where", ["weight", "psd_field", "hermitian_field"])
+def test_non_finite_matrix_is_a_typed_error(bad, where):
+    W = np.eye(2, dtype=complex)
+    W[0, 1] = bad
+    mu = sk.MatrixMeasure(2, sk.right_ray(0.0), [(1.0, I2)])
+    with pytest.raises(sk.StieltjesKitError, match="non-finite"):
+        if where == "weight":
+            sk.MatrixMeasure(2, sk.right_ray(0.0), [(0.5, I2), (1.0, W)])
+        elif where == "psd_field":
+            sk.StieltjesPair(0.0, W, mu)
+        else:
+            sk.NevanlinnaTriple(W, I2, mu)
+
+
 def test_support_distance():
     ray = sk.right_ray(1.0)
     assert ray.distance(2.0 + 1j) == 1.0
     assert ray.distance(-1.0) == pytest.approx(2.0)
     assert sk.left_ray(0.0).distance(1.0 + 1j) == pytest.approx(np.sqrt(2.0))
     assert sk.whole_line().distance(5.0 + 0.25j) == 0.25
+    # an array of points gives each point's distance, bit for bit as abs() of a Python complex
+    zs = np.random.default_rng(9).normal(size=40) * 3 + 1j * np.random.default_rng(10).normal(size=40)
+    zs[:4] = [1.0, 1.0 - 2j, -0.0, 1.0 + 0j]
+    for support in (ray, sk.open_right_ray(1.0), sk.left_ray(1.0), sk.open_left_ray(1.0), sk.whole_line()):
+        a, right = support.endpoint, support.kind in ("right_ray", "open_right_ray")
+        beside = lambda z: support.kind == "line" or (z.real >= a if right else z.real <= a)  # noqa: E731
+        expected = [abs(z.imag) if beside(z) else abs(z - a) for z in zs.tolist()]
+        assert support.distance(zs).tolist() == expected
+        assert [support.distance(z) for z in zs.tolist()] == expected
+        ts = np.array([-np.inf, -1.0, 1.0, 2.0, np.inf, np.nan])
+        assert support.contains(ts).tolist() == [support.contains(t) for t in ts.tolist()]
 
 
 # --- total_mass ---
@@ -283,6 +428,40 @@ def test_measure_json_round_trip():
     np.testing.assert_array_equal(back.nodes, mu.nodes)
     for (_, W1), (_, W2) in zip(mu.atoms, back.atoms):
         np.testing.assert_array_equal(W1, W2)
+
+
+@pytest.mark.parametrize(
+    "defect, error",
+    [
+        ("ragged_row", sk.DimensionMismatch),
+        ("non_pair", sk.DimensionMismatch),
+        ("string", sk.DimensionMismatch),
+        ("null", sk.DimensionMismatch),
+        ("nan", sk.StieltjesKitError),
+        ("infinity", sk.StieltjesKitError),
+        ("mixed_sizes", sk.DimensionMismatch),
+    ],
+)
+def test_measure_json_defects_are_typed_errors(defect, error):
+    obj = measure_right(np.random.default_rng(9), 2, 0.0, n_atoms=3).to_json()
+    W = obj["atoms"][1]["W"]
+    if defect == "ragged_row":
+        W[1] = W[1][:1]
+    elif defect == "non_pair":
+        W[0][0] = [1.0, 0.0, 0.0]
+    elif defect == "string":
+        W[0][0] = ["1.0", 0.0]
+    elif defect == "null":
+        W[0][0] = [None, 0.0]
+    elif defect == "nan":
+        W[0][0] = [float("nan"), 0.0]
+    elif defect == "infinity":
+        W[1][1] = [0.0, -float("inf")]
+    else:
+        obj["atoms"][1]["W"] = matrix_to_json(np.eye(3))
+    with pytest.raises(sk.StieltjesKitError) as exc:
+        sk.MatrixMeasure.from_json(json.loads(json.dumps(obj)))
+    assert type(exc.value) is error
 
 
 def test_matrix_json_helpers_preserve_doubles():

@@ -427,6 +427,7 @@ def test_batch_agrees_with_scalar_evaluation(seed, kind, q, n):
     F = sk.evaluator(r)
     pts = _batch_points(rng, r, 12)
     near = [z for z in pts if F.distance(z) < 1e-9 * (1.0 + abs(z))]
+    assert np.array_equal(F.distance(np.array(pts)), [F.distance(z) for z in pts])
     if near:
         with pytest.raises(sk.PoleProximity) as batch_exc:
             F.batch(pts)
