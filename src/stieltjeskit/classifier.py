@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,23 +81,32 @@ class GridConfig:
 DEFAULT_GRID = GridConfig()
 
 
+@lru_cache(maxsize=64)
+def _grid_offsets(side: str, grid: GridConfig) -> np.ndarray:
+    """Grid points less the endpoint, read-only: upper, then lower, then gap points."""
+    rng = np.random.default_rng(grid.seed)
+    ims = lambda n: np.logspace(math.log10(grid.im_min), math.log10(grid.im_max), n)  # noqa: E731
+    n_u, n_l = grid.n_upper, grid.n_lower
+    out = np.zeros(n_u + n_l + grid.n_gap, dtype=complex)
+    out.real[:n_u] = rng.uniform(-grid.re_spread, grid.re_spread, n_u)
+    out.imag[:n_u] = ims(n_u)
+    out.real[n_u : n_u + n_l] = rng.uniform(-grid.re_spread, grid.re_spread, n_l)
+    out.imag[n_u : n_u + n_l] = -ims(n_l)
+    out.real[n_u + n_l :] = (-1.0 if side == "right" else 1.0) * ims(grid.n_gap)
+    out.flags.writeable = False
+    return out
+
+
 def build_grid(endpoint: float, side: str, grid: GridConfig = DEFAULT_GRID):
     """Deterministic sample points: (upper, lower, gap) lists.
 
     ``side`` is "right" when the excluded ray extends to the right of the
     endpoint (gap points to the left) and "left" for the mirror case.
+    The offsets from the endpoint are built once per (side, grid).
     """
-    rng = np.random.default_rng(grid.seed)
-    ims_u = np.logspace(math.log10(grid.im_min), math.log10(grid.im_max), grid.n_upper)
-    offs_u = rng.uniform(-grid.re_spread, grid.re_spread, grid.n_upper)
-    upper = [complex(endpoint + o, y) for o, y in zip(offs_u, ims_u)]
-    ims_l = np.logspace(math.log10(grid.im_min), math.log10(grid.im_max), grid.n_lower)
-    offs_l = rng.uniform(-grid.re_spread, grid.re_spread, grid.n_lower)
-    lower = [complex(endpoint + o, -y) for o, y in zip(offs_l, ims_l)]
-    dists = np.logspace(math.log10(grid.im_min), math.log10(grid.im_max), grid.n_gap)
-    sign = -1.0 if side == "right" else 1.0
-    gap = [complex(endpoint + sign * d, 0.0) for d in dists]
-    return upper, lower, gap
+    zs = (endpoint + _grid_offsets(side, grid)).tolist()
+    n_u, n_l = grid.n_upper, grid.n_lower
+    return zs[:n_u], zs[n_u : n_u + n_l], zs[n_u + n_l :]
 
 
 @dataclass(frozen=True)
@@ -180,7 +190,7 @@ def _worst(points, margins):
     first minimum in the order of ``points``.
     """
     i = int(np.argmin(margins))  # argmin stops at the first NaN
-    return float(margins[i]), points[i]
+    return float(margins[i]), complex(points[i])
 
 
 # Stencil offsets in units of h: +-h, +-ih, then +-h/2, +-ih/2.
@@ -256,22 +266,20 @@ def certify_class(
     if kind not in S_KINDS + T_KINDS:
         raise UnsupportedKind(f"unknown class kind {kind!r}")
     side = "right" if kind in S_KINDS else "left"
-    upper, lower, gap = build_grid(endpoint, side, grid)
-    points = upper + lower + gap
-    zs = np.array(points)
+    zs = endpoint + _grid_offsets(side, grid)  # the points of build_grid, in its order
     V = _values(F, zs)
     scale = 1.0 + norm2(V)  # PSD margins are lambda_min / (1 + ||F(z)||)
     dist = F.distance(zs)
     index = np.arange(zs.size)
-    is_upper = index < len(upper)
-    on_gap = index >= len(upper) + len(lower)
+    is_upper = index < grid.n_upper
+    on_gap = index >= grid.n_upper + grid.n_lower
 
     conditions = []
 
     def add(name, mask, margins):
         """Worst of margins(values, scales at the masked points), witnessed in grid order."""
         sub = np.flatnonzero(mask)
-        margin, witness = _worst([points[i] for i in sub], margins(V[sub], scale[sub]))
+        margin, witness = _worst(zs[sub], margins(V[sub], scale[sub]))
         conditions.append({"name": name, "margin": margin, "witness": witness})
 
     psd = lambda W, s: _lam_min(W) / s  # noqa: E731
@@ -324,19 +332,25 @@ def certify_class(
 # ---------------------------------------------------------------------------
 
 
-def sample_points(endpoint: float, side: str, n: int = 10, seed: int = 7):
-    """Deterministic off-ray sample points mixing both half-planes and the gap."""
+@lru_cache(maxsize=64)
+def _sample_offsets(side: str, n: int, seed: int) -> np.ndarray:
+    """Sample points less the endpoint, read-only."""
     rng = np.random.default_rng(seed)
-    pts = []
+    out = np.zeros(n, dtype=complex)
     for j in range(n):
         off = rng.uniform(-3.0, 3.0)
         im = rng.uniform(0.5, 2.0) * (1 if j % 2 == 0 else -1)
         if j % 5 == 4:  # every fifth point on the real gap
-            d = rng.uniform(0.5, 3.0)
-            pts.append(complex(endpoint - d if side == "right" else endpoint + d, 0.0))
+            out[j] = (-1.0 if side == "right" else 1.0) * rng.uniform(0.5, 3.0)
         else:
-            pts.append(complex(endpoint + off, im))
-    return pts
+            out[j] = complex(off, im)
+    out.flags.writeable = False
+    return out
+
+
+def sample_points(endpoint: float, side: str, n: int = 10, seed: int = 7):
+    """Deterministic off-ray sample points mixing both half-planes and the gap."""
+    return (endpoint + _sample_offsets(side, n, seed)).tolist()
 
 
 def range_projector(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:

@@ -5,6 +5,16 @@ radial rays, so a geometric ladder y_k = y0 * 2^k combined with Richardson
 extrapolation in 1/y converges fast and carries an explicit increment-based
 error estimate.
 
+The ladder is evaluated in blocks of ``LADDER_BLOCK`` rungs: one guarded
+``F.batch`` call per block, and the Neville tableau of the block computed
+column by column over its rungs.  The stopping test still runs rung by
+rung, so the depth, the value and the error bound are those of a ladder
+evaluated one rung at a time from the same samples.  A block whose batch
+raises, or whose batch or tableau warns (an infinite sample does), is
+redone one rung at a time, so a rung past the stopping rung never
+changes the outcome, and an error or warning that does surface comes
+from the rung where the one-at-a-time ladder meets it.
+
 Supported modes:
 
 * ``plain_iy``:      lim F(iy)            (the constant gamma of a pair)
@@ -17,6 +27,7 @@ Supported modes:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,29 +37,70 @@ from .representations import Evaluator
 
 EPS_LIM = 1e-10
 K_MAX = 48
+# Rungs per guarded batch.  A block costs one tableau column per rung
+# evaluated so far, so larger blocks need fewer columns in all; the price is
+# up to LADDER_BLOCK - 1 rungs evaluated past the stopping rung.  Against 8
+# (one CPU, in-process medians per ladder): the 48-rung ladder of a q = 2
+# non-member 2.45 -> 1.82 ms, converged q <= 3 ladders 0.31 -> 0.19 ms,
+# (4, 50) atoms 0.37 -> 0.28 ms; only (8, 500) atoms, where a rung costs
+# most, lose: 1.13 -> 1.44 ms, on certificates of about 25 ms.
+LADDER_BLOCK = 16
 
 MODES = ("plain_iy", "y_scaled", "radial", "neg_plain", "neg_y_scaled")
 
 
 @dataclass(frozen=True)
 class LimitEstimate:
+    """The extrapolated limit, its error bound and how the ladder got there.
+
+    ``increments`` holds the norm of the change of the diagonal
+    extrapolant at rungs 1..ladder_depth; the last one is ``error_bound``.
+    """
+
     value: np.ndarray
     error_bound: float
     ladder_depth: int
+    increments: tuple = ()
 
 
-def _sample(F: Evaluator, mode: str, y: float, alpha: float, phi: float) -> np.ndarray:
-    if mode == "plain_iy":
-        return F(1j * y)
-    if mode == "y_scaled":
-        return -1j * y * F(1j * y)
+def _samples(F: Evaluator, mode: str, ys: list, alpha: float, phi: float) -> np.ndarray:
+    """The mode's samples at the rungs ``ys`` in one guarded batch, shape (len(ys), q, q).
+
+    Points and scale factors come from the scalar arithmetic of a single
+    rung, so each sample is the one a rung-by-rung ladder would take.
+    """
     if mode == "radial":
-        return F(alpha + y * complex(math.cos(phi), math.sin(phi)))
+        direction = complex(math.cos(phi), math.sin(phi))
+        return F.batch([alpha + y * direction for y in ys])
+    V = F.batch([1j * y for y in ys])
+    if mode == "plain_iy":
+        return V
     if mode == "neg_plain":
-        return -F(1j * y)
-    if mode == "neg_y_scaled":
-        return -1j * y * F(1j * y)
-    raise ValueError(f"unknown mode {mode!r}")
+        return -V
+    return np.array([-1j * y for y in ys])[:, None, None] * V  # y_scaled, neg_y_scaled
+
+
+def _tableau(last: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Neville rows of the rungs k0..k0+b-1 from their samples S (b, q, q), column by column.
+
+    ``last`` holds the k0 entries of the row of rung k0 - 1.  Row k has
+    k + 1 entries, row[j] = (2^j row[j-1] - prev_row[j-1]) / (2^j - 1),
+    eliminating successive powers of 1/y (ratio 2).  Returns T of shape
+    (k0 + b, b + 1, q, q) with entry j of row k0 + i at T[j, i + 1] and
+    ``last`` in slot 0 (entries past a row's end are unset).  Column j
+    depends only on column j - 1, so each is one array expression over
+    the block.
+    """
+    k0, b = len(last), len(S)
+    T = np.empty((k0 + b, b + 1) + S.shape[1:], dtype=np.result_type(last, S))
+    T[:k0, 0] = last
+    T[0, 1:] = S
+    for j in range(1, k0 + b):
+        factor = 2.0**j
+        i0 = max(0, j - k0)  # rows of rungs below j have no entry j
+        prev = T[j - 1]
+        T[j, 1 + i0 :] = (factor * prev[1 + i0 :] - prev[i0:-1]) / (factor - 1.0)
+    return T
 
 
 def limit_at_infinity(
@@ -68,26 +120,40 @@ def limit_at_infinity(
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "radial" and not (math.pi / 2 < phi < 3 * math.pi / 2):
         raise ValueError("phi must lie in (pi/2, 3*pi/2)")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
 
-    rows: list[list[np.ndarray]] = []
+    last = np.empty((0, F.q, F.q), dtype=complex)  # the row of the previous rung
+    increments: list[float] = []
     prev_diag = None
-    for k in range(k_max + 1):
-        y = y0 * 2.0**k
-        row = [_sample(F, mode, y, alpha, phi)]
-        # Neville elimination of successive powers of 1/y (ratio 2).
-        for j in range(1, k + 1):
-            factor = 2.0**j
-            row.append((factor * row[j - 1] - rows[k - 1][j - 1]) / (factor - 1.0))
-        rows.append(row)
-        diag = row[-1]
-        if prev_diag is not None:
-            inc = float(np.linalg.norm(diag - prev_diag))
-            if inc < EPS_LIM * (1.0 + float(np.linalg.norm(diag))):
-                return LimitEstimate(diag, inc, k)
-        prev_diag = diag
+    k, redo_end = 0, 0  # rungs below redo_end are evaluated one at a time
+    while k <= k_max:
+        stop = min(k + (1 if k < redo_end else LADDER_BLOCK), k_max + 1)
+        ys = [y0 * 2.0**j for j in range(k, stop)]
+        if k < redo_end:
+            T = _tableau(last, _samples(F, mode, ys, alpha, phi))
+        else:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    T = _tableau(last, _samples(F, mode, ys, alpha, phi))
+            except Exception:  # noqa: BLE001 - redone rung by rung, which raises where it should
+                redo_end = stop
+                continue
+        for i in range(1, T.shape[1]):
+            diag = T[k, i]
+            if prev_diag is not None:
+                inc = float(np.linalg.norm(diag - prev_diag))
+                increments.append(inc)
+                if inc < EPS_LIM * (1.0 + float(np.linalg.norm(diag))):
+                    return LimitEstimate(diag.copy(), inc, k, tuple(increments))
+            prev_diag = diag
+            k += 1
+        last = T[:, -1]
     raise NoConvergence(
         f"ladder reached k_max = {k_max} without meeting the stopping criterion",
-        last_estimates=(rows[-2][-1], rows[-1][-1]),
+        # the diagonals of rungs k_max - 1 and k_max (slot 0 holds the row before the block)
+        last_estimates=(T[-2, -2].copy(), T[-1, -1].copy()),
     )
 
 

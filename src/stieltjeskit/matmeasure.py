@@ -283,6 +283,10 @@ class MatrixMeasure:
         same = (self.q, self.support) == (other.q, other.support)
         return same and np.array_equal(self.nodes, other.nodes) and np.array_equal(self.weights, other.weights)
 
+    def __reduce__(self):
+        # Copies and unpickled measures are rebuilt, so their arrays are read-only too.
+        return MatrixMeasure.from_arrays, (self.q, self.support, self.nodes, self.weights)
+
     @property
     def atoms(self) -> tuple:
         """The (t, W) pairs, a read-only view derived from the arrays."""

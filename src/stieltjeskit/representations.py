@@ -91,8 +91,19 @@ class _Record:
     def q(self) -> int:
         return measure_of(self).q
 
+    def __eq__(self, other) -> bool:
+        """Exact equality: same kind, equal endpoints, matrices and measures."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            if role in (PSD, HERM)
+            else getattr(self, name) == getattr(other, name)
+            for name, role in KINDS[self.KIND].fields
+        )
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class StieltjesPair(_Record):
     """(gamma, mu) with gamma PSD and mu on [alpha, inf)."""
 
@@ -103,7 +114,7 @@ class StieltjesPair(_Record):
     mu: MatrixMeasure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KKPair(_Record):
     """(C, eta) with C PSD and eta on [alpha, inf); kernel (1+t^2)/(t-z)."""
 
@@ -114,7 +125,7 @@ class KKPair(_Record):
     eta: MatrixMeasure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NevanlinnaTriple(_Record):
     """(A, B, nu): A Hermitian, B PSD, nu on the real line."""
 
@@ -125,7 +136,7 @@ class NevanlinnaTriple(_Record):
     nu: MatrixMeasure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class S0Measure(_Record):
     """Plain resolvent transform of a measure on [alpha, inf)."""
 
@@ -135,7 +146,7 @@ class S0Measure(_Record):
     sigma: MatrixMeasure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SInfTriple(_Record):
     """(D, E, rho) with rho on the open ray (alpha, inf); no atom at alpha."""
 
@@ -147,7 +158,7 @@ class SInfTriple(_Record):
     rho: MatrixMeasure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TPair(_Record):
     """(gamma, mu) with gamma PSD and mu on (-inf, beta]; kernel (1+beta-t)/(t-z)."""
 
@@ -158,7 +169,7 @@ class TPair(_Record):
     mu: MatrixMeasure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class T0Measure(_Record):
     """Plain resolvent transform of a measure on (-inf, beta]."""
 
@@ -168,7 +179,7 @@ class T0Measure(_Record):
     sigma: MatrixMeasure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TInfTriple(_Record):
     """(D, E, rho) with rho on the open ray (-inf, beta); no atom at beta."""
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 import stieltjeskit as sk
 
-from genutil import psd, random_pair, random_s0, random_t0, random_tpair
+from stieltjeskit.representations import endpoint_side
+
+from genutil import psd, random_pair, random_s0, random_sinf, random_t0, random_tinf, random_tpair
 
 I2 = np.eye(2)
 
@@ -129,3 +134,169 @@ def test_scaled_limit_matches_total_mass(seed):
     est = sk.limit_at_infinity(sk.evaluator(s), "y_scaled")
     mass = sk.total_mass(s.sigma)
     assert np.linalg.norm(est.value - mass) <= 1e-7 * (1 + np.linalg.norm(mass))
+
+
+# --- the blocked ladder against the rung-by-rung one ---
+
+
+def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=sk.limits.K_MAX):
+    """The ladder one rung at a time: one guarded call and one Neville row per rung."""
+    rows, prev_diag = [], None
+    for k in range(k_max + 1):
+        y = y0 * 2.0**k
+        if mode == "radial":
+            sample = F(alpha + y * complex(math.cos(phi), math.sin(phi)))
+        elif mode == "plain_iy":
+            sample = F(1j * y)
+        elif mode == "neg_plain":
+            sample = -F(1j * y)
+        else:
+            sample = -1j * y * F(1j * y)
+        row = [sample]
+        for j in range(1, k + 1):
+            factor = 2.0**j
+            row.append((factor * row[j - 1] - rows[k - 1][j - 1]) / (factor - 1.0))
+        rows.append(row)
+        diag = row[-1]
+        if prev_diag is not None:
+            inc = float(np.linalg.norm(diag - prev_diag))
+            if inc < sk.limits.EPS_LIM * (1.0 + float(np.linalg.norm(diag))):
+                return sk.LimitEstimate(diag, inc, k)
+        prev_diag = diag
+    raise sk.NoConvergence("k_max reached", last_estimates=(rows[-2][-1], rows[-1][-1]))
+
+
+def _bits(A):
+    return np.asarray(A).shape, np.asarray(A, dtype=complex).tobytes()
+
+
+def outcome(ladder, F, **kw):
+    """What a ladder returns or raises, with the arrays as exact bit patterns, and the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            est = ladder(F, **kw)
+            result = ("limit", _bits(est.value), est.error_bound, est.ladder_depth)
+        except sk.NoConvergence as exc:
+            result = ("no_convergence", *map(_bits, exc.last_estimates))
+        except Exception as exc:  # noqa: BLE001 - compared by type and message
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _far_atoms(rng, q, side):
+    """An atomic function of either side with 1-4 atoms at distances 1e-8..1e10 from its endpoint."""
+    e = float(rng.uniform(-2.0, 2.0))
+    sign = 1.0 if side == "right" else -1.0
+    atoms = [(e + sign * 10.0 ** rng.uniform(-8.0, 10.0), psd(rng, q)) for _ in range(rng.integers(1, 5))]
+    ray = sk.right_ray(e) if side == "right" else sk.left_ray(e)
+    mu = sk.MatrixMeasure(q, ray, atoms)
+    if rng.integers(0, 2):
+        return sk.S0Measure(e, mu) if side == "right" else sk.T0Measure(e, mu)
+    return sk.StieltjesPair(e, psd(rng, q), mu) if side == "right" else sk.TPair(e, psd(rng, q), mu)
+
+
+def _failing(fn, q, center, y_fail, how):
+    """fn, failing in the way ``how`` at every point farther than y_fail from center."""
+
+    def wrapped(z):
+        if abs(z - center) <= y_fail:
+            return fn(z)
+        if how == "raise":
+            raise ValueError(f"no value at z = {z}")
+        if how == "warn":
+            warnings.warn(f"suspect value at z = {z}", RuntimeWarning)
+            return fn(z)
+        return np.full((q, q), np.inf if how == "inf" else np.nan, dtype=complex)
+
+    return wrapped
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from(sk.limits.MODES),
+    y0=st.sampled_from([0.5, 1.0, 3.0]),
+    k_max=st.sampled_from([3, 11, sk.limits.K_MAX]),
+    family=st.sampled_from(["atoms", "growing", "fails_past_stop", "fails_at_reached"]),
+    how=st.sampled_from(["raise", "inf", "nan", "warn"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, y0, k_max, family, how):
+    """On opaque evaluators (whose batch is the per-point loop) the outcome is the reference's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, 4))
+    side = "left" if mode.startswith("neg") or rng.integers(0, 2) else "right"
+    r = _far_atoms(rng, q, side)
+    e, _ = endpoint_side(r)
+    kw = {"mode": mode, "y0": y0, "k_max": k_max}
+    if mode == "radial":
+        # phi = pi runs along a left ray: the first rung is refused by the pole guard.
+        kw.update(alpha=e, phi=float(rng.choice([math.pi, rng.uniform(0.55, 1.45) * math.pi])))
+    base = sk.evaluator(r).fn
+    center = kw.get("alpha", 0.0)
+    if family == "growing":
+        M = psd(rng, q) + np.eye(q)
+        power = float(rng.choice([0.5, 1.0]))
+        fn = lambda z: (z - center) ** power * M  # noqa: E731
+    elif family == "atoms":
+        fn = base
+    else:
+        ref = outcome(reference_ladder, sk.Evaluator(q, sk.evaluator(r).excluded, base), **kw)
+        depth = ref[0][3] if ref[0][0] == "limit" else k_max
+        rung = depth + 1 if family == "fails_past_stop" else int(rng.integers(0, depth + 1))
+        fn = _failing(base, q, center, y0 * 2.0 ** (rung - 0.5), how)
+    F = sk.Evaluator(q, sk.evaluator(r).excluded, fn)
+    expected = outcome(reference_ladder, F, **kw)
+    assert outcome(sk.limit_at_infinity, F, **kw) == expected
+    if family == "fails_past_stop":
+        assert expected[0][0] in ("limit", "no_convergence") or expected[0][0] is sk.PoleProximity
+        assert not expected[1]
+
+
+@pytest.mark.parametrize(
+    "make, mode",
+    [
+        (lambda rng: sk.evaluator(random_pair(rng)), "plain_iy"),
+        (lambda rng: sk.evaluator(random_s0(rng)), "y_scaled"),
+        (lambda rng: sk.evaluator(random_sinf(rng, alpha=0.0)), "radial"),
+        (lambda rng: sk.evaluator(random_tpair(rng)), "neg_plain"),
+        (lambda rng: sk.evaluator(random_t0(rng)), "neg_y_scaled"),
+        (lambda rng: sk.evaluator(random_tinf(rng)), "neg_plain"),
+        (lambda rng: sk.pinv_map(random_s0(rng, q=2)), "plain_iy"),
+        (lambda rng: sk.pinv_map(random_s0(rng, q=2)), "y_scaled"),  # grows: no convergence
+        (lambda rng: sk.pinv_map(random_pair(rng, q=2)), "plain_iy"),
+        (lambda rng: sk.neg_pinv_map(random_tinf(rng, q=2)), "neg_plain"),
+    ],
+)
+def test_blocked_ladder_agrees_with_reference_on_batched_evaluators(make, mode):
+    """A batch of many points may differ from a batch of one in the last bits: same depth, value within 1e-12."""
+    rng = np.random.default_rng(106)
+    for _ in range(10):
+        F = make(rng)
+        try:
+            expected = reference_ladder(F, mode)
+        except sk.NoConvergence as exc:
+            with pytest.raises(sk.NoConvergence) as got:
+                sk.limit_at_infinity(F, mode)
+            for a, b in zip(got.value.last_estimates, exc.last_estimates):
+                assert np.linalg.norm(a - b) <= 1e-12 * (1.0 + np.linalg.norm(b))
+            continue
+        est = sk.limit_at_infinity(F, mode)
+        assert est.ladder_depth == expected.ladder_depth
+        assert np.linalg.norm(est.value - expected.value) <= 1e-12 * (1.0 + np.linalg.norm(expected.value))
+
+
+def test_increments_record_the_ladder():
+    rng = np.random.default_rng(9)
+    for F, mode in [(sk.evaluator(random_pair(rng)), "plain_iy"), (sk.pinv_map(random_s0(rng, q=2)), "plain_iy")]:
+        est = sk.limit_at_infinity(F, mode)
+        assert len(est.increments) == est.ladder_depth
+        assert est.increments[-1] == est.error_bound
+        assert all(isinstance(inc, float) for inc in est.increments)
+    assert sk.LimitEstimate(np.eye(1), 0.0, 1).increments == ()  # positional construction as before
+
+
+def test_k_max_below_one_rejected():
+    F = sk.evaluator(random_pair(np.random.default_rng(10)))
+    with pytest.raises(ValueError):
+        sk.limit_at_infinity(F, "plain_iy", k_max=0)

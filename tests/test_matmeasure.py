@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +38,22 @@ def test_canonicalization_idempotent():
     for (t1, W1), (t2, W2) in zip(mu.atoms, again.atoms):
         assert t1 == t2
         assert np.array_equal(W1, W2)
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda mu: pickle.loads(pickle.dumps(mu)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+@pytest.mark.parametrize("n_atoms", [0, 4])
+def test_copies_of_a_measure_are_read_only(copier, n_atoms):
+    mu = measure_right(np.random.default_rng(4), 2, 0.5, n_atoms=n_atoms) if n_atoms else sk.MatrixMeasure(2, sk.right_ray(0.5))
+    dup = copier(mu)
+    assert dup == mu
+    for arr in (dup.nodes, dup.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = -5.0
 
 
 def test_node_outside_support_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -452,3 +453,25 @@ def test_batch_agrees_with_scalar_evaluation(seed, kind, q, n):
         values = G.batch(pts)
         _assert_close(values, [G(z) for z in pts], PINV_BATCH_RTOL)
         _assert_close(values, [pinv_ref(z) / scale(z) for z in pts], PINV_BATCH_RTOL)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_record_equality_is_exact(kind):
+    """Records compare field by field: endpoints, matrices bit for bit, measures."""
+    rng = np.random.default_rng(11)
+    r = _instance(kind, rng, 2, 3)
+    same = sk.repr_from_json(json.loads(json.dumps(sk.repr_to_json(r))))
+    assert r == same and not r != same
+    for name, role in KINDS[kind].fields:
+        value = getattr(r, name)
+        if role == "endpoint":
+            continue  # moving the endpoint alone would leave the measure's support
+        if role == "measure":
+            changed = sk.MatrixMeasure.from_arrays(value.q, value.support, value.nodes, 2.0 * value.weights)
+        else:
+            changed = value + 1e-12 * np.eye(r.q)
+        assert dataclasses.replace(r, **{name: changed}) != r
+    assert _instance(kind, rng, 2, 3) != r
+    other = next(k for k in ALL_KINDS if k != kind)
+    assert _instance(other, np.random.default_rng(11), 2, 3) != r
+    assert r != "not a record"
