@@ -65,12 +65,13 @@ from .representations import (
     repr_to_json,
     residue_weight,
 )
-from .limits import LimitEstimate, extract_params, limit_at_infinity
+from .limits import LimitEstimate, limit_at_infinity
 from .classifier import (
     Certificate,
     GridConfig,
     certify_class,
     eigen_invariance,
+    extract_params,
     kernel_range_report,
     null_domination,
     rank_constancy,

@@ -14,12 +14,13 @@ stencil in fixed-size batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import (
+    ClassMismatch,
     EvaluationFailed,
     InconsistentEquivalence,
     NoConvergence,
@@ -28,7 +29,8 @@ from .errors import (
     UnsupportedKind,
 )
 from .limits import limit_at_infinity
-from .matmeasure import is_psd, norm2, svd_rank, total_mass
+from .matmeasure import CR_STEP, DECAY_TOL, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANGE_RTOL, RANK_ZERO, RTOL_RANK
+from .matmeasure import TOL_CERT, TOL_CR, is_psd, norm2, svd_rank, total_mass
 from .representations import (
     KINDS,
     Evaluator,
@@ -38,18 +40,6 @@ from .representations import (
     evaluator,
     measure_of,
 )
-
-TOL_CERT = 1e-9
-TOL_CR = 1e-6
-CR_STEP = 1e-5
-# Rank of a sampled F(z): its entries carry the rounding of an atomic sum,
-# so the cut sits far above that and the rank is stable between samples.
-RTOL_RANK = 1e-8
-RANK_ZERO = 1e-12  # sigma_1 at or below this: F(z) counts as the zero matrix
-PROJ_TOL = 1e-9
-
-S_KINDS = ("s", "s_via_pair", "s0", "sdot", "sinf")
-T_KINDS = ("t", "t_via_pair", "t0", "tdot", "tinf")
 
 
 @dataclass(frozen=True)
@@ -66,24 +56,17 @@ class GridConfig:
         if min(self.n_upper, self.n_lower, self.n_gap) < 1:
             raise ValueError("all grid counts must be >= 1")
 
-    def to_json(self) -> dict:
-        return {
-            "n_upper": self.n_upper,
-            "n_lower": self.n_lower,
-            "n_gap": self.n_gap,
-            "im_min": self.im_min,
-            "im_max": self.im_max,
-            "re_spread": self.re_spread,
-            "seed": self.seed,
-        }
-
 
 DEFAULT_GRID = GridConfig()
 
 
 @lru_cache(maxsize=64)
 def _grid_offsets(side: str, grid: GridConfig) -> np.ndarray:
-    """Grid points less the endpoint, read-only: upper, then lower, then gap points."""
+    """Grid points less the endpoint, read-only: upper, then lower, then gap points.
+
+    ``side`` is "right" when the excluded ray extends to the right of the
+    endpoint (gap points to the left) and "left" for the mirror case.
+    """
     rng = np.random.default_rng(grid.seed)
     ims = lambda n: np.logspace(math.log10(grid.im_min), math.log10(grid.im_max), n)  # noqa: E731
     n_u, n_l = grid.n_upper, grid.n_lower
@@ -97,16 +80,50 @@ def _grid_offsets(side: str, grid: GridConfig) -> np.ndarray:
     return out
 
 
-def build_grid(endpoint: float, side: str, grid: GridConfig = DEFAULT_GRID):
-    """Deterministic sample points: (upper, lower, gap) lists.
+@dataclass(frozen=True)
+class ClassSpec:
+    """One class: the conditions that certify it and the limits it has.
 
-    ``side`` is "right" when the excluded ray extends to the right of the
-    endpoint (gap points to the left) and "left" for the mirror case.
-    The offsets from the endpoint are built once per (side, grid).
+    Every class is holomorphic and Herglotz off its excluded ray; the fields add the rest.  An S class
+    lives off [alpha, inf), its T mirror off (-inf, beta], with the definite conditions flipped.
     """
-    zs = (endpoint + _grid_offsets(side, grid)).tolist()
-    n_u, n_l = grid.n_upper, grid.n_lower
-    return zs[:n_u], zs[n_u : n_u + n_l], zs[n_u + n_l :]
+
+    side: str  # "right" or "left": where the excluded ray lies from the endpoint
+    plain: str  # ladder mode of gamma = lim F(iy) (S) resp. -lim G(iy) (T)
+    mass: str  # ladder mode of the total mass, -i lim y F(iy) resp. -i lim y G(iy)
+    phi: float  # radial direction from the endpoint along the real gap
+    gap: int = 0  # +1 / -1: F resp. -F PSD on the real gap; 0: no gap condition
+    half_plane: bool = False  # F (S) resp. -F (T) PSD where Re z lies on the gap's side
+    mulz: bool = False  # Herglotz condition on (z - alpha) F(z) resp. (beta - z) G(z)
+    infinity: str | None = None  # condition at infinity, a key of _AT_INFINITY
+    params: bool = False  # extract_params reads gamma, and the mass of a bounded class
+
+    @property
+    def sign(self) -> int:
+        return 1 if self.side == "right" else -1
+
+
+def _mirror(spec: ClassSpec) -> ClassSpec:
+    """The T class of an S class."""
+    return replace(spec, side="left", plain="neg_plain", mass="neg_y_scaled", phi=0.0, gap=-spec.gap)
+
+
+_S = partial(ClassSpec, "right", "plain_iy", "y_scaled", math.pi)
+_S_CLASSES = {
+    "s": _S(gap=1, half_plane=True, params=True),
+    "s_via_pair": _S(mulz=True),
+    "s0": _S(gap=1, half_plane=True, infinity="y_norm_bounded", params=True),
+    "sdot": _S(gap=1, half_plane=True, infinity="decay_at_infinity", params=True),
+    "sinf": _S(gap=-1),
+}
+CLASSES = {**_S_CLASSES, **{"t" + name[1:]: _mirror(spec) for name, spec in _S_CLASSES.items()}}
+
+
+def _class_spec(kind: str) -> ClassSpec:
+    spec = CLASSES.get(kind)
+    if spec is None:
+        raise UnsupportedKind(f"unknown class kind {kind!r}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -136,7 +153,7 @@ class Certificate:
                 }
                 for c in self.conditions
             ],
-            "grid": self.grid.to_json(),
+            "grid": asdict(self.grid),
         }
 
 
@@ -231,8 +248,8 @@ def _growth_ratio(F: Evaluator, base: float) -> tuple[float, complex]:
     return s2 / s1, 2j * base
 
 
-def _y_norm_bounded(F: Evaluator, mode: str) -> tuple[float, complex]:
-    """(margin, witness) of the bounded-growth condition of s0 / t0.
+def _y_norm_bounded(F: Evaluator, spec: ClassSpec) -> tuple[float, complex]:
+    """(margin, witness) of the bounded-growth condition of the bounded classes.
 
     The growth ratio is probed at y = max(2^20, 2^depth), depth being
     where the mass ladder converges: only there is y past the scale of the
@@ -240,11 +257,27 @@ def _y_norm_bounded(F: Evaluator, mode: str) -> tuple[float, complex]:
     """
     base = 2.0**20
     try:
-        depth = limit_at_infinity(F, mode).ladder_depth
+        depth = limit_at_infinity(F, spec.mass).ladder_depth
     except NoConvergence:
         return -1.0, 2j * base
     ratio, witness = _growth_ratio(F, max(base, 2.0**depth))
     return 0.5 - (ratio - 1.0), witness
+
+
+def _decay_at_infinity(F: Evaluator, spec: ClassSpec) -> tuple[float, complex]:
+    """(margin, witness) of the vanishing plain limit of the decaying classes."""
+    try:
+        margin = DECAY_TOL - float(np.linalg.norm(limit_at_infinity(F, spec.plain).value))
+    except NoConvergence:
+        margin = -1.0
+    return margin, 1j * 2.0**20
+
+
+# Condition at infinity -> (its certificate margin, what a nonzero gamma contradicts in extract_params).
+_AT_INFINITY = {
+    "y_norm_bounded": (_y_norm_bounded, "bounded class requires a vanishing plain limit"),
+    "decay_at_infinity": (_decay_at_infinity, "plain limit does not vanish for the decaying class"),
+}
 
 
 def certify_class(
@@ -254,19 +287,14 @@ def certify_class(
     grid: GridConfig = DEFAULT_GRID,
     tol_cert: float = TOL_CERT,
 ) -> Certificate:
-    """Certify membership of an evaluator in one of the supported classes.
-
-    kind in {"s", "s_via_pair", "s0", "sdot", "sinf",
-             "t", "t_via_pair", "t0", "tdot", "tinf"}.
+    """Certify membership of an evaluator in one of the classes of ``CLASSES``.
 
     F is evaluated once on the whole grid (one batch); every condition
     reads those values.
     """
     kind = kind.lower()
-    if kind not in S_KINDS + T_KINDS:
-        raise UnsupportedKind(f"unknown class kind {kind!r}")
-    side = "right" if kind in S_KINDS else "left"
-    zs = endpoint + _grid_offsets(side, grid)  # the points of build_grid, in its order
+    spec = _class_spec(kind)
+    zs = endpoint + _grid_offsets(spec.side, grid)
     V = _values(F, zs)
     scale = 1.0 + norm2(V)  # PSD margins are lambda_min / (1 + ||F(z)||)
     dist = F.distance(zs)
@@ -282,9 +310,6 @@ def certify_class(
         margin, witness = _worst(zs[sub], margins(V[sub], scale[sub]))
         conditions.append({"name": name, "margin": margin, "witness": witness})
 
-    psd = lambda W, s: _lam_min(W) / s  # noqa: E731
-    npsd = lambda W, s: _lam_min(-W) / s  # noqa: E731
-
     # A gap point on the evaluator's own excluded ray (a class claimed for
     # the other side) leaves the difference stencil no room: holomorphy is
     # sampled only where the evaluator is defined.
@@ -294,37 +319,56 @@ def certify_class(
     add("herglotz_upper", is_upper, herglotz)
     add("herglotz_lower_conj", ~is_upper & ~on_gap, lambda W, s: _lam_min(-_im(W)) / s)
 
-    if kind in ("s", "s0", "sdot", "tinf"):
-        add("psd_on_gap", on_gap, psd)
-    if kind in ("sinf", "t", "t0", "tdot"):
-        add("npsd_on_gap", on_gap, npsd)
-    if kind in ("s", "s0", "sdot"):
-        add("re_psd_left", (zs.real < endpoint) | on_gap, psd)
-    if kind in ("t", "t0", "tdot"):
-        add("re_npsd_right", (zs.real > endpoint) | on_gap, npsd)
-    if kind in ("s_via_pair", "t_via_pair"):
-        # (z - a) F(z) resp. (b - z) F(z) from the shared values.
-        factor = zs - endpoint if kind == "s_via_pair" else endpoint - zs
+    definite = {1: lambda W, s: _lam_min(W) / s, -1: lambda W, s: _lam_min(-W) / s}  # sign W PSD
+    if spec.gap:
+        add("psd_on_gap" if spec.gap > 0 else "npsd_on_gap", on_gap, definite[spec.gap])
+    if spec.half_plane:
+        # Re z left of alpha (S) resp. right of beta (T), and the gap itself.
+        name = "re_psd_left" if spec.sign > 0 else "re_npsd_right"
+        add(name, (spec.sign * (zs.real - endpoint) < 0) | on_gap, definite[spec.sign])
+    if spec.mulz:
+        factor = spec.sign * (zs - endpoint)  # (z - alpha) resp. (beta - z), from the shared values
 
         def mulz(W, _):
             P = _finite(zs[is_upper], factor[is_upper, None, None] * W)
             return herglotz(P, 1.0 + norm2(P))
 
         add("herglotz_upper_mulz", is_upper, mulz)
-
-    if kind in ("s0", "t0"):
-        margin, witness = _y_norm_bounded(F, "y_scaled" if kind == "s0" else "neg_y_scaled")
-        conditions.append({"name": "y_norm_bounded", "margin": margin, "witness": witness})
-    if kind in ("sdot", "tdot"):
-        try:
-            est = limit_at_infinity(F, "plain_iy")
-            margin = 1e-7 - float(np.linalg.norm(est.value))
-        except NoConvergence:
-            margin = -1.0
-        conditions.append({"name": "decay_at_infinity", "margin": margin, "witness": 1j * 2.0**20})
+    if spec.infinity is not None:
+        margin, witness = _AT_INFINITY[spec.infinity][0](F, spec)
+        conditions.append({"name": spec.infinity, "margin": margin, "witness": witness})
 
     verdict = all(c["margin"] >= -tol_cert for c in conditions)
     return Certificate(kind, verdict, tuple(conditions), grid, tol_cert)
+
+
+def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
+    """Extract and cross-check the limit parameters of a class with ``params`` in ``CLASSES``.
+
+    The record carries gamma, and the mass of a bounded class; otherwise also ``gamma_radial``,
+    gamma read along the real gap, which must agree with gamma.  The bounded and decaying classes
+    need gamma to vanish.  Raises ``ClassMismatch`` when a check fails beyond PARAMS_TOL.
+    """
+    claimed = claimed.lower()
+    spec = _class_spec(claimed)
+    if not spec.params:
+        raise UnsupportedKind(f"no limit parameters for class {claimed}; use --mode")
+    plain = limit_at_infinity(F, spec.plain)
+    record: dict = {"claimed": claimed, "alpha": alpha, "gamma": plain}
+    if spec.infinity != "y_norm_bounded":
+        radial = limit_at_infinity(F, "radial", alpha=alpha, phi=spec.phi)
+        if spec.sign < 0:  # G(beta + r) tends to -gamma
+            radial = replace(radial, value=-radial.value)
+        record["gamma_radial"] = radial
+        gap = float(np.linalg.norm(plain.value - radial.value))
+        budget = 2.0 * (plain.error_bound + radial.error_bound) + PARAMS_TOL
+        if gap > budget:
+            raise ClassMismatch(f"vertical and radial limits disagree by {gap:.3e} (budget {budget:.3e})")
+    if spec.infinity is not None and float(np.linalg.norm(plain.value)) > PARAMS_TOL:
+        raise ClassMismatch(_AT_INFINITY[spec.infinity][1])
+    if spec.infinity == "y_norm_bounded":
+        record["mass"] = limit_at_infinity(F, spec.mass)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +397,11 @@ def sample_points(endpoint: float, side: str, n: int = 10, seed: int = 7):
     return (endpoint + _sample_offsets(side, n, seed)).tolist()
 
 
-def range_projector(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def range_projector(M: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the range of a Hermitian PSD matrix."""
     vals, vecs = np.linalg.eigh(_herm(M))
     top = float(vals[-1]) if vals.size else 0.0
-    keep = vals > rtol * max(top, 1e-300)
+    keep = vals > RANGE_RTOL * max(top, 1e-300)
     V = vecs[:, keep]
     return V @ V.conj().T
 
@@ -385,7 +429,7 @@ def _structural_sum(repr_: Representation) -> np.ndarray:
     return sum(terms[1:], terms[0])
 
 
-def kernel_range_report(repr_: Representation, n_samples: int = 10, seed: int = 7) -> dict:
+def kernel_range_report(repr_: Representation) -> dict:
     """Compare parameter-level null/range projectors with those of F(z).
 
     The null space of F(z) is z-independent and equals the null space of
@@ -397,7 +441,7 @@ def kernel_range_report(repr_: Representation, n_samples: int = 10, seed: int = 
     q = S.shape[0]
     P_null = np.eye(q, dtype=complex) - P_range
     endpoint, side = endpoint_side(repr_)
-    Pr, Pn, r = _svd_projectors(evaluator(repr_).batch_raw(sample_points(endpoint, side, n_samples, seed)))
+    Pr, Pn, r = _svd_projectors(evaluator(repr_).batch_raw(sample_points(endpoint, side)))
     ranks = set(r.tolist())
     worst = float(np.max(np.maximum(norm2(Pr - P_range), norm2(Pn - P_null)), initial=0.0))
     rank_param = int(round(float(np.real(np.trace(P_range)))))
@@ -421,7 +465,7 @@ def rank_constancy(F: Evaluator, samples) -> tuple[int, bool]:
     return ranks.pop(), True
 
 
-def eigen_invariance(repr_: Representation, lam: float, n_samples: int = 10, seed: int = 7) -> bool:
+def eigen_invariance(repr_: Representation, lam: float) -> bool:
     """Check that the lambda-eigenspaces of F(z) do not depend on z.
 
     Requires the class-specific PSD precondition on (parameters, lambda);
@@ -434,13 +478,13 @@ def eigen_invariance(repr_: Representation, lam: float, n_samples: int = 10, see
     if not is_psd(getattr(repr_, name) + sign * lam * np.eye(repr_.q)):
         raise PreconditionUnmet(f"{name} {'+' if sign > 0 else '-'} lam*I is not PSD for lambda = {lam}")
     endpoint, side = endpoint_side(repr_)
-    V = evaluator(repr_).batch_raw(sample_points(endpoint, side, n_samples, seed))
+    V = evaluator(repr_).batch_raw(sample_points(endpoint, side))
     P = _svd_projectors(V - lam * np.eye(repr_.q))[1]
     i, j = np.triu_indices(len(P), 1)
     return float(np.max(norm2(P[i] - P[j]), initial=0.0)) <= PROJ_TOL
 
 
-def null_domination(repr_, A, n_samples: int = 10, seed: int = 7, tol: float = 1e-8) -> dict:
+def null_domination(repr_, A) -> dict:
     """Test the equivalent forms of 'the null space of A dominates F'.
 
     Conditions checked (all provably equivalent for class members):
@@ -460,7 +504,7 @@ def null_domination(repr_, A, n_samples: int = 10, seed: int = 7, tol: float = 1
     P = Aplus @ A  # orthogonal projector onto R(A*) = N(A)^perp
     Pn = np.eye(q, dtype=complex) - P
     S = _structural_sum(repr_)
-    V = evaluator(repr_).batch_raw(sample_points(repr_.alpha, "right", n_samples, seed))
+    V = evaluator(repr_).batch_raw(sample_points(repr_.alpha, "right"))
     s = 1.0 + norm2(V)
     worst = lambda D: float(np.max(norm2(D) / s, initial=0.0))  # noqa: E731
     worst_null, worst_right, worst_left = worst(V @ Pn), worst(V @ P - V), worst(P @ V - V)
@@ -469,11 +513,11 @@ def null_domination(repr_, A, n_samples: int = 10, seed: int = 7, tol: float = 1
     dev_range = float(np.linalg.norm(Pn @ S, 2)) / s_par
 
     report = {
-        "null_sampled": worst_null <= tol,
-        "null_params": dev_params <= tol,
-        "right_projector": worst_right <= tol,
-        "left_projector": worst_left <= tol,
-        "range_params": dev_range <= tol,
+        "null_sampled": worst_null <= NULL_TOL,
+        "null_params": dev_params <= NULL_TOL,
+        "right_projector": worst_right <= NULL_TOL,
+        "left_projector": worst_left <= NULL_TOL,
+        "range_params": dev_range <= NULL_TOL,
     }
     values = set(report.values())
     if len(values) != 1:

@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classifier import S_KINDS, T_KINDS, GridConfig, certify_class
+from .classifier import CLASSES, GridConfig, certify_class, extract_params
 from .errors import ClassMismatch, StieltjesKitError
-from .limits import MODES, LimitEstimate, extract_params, limit_at_infinity
-from .matmeasure import MatrixMeasure, matrix_to_json, moments as measure_moments
+from .limits import MODES, LimitEstimate, limit_at_infinity
+from .matmeasure import TOL_CERT, MatrixMeasure, matrix_to_json, moments as measure_moments
 from .representations import (
     KINDS,
     Evaluator,
@@ -101,7 +101,7 @@ def _cmd_eval(args) -> tuple[int, dict]:
 def _certificate(args, r, endpoint: float):
     """Certificate for --kind, by default the class of the representation's kind."""
     kind = args.kind or KINDS[r.KIND].default_class
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else TOL_CERT
     return certify_class(evaluator(r), endpoint, kind, GridConfig(seed=args.grid_seed), tol)
 
 
@@ -125,8 +125,6 @@ def _cmd_params(args) -> tuple[int, dict]:
         est = limit_at_infinity(F, args.mode, alpha=endpoint, phi=args.phi)
         return 0, {"command": "params", "mode": args.mode, "phi": args.phi, "limit": _limit_json(est)}
     claimed = args.kind or KINDS[r.KIND].default_class
-    if claimed in ("sinf", "tinf"):
-        raise StieltjesKitError(f"no limit parameters for class {claimed}; use --mode")
     try:
         record = extract_params(F, endpoint, claimed)
     except ClassMismatch as exc:
@@ -215,10 +213,6 @@ _COMMANDS = {
     "report": _cmd_report,
 }
 
-# Class kinds, then the convert targets that share the flag.
-ALL_CLASS_KINDS = S_KINDS + T_KINDS + tuple(k for k in KINDS if k not in S_KINDS + T_KINDS)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="stieltjeskit", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -226,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--input", required=True, help="representation (or measure) JSON path")
-        sp.add_argument("--kind", choices=ALL_CLASS_KINDS, default=None,
+        sp.add_argument("--kind", choices=dict.fromkeys([*CLASSES, *KINDS]), default=None,
                         help="class kind (certify/params) or target kind (convert)")
         sp.add_argument("--alpha", type=float, default=None)
         sp.add_argument("--beta", type=float, default=None)
@@ -249,7 +243,7 @@ def run(argv=None) -> int:
         return 1
     try:
         code, report = _COMMANDS[args.command](args)
-    except StieltjesKitError as exc:
+    except (StieltjesKitError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
     report["tol"] = args.tol

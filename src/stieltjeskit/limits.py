@@ -1,4 +1,4 @@
-"""Extraction of limit-defined parameters from black-box evaluators.
+"""Limits at infinity of black-box evaluators, by a Richardson ladder.
 
 The representations are analytic in 1/y at infinity along vertical and
 radial rays, so a geometric ladder y_k = y0 * 2^k combined with Richardson
@@ -19,7 +19,8 @@ Supported modes:
 
 * ``plain_iy``:      lim F(iy)            (the constant gamma of a pair)
 * ``y_scaled``:      -i lim y F(iy)       (total mass of a resolvent measure)
-* ``radial``:        lim F(alpha + r e^{i phi}), phi in (pi/2, 3pi/2)
+* ``radial``:        lim F(alpha + r e^{i phi}) along the real gap: phi in
+  (pi/2, 3pi/2) off a right ray, in (-pi/2, pi/2) off a left ray
 * ``neg_plain``:     -lim G(iy)           (gamma of a left-ray pair)
 * ``neg_y_scaled``:  -i lim y G(iy)       (total mass, left-ray version)
 """
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassMismatch, NoConvergence
+from .errors import NoConvergence
+from .matmeasure import EPS_LIM
 from .representations import Evaluator
 
-EPS_LIM = 1e-10
 K_MAX = 48
 # Rungs per guarded batch.  A block costs one tableau column per rung
 # evaluated so far, so larger blocks need fewer columns in all; the price is
@@ -49,7 +50,7 @@ LADDER_BLOCK = 16
 MODES = ("plain_iy", "y_scaled", "radial", "neg_plain", "neg_y_scaled")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitEstimate:
     """The extrapolated limit, its error bound and how the ladder got there.
 
@@ -61,6 +62,13 @@ class LimitEstimate:
     error_bound: float
     ladder_depth: int
     increments: tuple = ()
+
+    def __eq__(self, other) -> bool:
+        """Exact equality: equal values, bounds, depths and increments."""
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = lambda e: (e.error_bound, e.ladder_depth, e.increments)  # noqa: E731
+        return fields(self) == fields(other) and np.array_equal(self.value, other.value)
 
 
 def _samples(F: Evaluator, mode: str, ys: list, alpha: float, phi: float) -> np.ndarray:
@@ -118,8 +126,12 @@ def limit_at_infinity(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if mode == "radial" and not (math.pi / 2 < phi < 3 * math.pi / 2):
-        raise ValueError("phi must lie in (pi/2, 3*pi/2)")
+    if mode == "radial":
+        # The sector whose rays run along the real gap, away from the excluded ray.
+        left = F.excluded is not None and F.excluded.kind.endswith("left_ray")
+        lo, hi = (-math.pi / 2, math.pi / 2) if left else (math.pi / 2, 3 * math.pi / 2)
+        if not lo < phi < hi:
+            raise ValueError("phi must lie in (-pi/2, pi/2)" if left else "phi must lie in (pi/2, 3*pi/2)")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
 
@@ -155,54 +167,3 @@ def limit_at_infinity(
         # the diagonals of rungs k_max - 1 and k_max (slot 0 holds the row before the block)
         last_estimates=(T[-2, -2].copy(), T[-1, -1].copy()),
     )
-
-
-def extract_params(
-    F: Evaluator,
-    alpha: float,
-    claimed: str,
-    tol: float = 1e-6,
-) -> dict:
-    """Extract and cross-check limit parameters for a claimed class.
-
-    claimed is one of {"s", "s0", "sdot", "t", "t0", "tdot"}.  For the
-    bounded classes the returned record carries the mass estimate; for the
-    plain classes the constant term; for the decaying classes the record
-    asserts the plain limit vanishes.  Raises ``ClassMismatch`` when the
-    extracted values contradict the claim beyond ``tol``.
-    """
-    claimed = claimed.lower()
-    record: dict = {"claimed": claimed, "alpha": alpha}
-    if claimed in ("s", "sdot"):
-        est = limit_at_infinity(F, "plain_iy")
-        radial = limit_at_infinity(F, "radial", alpha=alpha)
-        record["gamma"] = est
-        record["gamma_radial"] = radial
-        gap = float(np.linalg.norm(est.value - radial.value))
-        budget = 2.0 * (est.error_bound + radial.error_bound) + tol
-        if gap > budget:
-            raise ClassMismatch(
-                f"vertical and radial limits disagree by {gap:.3e} (budget {budget:.3e})"
-            )
-        if claimed == "sdot" and float(np.linalg.norm(est.value)) > tol:
-            raise ClassMismatch("plain limit does not vanish for the decaying class")
-    elif claimed == "s0":
-        plain = limit_at_infinity(F, "plain_iy")
-        record["gamma"] = plain
-        if float(np.linalg.norm(plain.value)) > tol:
-            raise ClassMismatch("bounded class requires a vanishing plain limit")
-        record["mass"] = limit_at_infinity(F, "y_scaled")
-    elif claimed in ("t", "tdot"):
-        est = limit_at_infinity(F, "neg_plain")
-        record["gamma"] = est
-        if claimed == "tdot" and float(np.linalg.norm(est.value)) > tol:
-            raise ClassMismatch("plain limit does not vanish for the decaying class")
-    elif claimed == "t0":
-        plain = limit_at_infinity(F, "neg_plain")
-        record["gamma"] = plain
-        if float(np.linalg.norm(plain.value)) > tol:
-            raise ClassMismatch("bounded class requires a vanishing plain limit")
-        record["mass"] = limit_at_infinity(F, "neg_y_scaled")
-    else:
-        raise ValueError(f"unknown claimed class {claimed!r}")
-    return record

@@ -34,10 +34,29 @@ from .errors import (
     SupportViolation,
 )
 
-# Tolerance policy (relative, scaled by 1 + magnitude).
-EPS_HERM = 1e-10
-EPS_PSD = 1e-10
-EPS_MERGE = 1e-12
+# Tolerance policy: every cutoff of the library, each with its reason; the
+# modules import the names they use.  Relative ones scale by 1 + magnitude.
+EPS_HERM = 1e-10  # ||M - M*||_2 allowed in a Hermitian input, relative: its rounding
+EPS_PSD = 1e-10  # lambda_min allowed below zero in a PSD input, relative: its rounding
+EPS_MERGE = 1e-12  # nodes closer than this, relative, are one atom
+EPS_NEAR = 1e-9  # evaluation is refused within EPS_NEAR (1 + |z|) of the excluded set
+EPS_CONVERT = 1e-13  # a term a conversion drops must vanish to rounding: gamma relative, B absolute
+RESIDUE_TOL = 1e-6  # numeric residue (step 2^-26) against the analytic one, relative
+TOL_CERT = 1e-9  # a certificate condition fails below margin -TOL_CERT
+TOL_CR = 1e-6  # Cauchy-Riemann residual allowed: far above the O(h^4) error of the stencil
+CR_STEP = 1e-5  # stencil step, relative to |z|
+DECAY_TOL = 1e-7  # ||lim F(iy)|| allowed for a decaying class: above the ladder's error bound
+RTOL_RANK = 1e-8  # rank cut of a sampled F(z), relative to sigma_1: far above its rounding, so stable
+RANK_ZERO = 1e-12  # sigma_1 at or below this: F(z) counts as the zero matrix
+PROJ_TOL = 1e-9  # projector deviation allowed between samples and parameters
+RANGE_RTOL = 1e-10  # rank cut of a PSD parameter sum, relative to lambda_max
+NULL_TOL = 1e-8  # deviation allowed in each null_domination condition, relative to ||F||
+EPS_LIM = 1e-10  # the ladder stops once the diagonal moves less than this, relative
+PARAMS_TOL = 1e-6  # slack of the limits extract_params compares, on top of their error bounds
+PINV_RTOL_FACTOR = 1e-12  # pinv cuts at PINV_RTOL_FACTOR q sigma_1, so Penrose holds to rounding
+EP_RTOL = 1e-10  # rank cut of is_ep, relative: given matrices, not samples, so between pinv's and RTOL_RANK
+EP_ZERO = 1e-14  # sigma_1 at or below this: the matrix is EP trivially
+EP_TOL = 1e-9  # range projectors of M and M* may differ by this in is_ep
 
 _INSIDE = {  # support kind -> (t, endpoint) -> whether t lies in the set
     "right_ray": np.greater_equal,
@@ -60,16 +79,18 @@ def norm2(M: np.ndarray) -> np.ndarray:
     return np.linalg.norm(M, 2, axis=(-2, -1))
 
 
-def _hermitian_stack(M: np.ndarray, eps: float, psd: bool) -> np.ndarray:
+def _hermitian_stack(M: np.ndarray, psd: bool) -> np.ndarray:
     """Read-only symmetrized copies (M + M*)/2 of a stack of square matrices, validated.
 
     The first matrix in stack order that fails raises: a non-finite entry
     (StieltjesKitError, before any arithmetic touches it), a hermiticity
     defect ||M - M*||_2 above eps (1 + ||M||_2) (NotHermitian) or, with
-    ``psd``, lambda_min(H) below -eps (1 + ||H||_2) (NotPsd).  ||H||_2 is
-    read off the eigenvalues; the two SVDs of the defect test run only for
-    matrices that differ from their conjugate transpose.
+    ``psd``, lambda_min(H) below -eps (1 + ||H||_2) (NotPsd); eps is EPS_PSD
+    with ``psd`` and EPS_HERM without.  ||H||_2 is read off the eigenvalues;
+    the two SVDs of the defect test run only for matrices that differ from
+    their conjugate transpose.
     """
+    eps = EPS_PSD if psd else EPS_HERM
     finite = np.isfinite(M).all(axis=(1, 2))
     m = len(M) if finite.all() else int(np.argmin(finite))
     M = M[:m]  # the matrices before the first non-finite one are checked first
@@ -97,14 +118,14 @@ def _hermitian_stack(M: np.ndarray, eps: float, psd: bool) -> np.ndarray:
     return H
 
 
-def as_hermitian(M, eps: float = EPS_HERM) -> np.ndarray:
-    """Validate finiteness and hermiticity within tolerance; return the symmetrized copy."""
-    return _hermitian_stack(_square(M)[None], eps, psd=False)[0]
+def as_hermitian(M) -> np.ndarray:
+    """Validate finiteness and hermiticity within EPS_HERM; return the symmetrized copy."""
+    return _hermitian_stack(_square(M)[None], psd=False)[0]
 
 
-def as_psd(M, eps: float = EPS_PSD) -> np.ndarray:
-    """Validate that M is finite Hermitian PSD within tolerance; returns symmetrized copy."""
-    return _hermitian_stack(_square(M)[None], eps, psd=True)[0]
+def as_psd(M) -> np.ndarray:
+    """Validate that M is finite Hermitian PSD within EPS_PSD; returns symmetrized copy."""
+    return _hermitian_stack(_square(M)[None], psd=True)[0]
 
 
 def svd_rank(M, rtol: float, zero: float = 0.0):
@@ -119,9 +140,9 @@ def svd_rank(M, rtol: float, zero: float = 0.0):
     return U, s, Vh, r
 
 
-def is_psd(M, eps: float = EPS_PSD) -> bool:
+def is_psd(M) -> bool:
     try:
-        as_psd(M, eps)
+        as_psd(M)
         return True
     except (NotHermitian, NotPsd):
         return False
@@ -156,7 +177,7 @@ class SupportSet:
         if self.kind == "line":
             d = np.abs(z.imag)
         else:  # hypot is abs() of a Python complex bit for bit; np.abs may differ in the last bit
-            beside = z.real >= a if self.kind in ("right_ray", "open_right_ray") else z.real <= a
+            beside = z.real >= a if self.kind.endswith("right_ray") else z.real <= a
             d = np.where(beside, np.abs(z.imag), np.hypot(z.real - a, z.imag))
         return d if d.ndim else float(d)
 
@@ -201,7 +222,7 @@ def _weight_stack(q: int, weights) -> np.ndarray:
     except ValueError:  # ragged: the atoms differ in shape
         W = None
     if W is not None and W.shape[1:] == (q, q):
-        return _hermitian_stack(W, EPS_PSD, psd=True)
+        return _hermitian_stack(W, psd=True)
     for w in weights:  # some atom is not q x q: the first failing atom raises
         shape = as_psd(w).shape
         if shape != (q, q):

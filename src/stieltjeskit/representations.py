@@ -42,7 +42,10 @@ from .errors import (
     UnsupportedPath,
 )
 from .matmeasure import (
+    EPS_CONVERT,
     EPS_MERGE,
+    EPS_NEAR,
+    RESIDUE_TOL,
     MatrixMeasure,
     SupportSet,
     as_hermitian,
@@ -54,8 +57,6 @@ from .matmeasure import (
     right_ray,
     whole_line,
 )
-
-EPS_NEAR = 1e-9  # evaluation refused within EPS_NEAR*(1+|z|) of the support ray
 
 # Field roles in a KindSpec.
 ENDPOINT, PSD, HERM, MEASURE = "endpoint", "psd", "herm", "measure"
@@ -101,6 +102,10 @@ class _Record:
             else getattr(self, name) == getattr(other, name)
             for name, role in KINDS[self.KIND].fields
         )
+
+    def __reduce__(self):
+        # Copies and unpickled records are rebuilt, so their matrices are read-only too.
+        return type(self), tuple(getattr(self, name) for name, _ in KINDS[self.KIND].fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,11 +457,6 @@ def evaluate(repr_: Representation, z: complex) -> np.ndarray:
     return evaluator(repr_)(z)
 
 
-def evaluate_raw(repr_: Representation, z: complex) -> np.ndarray:
-    """Evaluate without the pole-proximity guard."""
-    return evaluator(repr_).raw(z)
-
-
 def eval_mulz(repr_: StieltjesPair, z: complex) -> np.ndarray:
     """(z - alpha) * F(z), the product transform of a pair."""
     if not isinstance(repr_, StieltjesPair):
@@ -513,7 +513,7 @@ def _rekernel(r, target: str, _alpha):
     const = next((getattr(r, name) for name, role in src.fields if role == PSD), None)
     if any(role == PSD for _, role in dst.fields):
         return dst.cls(e, np.zeros((r.q, r.q)) if const is None else const, mu)
-    if np.any(np.abs(const) > 1e-13 * (1.0 + np.linalg.norm(const))):
+    if np.any(np.abs(const) > EPS_CONVERT * (1.0 + np.linalg.norm(const))):
         raise IllegalConversion("gamma != 0: the function has a nonzero limit at i*inf")
     return dst.cls(e, mu)
 
@@ -526,7 +526,7 @@ def _kk_to_nev(k: KKPair, *_) -> NevanlinnaTriple:
 
 
 def _nev_to_kk(n: NevanlinnaTriple, _target, alpha: float | None) -> KKPair:
-    if float(np.linalg.norm(n.B)) > 1e-13:
+    if float(np.linalg.norm(n.B)) > EPS_CONVERT:
         raise IllegalConversion("triple has B != 0; not a right-ray restriction")
     nodes = n.nu.nodes
     if alpha is None:
@@ -622,9 +622,9 @@ def residue_weight(repr_: Representation, t0: float, verify: bool = False) -> np
     value = spec.numerator(t, endpoint_side(repr_)[0]) * W
     if verify:
         eps = 2.0**-26
-        approx = (-1j * eps) * evaluate_raw(repr_, t + 1j * eps)
+        approx = (-1j * eps) * evaluator(repr_).raw(t + 1j * eps)
         err = np.linalg.norm(approx - value)
-        if err > 1e-6 * (1.0 + np.linalg.norm(value)):
+        if err > RESIDUE_TOL * (1.0 + np.linalg.norm(value)):
             raise NotAnAtom(f"numeric residue check failed: |diff| = {err:.3e}")
     return value
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .classifier import rank_constancy, sample_points
 from .errors import DimensionMismatch, ShiftNotPsd, UnsupportedKind
+from .matmeasure import EP_RTOL, EP_TOL, EP_ZERO, PINV_RTOL_FACTOR
 from .matmeasure import MatrixMeasure, as_hermitian, image_measure, is_psd, svd_rank
 from .representations import (
     KINDS,
@@ -25,14 +26,6 @@ from .representations import (
     evaluator,
     map_fields,
 )
-
-# pinv keeps every singular value above rounding level (default rtol =
-# 1e-12 * q), so the Penrose identities hold to near machine precision.
-PINV_RTOL_FACTOR = 1e-12
-# is_ep compares range projectors of given matrices, not of sampled
-# function values, so its rank cut sits between pinv's and RTOL_RANK.
-EP_RTOL = 1e-10
-EP_ZERO = 1e-14  # sigma_1 at or below this: the matrix is EP trivially
 
 
 @dataclass(frozen=True)
@@ -55,21 +48,20 @@ def _pinv_stack(M: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.
     return P, r, s
 
 
-def pinv(M, rtol: float | None = None) -> PinvResult:
+def pinv(M) -> PinvResult:
     """SVD pseudoinverse with a relative singular-value cutoff.
 
-    Singular values below rtol * sigma_1 are treated as zero; the default
-    rtol is 1e-12 * q.  The four Penrose identities hold for the result.
+    Singular values at or below PINV_RTOL_FACTOR * q * sigma_1 are treated
+    as zero.  The four Penrose identities hold for the result.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    q = M.shape[0]
-    P, r, s = _pinv_stack(M[None], PINV_RTOL_FACTOR * q if rtol is None else rtol)
+    P, r, s = _pinv_stack(M[None], PINV_RTOL_FACTOR * M.shape[0])
     return PinvResult(P[0], int(r[0]), s[0])
 
 
-def is_ep(M, tol: float = 1e-9) -> bool:
+def is_ep(M) -> bool:
     """EP test: range of M equals range of M* (as orthogonal projectors)."""
     U, _, Vh, r = svd_rank(np.asarray(M, dtype=complex), EP_RTOL, EP_ZERO)
     r = int(r)
@@ -77,13 +69,13 @@ def is_ep(M, tol: float = 1e-9) -> bool:
         return True
     Pu = U[:, :r] @ U[:, :r].conj().T
     Pv = Vh[:r, :].conj().T @ Vh[:r, :]
-    return float(np.linalg.norm(Pu - Pv, 2)) <= tol
+    return float(np.linalg.norm(Pu - Pv, 2)) <= EP_TOL
 
 
-def ep_im_identity_defect(M, rtol: float | None = None) -> float:
+def ep_im_identity_defect(M) -> float:
     """Defect of im(M^+) = -M^+ (im M) (M^+)* (valid for EP matrices)."""
     M = np.asarray(M, dtype=complex)
-    P = pinv(M, rtol).pinv
+    P = pinv(M).pinv
     im = lambda A: (A - A.conj().T) / 2j  # noqa: E731
     lhs = im(P)
     rhs = -P @ im(M) @ P.conj().T
@@ -120,11 +112,8 @@ def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator
     probe refuses inputs whose numerical rank jumps.
     """
     ev, endpoint, side = _guarded_input(F, endpoint, side, "pinv_map")
-    if side == "right":
-        batch = lambda zs: _neg_pinv(ev, zs) / (zs - endpoint)[:, None, None]  # noqa: E731
-    else:
-        batch = lambda zs: _neg_pinv(ev, zs) / (endpoint - zs)[:, None, None]  # noqa: E731
-    return Evaluator.of_batch(ev.q, ev.excluded, batch)
+    sign = 1.0 if side == "right" else -1.0  # (z - a) resp. (b - z)
+    return Evaluator.of_batch(ev.q, ev.excluded, lambda zs: _neg_pinv(ev, zs) / (sign * (zs - endpoint))[:, None, None])
 
 
 def neg_pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator:
@@ -207,27 +196,14 @@ def shift(pair: StieltjesPair, A) -> StieltjesPair:
 
 
 def direct_sum(pairs) -> StieltjesPair:
-    """Block-diagonal direct sum of pairs with a common alpha."""
+    """Block-diagonal direct sum of pairs with a common alpha.
+
+    The congruence sum of the pairs with the block-selection rows of the identity.
+    """
     pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one pair")
-    alphas = {p.alpha for p in pairs}
-    if len(alphas) != 1:
-        raise DimensionMismatch("pairs do not share alpha")
-    qs = [p.q for p in pairs]
-    q = sum(qs)
-    offsets = np.cumsum([0] + qs[:-1])
-    gamma = np.zeros((q, q), dtype=complex)
-    weights = []
-    for off, p in zip(offsets, pairs):
-        sl = slice(off, off + p.q)
-        gamma[sl, sl] = p.gamma
-        big = np.zeros((len(p.mu.nodes), q, q), dtype=complex)
-        big[:, sl, sl] = p.mu.weights
-        weights.append(big)
-    nodes = np.concatenate([p.mu.nodes for p in pairs])
-    mu = MatrixMeasure.from_arrays(q, pairs[0].mu.support, nodes, np.concatenate(weights))
-    return StieltjesPair(alphas.pop(), gamma, mu)
+    rows = np.eye(sum(p.q for p in pairs))
+    ends = np.cumsum([p.q for p in pairs])
+    return congruence_sum((rows[end - p.q : end], p) for end, p in zip(ends, pairs))
 
 
 def _transpose_measure(mu: MatrixMeasure) -> MatrixMeasure:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 import stieltjeskit as sk
-from stieltjeskit.cli import run
+from stieltjeskit.classifier import CLASSES
+from stieltjeskit.cli import _build_parser, run
+from stieltjeskit.representations import KINDS
 
-from genutil import RANDOM_KINDS, psd, random_pair, random_s0
+from genutil import RANDOM_KINDS, psd, random_pair, random_s0, random_tpair
 
 
 def write_repr(tmp_path, r, name="input.json"):
@@ -233,3 +236,63 @@ def test_elementwise_outputs_are_byte_stable(tmp_path, capsys, argv, digest):
     path = write_repr(tmp_path, random_pair(np.random.default_rng(2024), q=3, n_atoms=6))
     assert run(argv + ["--input", path]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--kind", "s_via_pair"],
+        ["params", "--kind", "stieltjes_pair"],
+        ["params", "--mode", "radial", "--phi", "0"],  # along the pair's own excluded ray
+        ["moments", "--m", "-1"],
+    ],
+)
+def test_failures_are_json_errors_exit_one(tmp_path, capsys, argv):
+    path = write_repr(tmp_path, one_atom_pair(np.random.default_rng(14)))
+    assert run(argv + ["--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
+def test_kind_flag_offers_the_classes_and_the_kinds():
+    assert all(spec.default_class in CLASSES for spec in KINDS.values())
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for parser in commands.choices.values():
+        kind = next(a for a in parser._actions if a.dest == "kind")
+        assert set(kind.choices) == set(CLASSES) | set(KINDS)
+
+
+# certify --kind X for every class.  With q = 1 and one atom every weight is
+# real, so each product is exact and the bytes do not depend on the BLAS build.
+CERTIFY_DIGESTS = {
+    ("pair", "s"): "8c2d5a0364b44498fa0fa84a490d8c687bc04cf95299bd313d7c43abc48429ad",
+    ("pair", "s_via_pair"): "98a29923caaaf54faba78aaedc8e9d3da8d10e6609765f83ccb2cec1ba2aa0aa",
+    ("pair", "s0"): "7a29860c52b6b5b8777b30314aa8d99508161935029ca481eab831e27dfb30fb",
+    ("pair", "sdot"): "97586e283defcccec54255f1c28d3913bf45e77056fa1df0d76ef261144750e2",
+    ("pair", "sinf"): "dc1181c36b73c888d51d18e1849bff015383f76e306df043766e6ed6c055c66c",
+    ("pair", "t"): "2111d84de12cf8e9903437b98ab62e64740271d5a9889b9b4a593142476b5fe4",
+    ("pair", "t_via_pair"): "a41495d495b882b15f7712ebe6324065ac2956e17528741592bd744a447ab19b",
+    ("pair", "t0"): "8c1ad72ffe6e43fb32b4fe7c3bac467395b5a5764ef12e90a55dd669726a7dd5",
+    ("pair", "tdot"): "79b40bb0a3ee6fe384e2d77971f03aee756ce082d83d8d9baaaffee846767498",
+    ("pair", "tinf"): "6b6c7c09460d8a58e9dc69a1405f8881bfbd11c300d9de1376bc33a1cd61fe67",
+    ("t_pair", "s"): "2009ad201b38db1bdfe35487133b2e6370f5e5a8a74611a9af06f3446335946b",
+    ("t_pair", "s_via_pair"): "591a5e260fa0924393c495ae3deb627617eb40893d2ff86191ddf4b84504a597",
+    ("t_pair", "s0"): "b2b1f843cdd35ba9abc14cefeb2893df9ad92e1b5e2da2e4a1b0046cba88e160",
+    ("t_pair", "sdot"): "e40fdba81dbc8fbd7745caf1427beadfe2719ed64d2a5d4b90aceee5142e91bf",
+    ("t_pair", "sinf"): "88e7dd18f9af9a7275386bb885ba7a60c28b7f10cf6a58820416dc0110654360",
+    ("t_pair", "t"): "8fbde28fdbef391d42f7eae97638d9ab01b1b44ad73aef6f09969a9c6391825b",
+    ("t_pair", "t_via_pair"): "264f4587069d649e608084228670a5614b60a09b350b1379f5a94dc39a8a6495",
+    ("t_pair", "t0"): "dc07d751529a49e4c3be239fac65902648febd44ec36eec90db29287663ba2f4",
+    ("t_pair", "tdot"): "f40460271a8af0aea1ae9ca3552a96401b73c4beb812c0a69e05c4b0cb15b904",
+    ("t_pair", "tinf"): "01bf4955c332060f963d70a5214f1e25c490983ca00ef9b9f4209fd936488a3c",
+}
+MEMBER_CLASSES = {"pair": {"s", "s_via_pair"}, "t_pair": {"t", "t_via_pair"}}
+
+
+@pytest.mark.parametrize("name, make", [("pair", random_pair), ("t_pair", random_tpair)])
+@pytest.mark.parametrize("kind", list(CLASSES))
+def test_certificates_are_byte_stable(tmp_path, capsys, name, make, kind):
+    path = write_repr(tmp_path, make(np.random.default_rng(2025), q=1, n_atoms=1))
+    assert run(["certify", "--kind", kind, "--input", path]) == (0 if kind in MEMBER_CLASSES[name] else 2)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CERTIFY_DIGESTS[name, kind]

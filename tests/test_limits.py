@@ -117,6 +117,56 @@ def test_class_mismatch_raised():
         sk.extract_params(sk.evaluator(p), 0.0, "s0")
 
 
+def test_extract_t_side_members_pass():
+    rng = np.random.default_rng(30)
+    for _ in range(10):
+        t = random_tpair(rng)
+        rec = sk.extract_params(sk.evaluator(t), t.beta, "t")
+        np.testing.assert_allclose(rec["gamma"].value, t.gamma, atol=1e-7)
+        np.testing.assert_allclose(rec["gamma_radial"].value, t.gamma, atol=1e-7)
+        t0 = random_t0(rng)
+        F = sk.evaluator(t0)
+        assert np.linalg.norm(sk.extract_params(F, t0.beta, "tdot")["gamma"].value) <= 1e-7
+        rec = sk.extract_params(F, t0.beta, "t0")
+        np.testing.assert_allclose(rec["mass"].value, sk.total_mass(t0.sigma), atol=1e-7)
+
+
+def test_extract_t_side_mismatches_raise():
+    t = random_tpair(np.random.default_rng(31), q=2)
+    t = sk.TPair(t.beta, t.gamma + I2, t.mu)  # definitely nonzero gamma
+    for claimed in ("tdot", "t0"):
+        with pytest.raises(sk.ClassMismatch):
+            sk.extract_params(sk.evaluator(t), t.beta, claimed)
+
+
+def test_mirror_radial_check_rejects_a_gap_limit_off_gamma():
+    # -A along iy, but -A - I along the real gap right of beta = 0.
+    A = psd(np.random.default_rng(32), 2)
+    F = sk.Evaluator(2, sk.left_ray(0.0), lambda z: -A - (z.real / abs(z)) * I2)
+    np.testing.assert_allclose(sk.limit_at_infinity(F, "neg_plain").value, A, atol=1e-12)
+    with pytest.raises(sk.ClassMismatch, match="radial"):
+        sk.extract_params(F, 0.0, "t")
+
+
+def test_radial_sector_follows_the_excluded_ray():
+    t = random_tpair(np.random.default_rng(33), q=2)
+    F = sk.evaluator(t)
+    for phi in (math.pi, 0.6 * math.pi, -0.5 * math.pi):
+        with pytest.raises(ValueError, match="-pi/2, pi/2"):
+            sk.limit_at_infinity(F, "radial", alpha=t.beta, phi=phi)
+    est = sk.limit_at_infinity(F, "radial", alpha=t.beta, phi=0.0)
+    np.testing.assert_allclose(-est.value, t.gamma, atol=1e-7)
+
+
+def test_limit_estimate_equality_is_exact():
+    est = sk.limit_at_infinity(sk.evaluator(random_pair(np.random.default_rng(34), q=2)), "plain_iy")
+    same = sk.LimitEstimate(est.value.copy(), est.error_bound, est.ladder_depth, est.increments)
+    assert est == same and not est != same
+    assert est != sk.LimitEstimate(est.value + 1e-15, est.error_bound, est.ladder_depth, est.increments)
+    assert est != sk.LimitEstimate(est.value, est.error_bound, est.ladder_depth + 1, est.increments)
+    assert est != "not an estimate"
+
+
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_plain_limit_matches_stored_gamma(seed):
@@ -230,8 +280,9 @@ def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, y0, k_max, fa
     e, _ = endpoint_side(r)
     kw = {"mode": mode, "y0": y0, "k_max": k_max}
     if mode == "radial":
-        # phi = pi runs along a left ray: the first rung is refused by the pole guard.
-        kw.update(alpha=e, phi=float(rng.choice([math.pi, rng.uniform(0.55, 1.45) * math.pi])))
+        # Along the real gap (pi off a right ray, 0 off a left one) or up to 0.45 pi off it.
+        phi = float(rng.choice([math.pi, rng.uniform(0.55, 1.45) * math.pi]))
+        kw.update(alpha=e, phi=phi if side == "right" else phi - math.pi)
     base = sk.evaluator(r).fn
     center = kw.get("alpha", 0.0)
     if family == "growing":

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
-from stieltjeskit.representations import KINDS, endpoint_side, evaluate_raw, measure_of
+from stieltjeskit.representations import KINDS, endpoint_side, measure_of
 
 from genutil import (
     RANDOM_KINDS,
@@ -320,7 +322,7 @@ def test_residue_two_atoms_numeric_crosscheck():
     np.testing.assert_allclose(sk.residue_weight(p, 2.0), 3 * V, rtol=1e-14)
     # numeric limit agrees to 1e-8
     eps = 2.0**-28
-    approx = -1j * eps * evaluate_raw(p, 2.0 + 1j * eps)
+    approx = -1j * eps * sk.evaluator(p).raw(2.0 + 1j * eps)
     np.testing.assert_allclose(approx, 3 * V, atol=1e-8)
 
 
@@ -475,3 +477,15 @@ def test_record_equality_is_exact(kind):
     other = next(k for k in ALL_KINDS if k != kind)
     assert _instance(other, np.random.default_rng(11), 2, 3) != r
     assert r != "not a record"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_record_copies_are_rebuilt_read_only(kind):
+    r = _instance(kind, np.random.default_rng(12), 2, 3)
+    for dup in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(dup) is type(r) and dup == r
+        for name, role in KINDS[kind].fields:
+            if role in ("psd", "herm"):
+                assert not getattr(dup, name).flags.writeable, name
+                with pytest.raises(ValueError):
+                    getattr(dup, name)[0, 0] = -5.0
