@@ -31,7 +31,6 @@ from .errors import (
 )
 from .matmeasure import (
     MatrixMeasure,
-    ScalarMeasure,
     SupportSet,
     image_measure,
     integrate,

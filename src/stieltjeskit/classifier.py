@@ -178,7 +178,7 @@ def _finite(zs: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _value(F: Evaluator, z: complex) -> np.ndarray:
     try:
-        V = F.raw(z)
+        V = F.batch_raw([z])[0]
     except Exception as exc:  # noqa: BLE001 - wrapped with the witness point
         raise EvaluationFailed(f"evaluator raised at z = {z}: {exc}", witness=z) from exc
     if not np.isfinite(V).all():
@@ -347,12 +347,16 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
 
     The record carries gamma, and the mass of a bounded class; otherwise also ``gamma_radial``,
     gamma read along the real gap, which must agree with gamma.  The bounded and decaying classes
-    need gamma to vanish.  Raises ``ClassMismatch`` when a check fails beyond PARAMS_TOL.
+    need gamma to vanish.  Raises ``ClassMismatch`` when a check fails beyond PARAMS_TOL, or at
+    once when F is singular on a ray of the other side than the class's.
     """
     claimed = claimed.lower()
     spec = _class_spec(claimed)
     if not spec.params:
         raise UnsupportedKind(f"no limit parameters for class {claimed}; use --mode")
+    other = "left" if spec.sign > 0 else "right"
+    if F.excluded is not None and F.excluded.kind.endswith(other + "_ray"):
+        raise ClassMismatch(f"class {claimed} lives off a {spec.side} ray; F is singular on a {other} ray")
     plain = limit_at_infinity(F, spec.plain)
     record: dict = {"claimed": claimed, "alpha": alpha, "gamma": plain}
     if spec.infinity != "y_norm_bounded":

@@ -2,7 +2,8 @@
 
 Subcommands: eval | certify | params | convert | transform | moments | report.
 Exit codes: 0 = pass, 2 = certified failure (negative certificate or class
-mismatch), 1 = error (malformed input, unsupported operation, ...).
+mismatch), 1 = error (malformed input, unsupported operation, usage error,
+...).  Each subcommand takes --input and --out, plus only the flags it reads.
 
 Reports are deterministic: identical inputs and seeds produce byte-identical
 output.  Seeds and tolerances are always echoed.
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classifier import CLASSES, GridConfig, certify_class, extract_params
+from .classifier import CLASSES, GridConfig, certify_class, extract_params, sample_points
 from .errors import ClassMismatch, StieltjesKitError
 from .limits import MODES, LimitEstimate, limit_at_infinity
 from .matmeasure import TOL_CERT, MatrixMeasure, matrix_to_json, moments as measure_moments
@@ -54,20 +55,9 @@ def _load_repr(path: str):
         raise StieltjesKitError(f"{path}: missing field {exc}")
 
 
-def _eval_grid(endpoint: float, side: str, seed: int):
-    rng = np.random.default_rng(seed)
-    sign = -1.0 if side == "right" else 1.0
-    pts = []
-    for j in range(16):
-        off = rng.uniform(-4.0, 4.0)
-        im = rng.uniform(0.2, 5.0) * (1 if j % 2 == 0 else -1)
-        pts.append(complex(endpoint + off, im))
-    for j in range(4):
-        pts.append(complex(endpoint + sign * rng.uniform(0.5, 4.0), 0.0))
-    return pts
-
-
-def _dump_grid(F: Evaluator, pts) -> list:
+def _dump_grid(F: Evaluator, endpoint: float, side: str, seed: int) -> list:
+    """F at the 20 sample points of ``seed`` off the excluded ray, with the points."""
+    pts = sample_points(endpoint, side, n=20, seed=seed)
     return [{"z": [z.real, z.imag], "F": matrix_to_json(V)} for z, V in zip(pts, F.batch(pts))]
 
 
@@ -88,12 +78,11 @@ def _hankel_margin(s_list) -> float:
 def _cmd_eval(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
     endpoint, side = endpoint_side(r)
-    pts = _eval_grid(endpoint, side, args.grid_seed)
     report = {
         "command": "eval",
         "kind": r.KIND,
         "grid_seed": args.grid_seed,
-        "grid": _dump_grid(evaluator(r), pts),
+        "grid": _dump_grid(evaluator(r), endpoint, side, args.grid_seed),
     }
     return 0, report
 
@@ -121,10 +110,11 @@ def _cmd_params(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
     endpoint, _ = endpoint_side(r)
     F = evaluator(r)
-    if args.mode:
-        est = limit_at_infinity(F, args.mode, alpha=endpoint, phi=args.phi)
-        return 0, {"command": "params", "mode": args.mode, "phi": args.phi, "limit": _limit_json(est)}
     claimed = args.kind or KINDS[r.KIND].default_class
+    if args.mode:
+        phi = CLASSES[claimed].phi if args.phi is None else args.phi  # by default along the real gap
+        est = limit_at_infinity(F, args.mode, alpha=endpoint, phi=phi)
+        return 0, {"command": "params", "mode": args.mode, "phi": phi, "limit": _limit_json(est)}
     try:
         record = extract_params(F, endpoint, claimed)
     except ClassMismatch as exc:
@@ -138,8 +128,6 @@ def _cmd_params(args) -> tuple[int, dict]:
 
 def _cmd_convert(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
-    if not args.kind:
-        raise StieltjesKitError("convert requires --kind TARGET")
     out = convert(r, args.kind, alpha=args.alpha)
     return 0, {"command": "convert", "target": args.kind, "representation": repr_to_json(out)}
 
@@ -157,16 +145,13 @@ def _cmd_transform(args) -> tuple[int, dict]:
     if op == "transpose":
         out = transpose_map(r)
         return 0, {"command": "transform", "op": op, "representation": repr_to_json(out)}
-    if op in ("pinv_map", "neg_pinv"):
-        G = pinv_map(r) if op == "pinv_map" else neg_pinv_map(r)
-        pts = _eval_grid(endpoint, side, args.grid_seed)
-        return 0, {
-            "command": "transform",
-            "op": op,
-            "grid_seed": args.grid_seed,
-            "grid": _dump_grid(G, pts),
-        }
-    raise StieltjesKitError(f"unknown transform op {op!r}")
+    G = pinv_map(r) if op == "pinv_map" else neg_pinv_map(r)
+    return 0, {
+        "command": "transform",
+        "op": op,
+        "grid_seed": args.grid_seed,
+        "grid": _dump_grid(G, endpoint, side, args.grid_seed),
+    }
 
 
 def _cmd_moments(args) -> tuple[int, dict]:
@@ -188,7 +173,6 @@ def _cmd_report(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
     endpoint, side = endpoint_side(r)
     cert = _certificate(args, r, endpoint)
-    pts = _eval_grid(endpoint, side, args.grid_seed)
     mu = measure_of(r)
     s_list = measure_moments(mu, args.m)
     report = {
@@ -196,57 +180,67 @@ def _cmd_report(args) -> tuple[int, dict]:
         "kind": r.KIND,
         "grid_seed": args.grid_seed,
         "certificate": cert.to_json(),
-        "samples": _dump_grid(evaluator(r), pts),
+        "samples": _dump_grid(evaluator(r), endpoint, side, args.grid_seed),
         "moments": [matrix_to_json(s) for s in s_list],
         "hankel_min_eigenvalue": _hankel_margin(s_list),
     }
     return (0 if cert.verdict else 2), report
 
 
+# Command -> (handler, the flags it reads besides --input and --out).
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "certify": _cmd_certify,
-    "params": _cmd_params,
-    "convert": _cmd_convert,
-    "transform": _cmd_transform,
-    "moments": _cmd_moments,
-    "report": _cmd_report,
+    "eval": (_cmd_eval, ("--grid-seed",)),
+    "certify": (_cmd_certify, ("--kind", "--alpha", "--beta", "--grid-seed", "--tol")),
+    "params": (_cmd_params, ("--kind", "--mode", "--phi")),
+    "convert": (_cmd_convert, ("--kind", "--alpha")),
+    "transform": (_cmd_transform, ("--op", "--alpha", "--beta", "--grid-seed")),
+    "moments": (_cmd_moments, ("--m",)),
+    "report": (_cmd_report, ("--kind", "--grid-seed", "--tol", "--m")),
 }
+_FLAGS = {
+    "--kind": {"choices": CLASSES, "help": "class (default: the class of the input's kind)"},
+    "--alpha": {"type": float},
+    "--beta": {"type": float},
+    "--grid-seed": {"type": int, "default": 42},
+    "--tol": {"type": float},
+    "--mode": {"choices": MODES},
+    "--phi": {"type": float, "help": "radial direction (default: along the real gap)"},
+    "--m": {"type": int, "default": 2},
+    "--op": {"choices": ("pinv_map", "neg_pinv", "dual", "transpose"), "required": True},
+}
+_TARGET_KIND = {"choices": KINDS, "required": True, "help": "target representation kind"}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is an error like any other: a JSON error and exit code 1, not argparse's 2."""
+        raise StieltjesKitError(f"{self.prog}: {message}")
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="stieltjeskit", description=__doc__)
+    p = _Parser(prog="stieltjeskit", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
+    for name, (_, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)  # no prefixes: params --m is not --mode
         sp.add_argument("--input", required=True, help="representation (or measure) JSON path")
-        sp.add_argument("--kind", choices=dict.fromkeys([*CLASSES, *KINDS]), default=None,
-                        help="class kind (certify/params) or target kind (convert)")
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
-        sp.add_argument("--grid-seed", type=int, default=42)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--out", default=None, help="write the report here instead of stdout")
-        sp.add_argument("--mode", choices=MODES, default=None)
-        sp.add_argument("--phi", type=float, default=float(np.pi))
-        sp.add_argument("--m", type=int, default=2)
-        if name == "transform":
-            sp.add_argument("--op", required=True,
-                            choices=("pinv_map", "neg_pinv", "dual", "transpose"))
+        sp.add_argument("--out", help="write the report here instead of stdout")
+        for flag in flags:
+            sp.add_argument(flag, **(_TARGET_KIND if (name, flag) == ("convert", "--kind") else _FLAGS[flag]))
     return p
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.tol is not None and not (1e-15 <= args.tol <= 1e-2):
-        print(json.dumps({"error": "tolerance override outside [1e-15, 1e-2]"}), file=sys.stderr)
-        return 1
     try:
-        code, report = _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        tol = getattr(args, "tol", None)  # echoed by every command, null where it takes no --tol
+        if tol is not None and not (1e-15 <= tol <= 1e-2):
+            raise StieltjesKitError("tolerance override outside [1e-15, 1e-2]")
+        code, report = _COMMANDS[args.command][0](args)
     except (StieltjesKitError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
-    report["tol"] = args.tol
+    report["tol"] = tol
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ addition, zero weights dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -341,29 +341,6 @@ class MatrixMeasure:
         return MatrixMeasure.from_arrays(obj["q"], support, [a["t"] for a in atoms], weights)
 
 
-@dataclass(frozen=True)
-class ScalarMeasure:
-    """Finite atomic nonnegative scalar measure."""
-
-    support: SupportSet
-    atoms: tuple = field(default=())
-
-    def __post_init__(self):
-        cleaned = sorted((float(t), float(w)) for t, w in self.atoms)
-        for t, w in cleaned:
-            if w < -EPS_PSD:
-                raise NotPsd(f"negative scalar weight {w} at node {t}")
-            if not self.support.contains(t):
-                raise SupportViolation(f"node {t} outside support")
-        object.__setattr__(self, "atoms", tuple((t, max(w, 0.0)) for t, w in cleaned if w > 0.0))
-
-    def integrate(self, f: Callable[[float], complex]) -> complex:
-        return sum((complex(f(t)) * w for t, w in self.atoms), start=0.0 + 0.0j)
-
-    def total_mass(self) -> float:
-        return sum(w for _, w in self.atoms)
-
-
 def atom_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the leading (atom) axis, bit for bit as a loop adding each atom to zero in order.
 
@@ -462,14 +439,15 @@ def quadrature_ingest(
     return MatrixMeasure(q, support, atoms)
 
 
-def scalar_projection(mu: MatrixMeasure, u) -> ScalarMeasure:
-    """The scalar measure u* mu u."""
+def scalar_projection(mu: MatrixMeasure, u) -> MatrixMeasure:
+    """The scalar measure u* mu u, as a 1 x 1 measure on the support of mu."""
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.shape[0] != mu.q:
         raise DimensionMismatch(f"vector length {u.shape[0]} != q = {mu.q}")
     if not np.any(u):
         raise ValueError("u must be nonzero")
-    return ScalarMeasure(mu.support, zip(mu.nodes.tolist(), ((u.conj() @ mu.weights) @ u).real.tolist()))
+    w = np.maximum(((u.conj() @ mu.weights) @ u).real, 0.0)
+    return MatrixMeasure.from_arrays(1, mu.support, mu.nodes, w[:, None, None])
 
 
 # --- JSON helpers for complex matrices ([re, im] pairs, row-major) ---

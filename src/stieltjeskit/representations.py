@@ -342,12 +342,12 @@ class Evaluator:
     """Pure map z -> q x q matrix with a declared excluded set.
 
     ``excluded=None`` means the map is defined on the whole plane.
-    Calling the evaluator enforces the pole-proximity guard; ``raw``
-    skips it (used internally for residue limits).  ``batch`` and
-    ``batch_raw`` evaluate many points at once and return an array of
-    shape (m, q, q); they run ``batch_fn`` (a 1-D complex array of m
-    points -> (m, q, q) values) when the evaluator has one and otherwise
-    loop over ``fn``.
+    ``batch`` and ``batch_raw`` evaluate many points at once and return an
+    array of shape (m, q, q); ``batch`` enforces the pole-proximity guard
+    and ``batch_raw`` skips it.  Both run ``batch_fn`` (a 1-D complex array
+    of m points -> (m, q, q) values) when the evaluator has one and
+    otherwise loop over ``fn``.  Calling the evaluator is ``batch`` at one
+    point.
     """
 
     q: int
@@ -366,24 +366,15 @@ class Evaluator:
             return self.excluded.distance(z)
         return np.full(np.shape(z), np.inf) if np.ndim(z) else np.inf
 
-    def _guard(self, z: complex) -> None:
-        if self.distance(z) < EPS_NEAR * (1.0 + abs(z)):
-            raise PoleProximity(f"z = {z} is within tolerance of the excluded set")
-
     def __call__(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        self._guard(z)
-        return self.fn(z)
-
-    def raw(self, z: complex) -> np.ndarray:
-        return self.fn(complex(z))
+        return self.batch([z])[0]
 
     def batch(self, zs) -> np.ndarray:
         """Guarded values at each point; PoleProximity names the first point too near."""
         zs = _points(zs)
         near = self.distance(zs) < EPS_NEAR * (1.0 + np.hypot(zs.real, zs.imag))  # abs(z) bit for bit
         if near.any():
-            self._guard(complex(zs[np.argmax(near)]))
+            raise PoleProximity(f"z = {complex(zs[np.argmax(near)])} is within tolerance of the excluded set")
         return self.batch_raw(zs)
 
     def batch_raw(self, zs) -> np.ndarray:
@@ -622,7 +613,7 @@ def residue_weight(repr_: Representation, t0: float, verify: bool = False) -> np
     value = spec.numerator(t, endpoint_side(repr_)[0]) * W
     if verify:
         eps = 2.0**-26
-        approx = (-1j * eps) * evaluator(repr_).raw(t + 1j * eps)
+        approx = (-1j * eps) * evaluator(repr_).batch_raw([t + 1j * eps])[0]
         err = np.linalg.norm(approx - value)
         if err > RESIDUE_TOL * (1.0 + np.linalg.norm(value)):
             raise NotAnAtom(f"numeric residue check failed: |diff| = {err:.3e}")

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import stieltjeskit as sk
-from stieltjeskit.classifier import CLASSES
+from stieltjeskit.classifier import CLASSES, sample_points
 from stieltjeskit.cli import _build_parser, run
 from stieltjeskit.representations import KINDS
 
-from genutil import RANDOM_KINDS, psd, random_pair, random_s0, random_tpair
+from genutil import RANDOM_KINDS, psd, random_pair, random_s0, random_t0, random_tinf, random_tpair
 
 
 def write_repr(tmp_path, r, name="input.json"):
@@ -255,12 +255,129 @@ def test_failures_are_json_errors_exit_one(tmp_path, capsys, argv):
     assert "error" in json.loads(captured.err)
 
 
+# The flags each command reads, besides --input and --out.
+COMMAND_FLAGS = {
+    "eval": {"--grid-seed"},
+    "certify": {"--kind", "--alpha", "--beta", "--grid-seed", "--tol"},
+    "params": {"--kind", "--mode", "--phi"},
+    "convert": {"--kind", "--alpha"},
+    "transform": {"--op", "--alpha", "--beta", "--grid-seed"},
+    "moments": {"--m"},
+    "report": {"--kind", "--grid-seed", "--tol", "--m"},
+}
+FLAG_VALUES = {
+    "--kind": "s",
+    "--alpha": "0.0",
+    "--beta": "1.0",
+    "--grid-seed": "3",
+    "--tol": "1e-9",
+    "--mode": "plain_iy",
+    "--phi": "3.0",
+    "--m": "2",
+    "--op": "transpose",
+}
+REQUIRED = {"convert": ["--kind", "kk_pair"], "transform": ["--op", "transpose"]}
+
+
+def subparsers():
+    return next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_command_declares_the_flags_it_reads():
+    for name, parser in subparsers().items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == COMMAND_FLAGS[name] | {"--input", "--out"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command):
+    path = write_repr(tmp_path, one_atom_pair(np.random.default_rng(15)))
+    for flag in sorted(set(FLAG_VALUES) - COMMAND_FLAGS[command]):
+        assert run([command, "--input", path, *REQUIRED.get(command, []), flag, FLAG_VALUES[flag]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in json.loads(captured.err)["error"]  # not taken as a prefix
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--no-such-flag"],
+        ["eval", "--grid-seed", "x"],
+        ["certify", "--kind", "stieltjes_pair"],
+        ["convert", "--kind", "s"],
+        ["convert"],  # --kind is required
+        ["transform", "--op", "inverse"],
+        ["no-such-command"],
+    ],
+)
+def test_usage_errors_are_json_errors_exit_one(tmp_path, capsys, argv):
+    path = write_repr(tmp_path, one_atom_pair(np.random.default_rng(16)))
+    assert run(argv + ["--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["certify", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_kind_flag_offers_the_classes_and_the_kinds():
     assert all(spec.default_class in CLASSES for spec in KINDS.values())
-    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for parser in commands.choices.values():
-        kind = next(a for a in parser._actions if a.dest == "kind")
-        assert set(kind.choices) == set(CLASSES) | set(KINDS)
+    for name, parser in subparsers().items():
+        kind = next((a for a in parser._actions if a.dest == "kind"), None)
+        if name == "convert":
+            assert set(kind.choices) == set(KINDS) and kind.required
+        elif "--kind" in COMMAND_FLAGS[name]:
+            assert set(kind.choices) == set(CLASSES) and not kind.required
+
+
+@pytest.mark.parametrize("command", ["eval", "report", "transform"])
+def test_grid_points_are_the_sample_points(tmp_path, capsys, command):
+    p = one_atom_pair(np.random.default_rng(17), alpha=0.5)
+    path = write_repr(tmp_path, p)
+    extra = ["--op", "pinv_map"] if command == "transform" else []
+    assert run([command, "--input", path, "--grid-seed", "9", *extra]) == 0
+    report = json.loads(capsys.readouterr().out)
+    grid = report["samples" if command == "report" else "grid"]
+    assert [complex(*rec["z"]) for rec in grid] == sample_points(0.5, "right", n=20, seed=9)
+    assert report["tol"] is None
+
+
+@pytest.mark.parametrize(
+    "make, claims",
+    [(random_pair, ("t", "tdot")), (random_s0, ("t", "tdot")), (random_tpair, ("s", "sdot")), (random_t0, ("s", "sdot"))],
+)
+def test_params_claim_for_the_other_side_is_a_mismatch(tmp_path, capsys, make, claims):
+    path = write_repr(tmp_path, make(np.random.default_rng(18), q=2))
+    for claimed in claims:
+        assert run(["params", "--kind", claimed, "--input", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "fail" and report["claimed"] == claimed
+        assert "ray" in report["reason"]
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        random_tpair(np.random.default_rng(19), q=2),
+        random_t0(np.random.default_rng(19), q=2),
+        random_tinf(np.random.default_rng(19), q=2, ranks=(None, 0, None)),  # E = 0: the gap limit exists
+    ],
+    ids=["t_pair", "t0", "tinf_triple"],
+)
+def test_params_radial_default_phi_follows_the_side(tmp_path, capsys, r):
+    path = write_repr(tmp_path, r)
+    assert run(["params", "--mode", "radial", "--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["phi"] == 0.0
+    assert run(["params", "--mode", "radial", "--phi", "0.25", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["phi"] == 0.25
 
 
 # certify --kind X for every class.  With q = 1 and one atom every weight is

@@ -139,6 +139,18 @@ def test_extract_t_side_mismatches_raise():
             sk.extract_params(sk.evaluator(t), t.beta, claimed)
 
 
+def test_claim_for_the_other_side_is_a_mismatch_before_any_ladder():
+    rng = np.random.default_rng(34)
+    for r, claims in ((random_pair(rng, q=2), ("t", "tdot", "t0")), (random_tpair(rng, q=2), ("s", "sdot", "s0"))):
+        F = sk.evaluator(r)
+        calls = []
+        spy = sk.Evaluator(F.q, F.excluded, F.fn, lambda zs: calls.append(zs) or F.batch_raw(zs))
+        for claimed in claims:
+            with pytest.raises(sk.ClassMismatch, match="ray"):
+                sk.extract_params(spy, 0.0, claimed)
+        assert not calls
+
+
 def test_mirror_radial_check_rejects_a_gap_limit_off_gamma():
     # -A along iy, but -A - I along the real gap right of beta = 0.
     A = psd(np.random.default_rng(32), 2)

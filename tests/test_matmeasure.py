@@ -405,20 +405,31 @@ def test_quadrature_rejects_non_psd_density():
 def test_scalar_projection_basis_vector():
     mu = sk.MatrixMeasure(2, sk.whole_line(), [(0.0, np.diag([2.0, 3.0]))])
     nu = sk.scalar_projection(mu, [1.0, 0.0])
-    assert nu.atoms == ((0.0, 2.0),)
+    assert nu.q == 1 and nu.support == mu.support
+    np.testing.assert_array_equal(nu.nodes, [0.0])
+    np.testing.assert_array_equal(nu.weights[:, 0, 0], [2.0])
 
 
 def test_scalar_projection_zero_measure():
     mu = sk.MatrixMeasure(2, sk.whole_line(), [])
-    assert sk.scalar_projection(mu, [1.0, 1.0]).atoms == ()
+    nu = sk.scalar_projection(mu, [1.0, 1.0])
+    assert nu.q == 1 and nu.is_zero() and nu.weights.shape == (0, 1, 1)
+
+
+def test_scalar_projection_drops_null_atoms():
+    mu = sk.MatrixMeasure(2, sk.whole_line(), [(0.0, np.diag([0.0, 1.0])), (1.0, I2)])
+    nu = sk.scalar_projection(mu, [1.0, 0.0])
+    np.testing.assert_array_equal(nu.nodes, [1.0])
+    np.testing.assert_array_equal(nu.weights[:, 0, 0], [1.0])
 
 
 def test_scalar_projection_quadratic_form():
     mu = sk.MatrixMeasure(2, sk.whole_line(), [(1.0, np.array([[1.0, 1.0], [1.0, 1.0]]))])
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)
     nu = sk.scalar_projection(mu, u)
-    assert nu.atoms[0][0] == 1.0
-    assert nu.atoms[0][1] == pytest.approx(2.0, rel=1e-14)
+    assert nu.q == 1
+    np.testing.assert_array_equal(nu.nodes, [1.0])
+    assert nu.weights[0, 0, 0] == pytest.approx(2.0, rel=1e-14)
 
 
 @given(seed=st.integers(0, 10**6))
@@ -430,7 +441,7 @@ def test_scalar_projection_commutes_with_integration(seed):
     z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
     f = lambda t: 1.0 / (t - z)  # noqa: E731
     lhs = u.conj() @ sk.integrate(mu, f) @ u
-    rhs = sk.scalar_projection(mu, u).integrate(f)
+    rhs = sk.integrate(sk.scalar_projection(mu, u), f)[0, 0]
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
 

@@ -322,7 +322,7 @@ def test_residue_two_atoms_numeric_crosscheck():
     np.testing.assert_allclose(sk.residue_weight(p, 2.0), 3 * V, rtol=1e-14)
     # numeric limit agrees to 1e-8
     eps = 2.0**-28
-    approx = -1j * eps * sk.evaluator(p).raw(2.0 + 1j * eps)
+    approx = -1j * eps * sk.evaluator(p).batch_raw([2.0 + 1j * eps])[0]
     np.testing.assert_allclose(approx, 3 * V, atol=1e-8)
 
 
@@ -344,11 +344,8 @@ def test_scalar_compression_stays_in_class(seed):
     u = rng.normal(size=p.q) + 1j * rng.normal(size=p.q)
     nu = sk.scalar_projection(p.mu, u)
     gamma_s = float(np.real(u.conj() @ p.gamma @ u))
-    scalar_pair = sk.StieltjesPair(
-        p.alpha,
-        np.array([[gamma_s]]),
-        sk.MatrixMeasure(1, p.mu.support, [(t, np.array([[w]])) for t, w in nu.atoms]),
-    )
+    assert nu.q == 1
+    scalar_pair = sk.StieltjesPair(p.alpha, np.array([[gamma_s]]), nu)
     (z,) = off_ray_points(rng, p.alpha, "right", 1)
     lhs = complex(u.conj() @ sk.evaluate(p, z) @ u)
     rhs = complex(sk.evaluate(scalar_pair, z)[0, 0])
