@@ -4,11 +4,13 @@ Certification is evidence, not proof: every condition is evaluated on a
 deterministic grid, and the certificate records the worst signed margin per
 condition together with the witness point, so failures are reproducible.
 
-Margins are scale-free: PSD conditions use lambda_min(.)/(1 + ||F(z)||),
-holomorphy uses a normalized Cauchy-Riemann residual of fourth-order
-(Richardson-combined) symmetric difference quotients in two directions.
-Each certificate evaluates F once per grid point, in one batch, and the
-stencil in fixed-size batches.
+Margins are scale-free: PSD conditions use lambda_min(.)/(1 + ||F(z)||).
+Holomorphy is exact for an atomic evaluator (built from a representation,
+its only poles are the nodes, which must lie in the claimed ray); for an
+opaque one it is a normalized Cauchy-Riemann residual of fourth-order
+(Richardson-combined) symmetric difference quotients in two directions,
+evaluated in fixed-size batches.  F itself is evaluated once per grid
+point, in one batch.
 """
 
 from __future__ import annotations
@@ -239,6 +241,20 @@ def _cr_residuals(F: Evaluator, zs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return out
 
 
+def _holomorphy(F: Evaluator, zs: np.ndarray, dist: np.ndarray, endpoint: float, sign: int) -> tuple[float, complex]:
+    """(margin, witness) of holomorphy off the claimed ray, stencil-sampled at ``zs`` for an opaque F.
+
+    An atomic F is exact: a node at depth sign (endpoint - t) / (1 + |endpoint|) > 0 is a pole in the gap.
+    """
+    if F._nodes is None:
+        return _worst(zs, TOL_CR - _cr_residuals(F, zs, dist))
+    depth = sign * (endpoint - F._nodes) / (1.0 + abs(endpoint))
+    if depth.max(initial=0.0) <= 0.0:
+        return TOL_CR, complex(zs[0])  # residual 0 at every point
+    i = int(np.argmax(depth))  # the first of the deepest
+    return -float(depth[i]), complex(F._nodes[i])
+
+
 def _growth_ratio(F: Evaluator, base: float) -> tuple[float, complex]:
     """Ratio of y*||F(iy)|| between 2*base and base; ~1 for bounded decay."""
     s1 = base * float(np.linalg.norm(_value(F, 1j * base)))
@@ -314,7 +330,8 @@ def certify_class(
     # the other side) leaves the difference stencil no room: holomorphy is
     # sampled only where the evaluator is defined.
     defined = dist > 0.0
-    add("holomorphic", defined, lambda *_: TOL_CR - _cr_residuals(F, zs[defined], dist[defined]))
+    margin, witness = _holomorphy(F, zs[defined], dist[defined], endpoint, spec.sign)
+    conditions.append({"name": "holomorphic", "margin": margin, "witness": witness})
     herglotz = lambda W, s: _lam_min(_im(W)) / s  # noqa: E731
     add("herglotz_upper", is_upper, herglotz)
     add("herglotz_lower_conj", ~is_upper & ~on_gap, lambda W, s: _lam_min(-_im(W)) / s)
@@ -347,8 +364,8 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
 
     The record carries gamma, and the mass of a bounded class; otherwise also ``gamma_radial``,
     gamma read along the real gap, which must agree with gamma.  The bounded and decaying classes
-    need gamma to vanish.  Raises ``ClassMismatch`` when a check fails beyond PARAMS_TOL, or at
-    once when F is singular on a ray of the other side than the class's.
+    need gamma to vanish.  Raises ``ClassMismatch`` when a check fails beyond PARAMS_TOL, when the
+    plain limit diverges, or at once when F is singular on a ray of the other side than the class's.
     """
     claimed = claimed.lower()
     spec = _class_spec(claimed)
@@ -357,7 +374,10 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
     other = "left" if spec.sign > 0 else "right"
     if F.excluded is not None and F.excluded.kind.endswith(other + "_ray"):
         raise ClassMismatch(f"class {claimed} lives off a {spec.side} ray; F is singular on a {other} ray")
-    plain = limit_at_infinity(F, spec.plain)
+    try:
+        plain = limit_at_infinity(F, spec.plain)
+    except NoConvergence as exc:  # F grows at infinity, as no class with parameters does
+        raise ClassMismatch(f"the plain limit of class {claimed} diverges: {exc}") from exc
     record: dict = {"claimed": claimed, "alpha": alpha, "gamma": plain}
     if spec.infinity != "y_norm_bounded":
         radial = limit_at_infinity(F, "radial", alpha=alpha, phi=spec.phi)

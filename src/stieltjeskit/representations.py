@@ -27,7 +27,7 @@ depends on the kind reads that table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -347,13 +347,15 @@ class Evaluator:
     and ``batch_raw`` skips it.  Both run ``batch_fn`` (a 1-D complex array
     of m points -> (m, q, q) values) when the evaluator has one and
     otherwise loop over ``fn``.  Calling the evaluator is ``batch`` at one
-    point.
+    point.  ``_nodes``, the poles, is set by :func:`evaluator` only; any
+    other evaluator, ``dataclasses.replace`` copies too, is opaque (None).
     """
 
     q: int
     excluded: SupportSet | None
     fn: Callable[[complex], np.ndarray]
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    _nodes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of_batch(cls, q: int, excluded: SupportSet | None, batch_fn: Callable) -> "Evaluator":
@@ -440,8 +442,10 @@ def excluded_set(repr_: Representation) -> SupportSet | None:
 
 
 def evaluator(repr_: Representation) -> Evaluator:
-    """Build the pure evaluator of a representation."""
-    return Evaluator.of_batch(repr_.q, excluded_set(repr_), _kernel_batch(repr_))
+    """Build the pure evaluator of a representation: rational, with poles at the measure's nodes only."""
+    F = Evaluator.of_batch(repr_.q, excluded_set(repr_), _kernel_batch(repr_))
+    object.__setattr__(F, "_nodes", measure_of(repr_).nodes)
+    return F
 
 
 def evaluate(repr_: Representation, z: complex) -> np.ndarray:

@@ -125,6 +125,14 @@ RANDOM_KINDS = {
 }
 
 
+def random_kind(kind, rng, **kw):
+    """A random representation of any of the eight kinds; kk_pair and nevanlinna convert a pair."""
+    if kind in RANDOM_KINDS:
+        return RANDOM_KINDS[kind](rng, **kw)
+    kk = sk.convert(random_pair(rng, **kw), "kk_pair")
+    return kk if kind == "kk_pair" else sk.convert(kk, "nevanlinna")
+
+
 def off_ray_points(rng, endpoint, side, n):
     """Random points keeping a safe distance from the excluded ray."""
     pts = []

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import stieltjeskit as sk
-from stieltjeskit.classifier import TOL_CR, _grid_offsets, sample_points
+from stieltjeskit.classifier import TOL_CERT, TOL_CR, _grid_offsets, sample_points
+from stieltjeskit.representations import KINDS, endpoint_side
 
 from genutil import (
     RANDOM_KINDS,
     psd,
+    random_kind,
     random_pair,
     random_s0,
     random_sinf,
@@ -209,9 +213,11 @@ def test_member_with_large_values_passes_holomorphy():
             ],
         ),
     )
-    cert = sk.certify_class(sk.evaluator(r), r.beta, "tinf")
-    assert cert.verdict
-    assert cert.margin("holomorphic") > 0.9 * TOL_CR
+    F = sk.evaluator(r)
+    for G in (F, sk.Evaluator(F.q, F.excluded, F.fn)):  # exact, and sampled by the stencil
+        cert = sk.certify_class(G, r.beta, "tinf")
+        assert cert.verdict
+        assert cert.margin("holomorphic") > 0.9 * TOL_CR
 
 
 @pytest.mark.parametrize("t", [1e7, 1e10])
@@ -259,6 +265,84 @@ def test_raised_exception_fails_at_the_same_point_on_both_paths():
     with pytest.raises(sk.EvaluationFailed) as exc:
         sk.certify_class(F, 0.0, "t", PARITY_GRID)
     assert exc.value.witness == first
+
+
+# --- holomorphy: exact for an atomic evaluator, sampled for an opaque one ---
+
+N_GRID = 160  # points of the default grid
+
+
+@pytest.fixture
+def points_seen(monkeypatch):
+    """(evaluator, batch size) of every call of Evaluator.batch_raw."""
+    seen = []
+    raw = sk.Evaluator.batch_raw
+    monkeypatch.setattr(sk.Evaluator, "batch_raw", lambda F, zs: seen.append((F, np.size(zs))) or raw(F, zs))
+    return seen
+
+
+def _points(seen, F):
+    return sum(n for G, n in seen if G is F)
+
+
+def _holomorphic(cert):
+    return next(c for c in cert.conditions if c["name"] == "holomorphic")
+
+
+@pytest.mark.parametrize("shift", [0.5, 1e4])
+def test_node_in_the_gap_fails_holomorphy_with_the_node_as_witness(shift):
+    # The pair's one node lies at 1.22; claimed past it, it is a pole in the gap.
+    # At shift 1e4 no grid point comes near it: only the exact check can see it.
+    p = random_pair(np.random.default_rng(5), q=2)
+    (t,) = p.mu.nodes
+    endpoint = p.alpha + shift
+    cert = sk.certify_class(sk.evaluator(p), endpoint, "s")
+    assert not cert.verdict
+    assert _holomorphic(cert) == {
+        "name": "holomorphic",
+        "margin": -(endpoint - t) / (1.0 + abs(endpoint)),
+        "witness": complex(t),
+    }
+
+
+@pytest.mark.parametrize("make, claim, deepest", [(random_pair, "t", -1), (random_tpair, "s", 0)])
+def test_claim_for_the_other_side_fails_holomorphy_at_the_deepest_node(make, claim, deepest):
+    r = make(np.random.default_rng(9), q=2, n_atoms=3)
+    endpoint, _ = endpoint_side(r)
+    cert = sk.certify_class(sk.evaluator(r), endpoint, claim)
+    hol = _holomorphic(cert)
+    assert not cert.verdict and hol["margin"] < -TOL_CERT
+    assert hol["witness"] == complex(r.mu.nodes[deepest])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_opaque_wrapper_runs_the_stencil_to_the_same_verdict(points_seen, kind, q):
+    r = random_kind(kind, np.random.default_rng(q), q=q)
+    endpoint, _ = endpoint_side(r)
+    cls = KINDS[kind].default_class
+    F = sk.evaluator(r)
+    opaque = sk.Evaluator(F.q, F.excluded, F.fn)
+    exact, sampled = (sk.certify_class(G, endpoint, cls) for G in (F, opaque))
+    assert exact.verdict and sampled.verdict
+    assert exact.margin("holomorphic") == TOL_CR > sampled.margin("holomorphic")
+    assert _points(points_seen, opaque) - _points(points_seen, F) == 8 * N_GRID  # the stencil at every point
+
+
+def test_copies_and_maps_carry_no_nodes(points_seen):
+    p = random_pair(np.random.default_rng(5), q=2)
+    F = sk.evaluator(p)
+    assert F._nodes is not None
+    copies = (sk.Evaluator.of_batch(F.q, F.excluded, F.batch_fn), dataclasses.replace(F, fn=F.fn))
+    for G in copies:
+        assert G._nodes is None
+        cert = sk.certify_class(G, p.alpha, "s")
+        assert cert.verdict and cert.margin("holomorphic") < TOL_CR
+        assert _points(points_seen, G) == 9 * N_GRID
+    G = sk.pinv_map(p)
+    assert G._nodes is None
+    sk.certify_class(G, p.alpha, "s")
+    assert _points(points_seen, G) >= 9 * N_GRID
 
 
 # --- kernel_range_report ---

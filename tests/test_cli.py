@@ -10,7 +10,7 @@ from stieltjeskit.classifier import CLASSES, sample_points
 from stieltjeskit.cli import _build_parser, run
 from stieltjeskit.representations import KINDS
 
-from genutil import RANDOM_KINDS, psd, random_pair, random_s0, random_t0, random_tinf, random_tpair
+from genutil import psd, random_kind, random_pair, random_s0, random_sinf, random_t0, random_tinf, random_tpair
 
 
 def write_repr(tmp_path, r, name="input.json"):
@@ -107,6 +107,27 @@ def test_params_class_mismatch_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("make, claims", [(random_sinf, ("s", "s0", "sdot")), (random_tinf, ("t", "t0", "tdot"))])
+def test_params_diverging_plain_limit_exit_two(tmp_path, capsys, make, claims):
+    path = write_repr(tmp_path, make(np.random.default_rng(3), q=2))  # E != 0
+    for claimed in claims:
+        assert run(["params", "--kind", claimed, "--input", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "fail" and report["claimed"] == claimed
+        assert "diverges" in report["reason"]
+
+
+def test_certify_alpha_past_the_nodes_exit_two(tmp_path, capsys):
+    # A member claimed off [alpha + 1e4, inf): its node at 1.22 is a pole in the gap.
+    p = random_pair(np.random.default_rng(5), q=2)
+    path = write_repr(tmp_path, p)
+    assert run(["certify", "--alpha", repr(p.alpha + 1e4), "--input", path]) == 2
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    holomorphic = next(c for c in cert["conditions"] if c["name"] == "holomorphic")
+    assert cert["verdict"] == "fail" and holomorphic["margin"] < -0.99
+    assert holomorphic["witness_z"] == [float(p.mu.nodes[0]), 0.0]
+
+
 def test_params_raw_mode(tmp_path, capsys):
     p = one_atom_pair(np.random.default_rng(5))
     path = write_repr(tmp_path, p)
@@ -199,17 +220,10 @@ KIND_CLASS = {
 }
 
 
-def make_kind(kind, rng):
-    if kind in RANDOM_KINDS:
-        return RANDOM_KINDS[kind](rng, q=2)
-    kk = sk.convert(random_pair(rng, q=2), "kk_pair")
-    return kk if kind == "kk_pair" else sk.convert(kk, "nevanlinna")
-
-
 @pytest.mark.parametrize("command", ["certify", "report"])
 @pytest.mark.parametrize("kind", sorted(KIND_CLASS))
 def test_every_kind_passes_its_default_class(tmp_path, capsys, kind, command):
-    r = make_kind(kind, np.random.default_rng(20))
+    r = random_kind(kind, np.random.default_rng(20), q=2)
     path = write_repr(tmp_path, r)
     assert run([command, "--input", path]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -383,26 +397,26 @@ def test_params_radial_default_phi_follows_the_side(tmp_path, capsys, r):
 # certify --kind X for every class.  With q = 1 and one atom every weight is
 # real, so each product is exact and the bytes do not depend on the BLAS build.
 CERTIFY_DIGESTS = {
-    ("pair", "s"): "8c2d5a0364b44498fa0fa84a490d8c687bc04cf95299bd313d7c43abc48429ad",
-    ("pair", "s_via_pair"): "98a29923caaaf54faba78aaedc8e9d3da8d10e6609765f83ccb2cec1ba2aa0aa",
-    ("pair", "s0"): "7a29860c52b6b5b8777b30314aa8d99508161935029ca481eab831e27dfb30fb",
-    ("pair", "sdot"): "97586e283defcccec54255f1c28d3913bf45e77056fa1df0d76ef261144750e2",
-    ("pair", "sinf"): "dc1181c36b73c888d51d18e1849bff015383f76e306df043766e6ed6c055c66c",
-    ("pair", "t"): "2111d84de12cf8e9903437b98ab62e64740271d5a9889b9b4a593142476b5fe4",
-    ("pair", "t_via_pair"): "a41495d495b882b15f7712ebe6324065ac2956e17528741592bd744a447ab19b",
-    ("pair", "t0"): "8c1ad72ffe6e43fb32b4fe7c3bac467395b5a5764ef12e90a55dd669726a7dd5",
-    ("pair", "tdot"): "79b40bb0a3ee6fe384e2d77971f03aee756ce082d83d8d9baaaffee846767498",
-    ("pair", "tinf"): "6b6c7c09460d8a58e9dc69a1405f8881bfbd11c300d9de1376bc33a1cd61fe67",
-    ("t_pair", "s"): "2009ad201b38db1bdfe35487133b2e6370f5e5a8a74611a9af06f3446335946b",
-    ("t_pair", "s_via_pair"): "591a5e260fa0924393c495ae3deb627617eb40893d2ff86191ddf4b84504a597",
-    ("t_pair", "s0"): "b2b1f843cdd35ba9abc14cefeb2893df9ad92e1b5e2da2e4a1b0046cba88e160",
-    ("t_pair", "sdot"): "e40fdba81dbc8fbd7745caf1427beadfe2719ed64d2a5d4b90aceee5142e91bf",
-    ("t_pair", "sinf"): "88e7dd18f9af9a7275386bb885ba7a60c28b7f10cf6a58820416dc0110654360",
-    ("t_pair", "t"): "8fbde28fdbef391d42f7eae97638d9ab01b1b44ad73aef6f09969a9c6391825b",
-    ("t_pair", "t_via_pair"): "264f4587069d649e608084228670a5614b60a09b350b1379f5a94dc39a8a6495",
-    ("t_pair", "t0"): "dc07d751529a49e4c3be239fac65902648febd44ec36eec90db29287663ba2f4",
-    ("t_pair", "tdot"): "f40460271a8af0aea1ae9ca3552a96401b73c4beb812c0a69e05c4b0cb15b904",
-    ("t_pair", "tinf"): "01bf4955c332060f963d70a5214f1e25c490983ca00ef9b9f4209fd936488a3c",
+    ("pair", "s"): "bd8e8f5df230beeb9a0e6c01c91635a3154394996fd8d4267a59a86c73a7980a",
+    ("pair", "s_via_pair"): "fc88c8ea9b3fbf2f334874f66eefa0600c2c133a357b1afe0ff28b8177c0a876",
+    ("pair", "s0"): "ac678bcf3fd0aa3b8ed11f9f24d40caf221bcbb5bcab7dedc150b29408223291",
+    ("pair", "sdot"): "54ea8478060216b18b8d2b1b59b295640755ab085441f99e3ee5c0a6b278f733",
+    ("pair", "sinf"): "704d72fce39c9e42a93439dd27122803c3b031ff11ba82e5c582008123ca0321",
+    ("pair", "t"): "78a6c4657e443bbb8b0246874563aaeac63c46e32fa0ddbb8fdb5aaa8f500499",
+    ("pair", "t_via_pair"): "0bb409cce1ddc401a6848dc80bc33ccaf43a8b09d7aba71e2c1cc38a9f452bbd",
+    ("pair", "t0"): "2205abccbf3b744c7b588ae01ba108baf5e365925a2682093e22fcfc4aeeccdb",
+    ("pair", "tdot"): "f6c0c903dfea61a203bae94f19bbfaf749ae515de22176c3c74ffb9c101efc51",
+    ("pair", "tinf"): "908205ac4571f707a65f84d6bcd6d006ce267e6c00fa60c7cccc86e1b299ca51",
+    ("t_pair", "s"): "4c540912713fea5238b2d3d6a85598804c35592914b38f8c948ddb17136245c1",
+    ("t_pair", "s_via_pair"): "86466eef26cc138240b14c634a44bac00adf0d9fff151c5ce521ff63596d5c94",
+    ("t_pair", "s0"): "36749faa962531a6ac402e6d5d101721b69da2ac00d4fbdddb3ef8383332506a",
+    ("t_pair", "sdot"): "d4a7494b79186f62a20154408f749b8353768a93b2970db1bb945a70059dbf36",
+    ("t_pair", "sinf"): "065b0c58ac53a10d0bd225ee79ca5b03eb979be42a265ec55e2f796c2f69f447",
+    ("t_pair", "t"): "610596f59ae7a1d84c9a9babdef36aa1cccba416ce884bc81945a6865cfb4245",
+    ("t_pair", "t_via_pair"): "e73e42e3c78ca31480d4fc7d3193e7a83a5d4fbc043645457b470d7c73db69a1",
+    ("t_pair", "t0"): "7281e79bdfc5fe28954bb2f3c95c24226ffdde773799b3bf7e087b226a40846c",
+    ("t_pair", "tdot"): "f09870d13e30b3c530bf364ece58f6e29a94951ebd2cbfa4e902f61625521cb4",
+    ("t_pair", "tinf"): "ec137ca95b9a46a6da556e75a2757a71817a8fd768efc56890b1b3ccf871e2d0",
 }
 MEMBER_CLASSES = {"pair": {"s", "s_via_pair"}, "t_pair": {"t", "t_via_pair"}}
 

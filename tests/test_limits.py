@@ -151,6 +151,17 @@ def test_claim_for_the_other_side_is_a_mismatch_before_any_ladder():
         assert not calls
 
 
+@pytest.mark.parametrize("make, claims", [(random_sinf, ("s", "s0", "sdot")), (random_tinf, ("t", "t0", "tdot"))])
+def test_diverging_plain_limit_is_a_mismatch(make, claims):
+    # E != 0: F grows like (z - alpha) E, so no claimed class's plain limit exists.
+    r = make(np.random.default_rng(3), q=2)
+    endpoint, _ = endpoint_side(r)
+    for claimed in claims:
+        with pytest.raises(sk.ClassMismatch, match="diverges") as exc:
+            sk.extract_params(sk.evaluator(r), endpoint, claimed)
+        assert isinstance(exc.value.__cause__, sk.NoConvergence)
+
+
 def test_mirror_radial_check_rejects_a_gap_limit_off_gamma():
     # -A along iy, but -A - I along the real gap right of beta = 0.
     A = psd(np.random.default_rng(32), 2)

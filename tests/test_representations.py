@@ -15,6 +15,7 @@ from genutil import (
     RANDOM_KINDS,
     off_ray_points,
     psd,
+    random_kind,
     random_pair,
     random_s0,
     random_sinf,
@@ -382,14 +383,6 @@ PINV_BATCH_RTOL = 1e-10
 ALL_KINDS = tuple(RANDOM_KINDS) + ("kk_pair", "nevanlinna")
 
 
-def _instance(kind, rng, q, n):
-    """A random representation of any of the eight kinds."""
-    if kind in RANDOM_KINDS:
-        return RANDOM_KINDS[kind](rng, q=q, n_atoms=n)
-    kk = sk.convert(random_pair(rng, q=q, n_atoms=n), "kk_pair")
-    return kk if kind == "kk_pair" else sk.convert(kk, "nevanlinna")
-
-
 def _reference(r, z):
     """F(z) summed atom by atom from the kind table."""
     spec = KINDS[r.KIND]
@@ -423,7 +416,7 @@ def _assert_close(A, B, rtol):
 @settings(max_examples=40, deadline=None)
 def test_batch_agrees_with_scalar_evaluation(seed, kind, q, n):
     rng = np.random.default_rng(seed)
-    r = _instance(kind, rng, q, n)
+    r = random_kind(kind, rng, q=q, n_atoms=n)
     F = sk.evaluator(r)
     pts = _batch_points(rng, r, 12)
     near = [z for z in pts if F.distance(z) < 1e-9 * (1.0 + abs(z))]
@@ -458,7 +451,7 @@ def test_batch_agrees_with_scalar_evaluation(seed, kind, q, n):
 def test_record_equality_is_exact(kind):
     """Records compare field by field: endpoints, matrices bit for bit, measures."""
     rng = np.random.default_rng(11)
-    r = _instance(kind, rng, 2, 3)
+    r = random_kind(kind, rng, q=2, n_atoms=3)
     same = sk.repr_from_json(json.loads(json.dumps(sk.repr_to_json(r))))
     assert r == same and not r != same
     for name, role in KINDS[kind].fields:
@@ -470,15 +463,15 @@ def test_record_equality_is_exact(kind):
         else:
             changed = value + 1e-12 * np.eye(r.q)
         assert dataclasses.replace(r, **{name: changed}) != r
-    assert _instance(kind, rng, 2, 3) != r
+    assert random_kind(kind, rng, q=2, n_atoms=3) != r
     other = next(k for k in ALL_KINDS if k != kind)
-    assert _instance(other, np.random.default_rng(11), 2, 3) != r
+    assert random_kind(other, np.random.default_rng(11), q=2, n_atoms=3) != r
     assert r != "not a record"
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_record_copies_are_rebuilt_read_only(kind):
-    r = _instance(kind, np.random.default_rng(12), 2, 3)
+    r = random_kind(kind, np.random.default_rng(12), q=2, n_atoms=3)
     for dup in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert type(dup) is type(r) and dup == r
         for name, role in KINDS[kind].fields:
