@@ -31,8 +31,8 @@ from .errors import (
     UnsupportedKind,
 )
 from .limits import limit_at_infinity
-from .matmeasure import CR_STEP, DECAY_TOL, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANGE_RTOL, RANK_ZERO, RTOL_RANK
-from .matmeasure import TOL_CERT, TOL_CR, is_psd, norm2, svd_rank, total_mass
+from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANGE_RTOL, RANK_ZERO
+from .matmeasure import RTOL_RANK, TOL_CERT, TOL_CR, is_psd, norm2, svd_rank, total_mass
 from .representations import (
     KINDS,
     Evaluator,
@@ -91,8 +91,6 @@ class ClassSpec:
     """
 
     side: str  # "right" or "left": where the excluded ray lies from the endpoint
-    plain: str  # ladder mode of gamma = lim F(iy) (S) resp. -lim G(iy) (T)
-    mass: str  # ladder mode of the total mass, -i lim y F(iy) resp. -i lim y G(iy)
     phi: float  # radial direction from the endpoint along the real gap
     gap: int = 0  # +1 / -1: F resp. -F PSD on the real gap; 0: no gap condition
     half_plane: bool = False  # F (S) resp. -F (T) PSD where Re z lies on the gap's side
@@ -107,10 +105,10 @@ class ClassSpec:
 
 def _mirror(spec: ClassSpec) -> ClassSpec:
     """The T class of an S class."""
-    return replace(spec, side="left", plain="neg_plain", mass="neg_y_scaled", phi=0.0, gap=-spec.gap)
+    return replace(spec, side="left", phi=0.0, gap=-spec.gap)
 
 
-_S = partial(ClassSpec, "right", "plain_iy", "y_scaled", math.pi)
+_S = partial(ClassSpec, "right", math.pi)
 _S_CLASSES = {
     "s": _S(gap=1, half_plane=True, params=True),
     "s_via_pair": _S(mulz=True),
@@ -160,12 +158,15 @@ class Certificate:
 
 
 def _values(F: Evaluator, zs: np.ndarray) -> np.ndarray:
-    """F at each point (unguarded); a raise or a non-finite value fails at the first such point."""
+    """F at each point (unguarded); a raise (found again point by point) or a non-finite value fails at the first."""
     try:
         V = F.batch_raw(zs)
-    except Exception as exc:  # noqa: BLE001 - found again point by point for the witness
-        for z in zs.tolist():
-            _value(F, z)
+    except Exception as exc:  # noqa: BLE001 - wrapped with the witness point
+        if zs.size == 1:
+            z = complex(zs[0])
+            raise EvaluationFailed(f"evaluator raised at z = {z}: {exc}", witness=z) from exc
+        for i in range(zs.size):
+            _values(F, zs[i : i + 1])
         raise EvaluationFailed(f"batch evaluation raised, no single point does: {exc}") from exc
     return _finite(zs, V)
 
@@ -174,16 +175,6 @@ def _finite(zs: np.ndarray, V: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(V).all(axis=(1, 2))
     if bad.any():
         z = complex(zs[np.argmax(bad)])
-        raise EvaluationFailed(f"evaluator returned a non-finite value at z = {z}", witness=z)
-    return V
-
-
-def _value(F: Evaluator, z: complex) -> np.ndarray:
-    try:
-        V = F.batch_raw([z])[0]
-    except Exception as exc:  # noqa: BLE001 - wrapped with the witness point
-        raise EvaluationFailed(f"evaluator raised at z = {z}: {exc}", witness=z) from exc
-    if not np.isfinite(V).all():
         raise EvaluationFailed(f"evaluator returned a non-finite value at z = {z}", witness=z)
     return V
 
@@ -257,14 +248,14 @@ def _holomorphy(F: Evaluator, zs: np.ndarray, dist: np.ndarray, endpoint: float,
 
 def _growth_ratio(F: Evaluator, base: float) -> tuple[float, complex]:
     """Ratio of y*||F(iy)|| between 2*base and base; ~1 for bounded decay."""
-    s1 = base * float(np.linalg.norm(_value(F, 1j * base)))
-    s2 = 2.0 * base * float(np.linalg.norm(_value(F, 2j * base)))
+    s1 = base * float(np.linalg.norm(_values(F, np.array([1j * base]))))
+    s2 = 2.0 * base * float(np.linalg.norm(_values(F, np.array([2j * base]))))
     if s1 <= 1e-300:
         return 1.0, 2j * base
     return s2 / s1, 2j * base
 
 
-def _y_norm_bounded(F: Evaluator, spec: ClassSpec) -> tuple[float, complex]:
+def _y_norm_bounded(F: Evaluator) -> tuple[float, complex]:
     """(margin, witness) of the bounded-growth condition of the bounded classes.
 
     The growth ratio is probed at y = max(2^20, 2^depth), depth being
@@ -273,17 +264,17 @@ def _y_norm_bounded(F: Evaluator, spec: ClassSpec) -> tuple[float, complex]:
     """
     base = 2.0**20
     try:
-        depth = limit_at_infinity(F, spec.mass).ladder_depth
+        depth = limit_at_infinity(F, "y_scaled").ladder_depth
     except NoConvergence:
         return -1.0, 2j * base
     ratio, witness = _growth_ratio(F, max(base, 2.0**depth))
     return 0.5 - (ratio - 1.0), witness
 
 
-def _decay_at_infinity(F: Evaluator, spec: ClassSpec) -> tuple[float, complex]:
+def _decay_at_infinity(F: Evaluator) -> tuple[float, complex]:
     """(margin, witness) of the vanishing plain limit of the decaying classes."""
     try:
-        margin = DECAY_TOL - float(np.linalg.norm(limit_at_infinity(F, spec.plain).value))
+        margin = DECAY_TOL - float(np.linalg.norm(limit_at_infinity(F, "plain_iy").value))
     except NoConvergence:
         margin = -1.0
     return margin, 1j * 2.0**20
@@ -352,7 +343,7 @@ def certify_class(
 
         add("herglotz_upper_mulz", is_upper, mulz)
     if spec.infinity is not None:
-        margin, witness = _AT_INFINITY[spec.infinity][0](F, spec)
+        margin, witness = _AT_INFINITY[spec.infinity][0](F)
         conditions.append({"name": spec.infinity, "margin": margin, "witness": witness})
 
     verdict = all(c["margin"] >= -tol_cert for c in conditions)
@@ -374,15 +365,14 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
     other = "left" if spec.sign > 0 else "right"
     if F.excluded is not None and F.excluded.kind.endswith(other + "_ray"):
         raise ClassMismatch(f"class {claimed} lives off a {spec.side} ray; F is singular on a {other} ray")
+    gamma = lambda est: est if spec.sign > 0 else replace(est, value=-est.value)  # noqa: E731 - G tends to -gamma
     try:
-        plain = limit_at_infinity(F, spec.plain)
+        plain = gamma(limit_at_infinity(F, "plain_iy"))
     except NoConvergence as exc:  # F grows at infinity, as no class with parameters does
         raise ClassMismatch(f"the plain limit of class {claimed} diverges: {exc}") from exc
     record: dict = {"claimed": claimed, "alpha": alpha, "gamma": plain}
     if spec.infinity != "y_norm_bounded":
-        radial = limit_at_infinity(F, "radial", alpha=alpha, phi=spec.phi)
-        if spec.sign < 0:  # G(beta + r) tends to -gamma
-            radial = replace(radial, value=-radial.value)
+        radial = gamma(limit_at_infinity(F, "radial", alpha=alpha, phi=spec.phi))
         record["gamma_radial"] = radial
         gap = float(np.linalg.norm(plain.value - radial.value))
         budget = 2.0 * (plain.error_bound + radial.error_bound) + PARAMS_TOL
@@ -391,7 +381,7 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
     if spec.infinity is not None and float(np.linalg.norm(plain.value)) > PARAMS_TOL:
         raise ClassMismatch(_AT_INFINITY[spec.infinity][1])
     if spec.infinity == "y_norm_bounded":
-        record["mass"] = limit_at_infinity(F, spec.mass)
+        record["mass"] = limit_at_infinity(F, "y_scaled")
     return record
 
 
@@ -432,12 +422,8 @@ def range_projector(M: np.ndarray) -> np.ndarray:
 
 def _svd_projectors(M: np.ndarray):
     """(range projectors, null projectors, ranks) of a stack of general complex matrices."""
-    U, _, Vh, r = svd_rank(M, RTOL_RANK, RANK_ZERO)
-    keep = np.arange(M.shape[-1]) < r[:, None]  # the first r singular vectors
-    Ur = U * keep[:, None, :]
-    Vr = Vh.conj().swapaxes(-1, -2) * keep[:, None, :]
-    eye = np.eye(M.shape[-1], dtype=complex)
-    return Ur @ Ur.conj().swapaxes(-1, -2), eye - Vr @ Vr.conj().swapaxes(-1, -2), r
+    U, _, V, r = svd_rank(M, RTOL_RANK, RANK_ZERO)
+    return U @ U.conj().swapaxes(-1, -2), np.eye(M.shape[-1]) - V @ V.conj().swapaxes(-1, -2), r
 
 
 def _structural_sum(repr_: Representation) -> np.ndarray:
@@ -483,7 +469,7 @@ def rank_constancy(F: Evaluator, samples) -> tuple[int, bool]:
     zs = np.array(list(samples), dtype=complex)
     if zs.size < 2:
         raise ValueError("need at least two sample points")
-    ranks = set(_svd_projectors(_values(F, zs))[2].tolist())
+    ranks = set(svd_rank(_values(F, zs), RTOL_RANK, RANK_ZERO)[3].tolist())
     if len(ranks) != 1:
         raise RankInstability(f"ranks {sorted(ranks)} disagree across samples")
     return ranks.pop(), True
@@ -523,10 +509,9 @@ def null_domination(repr_, A) -> dict:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] != repr_.q:
         raise ValueError(f"A must have q = {repr_.q} columns")
-    q = repr_.q
-    Aplus = np.linalg.pinv(A)
-    P = Aplus @ A  # orthogonal projector onto R(A*) = N(A)^perp
-    Pn = np.eye(q, dtype=complex) - P
+    Vr = svd_rank(A, NULL_RTOL_FACTOR * max(A.shape))[2]
+    P = Vr @ Vr.conj().T  # orthogonal projector onto R(A*) = N(A)^perp
+    Pn = np.eye(repr_.q, dtype=complex) - P
     S = _structural_sum(repr_)
     V = evaluator(repr_).batch_raw(sample_points(repr_.alpha, "right"))
     s = 1.0 + norm2(V)

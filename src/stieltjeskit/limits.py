@@ -17,12 +17,10 @@ from the rung where the one-at-a-time ladder meets it.
 
 Supported modes:
 
-* ``plain_iy``:      lim F(iy)            (the constant gamma of a pair)
-* ``y_scaled``:      -i lim y F(iy)       (total mass of a resolvent measure)
+* ``plain_iy``:      lim F(iy)            (gamma of a pair, -gamma of a left-ray pair)
+* ``y_scaled``:      -i lim y F(iy)       (total mass of a resolvent measure, on either ray)
 * ``radial``:        lim F(alpha + r e^{i phi}) along the real gap: phi in
   (pi/2, 3pi/2) off a right ray, in (-pi/2, pi/2) off a left ray
-* ``neg_plain``:     -lim G(iy)           (gamma of a left-ray pair)
-* ``neg_y_scaled``:  -i lim y G(iy)       (total mass, left-ray version)
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ K_MAX = 48
 # most, lose: 1.13 -> 1.44 ms, on certificates of about 25 ms.
 LADDER_BLOCK = 16
 
-MODES = ("plain_iy", "y_scaled", "radial", "neg_plain", "neg_y_scaled")
+MODES = ("plain_iy", "y_scaled", "radial")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +81,7 @@ def _samples(F: Evaluator, mode: str, ys: list, alpha: float, phi: float) -> np.
     V = F.batch([1j * y for y in ys])
     if mode == "plain_iy":
         return V
-    if mode == "neg_plain":
-        return -V
-    return np.array([-1j * y for y in ys])[:, None, None] * V  # y_scaled, neg_y_scaled
+    return np.array([-1j * y for y in ys])[:, None, None] * V  # y_scaled
 
 
 def _tableau(last: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -51,6 +51,7 @@ RANK_ZERO = 1e-12  # sigma_1 at or below this: F(z) counts as the zero matrix
 PROJ_TOL = 1e-9  # projector deviation allowed between samples and parameters
 RANGE_RTOL = 1e-10  # rank cut of a PSD parameter sum, relative to lambda_max
 NULL_TOL = 1e-8  # deviation allowed in each null_domination condition, relative to ||F||
+NULL_RTOL_FACTOR = np.finfo(float).eps  # null_domination cuts its k x q A at this max(k, q) sigma_1: A's rounding
 EPS_LIM = 1e-10  # the ladder stops once the diagonal moves less than this, relative
 PARAMS_TOL = 1e-6  # slack of the limits extract_params compares, on top of their error bounds
 PINV_RTOL_FACTOR = 1e-12  # pinv cuts at PINV_RTOL_FACTOR q sigma_1, so Penrose holds to rounding
@@ -129,15 +130,18 @@ def as_psd(M) -> np.ndarray:
 
 
 def svd_rank(M, rtol: float, zero: float = 0.0):
-    """SVD (U, s, Vh) of M, or of each matrix of a stack, with the numerical rank r.
+    """Rank-cut SVD (U_r, s, V_r, r) of M, or of each matrix of a stack: every rank is decided here.
 
-    r counts the singular values above rtol * sigma_1; it is 0 when
-    sigma_1 <= zero.  For a stack of shape (m, p, q), r has shape (m,).
+    r counts the singular values above rtol * sigma_1 (0 when sigma_1 <= zero).  U_r and V_r hold the
+    singular vectors of the min(p, q) singular values s with the columns past r zeroed, so U_r U_r* and
+    V_r V_r* project onto the ranges of M and M*.  For a stack of shape (m, p, q), r has shape (m,).
     """
     U, s, Vh = np.linalg.svd(M)
     s1 = s[..., :1]
     r = np.where(s1[..., 0] <= zero, 0, np.sum(s > rtol * s1, axis=-1))
-    return U, s, Vh, r
+    k = s.shape[-1]
+    keep = np.arange(k) < r[..., None, None]  # the first r columns
+    return U[..., :k] * keep, s, Vh[..., :k, :].conj().swapaxes(-1, -2) * keep, r
 
 
 def is_psd(M) -> bool:

@@ -373,11 +373,7 @@ class Evaluator:
 
     def batch(self, zs) -> np.ndarray:
         """Guarded values at each point; PoleProximity names the first point too near."""
-        zs = _points(zs)
-        near = self.distance(zs) < EPS_NEAR * (1.0 + np.hypot(zs.real, zs.imag))  # abs(z) bit for bit
-        if near.any():
-            raise PoleProximity(f"z = {complex(zs[np.argmax(near)])} is within tolerance of the excluded set")
-        return self.batch_raw(zs)
+        return self.batch_raw(_guarded(self.distance, zs))
 
     def batch_raw(self, zs) -> np.ndarray:
         zs = _points(zs)
@@ -391,6 +387,15 @@ class Evaluator:
 
 def _points(zs) -> np.ndarray:
     return np.asarray(zs, dtype=complex).reshape(-1)
+
+
+def _guarded(distance: Callable, zs) -> np.ndarray:
+    """The points; PoleProximity names the first within EPS_NEAR (1 + |z|) of the excluded set."""
+    zs = _points(zs)
+    near = distance(zs) < EPS_NEAR * (1.0 + np.hypot(zs.real, zs.imag))  # abs(z) bit for bit
+    if near.any():
+        raise PoleProximity(f"z = {complex(zs[np.argmax(near)])} is within tolerance of the excluded set")
+    return zs
 
 
 # Entries per block of the atomic kernel's (points, atoms) coefficient
@@ -431,14 +436,10 @@ def excluded_set(repr_: Representation) -> SupportSet | None:
     if spec.endpoint is not None:
         endpoint = getattr(repr_, spec.endpoint)
         return right_ray(endpoint) if spec.side == "right" else left_ray(endpoint)
-    # Nevanlinna: holomorphic off the support of nu; when the measure lives
-    # on a right ray we exclude that ray (conservative), otherwise the line.
-    nu = measure_of(repr_)
-    if nu.is_zero():
-        return None
-    if nu.support.kind == "line":
-        return right_ray(float(nu.nodes.min()))
-    return nu.support
+    # Nevanlinna: holomorphic off the nodes of nu; the ray from the lowest one
+    # is the excluded set endpoint_side reports.
+    nodes = measure_of(repr_).nodes
+    return right_ray(float(nodes.min())) if nodes.size else None
 
 
 def evaluator(repr_: Representation) -> Evaluator:
@@ -465,9 +466,7 @@ def im_re_parts(repr_: StieltjesPair, z: complex) -> tuple[np.ndarray, np.ndarra
     Re F(z) = gamma + sum (1+t-a)(t - Re z)/|t-z|^2 W
     Im F(z) = (Im z) * sum (1+t-a)/|t-z|^2 W
     """
-    z = complex(z)
-    if excluded_set(repr_).distance(z) < EPS_NEAR * (1.0 + abs(z)):
-        raise PoleProximity(f"z = {z} is within tolerance of the support ray")
+    z = complex(_guarded(excluded_set(repr_).distance, z)[0])
     t, W = repr_.mu.nodes, repr_.mu.weights
     k = (1.0 + t - repr_.alpha) / np.abs(t - z) ** 2
     re = repr_.gamma + atom_sum((k * (t - z.real))[:, None, None] * W)
@@ -479,7 +478,7 @@ def im_mulz_closed(repr_: StieltjesPair, z: complex) -> np.ndarray:
 
     Im F_mul(z) = (Im z) * [gamma + sum (1+t-a)(t-a)/|t-z|^2 W]
     """
-    z = complex(z)
+    z = complex(_guarded(excluded_set(repr_).distance, z)[0])
     t, W = repr_.mu.nodes, repr_.mu.weights
     k = (1.0 + t - repr_.alpha) * (t - repr_.alpha) / np.abs(t - z) ** 2
     return z.imag * (repr_.gamma + atom_sum(k[:, None, None] * W))

@@ -41,11 +41,9 @@ def _pinv_stack(M: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.
     Singular values at or below rtol * sigma_1 are treated as zero; a zero
     matrix has rank 0 and pseudoinverse 0.
     """
-    U, s, Vh, r = svd_rank(M, rtol)
-    keep = np.arange(s.shape[-1]) < r[:, None]
-    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    P = (Vh.conj().swapaxes(-1, -2) * s_inv[:, None, :]) @ U.conj().swapaxes(-1, -2)
-    return P, r, s
+    U, s, V, r = svd_rank(M, rtol)
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=np.arange(s.shape[-1]) < r[:, None])
+    return (V * s_inv[:, None, :]) @ U.conj().swapaxes(-1, -2), r, s
 
 
 def pinv(M) -> PinvResult:
@@ -63,13 +61,8 @@ def pinv(M) -> PinvResult:
 
 def is_ep(M) -> bool:
     """EP test: range of M equals range of M* (as orthogonal projectors)."""
-    U, _, Vh, r = svd_rank(np.asarray(M, dtype=complex), EP_RTOL, EP_ZERO)
-    r = int(r)
-    if r == 0:
-        return True
-    Pu = U[:, :r] @ U[:, :r].conj().T
-    Pv = Vh[:r, :].conj().T @ Vh[:r, :]
-    return float(np.linalg.norm(Pu - Pv, 2)) <= EP_TOL
+    U, _, V, _ = svd_rank(np.asarray(M, dtype=complex), EP_RTOL, EP_ZERO)
+    return float(np.linalg.norm(U @ U.conj().T - V @ V.conj().T, 2)) <= EP_TOL
 
 
 def ep_im_identity_defect(M) -> float:

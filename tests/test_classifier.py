@@ -83,6 +83,13 @@ def test_decaying_class_certified_for_zero_gamma():
     assert sk.certify_class(sk.evaluator(t0), t0.beta, "tdot", SMALL_GRID).verdict
 
 
+def test_diverging_plain_limit_fails_the_decaying_class():
+    # E != 0: F grows like (z - alpha) E, so the plain ladder does not converge.
+    r = random_sinf(np.random.default_rng(3), q=2)
+    cert = sk.certify_class(sk.evaluator(r), r.alpha, "sdot", SMALL_GRID)
+    assert not cert.verdict and cert.margin("decay_at_infinity") == -1.0
+
+
 def test_nonzero_gamma_fails_bounded_and_decaying_classes():
     rng = np.random.default_rng(4)
     p = random_pair(rng, q=2)
@@ -264,6 +271,30 @@ def test_raised_exception_fails_at_the_same_point_on_both_paths():
     first = next(z for z in upper_points(0.0, "left", PARITY_GRID) if z.real > 0.5)
     with pytest.raises(sk.EvaluationFailed) as exc:
         sk.certify_class(F, 0.0, "t", PARITY_GRID)
+    assert exc.value.witness == first
+
+
+def test_batch_that_raises_where_no_single_point_does():
+    def batch(zs):
+        if zs.size > 1:
+            raise MemoryError("batch too large")
+        return np.ones((1, 1, 1), dtype=complex)
+
+    with pytest.raises(sk.EvaluationFailed, match="no single point does") as exc:
+        sk.certify_class(sk.Evaluator.of_batch(1, None, batch), 0.0, "s", PARITY_GRID)
+    assert exc.value.witness is None and isinstance(exc.value.__cause__, MemoryError)
+
+
+def test_raising_batch_fails_at_the_first_single_point_that_is_not_finite():
+    first = upper_points(0.0, "right", PARITY_GRID)[2]
+
+    def batch(zs):
+        if zs.size > 1:
+            raise ValueError("batch refused")
+        return np.full((1, 1, 1), np.nan if zs[0] == first else 1.0, dtype=complex)
+
+    with pytest.raises(sk.EvaluationFailed, match="non-finite") as exc:
+        sk.certify_class(sk.Evaluator.of_batch(1, None, batch), 0.0, "s", PARITY_GRID)
     assert exc.value.witness == first
 
 

@@ -128,6 +128,36 @@ def test_certify_alpha_past_the_nodes_exit_two(tmp_path, capsys):
     assert holomorphic["witness_z"] == [float(p.mu.nodes[0]), 0.0]
 
 
+def test_certify_beta_past_the_nodes_exit_two(tmp_path, capsys):
+    # A t-pair member claimed off (-inf, beta - 1e4]: its nodes lie in the gap.
+    t = random_tpair(np.random.default_rng(5), q=2)
+    path = write_repr(tmp_path, t)
+    assert run(["certify", "--beta", repr(t.beta), "--input", path]) == 0
+    capsys.readouterr()
+    assert run(["certify", "--beta", repr(t.beta - 1e4), "--input", path]) == 2
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    holomorphic = next(c for c in cert["conditions"] if c["name"] == "holomorphic")
+    assert holomorphic["margin"] < -0.99 and holomorphic["witness_z"] == [float(t.mu.nodes[-1]), 0.0]
+
+
+def test_moments_of_a_bare_measure_file(tmp_path, capsys):
+    s = random_s0(np.random.default_rng(6), q=2)
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps(s.sigma.to_json()))
+    assert run(["moments", "--m", "2", "--input", str(measure)]) == 0
+    bare = json.loads(capsys.readouterr().out)
+    assert run(["moments", "--m", "2", "--input", write_repr(tmp_path, s)]) == 0
+    assert bare == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["certify", "eval", "report"])
+def test_nevanlinna_on_a_left_ray_is_evaluated_on_its_gap(tmp_path, capsys, command):
+    nu = sk.MatrixMeasure(1, sk.left_ray(0.0), [(-1.0, [[1.0]]), (-3.0, [[1.0]])])
+    path = write_repr(tmp_path, sk.NevanlinnaTriple(np.eye(1), np.zeros((1, 1)), nu))
+    assert run([command, "--input", path]) == 0  # the gap point -4.427 lies on nu's ray, off F's excluded set
+    capsys.readouterr()
+
+
 def test_params_raw_mode(tmp_path, capsys):
     p = one_atom_pair(np.random.default_rng(5))
     path = write_repr(tmp_path, p)
@@ -427,3 +457,52 @@ def test_certificates_are_byte_stable(tmp_path, capsys, name, make, kind):
     path = write_repr(tmp_path, make(np.random.default_rng(2025), q=1, n_atoms=1))
     assert run(["certify", "--kind", kind, "--input", path]) == (0 if kind in MEMBER_CLASSES[name] else 2)
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CERTIFY_DIGESTS[name, kind]
+
+# params (the default class, every --kind and three --mode values) and the two
+# pinv transforms on the inputs above: the exit code and the digest of stdout
+# and stderr together.
+PARAMS_DIGESTS = {
+    ("pair", ""): (0, "82074467119c64f164dc198ddef79a4520fe4234e01292d4ac6db7373400264e"),
+    ("pair", "--kind s"): (0, "82074467119c64f164dc198ddef79a4520fe4234e01292d4ac6db7373400264e"),
+    ("pair", "--kind s_via_pair"): (1, "6473a6a3b856186e63fbdee5cf228a24007c4d906682354f7eb88972b46b933b"),
+    ("pair", "--kind s0"): (2, "55114fcdc22fee0c8cad86d7035b8f06cabc3f60a37fb1e64d5b01901d680d9f"),
+    ("pair", "--kind sdot"): (2, "a875e248aee7fa9f9835b03de2816f702038dba55b225d4cda5f0b7823724b99"),
+    ("pair", "--kind sinf"): (1, "82d77bc8eac7afeea60da3ba4e9c6e687fbd5aceda160a6f76fbb8a6f2329c48"),
+    ("pair", "--kind t"): (2, "3dedb9ac241278fd18eb14e810bedba2d41bb29cf2f9d6192d646b2f06ff9fe2"),
+    ("pair", "--kind t_via_pair"): (1, "f67634a0ff99cab4f374699117f66a52e892ae27c32d9a7454d789ef6b55c6fd"),
+    ("pair", "--kind t0"): (2, "db617f42071a09e63c1ca35eee01903d01a0b35793c1f24c53ece5d82dfdc5c4"),
+    ("pair", "--kind tdot"): (2, "8f64349721464c8bb1636dce92326f9acd6f8a44e6fb8cea645aab8a5085e140"),
+    ("pair", "--kind tinf"): (1, "468ef109cbe164ca27560a80cfa6b1a8d286f6f273aa012f4c84a2b3dc6dfe5a"),
+    ("pair", "--mode plain_iy"): (0, "ac92e28bd7d4c7d9d3265dc6c5ae842064841dc3d44660640c523dbcd3d8fa9c"),
+    ("pair", "--mode y_scaled"): (1, "62fa54c115063325b1232b3b812d1e4b16af64d3810a141bbe1a2c7fc33649cc"),
+    ("pair", "--mode radial"): (0, "03c2c4b83edba493c5541357696a382752d34bf0e67779e226cec08eb6756a9b"),
+    ("pair", "--op pinv_map"): (0, "d3e91888f586e0b245a6f4e70f14520157eea581c1a8750177c00de6552878ab"),
+    ("pair", "--op neg_pinv"): (0, "33237ca2f20f6f02c33313faa0d139f10613918fa7d7fb4ff023faed6ade95ea"),
+    ("t_pair", ""): (0, "6bca1292379ae74ee60ce821e7690ba5fecdd28bbcb351481e28d9d5691e749c"),
+    ("t_pair", "--kind s"): (2, "6dd87814dcafa9203bab1972ab1032c38b2cb7dea70f20693be48ece92bbea47"),
+    ("t_pair", "--kind s_via_pair"): (1, "6473a6a3b856186e63fbdee5cf228a24007c4d906682354f7eb88972b46b933b"),
+    ("t_pair", "--kind s0"): (2, "6ff578bea1ff1becf4ac7c9b0911d71bc4a643818200863dc76113d36cc4d29e"),
+    ("t_pair", "--kind sdot"): (2, "3a18bd48280564a9b1ad26253d01da74da9d241ab749554201fbab638265eec9"),
+    ("t_pair", "--kind sinf"): (1, "82d77bc8eac7afeea60da3ba4e9c6e687fbd5aceda160a6f76fbb8a6f2329c48"),
+    ("t_pair", "--kind t"): (0, "6bca1292379ae74ee60ce821e7690ba5fecdd28bbcb351481e28d9d5691e749c"),
+    ("t_pair", "--kind t_via_pair"): (1, "f67634a0ff99cab4f374699117f66a52e892ae27c32d9a7454d789ef6b55c6fd"),
+    ("t_pair", "--kind t0"): (2, "ce23b528f96b99960c9aa22db7f81863e04ec57af39a9da89ec10a3666dcf1e3"),
+    ("t_pair", "--kind tdot"): (2, "9eafd270a5f2d434ca73ea33db366294ccb3f268bb242e1e5ca522c22a71b347"),
+    ("t_pair", "--kind tinf"): (1, "468ef109cbe164ca27560a80cfa6b1a8d286f6f273aa012f4c84a2b3dc6dfe5a"),
+    ("t_pair", "--mode plain_iy"): (0, "3d30a6b1d394c40a31781147085ae749b4d87e31572cdfe23f9111b6cb54bac0"),
+    ("t_pair", "--mode y_scaled"): (1, "62fa54c115063325b1232b3b812d1e4b16af64d3810a141bbe1a2c7fc33649cc"),
+    ("t_pair", "--mode radial"): (0, "dfa00784feead145bb38c74816febba965157cfb647c38ba2bea11013770d4e7"),
+    ("t_pair", "--op pinv_map"): (0, "9916eae7fb0be3dfe2d1434bf41a48a72d0376edec352a19b30b523d86a87b6b"),
+    ("t_pair", "--op neg_pinv"): (0, "0f5f33b91b1145fd335252f75fae7619b68fa6f1cb6406b2277286ab86b17c8c"),
+}
+
+
+@pytest.mark.parametrize("name, make", [("pair", random_pair), ("t_pair", random_tpair)])
+@pytest.mark.parametrize("flags", list(dict.fromkeys(flags for _, flags in PARAMS_DIGESTS)))
+def test_params_and_pinv_transforms_are_byte_stable(tmp_path, capsys, name, make, flags):
+    path = write_repr(tmp_path, make(np.random.default_rng(2025), q=1, n_atoms=1))
+    code, digest = PARAMS_DIGESTS[name, flags]
+    command = "transform" if flags.startswith("--op") else "params"
+    assert run([command, *flags.split(), "--input", path]) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256((captured.out + captured.err).encode()).hexdigest() == digest

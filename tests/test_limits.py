@@ -75,13 +75,13 @@ def test_no_convergence_for_growing_function():
     assert exc.value.last_estimates is not None
 
 
-def test_neg_modes_on_left_ray_pair():
+def test_left_ray_gamma_is_the_negated_plain_limit_and_mass_the_scaled_one():
     rng = np.random.default_rng(6)
     t = random_tpair(rng, q=2)
-    est = sk.limit_at_infinity(sk.evaluator(t), "neg_plain")
-    np.testing.assert_allclose(est.value, t.gamma, atol=1e-7)
+    est = sk.limit_at_infinity(sk.evaluator(t), "plain_iy")
+    np.testing.assert_allclose(-est.value, t.gamma, atol=1e-7)
     t0 = random_t0(rng, q=2)
-    est = sk.limit_at_infinity(sk.evaluator(t0), "neg_y_scaled")
+    est = sk.limit_at_infinity(sk.evaluator(t0), "y_scaled")
     np.testing.assert_allclose(est.value, sk.total_mass(t0.sigma), atol=1e-7)
 
 
@@ -166,7 +166,7 @@ def test_mirror_radial_check_rejects_a_gap_limit_off_gamma():
     # -A along iy, but -A - I along the real gap right of beta = 0.
     A = psd(np.random.default_rng(32), 2)
     F = sk.Evaluator(2, sk.left_ray(0.0), lambda z: -A - (z.real / abs(z)) * I2)
-    np.testing.assert_allclose(sk.limit_at_infinity(F, "neg_plain").value, A, atol=1e-12)
+    np.testing.assert_allclose(-sk.limit_at_infinity(F, "plain_iy").value, A, atol=1e-12)
     with pytest.raises(sk.ClassMismatch, match="radial"):
         sk.extract_params(F, 0.0, "t")
 
@@ -221,8 +221,6 @@ def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=s
             sample = F(alpha + y * complex(math.cos(phi), math.sin(phi)))
         elif mode == "plain_iy":
             sample = F(1j * y)
-        elif mode == "neg_plain":
-            sample = -F(1j * y)
         else:
             sample = -1j * y * F(1j * y)
         row = [sample]
@@ -333,13 +331,13 @@ def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, y0, k_max, fa
         (lambda rng: sk.evaluator(random_pair(rng)), "plain_iy"),
         (lambda rng: sk.evaluator(random_s0(rng)), "y_scaled"),
         (lambda rng: sk.evaluator(random_sinf(rng, alpha=0.0)), "radial"),
-        (lambda rng: sk.evaluator(random_tpair(rng)), "neg_plain"),
-        (lambda rng: sk.evaluator(random_t0(rng)), "neg_y_scaled"),
-        (lambda rng: sk.evaluator(random_tinf(rng)), "neg_plain"),
+        (lambda rng: sk.evaluator(random_tpair(rng)), "plain_iy"),
+        (lambda rng: sk.evaluator(random_t0(rng)), "y_scaled"),
+        (lambda rng: sk.evaluator(random_tinf(rng)), "plain_iy"),
         (lambda rng: sk.pinv_map(random_s0(rng, q=2)), "plain_iy"),
         (lambda rng: sk.pinv_map(random_s0(rng, q=2)), "y_scaled"),  # grows: no convergence
         (lambda rng: sk.pinv_map(random_pair(rng, q=2)), "plain_iy"),
-        (lambda rng: sk.neg_pinv_map(random_tinf(rng, q=2)), "neg_plain"),
+        (lambda rng: sk.neg_pinv_map(random_tinf(rng, q=2)), "plain_iy"),
     ],
 )
 def test_blocked_ladder_agrees_with_reference_on_batched_evaluators(make, mode):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
-from stieltjeskit.matmeasure import EPS_MERGE, EPS_PSD, matrix_from_json, matrix_to_json
+from stieltjeskit.matmeasure import EPS_MERGE, EPS_PSD, matrix_from_json, matrix_to_json, svd_rank
 
 from genutil import measure_left, measure_right, psd
 
@@ -225,6 +225,21 @@ def test_support_distance():
 
 
 # --- total_mass ---
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2), (5, 3, 3), (5, 2, 4), (5, 4, 2)])
+def test_svd_rank_cuts_the_singular_vectors_at_the_rank(shape):
+    rng = np.random.default_rng(40)
+    *m, p, q = shape
+    cn = lambda *dims: rng.normal(size=dims) + 1j * rng.normal(size=dims)  # noqa: E731
+    M = cn(*m, p, 1) @ cn(*m, 1, q)  # rank 1
+    U, s, V, r = svd_rank(M, 1e-10)
+    k = min(p, q)
+    assert U.shape == (*m, p, k) and V.shape == (*m, q, k) and s.shape == (*m, k)
+    assert np.all(r == 1) and not U[..., 1:].any() and not V[..., 1:].any()
+    np.testing.assert_allclose((U * s[..., None, :]) @ V.conj().swapaxes(-1, -2), M, atol=1e-12)
+    U, _, V, r = svd_rank(1e-13 * M, 1e-10, zero=1e-10)  # sigma_1 at or below zero: rank 0
+    assert np.all(r == 0) and not U.any() and not V.any()
 
 
 def test_total_mass_empty_is_zero():

@@ -142,6 +142,13 @@ def test_im_mulz_closed_form_unit_example():
     np.testing.assert_allclose(sk.im_mulz_closed(p, 1j), W, rtol=1e-14)
 
 
+def test_closed_forms_refuse_an_atom():
+    p = sk.StieltjesPair(0.0, np.eye(1), delta(1, 0.0, 1.0, np.eye(1)))
+    for closed_form in (sk.im_re_parts, sk.im_mulz_closed):
+        with pytest.raises(sk.PoleProximity, match="excluded set"):
+            closed_form(p, 1.0)
+
+
 def test_im_re_parts_real_point_has_zero_imaginary():
     rng = np.random.default_rng(4)
     p = random_pair(rng, alpha=0.0)
@@ -291,6 +298,45 @@ def test_conversion_errors():
     s0 = random_s0(rng)
     with pytest.raises(sk.UnsupportedPath):
         sk.convert(s0, "kk_pair")
+
+
+def test_nevanlinna_to_kk_endpoint_defaults_to_the_lowest_node():
+    nu = sk.MatrixMeasure(2, sk.whole_line(), [(1.0, I2), (3.0, 2.0 * I2)])
+    nev = sk.NevanlinnaTriple(8.0 * I2, np.zeros((2, 2)), nu)
+    kk = sk.convert(nev, "kk_pair")
+    assert kk.alpha == 1.0 and kk.eta.support == sk.right_ray(1.0)
+    np.testing.assert_array_equal(kk.C, I2)  # A less the first moment 1 + 3 * 2 = 7
+    with pytest.raises(sk.IllegalConversion, match="below alpha"):
+        sk.convert(nev, "kk_pair", alpha=2.0)
+
+
+def test_convert_to_the_own_kind_returns_the_input():
+    p = random_pair(np.random.default_rng(10))
+    assert sk.convert(p, "stieltjes_pair") is p
+
+
+# nu on a ray of either side: F is holomorphic off the ray from the lowest
+# node, the endpoint and side endpoint_side reports.
+def unit_nevanlinna(ray, nodes):
+    return sk.NevanlinnaTriple(np.eye(1), np.zeros((1, 1)), sk.MatrixMeasure(1, ray, [(t, [[1.0]]) for t in nodes]))
+
+
+NEV_LEFT = unit_nevanlinna(sk.left_ray(0.0), (-1.0, -3.0))
+NEV_RIGHT = unit_nevanlinna(sk.right_ray(0.0), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("nev, lowest", [(NEV_LEFT, -3.0), (NEV_RIGHT, 1.0)], ids=["left_ray", "right_ray"])
+def test_nevanlinna_on_a_ray_excludes_the_ray_from_its_lowest_node(nev, lowest):
+    assert endpoint_side(nev) == (lowest, "right")
+    assert sk.evaluator(nev).excluded == sk.right_ray(lowest)
+    cert = sk.certify_class(sk.evaluator(nev), lowest, "s")
+    assert cert.margin("holomorphic") > 0.0
+    assert cert.verdict == (nev is NEV_LEFT)  # F(x) tends to A - sum t W as x -> -inf: -2 for NEV_RIGHT
+
+
+def test_nevanlinna_on_a_right_ray_is_evaluated_below_its_nodes():
+    # F(0.4) = 1 + (1 + 0.4)/(1 - 0.4) + (1 + 0.8)/(2 - 0.4): holomorphic left of the node at 1.
+    np.testing.assert_allclose(sk.evaluate(NEV_RIGHT, 0.4), [[1.0 + 1.4 / 0.6 + 1.8 / 1.6]], rtol=1e-14)
 
 
 def test_nevanlinna_back_conversion_requires_zero_linear_term():

@@ -72,6 +72,12 @@ def test_values_of_class_functions_are_ep():
 # --- pinv_map ---
 
 
+def test_is_ep_examples():
+    assert sk.is_ep(np.zeros((2, 2)))  # rank 0: both range projectors vanish
+    assert sk.is_ep(np.diag([2.0, 0.0]))
+    assert not sk.is_ep(np.array([[0.0, 1.0], [0.0, 0.0]]))  # range e1, range of M* e2
+
+
 def test_pinv_map_scalar_resolvent_gives_constant_one():
     mu = sk.MatrixMeasure(1, sk.right_ray(0.0), [(0.0, np.eye(1))])
     p = sk.StieltjesPair(0.0, np.zeros((1, 1)), mu)  # F(z) = 1/(-z)
