@@ -331,13 +331,15 @@ def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, y0, k_max, fa
         (lambda rng: sk.evaluator(random_pair(rng)), "plain_iy"),
         (lambda rng: sk.evaluator(random_s0(rng)), "y_scaled"),
         (lambda rng: sk.evaluator(random_sinf(rng, alpha=0.0)), "radial"),
-        (lambda rng: sk.evaluator(random_tpair(rng)), "plain_iy"),
-        (lambda rng: sk.evaluator(random_t0(rng)), "y_scaled"),
-        (lambda rng: sk.evaluator(random_tinf(rng)), "plain_iy"),
+        # Left-ray cases: the id names the reading, gamma as the negated plain_iy limit
+        # and the mass as the y_scaled limit.
+        pytest.param(lambda rng: sk.evaluator(random_tpair(rng)), "plain_iy", id="<lambda>-neg_plain0"),
+        pytest.param(lambda rng: sk.evaluator(random_t0(rng)), "y_scaled", id="<lambda>-neg_y_scaled"),
+        pytest.param(lambda rng: sk.evaluator(random_tinf(rng)), "plain_iy", id="<lambda>-neg_plain1"),
         (lambda rng: sk.pinv_map(random_s0(rng, q=2)), "plain_iy"),
         (lambda rng: sk.pinv_map(random_s0(rng, q=2)), "y_scaled"),  # grows: no convergence
         (lambda rng: sk.pinv_map(random_pair(rng, q=2)), "plain_iy"),
-        (lambda rng: sk.neg_pinv_map(random_tinf(rng, q=2)), "plain_iy"),
+        pytest.param(lambda rng: sk.neg_pinv_map(random_tinf(rng, q=2)), "plain_iy", id="<lambda>-neg_plain2"),
     ],
 )
 def test_blocked_ladder_agrees_with_reference_on_batched_evaluators(make, mode):
