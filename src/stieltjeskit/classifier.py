@@ -362,13 +362,14 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
     spec = _class_spec(claimed)
     if not spec.params:
         raise UnsupportedKind(f"no limit parameters for class {claimed}; use --mode")
-    other = "left" if spec.sign > 0 else "right"
-    if F.excluded is not None and F.excluded.kind.endswith(other + "_ray"):
-        raise ClassMismatch(f"class {claimed} lives off a {spec.side} ray; F is singular on a {other} ray")
+    if F.excluded is not None and F.excluded.side not in (None, spec.side):
+        raise ClassMismatch(f"class {claimed} lives off a {spec.side} ray; F is singular on a {F.excluded.side} ray")
     gamma = lambda est: est if spec.sign > 0 else replace(est, value=-est.value)  # noqa: E731 - G tends to -gamma
     try:
         plain = gamma(limit_at_infinity(F, "plain_iy"))
     except NoConvergence as exc:  # F grows at infinity, as no class with parameters does
+        if exc.last_estimates is None:  # no ladder ran: a node of F lies past its last rung
+            raise
         raise ClassMismatch(f"the plain limit of class {claimed} diverges: {exc}") from exc
     record: dict = {"claimed": claimed, "alpha": alpha, "gamma": plain}
     if spec.infinity != "y_norm_bounded":

@@ -69,10 +69,13 @@ def _limit_json(est: LimitEstimate) -> dict:
     }
 
 
-def _hankel_margin(s_list) -> float:
-    n = (len(s_list) - 1) // 2 + 1
-    H = np.block([[s_list[j + k] for k in range(n)] for j in range(n)])
-    return float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0])
+def _moments_json(mu: MatrixMeasure, m: int) -> dict:
+    """The power moments s_0 .. s_m and lambda_min of the Hankel block of s_0 .. s_{2n-2}, n = m // 2 + 1."""
+    s = measure_moments(mu, m)
+    n = m // 2 + 1
+    H = np.block([[s[j + k] for k in range(n)] for j in range(n)])
+    lam = float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0])
+    return {"moments": [matrix_to_json(M) for M in s], "hankel_min_eigenvalue": lam}
 
 
 def _cmd_eval(args) -> tuple[int, dict]:
@@ -160,29 +163,20 @@ def _cmd_moments(args) -> tuple[int, dict]:
         mu = measure_of(repr_from_json(obj))
     else:
         mu = MatrixMeasure.from_json(obj)
-    s_list = measure_moments(mu, args.m)
-    return 0, {
-        "command": "moments",
-        "m": args.m,
-        "moments": [matrix_to_json(s) for s in s_list],
-        "hankel_min_eigenvalue": _hankel_margin(s_list),
-    }
+    return 0, {"command": "moments", "m": args.m, **_moments_json(mu, args.m)}
 
 
 def _cmd_report(args) -> tuple[int, dict]:
     r = _load_repr(args.input)
     endpoint, side = endpoint_side(r)
     cert = _certificate(args, r, endpoint)
-    mu = measure_of(r)
-    s_list = measure_moments(mu, args.m)
     report = {
         "command": "report",
         "kind": r.KIND,
         "grid_seed": args.grid_seed,
         "certificate": cert.to_json(),
+        **_moments_json(measure_of(r), args.m),  # before the samples: an error in the moments is the one reported
         "samples": _dump_grid(evaluator(r), endpoint, side, args.grid_seed),
-        "moments": [matrix_to_json(s) for s in s_list],
-        "hankel_min_eigenvalue": _hankel_margin(s_list),
     }
     return (0 if cert.verdict else 2), report
 

@@ -119,17 +119,25 @@ def limit_at_infinity(
 
     Stops when successive diagonal extrapolants differ by less than
     EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at depth ``k_max``.
+    An atomic F (one with ``_nodes``) stops only at a rung y > max |t - c|,
+    c = alpha in radial mode, else 0: nearer in, tiny samples can agree
+    before the ladder passes an atom.  If no rung gets there, NoConvergence
+    names the farthest node before any evaluation, without last_estimates.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "radial":
         # The sector whose rays run along the real gap, away from the excluded ray.
-        left = F.excluded is not None and F.excluded.kind.endswith("left_ray")
+        left = F.excluded is not None and F.excluded.side == "left"
         lo, hi = (-math.pi / 2, math.pi / 2) if left else (math.pi / 2, 3 * math.pi / 2)
         if not lo < phi < hi:
             raise ValueError("phi must lie in (-pi/2, pi/2)" if left else "phi must lie in (pi/2, 3*pi/2)")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    dist = np.abs((np.empty(0) if F._nodes is None else F._nodes) - (alpha if mode == "radial" else 0.0))
+    reach = float(dist.max(initial=-math.inf))
+    if reach >= y0 * 2.0**k_max:
+        raise NoConvergence(f"node {float(F._nodes[dist.argmax()])} lies past the last rung y = {y0 * 2.0**k_max}")
 
     last = np.empty((0, F.q, F.q), dtype=complex)  # the row of the previous rung
     increments: list[float] = []
@@ -153,7 +161,7 @@ def limit_at_infinity(
             if prev_diag is not None:
                 inc = float(np.linalg.norm(diag - prev_diag))
                 increments.append(inc)
-                if inc < EPS_LIM * (1.0 + float(np.linalg.norm(diag))):
+                if inc < EPS_LIM * (1.0 + float(np.linalg.norm(diag))) and y0 * 2.0**k > reach:
                     return LimitEstimate(diag.copy(), inc, k, tuple(increments))
             prev_diag = diag
             k += 1

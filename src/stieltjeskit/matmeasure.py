@@ -59,12 +59,13 @@ EP_RTOL = 1e-10  # rank cut of is_ep, relative: given matrices, not samples, so 
 EP_ZERO = 1e-14  # sigma_1 at or below this: the matrix is EP trivially
 EP_TOL = 1e-9  # range projectors of M and M* may differ by this in is_ep
 
-_INSIDE = {  # support kind -> (t, endpoint) -> whether t lies in the set
-    "right_ray": np.greater_equal,
-    "open_right_ray": np.greater,
-    "left_ray": np.less_equal,
-    "open_left_ray": np.less,
-    "line": lambda t, _: True,
+# Support kind -> ((t, endpoint) -> whether t lies in the set, the side the ray extends to, the mirror image).
+_SUPPORT = {
+    "right_ray": (np.greater_equal, "right", "left_ray"),
+    "open_right_ray": (np.greater, "right", "open_left_ray"),
+    "left_ray": (np.less_equal, "left", "right_ray"),
+    "open_left_ray": (np.less, "left", "open_right_ray"),
+    "line": (lambda t, _: True, None, "line"),
 }
 
 
@@ -164,24 +165,29 @@ class SupportSet:
     endpoint: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _INSIDE:
+        if self.kind not in _SUPPORT:
             raise ValueError(f"unknown support kind {self.kind!r}")
         object.__setattr__(self, "endpoint", float(self.endpoint))
+
+    @property
+    def side(self) -> str | None:
+        """Where the ray extends from the endpoint, "right" or "left"; None for the line."""
+        return _SUPPORT[self.kind][1]
 
     def contains(self, t):
         """Whether t lies in the set, elementwise for an array; a non-finite t never does."""
         t = np.asarray(t, dtype=float)
-        inside = np.isfinite(t) & _INSIDE[self.kind](t, self.endpoint)
+        inside = np.isfinite(t) & _SUPPORT[self.kind][0](t, self.endpoint)
         return inside if inside.ndim else bool(inside)
 
     def distance(self, z):
         """Distance from z to the closure of the support set; elementwise for an array of points."""
         z = np.asarray(z, dtype=complex)
         a = self.endpoint
-        if self.kind == "line":
+        if self.side is None:
             d = np.abs(z.imag)
         else:  # hypot is abs() of a Python complex bit for bit; np.abs may differ in the last bit
-            beside = z.real >= a if self.kind.endswith("right_ray") else z.real <= a
+            beside = z.real >= a if self.side == "right" else z.real <= a
             d = np.where(beside, np.abs(z.imag), np.hypot(z.real - a, z.imag))
         return d if d.ndim else float(d)
 
@@ -317,9 +323,6 @@ class MatrixMeasure:
         """The (t, W) pairs, a read-only view derived from the arrays."""
         return tuple(zip(self.nodes.tolist(), self.weights))
 
-    def is_zero(self) -> bool:
-        return not self.nodes.size
-
     def to_json(self) -> dict:
         return {
             "q": self.q,
@@ -375,19 +378,11 @@ def integrate(mu: MatrixMeasure, f: Callable[[float], complex]) -> np.ndarray:
     return atom_sum(np.array(values, dtype=complex)[:, None, None] * mu.weights)
 
 
-_MIRROR = {
-    "right_ray": "left_ray",
-    "open_right_ray": "open_left_ray",
-    "left_ray": "right_ray",
-    "open_left_ray": "open_right_ray",
-}
-
-
 def _map_support(support: SupportSet, a: float, b: float) -> SupportSet:
     """Image of a support set under t -> a*t + b (a != 0); a < 0 mirrors a ray."""
-    if support.kind == "line":
+    if support.side is None:
         return support
-    return SupportSet(support.kind if a > 0 else _MIRROR[support.kind], a * support.endpoint + b)
+    return SupportSet(support.kind if a > 0 else _SUPPORT[support.kind][2], a * support.endpoint + b)
 
 
 def image_measure(mu: MatrixMeasure, a: float, b: float) -> MatrixMeasure:

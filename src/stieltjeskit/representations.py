@@ -432,14 +432,10 @@ def _kernel_batch(repr_: Representation) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def excluded_set(repr_: Representation) -> SupportSet | None:
-    spec = KINDS[repr_.KIND]
-    if spec.endpoint is not None:
-        endpoint = getattr(repr_, spec.endpoint)
-        return right_ray(endpoint) if spec.side == "right" else left_ray(endpoint)
-    # Nevanlinna: holomorphic off the nodes of nu; the ray from the lowest one
-    # is the excluded set endpoint_side reports.
-    nodes = measure_of(repr_).nodes
-    return right_ray(float(nodes.min())) if nodes.size else None
+    if KINDS[repr_.KIND].endpoint is None and not measure_of(repr_).nodes.size:
+        return None  # a Nevanlinna triple without atoms is entire; otherwise the ray of endpoint_side
+    endpoint, side = endpoint_side(repr_)
+    return right_ray(endpoint) if side == "right" else left_ray(endpoint)
 
 
 def evaluator(repr_: Representation) -> Evaluator:
@@ -524,7 +520,7 @@ def _nev_to_kk(n: NevanlinnaTriple, _target, alpha: float | None) -> KKPair:
         raise IllegalConversion("triple has B != 0; not a right-ray restriction")
     nodes = n.nu.nodes
     if alpha is None:
-        alpha = float(nodes.min()) if nodes.size else 0.0
+        alpha, _ = endpoint_side(n)
     if nodes.size and float(nodes.min()) < alpha:
         raise IllegalConversion(f"nu carries mass below alpha = {alpha}")
     C = as_psd(n.A - _first_moment(n.nu))

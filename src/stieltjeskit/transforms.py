@@ -1,10 +1,11 @@
 """Moore-Penrose machinery and class-preserving maps.
 
-The pseudoinverse maps return lazy :class:`~.representations.Evaluator`
-objects (no closed-form parameters exist for their measures); the duality
-reflection, congruence sums, constant shifts, direct sums, and transposes
-act on representations and return representations with exactly mapped
-parameters.
+The pseudoinverse maps are lazy :class:`~.representations.Evaluator`
+objects by design: they accept any evaluator, and take one SVD per point.
+(The map of an atomic input is atomic, but its parameters are not built.)
+The duality reflection, congruence sums, constant shifts, direct sums and
+transposes act on representations and return representations with
+exactly mapped parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .classifier import rank_constancy, sample_points
 from .errors import DimensionMismatch, ShiftNotPsd, UnsupportedKind
 from .matmeasure import EP_RTOL, EP_TOL, EP_ZERO, PINV_RTOL_FACTOR
-from .matmeasure import MatrixMeasure, as_hermitian, image_measure, is_psd, svd_rank
+from .matmeasure import MatrixMeasure, _square, as_hermitian, image_measure, is_psd, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -42,6 +43,7 @@ def _pinv_stack(M: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.
     matrix has rank 0 and pseudoinverse 0.
     """
     U, s, V, r = svd_rank(M, rtol)
+    # The mask, not the cut columns alone: 1/s of a cut 0 or subnormal s is inf, and 0 * inf is nan.
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=np.arange(s.shape[-1]) < r[:, None])
     return (V * s_inv[:, None, :]) @ U.conj().swapaxes(-1, -2), r, s
 
@@ -52,9 +54,7 @@ def pinv(M) -> PinvResult:
     Singular values at or below PINV_RTOL_FACTOR * q * sigma_1 are treated
     as zero.  The four Penrose identities hold for the result.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
+    M = _square(M)
     P, r, s = _pinv_stack(M[None], PINV_RTOL_FACTOR * M.shape[0])
     return PinvResult(P[0], int(r[0]), s[0])
 
@@ -159,24 +159,22 @@ def congruence_sum(terms) -> StieltjesPair:
     alphas = {p.alpha for _, p in terms}
     if len(alphas) != 1:
         raise DimensionMismatch(f"terms do not share alpha: {sorted(alphas)}")
-    alpha = alphas.pop()
-    q_out = None
-    gamma = None
-    nodes, weights = [], []
-    for A, p in terms:
+    As = []
+    for A, p in terms:  # every term is checked, in order, before any arithmetic
         A = np.asarray(A, dtype=complex)
         if A.ndim != 2 or A.shape[0] != p.q:
             raise DimensionMismatch(f"A has shape {A.shape}, pair has q = {p.q}")
-        if q_out is None:
-            q_out = A.shape[1]
-            gamma = np.zeros((q_out, q_out), dtype=complex)
-        elif A.shape[1] != q_out:
+        As.append(A)
+        if A.shape[1] != As[0].shape[1]:
             raise DimensionMismatch("terms map to different output dimensions")
+    q_out = As[0].shape[1]
+    gamma, nodes, weights = np.zeros((q_out, q_out), dtype=complex), [], []  # from zero: a -0.0 sum is 0.0
+    for A, (_, p) in zip(As, terms):
         gamma = gamma + A.conj().T @ p.gamma @ A
         nodes.append(p.mu.nodes)
         weights.append(A.conj().T @ p.mu.weights @ A)
     mu = MatrixMeasure.from_arrays(q_out, terms[0][1].mu.support, np.concatenate(nodes), np.concatenate(weights))
-    return StieltjesPair(alpha, gamma, mu)
+    return StieltjesPair(alphas.pop(), gamma, mu)
 
 
 def shift(pair: StieltjesPair, A) -> StieltjesPair:

@@ -117,6 +117,30 @@ def test_params_diverging_plain_limit_exit_two(tmp_path, capsys, make, claims):
         assert "diverges" in report["reason"]
 
 
+def far_atom(side, t):
+    """An S0Measure with one atom at t, or its T0Measure mirror at -t; W = 1e-3."""
+    if side == "right":
+        return sk.S0Measure(0.0, sk.MatrixMeasure(1, sk.right_ray(0.0), [(t, 1e-3 * np.eye(1))]))
+    return sk.T0Measure(0.0, sk.MatrixMeasure(1, sk.left_ray(0.0), [(-t, 1e-3 * np.eye(1))]))
+
+
+@pytest.mark.parametrize("side, claim", [("right", "s0"), ("left", "t0")])
+def test_params_and_certify_of_an_atom_far_out(tmp_path, capsys, side, claim):
+    path = write_repr(tmp_path, far_atom(side, 1e8))
+    assert run(["params", "--kind", claim, "--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    mass = np.array([[complex(re, im) for re, im in row] for row in report["mass"]["value"]])
+    np.testing.assert_allclose(mass, [[1e-3]], rtol=1e-9)
+    assert run(["certify", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_params_of_a_node_past_the_last_rung_exit_one(tmp_path, capsys, side):
+    assert run(["params", "--input", write_repr(tmp_path, far_atom(side, 1e15))]) == 1
+    assert "lies past the last rung" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_certify_alpha_past_the_nodes_exit_two(tmp_path, capsys):
     # A member claimed off [alpha + 1e4, inf): its node at 1.22 is a pole in the gap.
     p = random_pair(np.random.default_rng(5), q=2)

@@ -374,3 +374,44 @@ def test_k_max_below_one_rejected():
     F = sk.evaluator(random_pair(np.random.default_rng(10)))
     with pytest.raises(ValueError):
         sk.limit_at_infinity(F, "plain_iy", k_max=0)
+
+
+def far_atom(side, t=1e8, W=1e-3):
+    """An S0Measure with one atom at t, or its T0Measure mirror at -t."""
+    if side == "right":
+        return sk.S0Measure(0.0, sk.MatrixMeasure(1, sk.right_ray(0.0), [(t, W * np.eye(1))]))
+    return sk.T0Measure(0.0, sk.MatrixMeasure(1, sk.left_ray(0.0), [(-t, W * np.eye(1))]))
+
+
+@pytest.mark.parametrize("side, claim", [("right", "s0"), ("left", "t0")])
+def test_ladder_of_an_atomic_evaluator_passes_its_nodes(side, claim):
+    F = sk.evaluator(far_atom(side))
+    est = sk.limit_at_infinity(F, "y_scaled")
+    assert 2.0**est.ladder_depth > 1e8
+    np.testing.assert_allclose(est.value, [[1e-3]], rtol=1e-9)
+    np.testing.assert_allclose(sk.extract_params(F, 0.0, claim)["mass"].value, [[1e-3]], rtol=1e-9)
+    cert = sk.certify_class(F, 0.0, claim)
+    assert cert.verdict and cert.margin("y_norm_bounded") > 0.49
+    # The same function, opaque, keeps the plain rule: its first two samples differ by 3e-11 and stop it.
+    assert sk.limit_at_infinity(sk.Evaluator(F.q, F.excluded, F.fn), "y_scaled").ladder_depth == 1
+
+
+def test_radial_reach_is_measured_from_alpha():
+    a = 1e8
+    mu = sk.MatrixMeasure(1, sk.right_ray(a), [(a + 2.0, 1e-3 * np.eye(1))])
+    F = sk.evaluator(sk.StieltjesPair(a, np.eye(1), mu))
+    assert sk.limit_at_infinity(F, "radial", alpha=a).ladder_depth < 20  # past |t - alpha| = 2
+    assert 2.0 ** sk.limit_at_infinity(F, "plain_iy").ladder_depth > a + 2.0  # past |t|
+
+
+@pytest.mark.parametrize(
+    "side, claim, node", [("right", "s0", "1000000000000000.0"), ("left", "t0", "-1000000000000000.0")]
+)
+def test_node_past_the_last_rung_raises_and_is_no_mismatch(side, claim, node):
+    F = sk.evaluator(far_atom(side, t=1e15))  # the last rung is y0 2^K_MAX = 2.8e14
+    for mode in ("plain_iy", "y_scaled"):
+        with pytest.raises(sk.NoConvergence, match=f"node {node} lies past the last rung") as info:
+            sk.limit_at_infinity(F, mode)
+        assert info.value.last_estimates is None
+    with pytest.raises(sk.NoConvergence, match="past the last rung"):  # a member: not a ClassMismatch
+        sk.extract_params(F, 0.0, claim)

@@ -392,7 +392,7 @@ def test_moment_hankel_block_psd(seed):
 
 def test_quadrature_zero_density():
     mu = sk.quadrature_ingest(lambda t: np.zeros((2, 2)), 2, 0.0, 1.0, 8)
-    assert mu.is_zero()
+    assert not mu.nodes.size
 
 
 def test_quadrature_constant_density_mass():
@@ -428,7 +428,7 @@ def test_scalar_projection_basis_vector():
 def test_scalar_projection_zero_measure():
     mu = sk.MatrixMeasure(2, sk.whole_line(), [])
     nu = sk.scalar_projection(mu, [1.0, 1.0])
-    assert nu.q == 1 and nu.is_zero() and nu.weights.shape == (0, 1, 1)
+    assert nu.q == 1 and not nu.nodes.size and nu.weights.shape == (0, 1, 1)
 
 
 def test_scalar_projection_drops_null_atoms():

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,14 @@ def test_pinv_diagonal_rank_deficient():
     r = sk.pinv(np.diag([2.0, 0.0]))
     assert r.rank == 1
     np.testing.assert_allclose(r.pinv, np.diag([0.5, 0.0]), atol=1e-15)
+
+
+def test_pinv_subnormal_singular_value_is_cut_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 1 / 1e-310 overflows; the cut value must not be inverted
+        r = sk.pinv(np.diag([1.0, 1e-310]))
+    assert r.rank == 1
+    np.testing.assert_array_equal(r.pinv, np.diag([1.0, 0.0]))
 
 
 @given(seed=st.integers(0, 10**6))
@@ -203,7 +214,7 @@ def test_dual_of_one_atom_pair_is_left_ray_example():
 def test_dual_zero_function():
     p = sk.StieltjesPair(0.0, np.zeros((2, 2)), sk.MatrixMeasure(2, sk.right_ray(0.0), []))
     g = sk.dual_map(p, 1.0)
-    assert g.mu.is_zero() and np.array_equal(g.gamma, np.zeros((2, 2)))
+    assert not g.mu.nodes.size and np.array_equal(g.gamma, np.zeros((2, 2)))
 
 
 def test_dual_involution_exact_on_atoms():
@@ -305,6 +316,39 @@ def test_congruence_alpha_mismatch():
     rng = np.random.default_rng(15)
     with pytest.raises(sk.DimensionMismatch):
         sk.congruence_sum([(I2, random_pair(rng, q=2, alpha=0.0)), (I2, random_pair(rng, q=2, alpha=1.0))])
+
+
+def test_congruence_empty_terms():
+    with pytest.raises(ValueError, match="need at least one term"):
+        sk.congruence_sum([])
+
+
+@pytest.mark.parametrize("A", [np.ones((3, 2)), np.ones(2), np.ones((1, 2, 2))])
+def test_congruence_wrong_shaped_A(A):
+    p = random_pair(np.random.default_rng(18), q=2)
+    with pytest.raises(sk.DimensionMismatch, match=re.escape(f"A has shape {A.shape}, pair has q = 2")):
+        sk.congruence_sum([(I2, p), (A, p)])
+
+
+def test_congruence_different_output_sizes():
+    p = random_pair(np.random.default_rng(19), q=2)
+    with pytest.raises(sk.DimensionMismatch, match="terms map to different output dimensions"):
+        sk.congruence_sum([(I2, p), (np.ones((2, 3)), p)])
+
+
+def test_congruence_errors_come_in_order():
+    rng = np.random.default_rng(20)
+    p, other = random_pair(rng, q=2, alpha=0.0), random_pair(rng, q=2, alpha=1.0)
+    bad_A, wide = np.ones((3, 2)), np.ones((2, 3))
+    # The alphas are checked before any A; then the terms in order, each A's shape before its output size.
+    with pytest.raises(sk.DimensionMismatch, match="do not share alpha"):
+        sk.congruence_sum([(bad_A, p), (I2, other)])
+    with pytest.raises(sk.DimensionMismatch, match="A has shape"):
+        sk.congruence_sum([(I2, p), (np.ones((3, 3)), p)])
+    with pytest.raises(sk.DimensionMismatch, match="different output dimensions"):
+        sk.congruence_sum([(I2, p), (wide, p), (bad_A, p)])
+    with pytest.raises(sk.DimensionMismatch, match="A has shape"):
+        sk.congruence_sum([(I2, p), (bad_A, p), (wide, p)])
 
 
 def test_shift_by_psd_and_rejection():
