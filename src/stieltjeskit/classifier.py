@@ -93,7 +93,7 @@ class ClassSpec:
     side: str  # "right" or "left": where the excluded ray lies from the endpoint
     phi: float  # radial direction from the endpoint along the real gap
     gap: int = 0  # +1 / -1: F resp. -F PSD on the real gap; 0: no gap condition
-    half_plane: bool = False  # F (S) resp. -F (T) PSD where Re z lies on the gap's side
+    half_plane: bool = False  # F (S) resp. -F (T) PSD where Re z lies on the gap's side; needs gap = sign
     mulz: bool = False  # Herglotz condition on (z - alpha) F(z) resp. (beta - z) G(z)
     infinity: str | None = None  # condition at infinity, a key of _AT_INFINITY
     params: bool = False  # extract_params reads gamma, and the mass of a bounded class
@@ -312,9 +312,9 @@ def certify_class(
     conditions = []
 
     def add(name, mask, margins):
-        """Worst of margins(values, scales at the masked points), witnessed in grid order."""
+        """Worst of margins(indices of the masked points), witnessed in grid order."""
         sub = np.flatnonzero(mask)
-        margin, witness = _worst(zs[sub], margins(V[sub], scale[sub]))
+        margin, witness = _worst(zs[sub], margins(sub))
         conditions.append({"name": name, "margin": margin, "witness": witness})
 
     # A gap point on the evaluator's own excluded ray (a class claimed for
@@ -324,21 +324,24 @@ def certify_class(
     margin, witness = _holomorphy(F, zs[defined], dist[defined], endpoint, spec.sign)
     conditions.append({"name": "holomorphic", "margin": margin, "witness": witness})
     herglotz = lambda W, s: _lam_min(_im(W)) / s  # noqa: E731
-    add("herglotz_upper", is_upper, herglotz)
-    add("herglotz_lower_conj", ~is_upper & ~on_gap, lambda W, s: _lam_min(-_im(W)) / s)
+    add("herglotz_upper", is_upper, lambda i: herglotz(V[i], scale[i]))
+    add("herglotz_lower_conj", ~is_upper & ~on_gap, lambda i: _lam_min(-_im(V[i])) / scale[i])
 
-    definite = {1: lambda W, s: _lam_min(W) / s, -1: lambda W, s: _lam_min(-W) / s}  # sign W PSD
     if spec.gap:
-        add("psd_on_gap" if spec.gap > 0 else "npsd_on_gap", on_gap, definite[spec.gap])
-    if spec.half_plane:
-        # Re z left of alpha (S) resp. right of beta (T), and the gap itself.
-        name = "re_psd_left" if spec.sign > 0 else "re_npsd_right"
-        add(name, (spec.sign * (zs.real - endpoint) < 0) | on_gap, definite[spec.sign])
+        # sign F PSD on the gap and, for a half_plane class (whose gap has its side's sign), where
+        # Re z lies left of alpha (S) resp. right of beta (T) or on the gap: one lambda_min of sign F
+        # on those points serves both conditions (per matrix, so each margin keeps its bits).
+        half = (spec.sign * (zs.real - endpoint) < 0) | on_gap if spec.half_plane else on_gap
+        lam = np.zeros(zs.size)
+        lam[half] = _lam_min(V[half] if spec.gap > 0 else -V[half]) / scale[half]
+        add("psd_on_gap" if spec.gap > 0 else "npsd_on_gap", on_gap, lam.__getitem__)
+        if spec.half_plane:
+            add("re_psd_left" if spec.sign > 0 else "re_npsd_right", half, lam.__getitem__)
     if spec.mulz:
         factor = spec.sign * (zs - endpoint)  # (z - alpha) resp. (beta - z), from the shared values
 
-        def mulz(W, _):
-            P = _finite(zs[is_upper], factor[is_upper, None, None] * W)
+        def mulz(i):
+            P = _finite(zs[i], factor[i, None, None] * V[i])
             return herglotz(P, 1.0 + norm2(P))
 
         add("herglotz_upper_mulz", is_upper, mulz)
@@ -412,11 +415,19 @@ def sample_points(endpoint: float, side: str, n: int = 10, seed: int = 7):
     return (endpoint + _sample_offsets(side, n, seed)).tolist()
 
 
+def range_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors, range mask) of a Hermitian PSD matrix or of each matrix of a stack.
+
+    The mask keeps the eigenvalues above RANGE_RTOL * lambda_max; the masked eigenvectors are an
+    orthonormal basis of the range and the others one of the null space.
+    """
+    vals, vecs = np.linalg.eigh(_herm(M))
+    return vals, vecs, vals > RANGE_RTOL * np.maximum(vals[..., -1:], 1e-300)
+
+
 def range_projector(M: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the range of a Hermitian PSD matrix."""
-    vals, vecs = np.linalg.eigh(_herm(M))
-    top = float(vals[-1]) if vals.size else 0.0
-    keep = vals > RANGE_RTOL * max(top, 1e-300)
+    _, vecs, keep = range_split(M)
     V = vecs[:, keep]
     return V @ V.conj().T
 

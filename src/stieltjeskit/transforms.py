@@ -1,11 +1,14 @@
 """Moore-Penrose machinery and class-preserving maps.
 
-The pseudoinverse maps are lazy :class:`~.representations.Evaluator`
-objects by design: they accept any evaluator, and take one SVD per point.
-(The map of an atomic input is atomic, but its parameters are not built.)
-The duality reflection, congruence sums, constant shifts, direct sums and
-transposes act on representations and return representations with
-exactly mapped parameters.
+The pseudoinverse maps build the image of a representation in closed
+form: the image of an affine term plus atoms is again one, whose poles
+are the eigenvalues of a Hermitian matrix, and they return its atomic
+evaluator.  A bare :class:`~.representations.Evaluator`, an sinf/tinf
+triple under ``pinv_map`` and a measure of more than CLOSED_FORM_COLUMNS
+columns take the lazy map instead, one SVD per point.  The duality
+reflection, congruence sums, constant shifts, direct sums and transposes
+act on representations and return representations with exactly mapped
+parameters.
 """
 
 from __future__ import annotations
@@ -14,18 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import rank_constancy, sample_points
+from .classifier import _herm, _structural_sum, range_split, rank_constancy, sample_points
 from .errors import DimensionMismatch, ShiftNotPsd, UnsupportedKind
-from .matmeasure import EP_RTOL, EP_TOL, EP_ZERO, PINV_RTOL_FACTOR
-from .matmeasure import MatrixMeasure, _square, as_hermitian, image_measure, is_psd, svd_rank
+from .matmeasure import EP_RTOL, EP_TOL, EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR
+from .matmeasure import MatrixMeasure, _square, as_hermitian, image_measure, is_psd, right_ray, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
     Representation,
     StieltjesPair,
+    convert,
     endpoint_side,
     evaluator,
     map_fields,
+    measure_of,
 )
 
 
@@ -37,7 +42,7 @@ class PinvResult:
 
 
 def _pinv_stack(M: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pseudoinverses, ranks, singular values) of a stack of square matrices.
+    """(pseudoinverses, ranks, singular values) of a stack of matrices.
 
     Singular values at or below rtol * sigma_1 are treated as zero; a zero
     matrix has rank 0 and pseudoinverse 0.
@@ -75,36 +80,117 @@ def ep_im_identity_defect(M) -> float:
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
-def _guarded_input(F, endpoint: float | None, side: str, what: str) -> tuple[Evaluator, float, str]:
-    """(evaluator, endpoint, side) of a representation or Evaluator input, rank-probed.
+def _svd_input(F, endpoint: float | None, side: str) -> tuple[Evaluator, float, str]:
+    """(evaluator, endpoint, side) for the SVD path; a bare Evaluator is rank-probed first.
 
-    A representation supplies its own endpoint and side.
+    A representation supplies its own endpoint and side, and its rank is that of its structural sum.
     """
-    if isinstance(F, Evaluator):
-        ev = F
-    elif KINDS[F.KIND].endpoint is None:
-        raise UnsupportedKind(f"{what}: unsupported input kind {F.KIND}")
-    else:
-        ev = evaluator(F)
-        endpoint, side = endpoint_side(F)
+    if not isinstance(F, Evaluator):
+        return evaluator(F), *endpoint_side(F)
     if endpoint is None:
         raise ValueError("endpoint is required for a bare Evaluator input")
-    rank_constancy(ev, sample_points(endpoint, side, n=8, seed=11))  # raises RankInstability
-    return ev, endpoint, side
+    rank_constancy(F, sample_points(endpoint, side, n=8, seed=11))  # raises RankInstability
+    return F, endpoint, side
 
 
 def _neg_pinv(ev: Evaluator, zs: np.ndarray) -> np.ndarray:
     return -_pinv_stack(ev.batch_raw(zs), PINV_RTOL_FACTOR * ev.q)[0]
 
 
+def _pair_pinv(p: StieltjesPair) -> StieltjesPair:
+    """The pair of G(z) = -(z - alpha)^{-1} F(z)^+ for a pair F, in closed form.
+
+    On R(S), S the structural sum and U an orthonormal basis of it, F = U F~ U* and G = -U H^{-1} U*
+    with H(z) = (z - alpha) F~(z) = Hc + z g + L' (T' - z)^{-1} L'*: g = U* gamma U,
+    L = U* [sqrt(c_k) L_k] with W_k = L_k L_k* at its rank, T the nodes repeated per column,
+    Hc = -alpha g - L L*, and L' = L E* with E the rows of sqrt(T - alpha) off alpha.  Split g into
+    its range P (eigenvalues Gam) and null space N, and set A = P* L, B = N* L, Y = N (B^+)*.
+    H x = y is the Hermitian pencil [[Hc + z g, L'], [L'*, z - T']] [x; w] = [y; 0]; its N rows
+    hold no z, and eliminating them (N* Hc N = -B B*) leaves a pencil on (P* x, w) with z-part
+    J = diag(Gam, I).  With X = [A; -E] and the projector Pi = B^+ B onto R(B*), its constant part
+    is -alpha J - X (I - Pi) X*, so
+
+        -H^{-1}(z) = Y Y* + sum_j R_j R_j* / (Lam_j - z),  Lam = alpha + eig(O O*),  O = J^{-1/2} X (I - Pi),
+
+    with R = ([P, 0] - Y X*) J^{-1/2} V, V the eigenvectors.  Hence gamma' = Y Y*, and each pole
+    carries the rank-one weight R_j R_j* over its kernel numerator 1 + Lam_j - alpha: every weight
+    is PSD as built, with no sum cancelled and no division by Lam_j - alpha.  Lam_j - alpha is an
+    eigenvalue of the Gram matrix O O*, so every pole lies on the ray.  One within EPS_MERGE of
+    alpha, a rounding below it included, is placed at alpha, as canonicalization merges nodes.
+    """
+    a, q, mu = p.alpha, p.q, p.mu
+    _, vecs, keep = range_split(_structural_sum(p))
+    U = vecs[:, keep]
+    w, vecs, keep = range_split(mu.weights)
+    factors = vecs * np.sqrt(np.where(keep, w, 0.0) * (1.0 + mu.nodes - a)[:, None])[:, None, :]
+    cols = keep.reshape(-1)  # atom k, column j at k q + j
+    L = U.conj().T @ factors.transpose(1, 0, 2).reshape(q, -1)[:, cols]
+    t = np.repeat(mu.nodes, q)[cols]
+    g, vecs, keep = range_split(U.conj().T @ p.gamma @ U)
+    P, N, gam = vecs[:, keep], vecs[:, ~keep], g[keep]
+    B = N.conj().T @ L
+    B_pinv = np.zeros((t.size, 0))
+    if N.shape[1]:  # else gamma is invertible on R(S) and there is nothing to eliminate
+        B_pinv = _pinv_stack(B[None], PINV_RTOL_FACTOR * max(B.shape))[0][0]
+    Y = N @ B_pinv.conj().T
+    off = t > a
+    X = np.vstack((P.conj().T @ L, -np.eye(t.size)[off] * np.sqrt(t[off] - a)[:, None]))
+    scale = 1.0 / np.sqrt(np.concatenate((gam, np.ones(off.sum()))))[:, None]
+    O = scale * (X - X @ B_pinv @ B)
+    gram, V = np.linalg.eigh(_herm(O @ O.conj().T))
+    R = ((np.hstack((P, np.zeros((P.shape[0], off.sum())))) - Y @ X.conj().T) @ (scale * V)).T  # row j is R_j
+    nodes = np.where(gram <= EPS_MERGE * (1.0 + np.abs(a + gram)), a, a + gram)  # as canonicalization merges
+    weights = R[:, :, None] * R.conj()[:, None, :] / (1.0 + nodes - a)[:, None, None]
+    mu = MatrixMeasure.from_arrays(q, right_ray(a), nodes, U @ weights @ U.conj().T)
+    return StieltjesPair(a, U @ Y @ Y.conj().T @ U.conj().T, mu)
+
+
+# Each pair kind and its product form: F(z) = (z - alpha) P(z) resp. (beta - z) P(z), P the pair.
+_PRODUCT = {"stieltjes_pair": "sinf_triple", "t_pair": "tinf_triple"}
+_PAIR = {product: pair for pair, product in _PRODUCT.items()}
+
+# Measure columns m (nodes times q) up to which a representation's pinv image is built in closed
+# form.  The build is dense in the columns, O(m^3), while the SVD map costs O(m q^2) per point.
+# Building and certifying a pair's pinv_map image as "s", one pinned CPU, one BLAS thread, best
+# of three, ms, closed form / SVD map: (q, n) = (4, 16): 6.9 / 22.4; (2, 64): 12.3 / 10.8;
+# (4, 32): 15.8 / 22.0; (8, 16): 14.5 / 42.0; (8, 32): 42.9 / 61.1; (3, 100): 19.3 / 18.7.
+CLOSED_FORM_COLUMNS = 128
+
+
+def _closed_form(F, what: str) -> bool:
+    """Whether F's image is built in closed form: F is a representation with at most CLOSED_FORM_COLUMNS columns."""
+    if isinstance(F, Evaluator):
+        return False
+    if KINDS[F.KIND].endpoint is None:
+        raise UnsupportedKind(f"{what}: unsupported input kind {F.KIND}")
+    return measure_of(F).nodes.size * F.q <= CLOSED_FORM_COLUMNS
+
+
+def _pinv_image(r: Representation) -> Representation:
+    """The pair of z -> -(z - a)^{-1} r(z)^+ (right ray) or t-pair of -(b - z)^{-1} r(z)^+ (left ray).
+
+    r is a pair, kk_pair or s0, or a left-ray kind, which goes through dual_map.
+    """
+    e, side = endpoint_side(r)
+    if side == "left":
+        return dual_map(_pinv_image(dual_map(r, e)), e)
+    return _pair_pinv(convert(r, "stieltjes_pair"))
+
+
 def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator:
     """z -> -(z - a)^{-1} F(z)^+ (right ray) or -(b - z)^{-1} F(z)^+ (left).
 
     Maps the right-ray class into itself and dually for the left-ray
-    class.  The input must have constant rank off the ray; an 8-point rank
-    probe refuses inputs whose numerical rank jumps.
+    class.  A representation's image is built in closed form and returned
+    as its atomic evaluator, except for an sinf/tinf triple (its image has
+    a double pole at the endpoint) and a measure of more than
+    CLOSED_FORM_COLUMNS columns: those, and a bare Evaluator, take one SVD
+    per point.  A bare Evaluator must have constant rank off the ray; an
+    8-point rank probe refuses one whose numerical rank jumps.
     """
-    ev, endpoint, side = _guarded_input(F, endpoint, side, "pinv_map")
+    if _closed_form(F, "pinv_map") and F.KIND not in _PAIR:
+        return evaluator(_pinv_image(F))
+    ev, endpoint, side = _svd_input(F, endpoint, side)
     sign = 1.0 if side == "right" else -1.0  # (z - a) resp. (b - z)
     return Evaluator.of_batch(ev.q, ev.excluded, lambda zs: _neg_pinv(ev, zs) / (sign * (zs - endpoint))[:, None, None])
 
@@ -113,10 +199,18 @@ def neg_pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evalu
     """z -> -F(z)^+; exchanges the plain and product-form classes.
 
     Involutive on class members: applying it twice returns the original
-    values wherever the rank is constant.
+    values wherever the rank is constant.  A representation's image is
+    built in closed form as pinv_map's is: -F^+ = (z - a) G for a plain F
+    with pinv_map image G, and -F^+ = -(z - a)^{-1} P^+ for a product form
+    F = (z - a) P (mirrored on the left ray).
     """
-    ev, _, _ = _guarded_input(F, endpoint, side, "neg_pinv_map")
-    return Evaluator.of_batch(ev.q, ev.excluded, lambda zs: _neg_pinv(ev, zs))
+    if not _closed_form(F, "neg_pinv_map"):
+        ev, _, _ = _svd_input(F, endpoint, side)
+        return Evaluator.of_batch(ev.q, ev.excluded, lambda zs: _neg_pinv(ev, zs))
+    if F.KIND in _PAIR:
+        return evaluator(_pinv_image(convert(F, _PAIR[F.KIND])))
+    image = _pinv_image(F)
+    return evaluator(convert(image, _PRODUCT[image.KIND]))
 
 
 # ---------------------------------------------------------------------------

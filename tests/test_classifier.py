@@ -370,7 +370,7 @@ def test_copies_and_maps_carry_no_nodes(points_seen):
         cert = sk.certify_class(G, p.alpha, "s")
         assert cert.verdict and cert.margin("holomorphic") < TOL_CR
         assert _points(points_seen, G) == 9 * N_GRID
-    G = sk.pinv_map(p)
+    G = sk.pinv_map(F, p.alpha)  # the map of a bare Evaluator; a representation's is atomic
     assert G._nodes is None
     sk.certify_class(G, p.alpha, "s")
     assert _points(points_seen, G) >= 9 * N_GRID

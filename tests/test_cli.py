@@ -500,8 +500,8 @@ PARAMS_DIGESTS = {
     ("pair", "--mode plain_iy"): (0, "ac92e28bd7d4c7d9d3265dc6c5ae842064841dc3d44660640c523dbcd3d8fa9c"),
     ("pair", "--mode y_scaled"): (1, "62fa54c115063325b1232b3b812d1e4b16af64d3810a141bbe1a2c7fc33649cc"),
     ("pair", "--mode radial"): (0, "03c2c4b83edba493c5541357696a382752d34bf0e67779e226cec08eb6756a9b"),
-    ("pair", "--op pinv_map"): (0, "d3e91888f586e0b245a6f4e70f14520157eea581c1a8750177c00de6552878ab"),
-    ("pair", "--op neg_pinv"): (0, "33237ca2f20f6f02c33313faa0d139f10613918fa7d7fb4ff023faed6ade95ea"),
+    ("pair", "--op pinv_map"): (0, "8c319eef2d6d308271b544ef93c0954cea57ca12bcce5821c8295fd4937ae5bb"),
+    ("pair", "--op neg_pinv"): (0, "8cb4440d345ef881dd554027d69683c0920e5fc93561c919936ba643b99be5cd"),
     ("t_pair", ""): (0, "6bca1292379ae74ee60ce821e7690ba5fecdd28bbcb351481e28d9d5691e749c"),
     ("t_pair", "--kind s"): (2, "6dd87814dcafa9203bab1972ab1032c38b2cb7dea70f20693be48ece92bbea47"),
     ("t_pair", "--kind s_via_pair"): (1, "6473a6a3b856186e63fbdee5cf228a24007c4d906682354f7eb88972b46b933b"),
@@ -516,8 +516,8 @@ PARAMS_DIGESTS = {
     ("t_pair", "--mode plain_iy"): (0, "3d30a6b1d394c40a31781147085ae749b4d87e31572cdfe23f9111b6cb54bac0"),
     ("t_pair", "--mode y_scaled"): (1, "62fa54c115063325b1232b3b812d1e4b16af64d3810a141bbe1a2c7fc33649cc"),
     ("t_pair", "--mode radial"): (0, "dfa00784feead145bb38c74816febba965157cfb647c38ba2bea11013770d4e7"),
-    ("t_pair", "--op pinv_map"): (0, "9916eae7fb0be3dfe2d1434bf41a48a72d0376edec352a19b30b523d86a87b6b"),
-    ("t_pair", "--op neg_pinv"): (0, "0f5f33b91b1145fd335252f75fae7619b68fa6f1cb6406b2277286ab86b17c8c"),
+    ("t_pair", "--op pinv_map"): (0, "3e569157bd1ed2411cbcf104a409b7b9c1c8c17c1715f9b7458dc26617ed02da"),
+    ("t_pair", "--op neg_pinv"): (0, "b976bbd1b7f0a2ee0e646dc85efa9118ef14333118d18fdfec86e7a42df020b1"),
 }
 
 

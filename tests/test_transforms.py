@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
-from stieltjeskit.transforms import ep_im_identity_defect
+from stieltjeskit import classifier, transforms
+from stieltjeskit.representations import endpoint_side
+from stieltjeskit.transforms import _pinv_image, ep_im_identity_defect
 
 from genutil import (
     RANDOM_KINDS,
+    measure_left,
+    measure_right,
     off_ray_points,
     psd,
     random_pair,
@@ -148,6 +152,200 @@ def test_rank_guard_refuses_rank_jumps():
         sk.pinv_map(F, endpoint=0.0)
     with pytest.raises(sk.RankInstability):
         sk.neg_pinv_map(F, endpoint=0.0)
+
+
+# --- the closed form of the pinv maps ---
+
+
+def _svd_map(r, neg):
+    """The one-SVD-per-point map of r: the map of its evaluator as a bare Evaluator."""
+    e, side = endpoint_side(r)
+    return (sk.neg_pinv_map if neg else sk.pinv_map)(sk.evaluator(r), e, side)
+
+
+def _criterion_06_input(rng, kind, q, gamma_rank, weight_rank, endpoint_atom):
+    """An input of a criterion-06 kind with the given ranks, with or without an atom at the endpoint."""
+    e = float(rng.uniform(-2.0, 2.0))
+    if kind in ("sinf_triple", "tinf_triple"):  # open rays: no endpoint atom
+        make = random_sinf if kind == "sinf_triple" else random_tinf
+        return make(rng, q=q, ranks=(gamma_rank, weight_rank, weight_rank))
+    measure = measure_right if kind in ("stieltjes_pair", "s0", "kk_pair") else measure_left
+    mu = measure(rng, q, e, weight_rank=weight_rank, include_endpoint=endpoint_atom)
+    gamma = psd(rng, q, rank=gamma_rank)
+    return {
+        "stieltjes_pair": lambda: sk.StieltjesPair(e, gamma, mu),
+        "kk_pair": lambda: sk.convert(sk.StieltjesPair(e, gamma, mu), "kk_pair"),
+        "s0": lambda: sk.S0Measure(e, mu),
+        "t_pair": lambda: sk.TPair(e, gamma, mu),
+        "t0": lambda: sk.T0Measure(e, mu),
+    }[kind]()
+
+
+CLOSED_FORM_KINDS = ["stieltjes_pair", "kk_pair", "s0", "sinf_triple", "t_pair", "t0", "tinf_triple"]
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(CLOSED_FORM_KINDS),
+    q=st.integers(1, 3),
+    ranks=st.tuples(st.integers(0, 3), st.integers(1, 3)),
+    endpoint_atom=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_closed_form_matches_the_svd_map(seed, kind, q, ranks, endpoint_atom):
+    rng = np.random.default_rng(seed)
+    r = _criterion_06_input(rng, kind, q, min(ranks[0], q), min(ranks[1], q), endpoint_atom)
+    e, side = endpoint_side(r)
+    for neg in (False, True) if kind not in ("sinf_triple", "tinf_triple") else (True,):
+        G, H = (sk.neg_pinv_map if neg else sk.pinv_map)(r), _svd_map(r, neg)
+        assert G._nodes is not None and H._nodes is None
+        assert np.all(G._nodes >= e) if side == "right" else np.all(G._nodes <= e)  # every pole on the ray
+        assert G.excluded == H.excluded
+        zs = off_ray_points(rng, e, side, 20)
+        for a, b in zip(G.batch(zs), H.batch(zs)):
+            assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+
+
+CRITERION_06 = [  # (input, map, claimed class) as criterion 06 certifies them
+    (lambda rng: random_pair(rng), sk.pinv_map, "s"),
+    (lambda rng: random_s0(rng, q=2), sk.pinv_map, "s0"),
+    (lambda rng: random_sinf(rng, q=2), sk.neg_pinv_map, "s"),
+    (lambda rng: random_tinf(rng, q=2), sk.neg_pinv_map, "t"),
+    (lambda rng: random_pair(rng, q=2), sk.neg_pinv_map, "sinf"),
+    (lambda rng: random_tpair(rng, q=2), sk.neg_pinv_map, "tinf"),
+]
+
+
+@pytest.mark.parametrize("make, mapper, cls", CRITERION_06)
+def test_criterion_06_certificates_run_no_stencil(monkeypatch, make, mapper, cls):
+    """The certificate evaluates the grid and then, for a bounded class, ladder rungs i 2^k only."""
+    monkeypatch.setattr(classifier, "_cr_residuals", lambda *a: pytest.fail("the stencil ran"))
+    seen = []
+    raw = sk.Evaluator.batch_raw
+    monkeypatch.setattr(sk.Evaluator, "batch_raw", lambda F, zs: seen.append((F, np.array(zs))) or raw(F, zs))
+    rng = np.random.default_rng(606)
+    for _ in range(5):
+        r = make(rng)
+        e, _ = endpoint_side(r)
+        G = mapper(r)
+        seen.clear()
+        cert = sk.certify_class(G, e, cls)
+        assert cert.verdict == (cls != "s0")  # a nonzero image leaves the bounded class
+        calls = [zs for F, zs in seen if F is G]
+        spec = classifier.CLASSES[cls]
+        assert np.array_equal(calls[0], e + classifier._grid_offsets(spec.side, classifier.DEFAULT_GRID))
+        rungs = np.concatenate(calls[1:]) if len(calls) > 1 else np.empty(0, complex)
+        assert len(calls) == 1 or spec.infinity is not None
+        assert np.all(rungs.real == 0) and np.all(np.log2(rungs.imag) % 1 == 0)
+
+
+def test_closed_form_of_the_constant_zero_and_resolvent_examples():
+    zero = sk.StieltjesPair(0.0, np.zeros((2, 2)), sk.MatrixMeasure(2, sk.right_ray(0.0), []))
+    one = sk.StieltjesPair(0.0, np.zeros((1, 1)), sk.MatrixMeasure(1, sk.right_ray(0.0), [(0.0, np.eye(1))]))
+    gamma = psd(np.random.default_rng(1), 2) + 0.5 * I2
+    const = sk.StieltjesPair(0.0, gamma, sk.MatrixMeasure(2, sk.right_ray(0.0), []))
+    for p in (zero, one, const):
+        assert sk.pinv_map(p)._nodes is not None
+    image = _pinv_image(zero)  # 0^+ = 0
+    assert np.array_equal(image.gamma, np.zeros((2, 2))) and not image.mu.nodes.size
+    image = _pinv_image(one)  # F = 1/(-z): G = 1, no atom
+    assert np.array_equal(image.gamma, np.eye(1)) and not image.mu.nodes.size
+    image = _pinv_image(const)  # F = gamma: G = gamma^{-1} / (0 - z)
+    assert image.mu.nodes.tolist() == [0.0]
+    np.testing.assert_allclose(image.mu.weights[0], np.linalg.inv(gamma), rtol=1e-13)
+    np.testing.assert_allclose(image.gamma, 0.0, atol=1e-15)
+
+
+def test_pole_at_the_endpoint_is_merged_into_its_atom():
+    # diag(1e-14/(0 - z) + 1/(1 - z), 1/(1 - z)): the first entry vanishes at 1e-14 / (1 + 1e-14),
+    # within EPS_MERGE of alpha = 0, and the second's image 1 + 1/(0 - z) has its atom at 0.
+    E1 = np.diag([1.0, 0.0])
+    s = sk.S0Measure(0.0, sk.MatrixMeasure(2, sk.right_ray(0.0), [(0.0, 1e-14 * E1), (1.0, I2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        image = _pinv_image(s)
+        G, H = sk.pinv_map(s), _svd_map(s, False)
+    assert image.mu.nodes.tolist() == [0.0]  # one atom: the pole's, placed at alpha, and alpha's, merged
+    np.testing.assert_allclose(image.mu.weights[0], I2, rtol=1e-12, atol=1e-12)
+    for z in (0.5j, -1.0 + 1j, 2.0 - 0.3j, -3.0):
+        np.testing.assert_allclose(G(z), H(z), rtol=1e-9)
+
+
+def test_pole_at_a_node_and_a_double_pole():
+    E1, E2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    # diag(1/(1 - z) + 1/(2 - z), 1/(1.5 - z)): the first entry vanishes at 1.5, the second's node.
+    at_node = sk.S0Measure(0.0, sk.MatrixMeasure(2, sk.right_ray(0.0), [(1.0, E1), (1.5, E2), (2.0, E1)]))
+    # (1/(1 - z) + 1/(2 - z)) I: K has the eigenvalue 1.5 twice, and its two atoms are merged.
+    double = sk.S0Measure(0.0, sk.MatrixMeasure(2, sk.right_ray(0.0), [(1.0, I2), (2.0, I2)]))
+    for s, weight in ((at_node, E1 / 30.0), (double, I2 / 30.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            image = _pinv_image(s)
+        np.testing.assert_allclose(image.mu.nodes, [0.0, 1.5], atol=1e-15)
+        np.testing.assert_allclose(image.mu.weights[1], weight, atol=1e-14)  # residue 1/2 at 1.5 over 1 + 1.5 over 1.5
+        for neg in (False, True):
+            G, H = (sk.neg_pinv_map if neg else sk.pinv_map)(s), _svd_map(s, neg)
+            for z in (0.5j, -1.0 + 1j, 1.5 + 0.1j, -3.0):
+                np.testing.assert_allclose(G(z), H(z), atol=1e-12)
+
+
+def test_node_near_1e13_passes_the_ladder_through_the_image_pole():
+    """F = 1 + (1 + t) 1e-3 / (t - z) with t = 1e13 vanishes at t + (1 + t) 1e-3, about 1.001e13.
+
+    The image is atomic, so the ladder of params passes that pole before it stops: depth 44, the first
+    rung 2^44 past 1.001e13, with gamma 0.  The SVD map stops at depth 2 with the same gamma.
+    """
+    p = sk.StieltjesPair(0.0, np.eye(1), sk.MatrixMeasure(1, sk.right_ray(0.0), [(1e13, 1e-3 * np.eye(1))]))
+    G = sk.pinv_map(p)
+    np.testing.assert_allclose(G._nodes, [0.0, 1e13 + (1.0 + 1e13) * 1e-3], rtol=1e-15)
+    assert sk.certify_class(G, 0.0, "s").verdict
+    params = sk.extract_params(G, 0.0, "s")
+    assert params["gamma"].ladder_depth == 44 and params["gamma_radial"].ladder_depth == 44
+    assert np.linalg.norm(params["gamma"].value) <= 1e-15
+    svd = sk.extract_params(_svd_map(p, False), 0.0, "s")
+    assert svd["gamma"].ladder_depth == 2 and np.linalg.norm(svd["gamma"].value) <= 1e-15
+
+
+def test_representations_take_no_rank_probe(monkeypatch):
+    probes = []
+    monkeypatch.setattr(transforms, "rank_constancy", lambda F, zs: probes.append(F))
+    p = random_pair(np.random.default_rng(21), q=2)
+    sk.pinv_map(p), sk.neg_pinv_map(p), sk.pinv_map(random_sinf(np.random.default_rng(22), q=2))
+    assert probes == []
+    F = sk.evaluator(p)
+    sk.pinv_map(F, p.alpha), sk.neg_pinv_map(F, p.alpha)
+    assert probes == [F, F]
+
+
+def test_svd_map_for_product_forms_and_large_measures():
+    rng = np.random.default_rng(23)
+    si = random_sinf(rng, q=2)
+    assert sk.pinv_map(si)._nodes is None  # a double pole at alpha: no pair image
+    n = transforms.CLOSED_FORM_COLUMNS // 2 + 1
+    big = random_pair(rng, q=2, n_atoms=n)
+    for mapper in (sk.pinv_map, sk.neg_pinv_map):
+        assert mapper(big)._nodes is None
+        assert mapper(random_pair(rng, q=2, n_atoms=n - 1))._nodes is not None
+
+
+def test_a_failure_of_the_closed_form_is_raised_not_replaced(monkeypatch):
+    """No fallback to the SVD map: what the build raises (NotPsd from a weight, say) reaches the caller."""
+
+    def fail(p):
+        raise sk.NotPsd("lambda_min below tolerance")
+
+    monkeypatch.setattr(transforms, "_pair_pinv", fail)
+    rng = np.random.default_rng(24)
+    for mapper, r in ((sk.pinv_map, random_pair(rng, q=2)), (sk.neg_pinv_map, random_sinf(rng, q=2))):
+        with pytest.raises(sk.NotPsd):
+            mapper(r)
+
+
+def test_nevanlinna_input_is_unsupported():
+    n = sk.convert(sk.convert(random_pair(np.random.default_rng(25), q=2), "kk_pair"), "nevanlinna")
+    for mapper, what in ((sk.pinv_map, "pinv_map"), (sk.neg_pinv_map, "neg_pinv_map")):
+        with pytest.raises(sk.UnsupportedKind, match=f"{what}: unsupported input kind nevanlinna"):
+            mapper(n)
 
 
 # --- neg_pinv_map ---
