@@ -31,8 +31,8 @@ from .errors import (
     UnsupportedKind,
 )
 from .limits import limit_at_infinity
-from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANGE_RTOL, RANK_ZERO
-from .matmeasure import RTOL_RANK, TOL_CERT, TOL_CR, is_psd, norm2, svd_rank, total_mass
+from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
+from .matmeasure import TOL_CERT, TOL_CR, _herm, is_psd, norm2, range_split, svd_rank, total_mass
 from .representations import (
     KINDS,
     Evaluator,
@@ -177,10 +177,6 @@ def _finite(zs: np.ndarray, V: np.ndarray) -> np.ndarray:
         z = complex(zs[np.argmax(bad)])
         raise EvaluationFailed(f"evaluator returned a non-finite value at z = {z}", witness=z)
     return V
-
-
-def _herm(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def _im(M: np.ndarray) -> np.ndarray:
@@ -413,16 +409,6 @@ def _sample_offsets(side: str, n: int, seed: int) -> np.ndarray:
 def sample_points(endpoint: float, side: str, n: int = 10, seed: int = 7):
     """Deterministic off-ray sample points mixing both half-planes and the gap."""
     return (endpoint + _sample_offsets(side, n, seed)).tolist()
-
-
-def range_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors, range mask) of a Hermitian PSD matrix or of each matrix of a stack.
-
-    The mask keeps the eigenvalues above RANGE_RTOL * lambda_max; the masked eigenvectors are an
-    orthonormal basis of the range and the others one of the null space.
-    """
-    vals, vecs = np.linalg.eigh(_herm(M))
-    return vals, vecs, vals > RANGE_RTOL * np.maximum(vals[..., -1:], 1e-300)
 
 
 def range_projector(M: np.ndarray) -> np.ndarray:

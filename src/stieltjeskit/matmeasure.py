@@ -138,11 +138,25 @@ def svd_rank(M, rtol: float, zero: float = 0.0):
     V_r V_r* project onto the ranges of M and M*.  For a stack of shape (m, p, q), r has shape (m,).
     """
     U, s, Vh = np.linalg.svd(M)
-    s1 = s[..., :1]
-    r = np.where(s1[..., 0] <= zero, 0, np.sum(s > rtol * s1, axis=-1))
     k = s.shape[-1]
+    s1 = s[..., :1] if k else np.zeros((*s.shape[:-1], 1))  # sigma_1: 0 for an empty matrix
+    r = np.where(s1[..., 0] <= zero, 0, np.sum(s > rtol * s1, axis=-1))
     keep = np.arange(k) < r[..., None, None]  # the first r columns
     return U[..., :k] * keep, s, Vh[..., :k, :].conj().swapaxes(-1, -2) * keep, r
+
+
+def _herm(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
+
+
+def range_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors, range mask) of a Hermitian PSD matrix or of each matrix of a stack.
+
+    The mask keeps the eigenvalues above RANGE_RTOL * lambda_max; the masked eigenvectors are an
+    orthonormal basis of the range and the others one of the null space.
+    """
+    vals, vecs = np.linalg.eigh(_herm(M))
+    return vals, vecs, vals > RANGE_RTOL * np.maximum(vals[..., -1:], 1e-300)
 
 
 def is_psd(M) -> bool:

@@ -4,7 +4,7 @@ The pseudoinverse maps build the image of a representation in closed
 form: the image of an affine term plus atoms is again one, whose poles
 are the eigenvalues of a Hermitian matrix, and they return its atomic
 evaluator.  A bare :class:`~.representations.Evaluator`, an sinf/tinf
-triple under ``pinv_map`` and a measure of more than CLOSED_FORM_COLUMNS
+triple under ``pinv_map`` and a measure of more than _CLOSED_FORM_COLUMNS
 columns take the lazy map instead, one SVD per point.  The duality
 reflection, congruence sums, constant shifts, direct sums and transposes
 act on representations and return representations with exactly mapped
@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import _herm, _structural_sum, range_split, rank_constancy, sample_points
+from .classifier import _structural_sum, rank_constancy, sample_points
 from .errors import DimensionMismatch, ShiftNotPsd, UnsupportedKind
-from .matmeasure import EP_RTOL, EP_TOL, EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR
-from .matmeasure import MatrixMeasure, _square, as_hermitian, image_measure, is_psd, right_ray, svd_rank
+from .matmeasure import EP_RTOL, EP_TOL, EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR, MatrixMeasure, _square, as_hermitian
+from .matmeasure import image_measure, is_psd, range_split, right_ray, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -110,37 +110,49 @@ def _pair_pinv(p: StieltjesPair) -> StieltjesPair:
     J = diag(Gam, I).  With X = [A; -E] and the projector Pi = B^+ B onto R(B*), its constant part
     is -alpha J - X (I - Pi) X*, so
 
-        -H^{-1}(z) = Y Y* + sum_j R_j R_j* / (Lam_j - z),  Lam = alpha + eig(O O*),  O = J^{-1/2} X (I - Pi),
+        -H^{-1}(z) = Y Y* + sum_j R_j R_j* / (Lam_j - z),  Lam = alpha + s^2,  O = J^{-1/2} X (I - Pi),
 
-    with R = ([P, 0] - Y X*) J^{-1/2} V, V the eigenvectors.  Hence gamma' = Y Y*, and each pole
+    with s the singular values of O, V its left singular vectors and R = ([P, 0] - Y X*) J^{-1/2} V;
+    the left null space of O, if any, carries the poles at alpha.  Hence gamma' = Y Y*, and each pole
     carries the rank-one weight R_j R_j* over its kernel numerator 1 + Lam_j - alpha: every weight
-    is PSD as built, with no sum cancelled and no division by Lam_j - alpha.  Lam_j - alpha is an
-    eigenvalue of the Gram matrix O O*, so every pole lies on the ray.  One within EPS_MERGE of
-    alpha, a rounding below it included, is placed at alpha, as canonicalization merges nodes.
+    is PSD as built, with no sum cancelled and no division by Lam_j - alpha.  Lam_j - alpha = s_j^2,
+    so every pole lies on the ray.  One within EPS_MERGE of alpha is placed at alpha, as
+    canonicalization merges nodes.
+
+    A column of L or E for a node t has size about sqrt(1 + t - alpha), so with a far node the
+    columns of B and O are graded.  They are taken in descending node order and B^+ is that of the
+    tall B*: an SVD then keeps the small singular values to relative accuracy.  The eigenvalues of
+    O O*, or the SVD of the wide B, would lose eps (1 + t - alpha) absolutely: with a node at 8e12,
+    a spurious pole 8e-4 from alpha.
     """
     a, q, mu = p.alpha, p.q, p.mu
     _, vecs, keep = range_split(_structural_sum(p))
     U = vecs[:, keep]
-    w, vecs, keep = range_split(mu.weights)
-    factors = vecs * np.sqrt(np.where(keep, w, 0.0) * (1.0 + mu.nodes - a)[:, None])[:, None, :]
+    nodes = mu.nodes[::-1]  # descending: the columns of B and O fall off with the node
+    w, vecs, keep = range_split(mu.weights[::-1])
+    factors = vecs * np.sqrt(np.where(keep, w, 0.0) * (1.0 + nodes - a)[:, None])[:, None, :]
     cols = keep.reshape(-1)  # atom k, column j at k q + j
     L = U.conj().T @ factors.transpose(1, 0, 2).reshape(q, -1)[:, cols]
-    t = np.repeat(mu.nodes, q)[cols]
+    t = np.repeat(nodes, q)[cols]
     g, vecs, keep = range_split(U.conj().T @ p.gamma @ U)
     P, N, gam = vecs[:, keep], vecs[:, ~keep], g[keep]
     B = N.conj().T @ L
-    B_pinv = np.zeros((t.size, 0))
-    if N.shape[1]:  # else gamma is invertible on R(S) and there is nothing to eliminate
-        B_pinv = _pinv_stack(B[None], PINV_RTOL_FACTOR * max(B.shape))[0][0]
+    B_pinv = _pinv_stack(B.conj().T[None], PINV_RTOL_FACTOR * max(B.shape))[0][0].conj().T
     Y = N @ B_pinv.conj().T
     off = t > a
     X = np.vstack((P.conj().T @ L, -np.eye(t.size)[off] * np.sqrt(t[off] - a)[:, None]))
-    scale = 1.0 / np.sqrt(np.concatenate((gam, np.ones(off.sum()))))[:, None]
-    O = scale * (X - X @ B_pinv @ B)
-    gram, V = np.linalg.eigh(_herm(O @ O.conj().T))
-    R = ((np.hstack((P, np.zeros((P.shape[0], off.sum())))) - Y @ X.conj().T) @ (scale * V)).T  # row j is R_j
-    nodes = np.where(gram <= EPS_MERGE * (1.0 + np.abs(a + gram)), a, a + gram)  # as canonicalization merges
-    weights = R[:, :, None] * R.conj()[:, None, :] / (1.0 + nodes - a)[:, None, None]
+    scale = 1.0 / np.sqrt(np.concatenate((gam, np.ones(off.sum()))))
+    O = scale[:, None] * (X - X @ B_pinv @ B)
+    V, s, _, r = svd_rank(O[None], 0.0)  # every singular value but an exact 0 keeps its vector
+    V, s = V[0], s[0]
+    M = (np.hstack((P, np.zeros((P.shape[0], off.sum())))) - Y @ X.conj().T) * scale
+    R = M @ V  # column j is R_j
+    Z = M - R @ V.conj().T if r[0] < O.shape[0] else M[:, :0]  # M on N(O*): the poles at alpha
+    gram = s**2
+    lam = np.where(gram <= EPS_MERGE * (1.0 + np.abs(a + gram)), a, a + gram)  # as canonicalization merges
+    nodes = np.concatenate(([a], lam))
+    rank_one = R.T[:, :, None] * R.conj().T[:, None, :]  # R_j R_j*
+    weights = np.concatenate(((Z @ Z.conj().T)[None], rank_one / (1.0 + lam - a)[:, None, None]))
     mu = MatrixMeasure.from_arrays(q, right_ray(a), nodes, U @ weights @ U.conj().T)
     return StieltjesPair(a, U @ Y @ Y.conj().T @ U.conj().T, mu)
 
@@ -149,21 +161,21 @@ def _pair_pinv(p: StieltjesPair) -> StieltjesPair:
 _PRODUCT = {"stieltjes_pair": "sinf_triple", "t_pair": "tinf_triple"}
 _PAIR = {product: pair for pair, product in _PRODUCT.items()}
 
-# Measure columns m (nodes times q) up to which a representation's pinv image is built in closed
-# form.  The build is dense in the columns, O(m^3), while the SVD map costs O(m q^2) per point.
-# Building and certifying a pair's pinv_map image as "s", one pinned CPU, one BLAS thread, best
-# of three, ms, closed form / SVD map: (q, n) = (4, 16): 6.9 / 22.4; (2, 64): 12.3 / 10.8;
-# (4, 32): 15.8 / 22.0; (8, 16): 14.5 / 42.0; (8, 32): 42.9 / 61.1; (3, 100): 19.3 / 18.7.
-CLOSED_FORM_COLUMNS = 128
+# A bound on the build's cost, not a measured crossover: the closed form is dense and cubic in the
+# measure's columns m (nodes times q), while the SVD map costs O(m q^2) per point, and where one
+# overtakes the other depends on q as well as m.  The bound keeps the test suite's largest pinned
+# inputs (q = 8, n = 500: a build of minutes) on the SVD map.  No benchmark input has more
+# columns, so the cost above it is unmeasured.
+_CLOSED_FORM_COLUMNS = 128
 
 
 def _closed_form(F, what: str) -> bool:
-    """Whether F's image is built in closed form: F is a representation with at most CLOSED_FORM_COLUMNS columns."""
+    """Whether F's image is built in closed form: F is a representation with at most _CLOSED_FORM_COLUMNS columns."""
     if isinstance(F, Evaluator):
         return False
     if KINDS[F.KIND].endpoint is None:
         raise UnsupportedKind(f"{what}: unsupported input kind {F.KIND}")
-    return measure_of(F).nodes.size * F.q <= CLOSED_FORM_COLUMNS
+    return measure_of(F).nodes.size * F.q <= _CLOSED_FORM_COLUMNS
 
 
 def _pinv_image(r: Representation) -> Representation:
@@ -184,7 +196,7 @@ def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator
     class.  A representation's image is built in closed form and returned
     as its atomic evaluator, except for an sinf/tinf triple (its image has
     a double pole at the endpoint) and a measure of more than
-    CLOSED_FORM_COLUMNS columns: those, and a bare Evaluator, take one SVD
+    _CLOSED_FORM_COLUMNS columns: those, and a bare Evaluator, take one SVD
     per point.  A bare Evaluator must have constant rank off the ray; an
     8-point rank probe refuses one whose numerical rank jumps.
     """

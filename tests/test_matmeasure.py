@@ -242,6 +242,14 @@ def test_svd_rank_cuts_the_singular_vectors_at_the_rank(shape):
     assert np.all(r == 0) and not U.any() and not V.any()
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0), (5, 3, 0), (5, 0, 3)])
+def test_svd_rank_of_an_empty_matrix_is_zero(shape):
+    *m, p, q = shape
+    U, s, V, r = svd_rank(np.zeros(shape, dtype=complex), 0.0)
+    assert U.shape == (*m, p, 0) and V.shape == (*m, q, 0) and s.shape == (*m, 0)
+    assert np.all(r == 0) and np.shape(r) == tuple(m)
+
+
 def test_total_mass_empty_is_zero():
     mu = sk.MatrixMeasure(2, sk.right_ray(0.0), [])
     assert np.array_equal(sk.total_mass(mu), np.zeros((2, 2)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import stieltjeskit as sk
 from stieltjeskit import classifier, transforms
-from stieltjeskit.representations import endpoint_side
+from stieltjeskit.representations import KINDS, endpoint_side, map_fields
 from stieltjeskit.transforms import _pinv_image, ep_im_identity_defect
 
 from genutil import (
@@ -184,24 +184,45 @@ def _criterion_06_input(rng, kind, q, gamma_rank, weight_rank, endpoint_atom):
 CLOSED_FORM_KINDS = ["stieltjes_pair", "kk_pair", "s0", "sinf_triple", "t_pair", "t0", "tinf_triple"]
 
 
+def _with_far_atom(rng, r, far, weight_rank):
+    """r plus one atom 10^far from the endpoint that adds about a PSD W to F.
+
+    Its weight is W (1 + |t - e|) over the kind's kernel numerator, so in the pair form its columns
+    are about sqrt(1 + |t - e|) times the others.
+    """
+    e, side = endpoint_side(r)
+    t = e + (10.0**far if side == "right" else -(10.0**far))
+    W = psd(rng, r.q, rank=weight_rank) * (1.0 + abs(t - e)) / KINDS[r.KIND].numerator(t, e)
+    add = lambda mu: sk.MatrixMeasure(r.q, mu.support, (*mu.atoms, (t, W)))  # noqa: E731
+    return type(r)(**map_fields(r, float, lambda M: M, add))
+
+
 @given(
     seed=st.integers(0, 10**6),
     kind=st.sampled_from(CLOSED_FORM_KINDS),
     q=st.integers(1, 3),
     ranks=st.tuples(st.integers(0, 3), st.integers(1, 3)),
     endpoint_atom=st.booleans(),
+    far=st.none() | st.floats(6.0, 13.0),
 )
-@settings(max_examples=150, deadline=None)
-def test_closed_form_matches_the_svd_map(seed, kind, q, ranks, endpoint_atom):
+@settings(max_examples=200, deadline=None)
+def test_closed_form_matches_the_svd_map(seed, kind, q, ranks, endpoint_atom, far):
+    """Values on the whole certification grid, with or without one atom 1e6 to 1e13 from the endpoint.
+
+    The gap points lie 1e-3 from the endpoint and the half-plane points come 1e-3 close to the poles
+    on the ray.
+    """
     rng = np.random.default_rng(seed)
     r = _criterion_06_input(rng, kind, q, min(ranks[0], q), min(ranks[1], q), endpoint_atom)
+    if far is not None:
+        r = _with_far_atom(rng, r, far, min(ranks[1], q))
     e, side = endpoint_side(r)
+    zs = e + classifier._grid_offsets(side, classifier.DEFAULT_GRID)
     for neg in (False, True) if kind not in ("sinf_triple", "tinf_triple") else (True,):
         G, H = (sk.neg_pinv_map if neg else sk.pinv_map)(r), _svd_map(r, neg)
         assert G._nodes is not None and H._nodes is None
         assert np.all(G._nodes >= e) if side == "right" else np.all(G._nodes <= e)  # every pole on the ray
         assert G.excluded == H.excluded
-        zs = off_ray_points(rng, e, side, 20)
         for a, b in zip(G.batch(zs), H.batch(zs)):
             assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
 
@@ -321,7 +342,7 @@ def test_svd_map_for_product_forms_and_large_measures():
     rng = np.random.default_rng(23)
     si = random_sinf(rng, q=2)
     assert sk.pinv_map(si)._nodes is None  # a double pole at alpha: no pair image
-    n = transforms.CLOSED_FORM_COLUMNS // 2 + 1
+    n = transforms._CLOSED_FORM_COLUMNS // 2 + 1
     big = random_pair(rng, q=2, n_atoms=n)
     for mapper in (sk.pinv_map, sk.neg_pinv_map):
         assert mapper(big)._nodes is None
