@@ -4,7 +4,8 @@ Certification is evidence, not proof: every condition is evaluated on a
 deterministic grid, and the certificate records the worst signed margin per
 condition together with the witness point, so failures are reproducible.
 
-Margins are scale-free: PSD conditions use lambda_min(.)/(1 + ||F(z)||).
+Margins are scale-free: PSD conditions use lambda_min(.)/(1 + ||F(z)||_2),
+norms (scaled Gram eigenvalues) and lambda_min from one stacked eigvalsh.
 Holomorphy is exact for an atomic evaluator (built from a representation,
 its only poles are the nodes, which must lie in the claimed ray); for an
 opaque one it is a normalized Cauchy-Riemann residual of fourth-order
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .limits import limit_at_infinity
 from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
-from .matmeasure import TOL_CERT, TOL_CR, _herm, is_psd, norm2, range_split, svd_rank, total_mass
+from .matmeasure import TOL_CERT, TOL_CR, _herm, _im, _scaled_gram, is_psd, norm2, range_split, svd_rank, total_mass
 from .representations import (
     KINDS,
     Evaluator,
@@ -179,15 +180,6 @@ def _finite(zs: np.ndarray, V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _im(M: np.ndarray) -> np.ndarray:
-    return (M - M.conj().swapaxes(-1, -2)) / 2j
-
-
-def _lam_min(H: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each matrix of a stack."""
-    return np.linalg.eigvalsh(_herm(H))[:, 0]
-
-
 def _worst(points, margins):
     """Minimum of the margins over points; returns (margin, witness).
 
@@ -293,54 +285,47 @@ def certify_class(
     """Certify membership of an evaluator in one of the classes of ``CLASSES``.
 
     F is evaluated once on the whole grid (one batch); every condition
-    reads those values.
+    reads those values, and every PSD margin reads one stacked eigvalsh.
     """
     kind = kind.lower()
     spec = _class_spec(kind)
     zs = endpoint + _grid_offsets(spec.side, grid)
     V = _values(F, zs)
-    scale = 1.0 + norm2(V)  # PSD margins are lambda_min / (1 + ||F(z)||)
     dist = F.distance(zs)
-    index = np.arange(zs.size)
-    is_upper = index < grid.n_upper
-    on_gap = index >= grid.n_upper + grid.n_lower
-
-    conditions = []
-
-    def add(name, mask, margins):
-        """Worst of margins(indices of the masked points), witnessed in grid order."""
-        sub = np.flatnonzero(mask)
-        margin, witness = _worst(zs[sub], margins(sub))
-        conditions.append({"name": name, "margin": margin, "witness": witness})
+    is_upper = np.arange(zs.size) < grid.n_upper
+    on_gap = np.arange(zs.size) >= grid.n_upper + grid.n_lower
 
     # A gap point on the evaluator's own excluded ray (a class claimed for
     # the other side) leaves the difference stencil no room: holomorphy is
     # sampled only where the evaluator is defined.
     defined = dist > 0.0
     margin, witness = _holomorphy(F, zs[defined], dist[defined], endpoint, spec.sign)
-    conditions.append({"name": "holomorphic", "margin": margin, "witness": witness})
-    herglotz = lambda W, s: _lam_min(_im(W)) / s  # noqa: E731
-    add("herglotz_upper", is_upper, lambda i: herglotz(V[i], scale[i]))
-    add("herglotz_lower_conj", ~is_upper & ~on_gap, lambda i: _lam_min(-_im(V[i])) / scale[i])
+    conditions = [{"name": "holomorphic", "margin": margin, "witness": witness}]
 
+    # PSD margins lambda_min(H) / (1 + ||c V||_2); a block holds H at its points, c there and the conditions it
+    # serves: +-Im V off the gap; sign F on the gap and, for a half_plane class (its gap has its side's sign),
+    # where Re z lies left of alpha (S) resp. right of beta (T); Im(c V) for mulz, c = z - alpha resp. beta - z.
+    off = ~on_gap
+    herglotz = (("herglotz_upper", is_upper), ("herglotz_lower_conj", off & ~is_upper))
+    blocks = [(off, np.where(is_upper[off], 1.0, -1.0)[:, None, None] * _im(V[off]), 1.0, herglotz)]
     if spec.gap:
-        # sign F PSD on the gap and, for a half_plane class (whose gap has its side's sign), where
-        # Re z lies left of alpha (S) resp. right of beta (T) or on the gap: one lambda_min of sign F
-        # on those points serves both conditions (per matrix, so each margin keeps its bits).
         half = (spec.sign * (zs.real - endpoint) < 0) | on_gap if spec.half_plane else on_gap
-        lam = np.zeros(zs.size)
-        lam[half] = _lam_min(V[half] if spec.gap > 0 else -V[half]) / scale[half]
-        add("psd_on_gap" if spec.gap > 0 else "npsd_on_gap", on_gap, lam.__getitem__)
-        if spec.half_plane:
-            add("re_psd_left" if spec.sign > 0 else "re_npsd_right", half, lam.__getitem__)
+        names = ("psd_on_gap", "re_psd_left") if spec.gap > 0 else ("npsd_on_gap", "re_npsd_right")
+        blocks.append((half, spec.gap * V[half], 1.0, tuple(zip(names, (on_gap, half)))[: 1 + spec.half_plane]))
     if spec.mulz:
-        factor = spec.sign * (zs - endpoint)  # (z - alpha) resp. (beta - z), from the shared values
-
-        def mulz(i):
-            P = _finite(zs[i], factor[i, None, None] * V[i])
-            return herglotz(P, 1.0 + norm2(P))
-
-        add("herglotz_upper_mulz", is_upper, mulz)
+        factor = spec.sign * (zs[is_upper] - endpoint)
+        P = _finite(zs[is_upper], factor[:, None, None] * V[is_upper])
+        blocks.append((is_upper, _im(P), np.abs(factor), (("herglotz_upper_mulz", is_upper),)))
+    gram, m = _scaled_gram(V)  # then one eigvalsh, per matrix: each lambda_min keeps its bits
+    lam = np.linalg.eigvalsh(np.concatenate([gram] + [_herm(H) for _, H, _, _ in blocks]))
+    norm = m * np.sqrt(lam[: zs.size, -1])
+    ends = np.cumsum([zs.size] + [len(H) for _, H, _, _ in blocks])
+    for (points, _, c, names), start, stop in zip(blocks, ends, ends[1:]):
+        margins = np.zeros(zs.size)
+        margins[points] = lam[start:stop, 0] / (1.0 + c * norm[points])
+        for name, mask in names:  # the worst margin at the masked points, witnessed in grid order
+            margin, witness = _worst(zs[mask], margins[mask])
+            conditions.append({"name": name, "margin": margin, "witness": witness})
     if spec.infinity is not None:
         margin, witness = _AT_INFINITY[spec.infinity][0](F)
         conditions.append({"name": spec.infinity, "margin": margin, "witness": witness})
@@ -515,9 +500,9 @@ def null_domination(repr_, A) -> dict:
     s = 1.0 + norm2(V)
     worst = lambda D: float(np.max(norm2(D) / s, initial=0.0))  # noqa: E731
     worst_null, worst_right, worst_left = worst(V @ Pn), worst(V @ P - V), worst(P @ V - V)
-    s_par = 1.0 + float(np.linalg.norm(S, 2))
-    dev_params = float(np.linalg.norm(S @ Pn, 2)) / s_par
-    dev_range = float(np.linalg.norm(Pn @ S, 2)) / s_par
+    s_par = 1.0 + float(norm2(S))
+    dev_params = float(norm2(S @ Pn)) / s_par
+    dev_range = float(norm2(Pn @ S)) / s_par
 
     report = {
         "null_sampled": worst_null <= NULL_TOL,

@@ -76,9 +76,21 @@ def _square(M) -> np.ndarray:
     return M
 
 
+def _scaled_gram(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X* X, m) per matrix of a stack: m its largest |entry|, nan if one is not finite; X = M / m, 0 if m is 0 or nan.
+
+    ||M||_2 = m sqrt(lambda_max(X* X)); as |X| <= 1, X* X cannot overflow as M* M does past |M| ~ 1e154.
+    """
+    m = np.abs(M).max(axis=(-2, -1), initial=0.0)
+    X = np.where(np.isfinite(m)[..., None, None], M, 0j)
+    X.view(float)[...] /= np.where(m > 0.0, m, 1.0)[..., None, None]  # not complex: that takes 1/m, inf if subnormal
+    return X.conj().swapaxes(-1, -2) @ X, np.where(np.isfinite(m), m, np.nan)
+
+
 def norm2(M: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix of a stack."""
-    return np.linalg.norm(M, 2, axis=(-2, -1))
+    """Spectral norm of each matrix of a stack, from the largest eigenvalue of its scaled Gram matrix."""
+    G, m = _scaled_gram(M)
+    return m * np.sqrt(np.linalg.eigvalsh(G).max(axis=-1, initial=0.0))
 
 
 def _hermitian_stack(M: np.ndarray, psd: bool) -> np.ndarray:
@@ -89,8 +101,8 @@ def _hermitian_stack(M: np.ndarray, psd: bool) -> np.ndarray:
     defect ||M - M*||_2 above eps (1 + ||M||_2) (NotHermitian) or, with
     ``psd``, lambda_min(H) below -eps (1 + ||H||_2) (NotPsd); eps is EPS_PSD
     with ``psd`` and EPS_HERM without.  ||H||_2 is read off the eigenvalues;
-    the two SVDs of the defect test run only for matrices that differ from
-    their conjugate transpose.
+    the two norms of the defect test (scaled Gram eigenvalues, ``norm2``) are
+    taken only for matrices that differ from their conjugate transpose.
     """
     eps = EPS_PSD if psd else EPS_HERM
     finite = np.isfinite(M).all(axis=(1, 2))
@@ -147,6 +159,10 @@ def svd_rank(M, rtol: float, zero: float = 0.0):
 
 def _herm(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
+
+
+def _im(M: np.ndarray) -> np.ndarray:
+    return (M - M.conj().swapaxes(-1, -2)) / 2j
 
 
 def range_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

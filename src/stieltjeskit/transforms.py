@@ -20,7 +20,7 @@ import numpy as np
 from .classifier import _structural_sum, rank_constancy, sample_points
 from .errors import DimensionMismatch, ShiftNotPsd, UnsupportedKind
 from .matmeasure import EP_RTOL, EP_TOL, EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR, MatrixMeasure, _square, as_hermitian
-from .matmeasure import image_measure, is_psd, range_split, right_ray, svd_rank
+from .matmeasure import _im, image_measure, is_psd, norm2, range_split, right_ray, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -67,17 +67,16 @@ def pinv(M) -> PinvResult:
 def is_ep(M) -> bool:
     """EP test: range of M equals range of M* (as orthogonal projectors)."""
     U, _, V, _ = svd_rank(np.asarray(M, dtype=complex), EP_RTOL, EP_ZERO)
-    return float(np.linalg.norm(U @ U.conj().T - V @ V.conj().T, 2)) <= EP_TOL
+    return float(norm2(U @ U.conj().T - V @ V.conj().T)) <= EP_TOL
 
 
 def ep_im_identity_defect(M) -> float:
     """Defect of im(M^+) = -M^+ (im M) (M^+)* (valid for EP matrices)."""
     M = np.asarray(M, dtype=complex)
     P = pinv(M).pinv
-    im = lambda A: (A - A.conj().T) / 2j  # noqa: E731
-    lhs = im(P)
-    rhs = -P @ im(M) @ P.conj().T
-    return float(np.linalg.norm(lhs - rhs, 2))
+    lhs = _im(P)
+    rhs = -P @ _im(M) @ P.conj().T
+    return float(norm2(lhs - rhs))
 
 
 def _svd_input(F, endpoint: float | None, side: str) -> tuple[Evaluator, float, str]:

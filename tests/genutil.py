@@ -7,6 +7,7 @@ reproducible from its seed.
 import numpy as np
 
 import stieltjeskit as sk
+from stieltjeskit.representations import KINDS, endpoint_side, map_fields
 
 
 def psd(rng, q, rank=None, scale=1.0):
@@ -131,6 +132,19 @@ def random_kind(kind, rng, **kw):
         return RANDOM_KINDS[kind](rng, **kw)
     kk = sk.convert(random_pair(rng, **kw), "kk_pair")
     return kk if kind == "kk_pair" else sk.convert(kk, "nevanlinna")
+
+
+def with_far_atom(rng, r, far, weight_rank=None):
+    """r plus one atom 10^far from the endpoint that adds about a PSD W to F.
+
+    Its weight is W (1 + |t - e|) over the kind's kernel numerator, so in the pair form its columns
+    are about sqrt(1 + |t - e|) times the others.
+    """
+    e, side = endpoint_side(r)
+    t = e + (10.0**far if side == "right" else -(10.0**far))
+    W = psd(rng, r.q, rank=weight_rank) * (1.0 + abs(t - e)) / KINDS[r.KIND].numerator(t, e)
+    add = lambda mu: sk.MatrixMeasure(r.q, mu.support, (*mu.atoms, (t, W)))  # noqa: E731
+    return type(r)(**map_fields(r, float, lambda M: M, add))
 
 
 def off_ray_points(rng, endpoint, side, n):

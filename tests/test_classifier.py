@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 import stieltjeskit as sk
-from stieltjeskit.classifier import TOL_CERT, TOL_CR, _grid_offsets, sample_points
+from stieltjeskit.classifier import CLASSES, TOL_CERT, TOL_CR, _grid_offsets, sample_points
 from stieltjeskit.representations import KINDS, endpoint_side
 
 from genutil import (
@@ -17,6 +18,7 @@ from genutil import (
     random_t0,
     random_tinf,
     random_tpair,
+    with_far_atom,
 )
 
 I2 = np.eye(2)
@@ -235,6 +237,122 @@ def test_far_atom_s0_and_t0_pass(t):
     mirror = sk.T0Measure(0.0, sk.MatrixMeasure(2, sk.left_ray(0.0), [(-t, I2)]))
     cert = sk.certify_class(sk.evaluator(mirror), 0.0, "t0", SMALL_GRID)
     assert cert.verdict and cert.margin("y_norm_bounded") > 0.49
+
+
+# --- one eigen-pass per certificate ---
+
+
+def _svd_scaled_margins(F, endpoint, kind, grid=sk.GridConfig()):
+    """(margin, witness) of each PSD condition, scaled by 1 + sigma_1 from an SVD, one eigvalsh per condition."""
+    spec = CLASSES[kind]
+    zs = endpoint + _grid_offsets(spec.side, grid)
+    V = F.batch_raw(zs)
+    im = lambda M: (M - M.conj().swapaxes(1, 2)) / 2j  # noqa: E731
+    index = np.arange(zs.size)
+    upper, gap = index < grid.n_upper, index >= grid.n_upper + grid.n_lower
+    lower = ~upper & ~gap
+
+    def worst(mask, H, M):
+        lam = np.linalg.eigvalsh(0.5 * (H + H.conj().swapaxes(1, 2)))[:, 0]
+        margins = lam / (1.0 + np.linalg.svd(M, compute_uv=False)[:, 0])
+        i = int(np.argmin(margins))
+        return float(margins[i]), complex(zs[mask][i])
+
+    out = {"herglotz_upper": worst(upper, im(V[upper]), V[upper])}
+    out["herglotz_lower_conj"] = worst(lower, -im(V[lower]), V[lower])
+    if spec.gap:
+        out["psd_on_gap" if spec.gap > 0 else "npsd_on_gap"] = worst(gap, spec.gap * V[gap], V[gap])
+    if spec.half_plane:
+        half = gap | (spec.sign * (zs.real - endpoint) < 0)
+        out["re_psd_left" if spec.sign > 0 else "re_npsd_right"] = worst(half, spec.gap * V[half], V[half])
+    if spec.mulz:
+        P = (spec.sign * (zs[upper] - endpoint))[:, None, None] * V[upper]
+        out["herglotz_upper_mulz"] = worst(upper, im(P), P)
+    return out
+
+
+def _criterion_01_draws():
+    rng = np.random.default_rng(101)
+    for kind, make in RANDOM_KINDS.items():  # criterion 01's order
+        for _ in range(50):
+            r = make(rng)
+            yield sk.evaluator(r), endpoint_side(r)[0], KINDS[kind].default_class
+
+
+def _draws_up_to_q8():
+    """Each kind at q = 1 .. 8, rank-deficient weights, half of them with an atom 1e6 to 1e10 out; own and mirror claims."""
+    rng = np.random.default_rng(18)
+    for q in range(1, 9):
+        for kind, make in RANDOM_KINDS.items():
+            rank = lambda: int(rng.integers(0, q + 1))  # noqa: E731
+            r = make(rng, q=q, **({"ranks": (rank(), rank(), rank())} if "inf" in kind else {"weight_rank": rank()}))
+            if rng.integers(0, 2):
+                r = with_far_atom(rng, r, rng.uniform(6.0, 10.0), rank())
+            own = KINDS[kind].default_class
+            for cls in (own, ("t" if own[0] == "s" else "s") + own[1:]):  # and the mirror class
+                yield sk.evaluator(r), endpoint_side(r)[0], cls
+
+
+def _criterion_10_draws():
+    """Criterion 10's negative controls: a negative eigenvalue in gamma, an atom across the endpoint."""
+    rng = np.random.default_rng(110)
+    for _ in range(5):
+        p = random_pair(rng, q=2)
+        F = sk.evaluator(p)
+        dent = (np.linalg.norm(p.gamma, 2) + 0.5) * np.outer([1.0, 0.0], [1.0, 0.0])
+        yield sk.Evaluator(2, sk.right_ray(p.alpha), lambda z, F=F, dent=dent: F.fn(z) - dent), p.alpha, "s"
+        t_bad = p.alpha - rng.uniform(0.25, 0.55)
+        W_bad = (1.0 + t_bad - p.alpha) * (psd(rng, 2) + 2.0 * I2)
+        yield sk.Evaluator(2, sk.right_ray(p.alpha), lambda z, F=F, t=t_bad, W=W_bad: F.fn(z) + W / (t - z)), p.alpha, "s"
+
+
+def _via_pair_draws():
+    rng = np.random.default_rng(17)
+    for q in range(1, 9):
+        for r in (random_pair(rng, q=q), random_tpair(rng, q=q)):
+            for cls in ("s_via_pair", "t_via_pair"):
+                yield sk.evaluator(r), endpoint_side(r)[0], cls
+
+
+@pytest.mark.parametrize("draws", [_criterion_01_draws, _draws_up_to_q8, _criterion_10_draws, _via_pair_draws])
+def test_margins_match_the_svd_scale(draws):
+    """Verdicts and witnesses equal those of an SVD-based scale, and every margin agrees to 1e-14 relative."""
+    for F, endpoint, cls in draws():
+        cert = sk.certify_class(F, endpoint, cls)
+        ref = _svd_scaled_margins(F, endpoint, cls)
+        got = {c["name"]: (c["margin"], c["witness"]) for c in cert.conditions}
+        assert set(ref) <= set(got)
+        for name, (margin, witness) in ref.items():
+            assert got[name][1] == witness, (cls, name)
+            assert abs(got[name][0] - margin) <= 1e-14 * abs(margin), (cls, name, got[name][0], margin)
+        assert cert.verdict == all(ref.get(name, value)[0] >= -TOL_CERT for name, value in got.items())
+        assert not (cert.verdict and draws is _criterion_10_draws)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Calls of np.linalg.svd and eigvalsh, numpy's own included (np.linalg.norm(M, 2) runs an SVD)."""
+    calls = collections.Counter()
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # where numpy looks its functions up
+    for name in ("svd", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in (np.linalg, impl):
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("cls", list(CLASSES))
+def test_a_certificate_is_one_eigvalsh_and_no_svd(linalg_calls, cls):
+    for r in (random_pair(np.random.default_rng(4), q=3), random_tpair(np.random.default_rng(4), q=3)):
+        F = sk.evaluator(r)
+        linalg_calls.clear()
+        sk.certify_class(F, endpoint_side(r)[0], cls)
+        assert linalg_calls == {"eigvalsh": 1}
 
 
 # Atoms at 1 and 10, two of the gap points of a left-side grid at endpoint 0

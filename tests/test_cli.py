@@ -457,12 +457,12 @@ CERTIFY_DIGESTS = {
     ("pair", "sdot"): "54ea8478060216b18b8d2b1b59b295640755ab085441f99e3ee5c0a6b278f733",
     ("pair", "sinf"): "704d72fce39c9e42a93439dd27122803c3b031ff11ba82e5c582008123ca0321",
     ("pair", "t"): "78a6c4657e443bbb8b0246874563aaeac63c46e32fa0ddbb8fdb5aaa8f500499",
-    ("pair", "t_via_pair"): "0bb409cce1ddc401a6848dc80bc33ccaf43a8b09d7aba71e2c1cc38a9f452bbd",
+    ("pair", "t_via_pair"): "1ecab0a16238cab43351e310d8157cf7b7aa98d317f073e63c52c069d5543a9d",
     ("pair", "t0"): "2205abccbf3b744c7b588ae01ba108baf5e365925a2682093e22fcfc4aeeccdb",
     ("pair", "tdot"): "f6c0c903dfea61a203bae94f19bbfaf749ae515de22176c3c74ffb9c101efc51",
     ("pair", "tinf"): "908205ac4571f707a65f84d6bcd6d006ce267e6c00fa60c7cccc86e1b299ca51",
     ("t_pair", "s"): "4c540912713fea5238b2d3d6a85598804c35592914b38f8c948ddb17136245c1",
-    ("t_pair", "s_via_pair"): "86466eef26cc138240b14c634a44bac00adf0d9fff151c5ce521ff63596d5c94",
+    ("t_pair", "s_via_pair"): "804f78d49a5411f2170ba8cb3acd9854c9eb1e6ae9993d53c7e6a54c147a7a9b",
     ("t_pair", "s0"): "36749faa962531a6ac402e6d5d101721b69da2ac00d4fbdddb3ef8383332506a",
     ("t_pair", "sdot"): "d4a7494b79186f62a20154408f749b8353768a93b2970db1bb945a70059dbf36",
     ("t_pair", "sinf"): "065b0c58ac53a10d0bd225ee79ca5b03eb979be42a265ec55e2f796c2f69f447",

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
-from stieltjeskit.matmeasure import EPS_MERGE, EPS_PSD, matrix_from_json, matrix_to_json, svd_rank
+from stieltjeskit.matmeasure import EPS_MERGE, EPS_PSD, matrix_from_json, matrix_to_json, norm2, svd_rank
 
 from genutil import measure_left, measure_right, psd
 
@@ -248,6 +249,42 @@ def test_svd_rank_of_an_empty_matrix_is_zero(shape):
     U, s, V, r = svd_rank(np.zeros(shape, dtype=complex), 0.0)
     assert U.shape == (*m, p, 0) and V.shape == (*m, q, 0) and s.shape == (*m, 0)
     assert np.all(r == 0) and np.shape(r) == tuple(m)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("q", range(1, 9))
+def test_norm2_is_the_largest_singular_value(q, scale):
+    # Unscaled, the Gram matrix of entries near 1e200 overflows and that of entries near 1e-200 underflows.
+    rng = np.random.default_rng(q)
+    M = rng.normal(size=(20, q, q)) + 1j * rng.normal(size=(20, q, q))
+    M[0] = psd(rng, q, rank=1)
+    M[1, :, 0] *= 1e-8  # graded columns
+    M *= scale
+    sigma_1 = np.linalg.svd(M, compute_uv=False)[:, 0]
+    np.testing.assert_allclose(norm2(M), sigma_1, rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(norm2(M[3]), sigma_1[3], rtol=2e-15, atol=0.0)  # a single matrix
+
+
+def test_norm2_of_zero_and_empty_matrices():
+    assert np.array_equal(norm2(np.zeros((4, 3, 3), dtype=complex)), np.zeros(4))
+    assert norm2(np.zeros((2, 2))) == 0.0
+    for shape in [(0, 3, 3), (3, 0, 0), (0, 0, 0), (2, 0, 3), (2, 3, 0)]:
+        out = norm2(np.zeros(shape, dtype=complex))
+        assert out.shape == shape[:1] and not out.any()
+    assert norm2(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)])
+def test_norm2_of_a_non_finite_entry_is_not_finite(bad, where):
+    M = np.stack([np.eye(2, dtype=complex)] * 3)
+    M[1][where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = norm2(M)
+        single = norm2(M[1])
+    assert out[0] == out[2] == 1.0
+    assert not np.isfinite(out[1]) and not np.isfinite(single)
 
 
 def test_total_mass_empty_is_zero():

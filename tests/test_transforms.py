@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import stieltjeskit as sk
 from stieltjeskit import classifier, transforms
-from stieltjeskit.representations import KINDS, endpoint_side, map_fields
+from stieltjeskit.representations import endpoint_side
 from stieltjeskit.transforms import _pinv_image, ep_im_identity_defect
 
 from genutil import (
@@ -22,6 +22,7 @@ from genutil import (
     random_sinf,
     random_tinf,
     random_tpair,
+    with_far_atom,
 )
 
 I2 = np.eye(2)
@@ -184,19 +185,6 @@ def _criterion_06_input(rng, kind, q, gamma_rank, weight_rank, endpoint_atom):
 CLOSED_FORM_KINDS = ["stieltjes_pair", "kk_pair", "s0", "sinf_triple", "t_pair", "t0", "tinf_triple"]
 
 
-def _with_far_atom(rng, r, far, weight_rank):
-    """r plus one atom 10^far from the endpoint that adds about a PSD W to F.
-
-    Its weight is W (1 + |t - e|) over the kind's kernel numerator, so in the pair form its columns
-    are about sqrt(1 + |t - e|) times the others.
-    """
-    e, side = endpoint_side(r)
-    t = e + (10.0**far if side == "right" else -(10.0**far))
-    W = psd(rng, r.q, rank=weight_rank) * (1.0 + abs(t - e)) / KINDS[r.KIND].numerator(t, e)
-    add = lambda mu: sk.MatrixMeasure(r.q, mu.support, (*mu.atoms, (t, W)))  # noqa: E731
-    return type(r)(**map_fields(r, float, lambda M: M, add))
-
-
 @given(
     seed=st.integers(0, 10**6),
     kind=st.sampled_from(CLOSED_FORM_KINDS),
@@ -215,7 +203,7 @@ def test_closed_form_matches_the_svd_map(seed, kind, q, ranks, endpoint_atom, fa
     rng = np.random.default_rng(seed)
     r = _criterion_06_input(rng, kind, q, min(ranks[0], q), min(ranks[1], q), endpoint_atom)
     if far is not None:
-        r = _with_far_atom(rng, r, far, min(ranks[1], q))
+        r = with_far_atom(rng, r, far, min(ranks[1], q))
     e, side = endpoint_side(r)
     zs = e + classifier._grid_offsets(side, classifier.DEFAULT_GRID)
     for neg in (False, True) if kind not in ("sinf_triple", "tinf_triple") else (True,):
