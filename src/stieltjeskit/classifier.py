@@ -33,7 +33,8 @@ from .errors import (
 )
 from .limits import limit_at_infinity
 from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
-from .matmeasure import TOL_CERT, TOL_CR, _herm, _im, _scaled_gram, is_psd, norm2, range_split, svd_rank, total_mass
+from .matmeasure import TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd, norm2, range_split
+from .matmeasure import svd_rank, total_mass
 from .representations import (
     KINDS,
     Evaluator,
@@ -492,7 +493,7 @@ def null_domination(repr_, A) -> dict:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] != repr_.q:
         raise ValueError(f"A must have q = {repr_.q} columns")
-    Vr = svd_rank(A, NULL_RTOL_FACTOR * max(A.shape))[2]
+    Vr = svd_rank(_finite_entries(A), NULL_RTOL_FACTOR * max(A.shape))[2]
     P = Vr @ Vr.conj().T  # orthogonal projector onto R(A*) = N(A)^perp
     Pn = np.eye(repr_.q, dtype=complex) - P
     S = _structural_sum(repr_)

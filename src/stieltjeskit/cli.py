@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,21 +39,14 @@ from .transforms import dual_map, neg_pinv_map, pinv_map, transpose_map
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise StieltjesKitError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
         raise StieltjesKitError(f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-
-
-def _load_repr(path: str):
-    obj = _load_json(path)
-    if "kind" not in obj:
-        raise StieltjesKitError(f"{path}: missing 'kind' field")
-    try:
-        return repr_from_json(obj)
-    except KeyError as exc:
-        raise StieltjesKitError(f"{path}: missing field {exc}")
+    if not isinstance(obj, dict):
+        raise StieltjesKitError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _dump_grid(F: Evaluator, endpoint: float, side: str, seed: int) -> list:
@@ -79,7 +73,7 @@ def _moments_json(mu: MatrixMeasure, m: int) -> dict:
 
 
 def _cmd_eval(args) -> tuple[int, dict]:
-    r = _load_repr(args.input)
+    r = repr_from_json(_load_json(args.input))
     endpoint, side = endpoint_side(r)
     report = {
         "command": "eval",
@@ -98,7 +92,7 @@ def _certificate(args, r, endpoint: float):
 
 
 def _cmd_certify(args) -> tuple[int, dict]:
-    r = _load_repr(args.input)
+    r = repr_from_json(_load_json(args.input))
     endpoint, _ = endpoint_side(r)
     if args.alpha is not None:
         endpoint = args.alpha
@@ -110,7 +104,7 @@ def _cmd_certify(args) -> tuple[int, dict]:
 
 
 def _cmd_params(args) -> tuple[int, dict]:
-    r = _load_repr(args.input)
+    r = repr_from_json(_load_json(args.input))
     endpoint, _ = endpoint_side(r)
     F = evaluator(r)
     claimed = args.kind or KINDS[r.KIND].default_class
@@ -130,13 +124,13 @@ def _cmd_params(args) -> tuple[int, dict]:
 
 
 def _cmd_convert(args) -> tuple[int, dict]:
-    r = _load_repr(args.input)
+    r = repr_from_json(_load_json(args.input))
     out = convert(r, args.kind, alpha=args.alpha)
     return 0, {"command": "convert", "target": args.kind, "representation": repr_to_json(out)}
 
 
 def _cmd_transform(args) -> tuple[int, dict]:
-    r = _load_repr(args.input)
+    r = repr_from_json(_load_json(args.input))
     endpoint, side = endpoint_side(r)
     op = args.op
     if op == "dual":
@@ -159,15 +153,12 @@ def _cmd_transform(args) -> tuple[int, dict]:
 
 def _cmd_moments(args) -> tuple[int, dict]:
     obj = _load_json(args.input)
-    if "kind" in obj:
-        mu = measure_of(repr_from_json(obj))
-    else:
-        mu = MatrixMeasure.from_json(obj)
+    mu = measure_of(repr_from_json(obj)) if "kind" in obj else MatrixMeasure.from_json(obj)
     return 0, {"command": "moments", "m": args.m, **_moments_json(mu, args.m)}
 
 
 def _cmd_report(args) -> tuple[int, dict]:
-    r = _load_repr(args.input)
+    r = repr_from_json(_load_json(args.input))
     endpoint, side = endpoint_side(r)
     cert = _certificate(args, r, endpoint)
     report = {
@@ -179,6 +170,13 @@ def _cmd_report(args) -> tuple[int, dict]:
         "samples": _dump_grid(evaluator(r), endpoint, side, args.grid_seed),
     }
     return (0 if cert.verdict else 2), report
+
+
+def finite(text: str) -> float:
+    """The type of --alpha, --beta and --phi: float() takes inf, nan and 1e400; this refuses them."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
 
 
 # Command -> (handler, the flags it reads besides --input and --out).
@@ -193,12 +191,12 @@ _COMMANDS = {
 }
 _FLAGS = {
     "--kind": {"choices": CLASSES, "help": "class (default: the class of the input's kind)"},
-    "--alpha": {"type": float},
-    "--beta": {"type": float},
+    "--alpha": {"type": finite},
+    "--beta": {"type": finite},
     "--grid-seed": {"type": int, "default": 42},
     "--tol": {"type": float},
     "--mode": {"choices": MODES},
-    "--phi": {"type": float, "help": "radial direction (default: along the real gap)"},
+    "--phi": {"type": finite, "help": "radial direction (default: along the real gap)"},
     "--m": {"type": int, "default": 2},
     "--op": {"choices": ("pinv_map", "neg_pinv", "dual", "transpose"), "required": True},
 }

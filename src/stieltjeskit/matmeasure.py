@@ -10,10 +10,12 @@ densities, and scalar projections u* mu u.  Sums over the atoms add them
 in node order, as a loop over the atoms would.
 
 Everything is immutable and canonicalized at construction, by stacked
-array operations: weights are checked finite, symmetrized and PSD-checked
-(one stacked ``eigvalsh``; the first failing atom in input order raises),
-nodes stably sorted ascending, near-duplicate nodes merged by weight
-addition, zero weights dropped.
+array operations.  Input is checked here, in the constructors, and the
+JSON loaders only read fields.  The weight stack is checked whole, one
+check at a time: its shape, finiteness, hermiticity, then PSD (one stacked
+``eigvalsh``); the first failing check raises.  Then nodes are stably
+sorted ascending, near-duplicate nodes merged by weight addition and zero
+weights dropped.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     NotPsd,
     StieltjesKitError,
     SupportViolation,
+    UnsupportedKind,
 )
 
 # Tolerance policy: every cutoff of the library, each with its reason; the
@@ -69,11 +72,37 @@ _SUPPORT = {
 }
 
 
+def _numbers(data, what: str, kinds: str = "biuf") -> np.ndarray:
+    """``data`` as an array of dtype ``kinds``; ragged, a string, null or an int past 64 bits is a DimensionMismatch."""
+    try:
+        A = np.asarray(data)
+    except ValueError as exc:
+        raise DimensionMismatch(f"{what} is not a regular array: {exc}") from None
+    if A.dtype.kind not in kinds:
+        raise DimensionMismatch(f"{what} must hold numbers, not strings, null or integers past 64 bits ({A.dtype})")
+    return A.astype(complex if "c" in kinds else float, copy=False)
+
+
+def _finite_entries(M: np.ndarray) -> np.ndarray:
+    if not np.isfinite(M).all():
+        raise StieltjesKitError("matrix has a non-finite entry")
+    return M
+
+
 def _square(M) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
+    """M as a finite square complex matrix: the shape is checked first, then finiteness."""
+    M = _numbers(M, "matrix", "biufc")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    return M
+    return _finite_entries(M)
+
+
+def as_endpoint(value) -> float:
+    """The endpoint as a float if it is one finite real number; not a number is a DimensionMismatch."""
+    e = _numbers(value, "endpoint")
+    if e.shape or not np.isfinite(e):
+        raise StieltjesKitError(f"endpoint must be one finite number, got {value!r}")
+    return float(e)
 
 
 def _scaled_gram(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,40 +123,32 @@ def norm2(M: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_stack(M: np.ndarray, psd: bool) -> np.ndarray:
-    """Read-only symmetrized copies (M + M*)/2 of a stack of square matrices, validated.
+    """Read-only symmetrized copies (M + M*)/2 of a stack of finite square matrices, validated.
 
-    The first matrix in stack order that fails raises: a non-finite entry
-    (StieltjesKitError, before any arithmetic touches it), a hermiticity
-    defect ||M - M*||_2 above eps (1 + ||M||_2) (NotHermitian) or, with
-    ``psd``, lambda_min(H) below -eps (1 + ||H||_2) (NotPsd); eps is EPS_PSD
-    with ``psd`` and EPS_HERM without.  ||H||_2 is read off the eigenvalues;
-    the two norms of the defect test (scaled Gram eigenvalues, ``norm2``) are
-    taken only for matrices that differ from their conjugate transpose.
+    Hermiticity is checked on the whole stack, then, with ``psd``, PSD: the
+    first matrix with a defect ||M - M*||_2 above eps (1 + ||M||_2) raises
+    NotHermitian, else the first with lambda_min(H) below -eps (1 + ||H||_2)
+    raises NotPsd; eps is EPS_PSD with ``psd`` and EPS_HERM without.
+    ||H||_2 is read off the eigenvalues; the two norms of the defect test
+    (scaled Gram eigenvalues, ``norm2``) are taken only for matrices that
+    differ from their conjugate transpose.
     """
     eps = EPS_PSD if psd else EPS_HERM
-    finite = np.isfinite(M).all(axis=(1, 2))
-    m = len(M) if finite.all() else int(np.argmin(finite))
-    M = M[:m]  # the matrices before the first non-finite one are checked first
     Mh = M.conj().swapaxes(1, 2)
     H = 0.5 * (M + Mh)
     D = M - Mh
     asym = D.any(axis=(1, 2))
-    defect, scale = np.zeros(m), np.ones(m)
     if asym.any():
-        defect[asym], scale[asym] = norm2(D[asym]), 1.0 + norm2(M[asym])
-    lam_min, psd_scale = np.zeros(m), np.ones(m)
+        defect, scale = norm2(D[asym]), eps * (1.0 + norm2(M[asym]))
+        k = int(np.argmax(defect > scale))
+        if defect[k] > scale[k]:
+            raise NotHermitian(f"hermiticity defect {defect[k]:.3e} exceeds {scale[k]:.3e}")
     if psd and M.shape[-1]:
         lam = np.linalg.eigvalsh(H)
-        lam_min, psd_scale = lam[:, 0], 1.0 + np.maximum(-lam[:, 0], lam[:, -1])
-    herm_bad = defect > eps * scale
-    fail = herm_bad | (lam_min < -eps * psd_scale)
-    if fail.any():
-        k = int(np.argmax(fail))
-        if herm_bad[k]:
-            raise NotHermitian(f"hermiticity defect {defect[k]:.3e} exceeds {eps * scale[k]:.3e}")
-        raise NotPsd(f"lambda_min {lam_min[k]:.3e} below -{eps * psd_scale[k]:.3e}")
-    if m < len(finite):
-        raise StieltjesKitError("matrix has a non-finite entry")
+        lam_min, scale = lam[:, 0], -eps * (1.0 + np.maximum(-lam[:, 0], lam[:, -1]))
+        k = int(np.argmax(lam_min < scale))
+        if lam_min[k] < scale[k]:
+            raise NotPsd(f"lambda_min {lam_min[k]:.3e} below {scale[k]:.3e}")
     H.flags.writeable = False
     return H
 
@@ -195,9 +216,9 @@ class SupportSet:
     endpoint: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _SUPPORT:
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        object.__setattr__(self, "endpoint", float(self.endpoint))
+        if not isinstance(self.kind, str) or self.kind not in _SUPPORT:
+            raise UnsupportedKind(f"unknown support kind {self.kind!r}")
+        object.__setattr__(self, "endpoint", as_endpoint(self.endpoint))
 
     @property
     def side(self) -> str | None:
@@ -250,23 +271,17 @@ def whole_line() -> SupportSet:
 
 
 def _weight_stack(q: int, weights) -> np.ndarray:
-    """Validated symmetrized weights of shape (n, q, q), checked atom by atom in input order.
+    """Validated symmetrized weights of shape (n, q, q).
 
-    An atom fails on its first failing check: square shape, finite
-    entries, hermiticity, PSD, then the shape (q, q).
+    The whole stack is checked in one fixed order: its shape (n, q, q),
+    then finiteness, then hermiticity and PSD (``_hermitian_stack``).
     """
     if not len(weights):
         return np.zeros((0, q, q), dtype=complex)
-    try:
-        W = np.asarray(weights, dtype=complex)
-    except ValueError:  # ragged: the atoms differ in shape
-        W = None
-    if W is not None and W.shape[1:] == (q, q):
-        return _hermitian_stack(W, psd=True)
-    for w in weights:  # some atom is not q x q: the first failing atom raises
-        shape = as_psd(w).shape
-        if shape != (q, q):
-            raise DimensionMismatch(f"weight shape {shape} != ({q}, {q})")
+    W = _numbers(weights, "weights", "biufc")
+    if W.shape[1:] != (q, q):
+        raise DimensionMismatch(f"weights of shape {W.shape} are not a stack of ({q}, {q}) matrices")
+    return _hermitian_stack(_finite_entries(W), psd=True)
 
 
 def _merge(t: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +302,7 @@ def _canonicalize(q: int, support: SupportSet, nodes, weights) -> tuple[np.ndarr
     outside every support set, whatever its weight.
     """
     W = _weight_stack(q, weights)
-    t = np.asarray(nodes, dtype=float)
+    t = _numbers(nodes, "nodes")
     if t.shape != (len(W),):
         raise DimensionMismatch(f"{t.shape} nodes for {len(W)} weights")
     if np.isfinite(t).all():
@@ -332,8 +347,8 @@ class MatrixMeasure:
         return mu
 
     def _canonical(self, q, support, nodes, weights) -> None:
-        if q < 1:
-            raise DimensionMismatch("q must be a positive integer")
+        if not isinstance(q, (int, np.integer)) or q < 1:
+            raise DimensionMismatch(f"q must be a positive integer, got {q!r}")
         nodes, weights = _canonicalize(q, support, nodes, weights)
         for name, value in (("q", q), ("support", support), ("nodes", nodes), ("weights", weights)):
             object.__setattr__(self, name, value)
@@ -362,20 +377,10 @@ class MatrixMeasure:
 
     @staticmethod
     def from_json(obj: dict) -> "MatrixMeasure":
-        """Load a measure; all atom weights are read in one array conversion.
-
-        Input that is not a regular array of finite [re, im] number pairs
-        falls back to ``matrix_from_json`` atom by atom, which raises its
-        typed error; atoms of differing shapes raise at construction.
-        """
-        support = SupportSet.from_json(obj["support"])
-        atoms = obj.get("atoms", [])
-        weights = _json_stack([a["W"] for a in atoms])
-        if weights is None:
-            weights = [matrix_from_json(a["W"]) for a in atoms]
-        elif not np.isfinite(weights).all():
-            raise StieltjesKitError("matrix has a non-finite entry")
-        return MatrixMeasure.from_arrays(obj["q"], support, [a["t"] for a in atoms], weights)
+        """Load a measure: ``read_fields`` reads its fields (the weights as one array), the constructor checks them."""
+        reads = {"q": None, "support": SupportSet.from_json, "atoms": _atoms_from_json}
+        q, support, (nodes, weights) = read_fields(obj, "measure", reads, atoms=[])
+        return MatrixMeasure.from_arrays(q, support, nodes, weights)
 
 
 def atom_sum(terms: np.ndarray) -> np.ndarray:
@@ -488,30 +493,44 @@ def matrix_to_json(M) -> list:
     return np.stack((M.real, M.imag), axis=-1).tolist()
 
 
-def _json_stack(data) -> np.ndarray | None:
-    """Stack of complex matrices from a list of JSON matrices, in one array conversion.
+def _json_complex(data, ndim: int) -> np.ndarray:
+    """Complex array of ``ndim`` axes from nested JSON lists of [re, im] number pairs, in one conversion.
 
-    None when ``data`` is not a regular (n, p, r) array of [re, im] number
-    pairs (ragged, a non-pair entry, a string or null); the caller then
-    finds the typed error matrix by matrix.
+    The one array reader of the JSON loaders: anything but a regular array of number pairs is a
+    DimensionMismatch, an empty list an empty array; the constructors check the values.
     """
-    try:
-        A = np.array(data)
-    except ValueError:  # ragged
-        return None
-    if A.dtype.kind not in "biuf" or A.ndim != 4 or A.shape[-1] != 2:
-        return None
-    return np.ascontiguousarray(A, dtype=float).view(complex)[..., 0]
+    A = _numbers(data, "matrix")
+    if A.shape == (0,):
+        return np.zeros((0,) * ndim, dtype=complex)
+    if A.ndim != ndim + 1 or A.shape[-1] != 2:
+        raise DimensionMismatch(f"expected {ndim} axes of [re, im] pairs, got shape {A.shape}")
+    return np.ascontiguousarray(A).view(complex)[..., 0]
 
 
 def matrix_from_json(rows: list) -> np.ndarray:
-    """Inverse of matrix_to_json; ragged, non-2-D or non-finite input raises."""
-    try:
-        M = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"malformed matrix: {exc}") from exc
-    if M.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise StieltjesKitError("matrix has a non-finite entry")
-    return M
+    """Inverse of matrix_to_json for one matrix."""
+    return _json_complex(rows, 2)
+
+
+def _atoms_from_json(atoms) -> tuple[list, np.ndarray]:
+    return [a["t"] for a in atoms], _json_complex([a["W"] for a in atoms], 3)
+
+
+def read_fields(obj, what: str, reads: dict, **defaults) -> list:
+    """[read(obj[name]) for name, read in reads], None reading a value as it is: the error boundary of a JSON loader.
+
+    ``obj`` not a JSON object, a field missing from it and from ``defaults``, or a value its read
+    cannot take (a KeyError or TypeError inside the read) is a DimensionMismatch naming the field.
+    """
+    if not isinstance(obj, dict):
+        raise DimensionMismatch(f"{what} must be a JSON object, got {type(obj).__name__}")
+    values = []
+    for name, read in reads.items():
+        if name not in obj and name not in defaults:
+            raise DimensionMismatch(f"{what}: missing field {name!r}")
+        value = obj.get(name, defaults.get(name))
+        try:
+            values.append(value if read is None else read(value))
+        except (KeyError, TypeError) as exc:
+            raise DimensionMismatch(f"{what}: malformed field {name!r}: {exc!r}") from exc
+    return values

@@ -26,7 +26,6 @@ depends on the kind reads that table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -38,7 +37,6 @@ from .errors import (
     IllegalConversion,
     NotAnAtom,
     PoleProximity,
-    StieltjesKitError,
     UnsupportedPath,
 )
 from .matmeasure import (
@@ -48,19 +46,21 @@ from .matmeasure import (
     RESIDUE_TOL,
     MatrixMeasure,
     SupportSet,
+    as_endpoint,
     as_hermitian,
     as_psd,
     atom_sum,
     left_ray,
     matrix_from_json,
     matrix_to_json,
+    read_fields,
     right_ray,
     whole_line,
 )
 
 # Field roles in a KindSpec.
 ENDPOINT, PSD, HERM, MEASURE = "endpoint", "psd", "herm", "measure"
-_COERCE = {ENDPOINT: float, PSD: as_psd, HERM: as_hermitian}
+_COERCE = {ENDPOINT: as_endpoint, PSD: as_psd, HERM: as_hermitian}
 
 
 # ---------------------------------------------------------------------------
@@ -628,33 +628,12 @@ def repr_to_json(repr_: Representation) -> dict:
     return {"kind": repr_.KIND, **map_fields(repr_, float, matrix_to_json, MatrixMeasure.to_json)}
 
 
-def _finite_endpoint(value) -> float:
-    e = float(value)
-    if not math.isfinite(e):
-        raise StieltjesKitError(f"non-finite endpoint {e}")
-    return e
-
-
-_FROM_JSON = {
-    ENDPOINT: _finite_endpoint,
-    PSD: matrix_from_json,
-    HERM: matrix_from_json,
-    MEASURE: MatrixMeasure.from_json,
-}
+_FROM_JSON = {ENDPOINT: None, PSD: matrix_from_json, HERM: matrix_from_json, MEASURE: MatrixMeasure.from_json}
 
 
 def repr_from_json(obj: dict) -> Representation:
-    """Load a representation; malformed or non-finite input raises a StieltjesKitError.
-
-    ``matrix_from_json`` rejects a non-finite matrix before any
-    factorization sees it, and a non-finite node lies outside every
-    support set.
-    """
-    spec = KINDS.get(obj["kind"])
+    """Load a representation: ``read_fields`` reads its fields, the record's constructor checks them."""
+    (spec,) = read_fields(obj, "representation", {"kind": KINDS.get})
     if spec is None:
         raise UnsupportedPath(f"unknown kind {obj['kind']}")
-    try:
-        values = [_FROM_JSON[role](obj[name]) for name, role in spec.fields]
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"malformed {spec.kind} input: {exc}") from exc
-    return spec.cls(*values)
+    return spec.cls(*read_fields(obj, spec.kind, {name: _FROM_JSON[role] for name, role in spec.fields}))

@@ -66,13 +66,13 @@ def pinv(M) -> PinvResult:
 
 def is_ep(M) -> bool:
     """EP test: range of M equals range of M* (as orthogonal projectors)."""
-    U, _, V, _ = svd_rank(np.asarray(M, dtype=complex), EP_RTOL, EP_ZERO)
+    U, _, V, _ = svd_rank(_square(M), EP_RTOL, EP_ZERO)
     return float(norm2(U @ U.conj().T - V @ V.conj().T)) <= EP_TOL
 
 
 def ep_im_identity_defect(M) -> float:
     """Defect of im(M^+) = -M^+ (im M) (M^+)* (valid for EP matrices)."""
-    M = np.asarray(M, dtype=complex)
+    M = _square(M)
     P = pinv(M).pinv
     lhs = _im(P)
     rhs = -P @ _im(M) @ P.conj().T

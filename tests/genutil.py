@@ -27,7 +27,7 @@ def herm(rng, q, scale=1.0):
 
 def _nodes_right(rng, alpha, n, include_endpoint=False, open_ray=False):
     nodes = alpha + np.cumsum(rng.uniform(0.1, 1.5, size=n))
-    if include_endpoint and not open_ray:
+    if include_endpoint and not open_ray and n:
         nodes[0] = alpha
     return nodes
 

@@ -605,3 +605,9 @@ def test_null_domination_routes_consistent_random():
         A = rng.normal(size=(k, 3)) + 1j * rng.normal(size=(k, 3))
         rep = sk.null_domination(p, A)  # must not raise InconsistentEquivalence
         assert isinstance(rep["all"], bool)
+
+
+def test_null_domination_refuses_a_non_finite_a():
+    p = random_pair(np.random.default_rng(3), q=2)
+    with pytest.raises(sk.StieltjesKitError, match="non-finite"):
+        sk.null_domination(p, np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -1,16 +1,24 @@
 import argparse
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stieltjeskit as sk
 from stieltjeskit.classifier import CLASSES, sample_points
 from stieltjeskit.cli import _build_parser, run
 from stieltjeskit.representations import KINDS
 
-from genutil import psd, random_kind, random_pair, random_s0, random_sinf, random_t0, random_tinf, random_tpair
+from genutil import measure_right, psd, random_kind, random_pair, random_s0, random_sinf, random_t0, random_tinf
+from genutil import random_tpair
 
 
 def write_repr(tmp_path, r, name="input.json"):
@@ -387,6 +395,19 @@ def test_usage_errors_are_json_errors_exit_one(tmp_path, capsys, argv):
     assert "error" in json.loads(captured.err)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in sorted(COMMAND_FLAGS) for f in ("--alpha", "--beta", "--phi") if f in COMMAND_FLAGS[c]],
+)
+def test_a_non_finite_float_flag_is_a_json_error(tmp_path, capsys, command, flag, value):
+    path = write_repr(tmp_path, one_atom_pair(np.random.default_rng(16)))
+    assert run([command, "--input", path, *REQUIRED.get(command, []), f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: invalid finite value: '{value}'" == json.loads(captured.err)["error"].split(": ", 1)[1]
+
+
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["certify", "--help"]])
 def test_help_and_version_exit_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -446,6 +467,89 @@ def test_params_radial_default_phi_follows_the_side(tmp_path, capsys, r):
     assert report["phi"] == 0.0
     assert run(["params", "--mode", "radial", "--phi", "0.25", "--input", path]) == 0
     assert json.loads(capsys.readouterr().out)["phi"] == 0.25
+
+
+# --- malformed input: each file is one mutation of a valid one ---
+
+
+def _json_paths(obj, path=()):
+    """Every path into a JSON tree, the root's () first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, (*path, key))
+
+
+VALID_INPUTS = {kind: sk.repr_to_json(random_kind(kind, np.random.default_rng(30), q=2, n_atoms=2)) for kind in KINDS}
+VALID_INPUTS["measure"] = measure_right(np.random.default_rng(31), 1, 0.0, n_atoms=2).to_json()
+TARGETS = [(name, path) for name, obj in VALID_INPUTS.items() for path in _json_paths(obj)]
+# Replacements of a value; each makes the input invalid.
+REPLACE = {
+    "null": lambda v: None,
+    "string": json.dumps,  # "1" for the number 1
+    "list": lambda v: [v],
+    "big_integer": lambda v: 10**400,
+    "nan": lambda v: float("nan"),
+    "infinity": lambda v: float("inf"),
+}
+COMMANDS = [
+    ["eval"],
+    ["certify"],
+    ["params"],
+    ["convert", "--kind", "stieltjes_pair"],
+    ["transform", "--op", "transpose"],
+    ["transform", "--op", "neg_pinv"],
+    ["moments"],
+    ["report"],
+]
+
+
+def _mutated(name, path, mutation):
+    """VALID_INPUTS[name] with the key at ``path`` dropped, its list value truncated, or its value replaced."""
+    obj = copy.deepcopy(VALID_INPUTS[name])
+    if not path:
+        return REPLACE[mutation](obj) if mutation in REPLACE else obj
+    parent = functools.reduce(operator.getitem, path[:-1], obj)
+    value = parent[path[-1]]
+    if mutation == "drop":
+        del parent[path[-1]]
+    elif mutation == "truncate":
+        parent[path[-1]] = value[:-1] if isinstance(value, list) else value
+    else:
+        parent[path[-1]] = REPLACE[mutation](value)
+    return obj
+
+
+@given(
+    target=st.sampled_from(TARGETS),
+    mutation=st.sampled_from(["drop", "truncate", *REPLACE]),
+    argv=st.sampled_from(COMMANDS),
+)
+@example(target=("stieltjes_pair", ("gamma", 0, 0, 0)), mutation="big_integer", argv=["eval"])
+@example(target=("stieltjes_pair", ("alpha",)), mutation="big_integer", argv=["eval"])
+@example(target=("stieltjes_pair", ("mu", "atoms", 0, "t")), mutation="big_integer", argv=["eval"])
+@example(target=("measure", ("q",)), mutation="drop", argv=["moments"])
+@example(target=("measure", ("atoms", 0, "W")), mutation="drop", argv=["moments"])
+@example(target=("measure", ("q",)), mutation="string", argv=["moments"])
+@example(target=("measure", ()), mutation="list", argv=["moments"])
+@example(target=("s0", ("kind",)), mutation="list", argv=["eval"])
+@example(target=("stieltjes_pair", ("kind",)), mutation="drop", argv=["eval"])
+@settings(max_examples=300, deadline=None)
+def test_a_malformed_input_gives_a_report_or_one_json_error(tmp_path_factory, target, mutation, argv):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(_mutated(*target, mutation)))  # NaN and Infinity as bare tokens
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, "--input", str(path)])  # never raises
+    if code == 1:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+    else:
+        assert code in (0, 2) and err.getvalue() == ""
+        json.loads(out.getvalue())
+    if mutation in REPLACE:
+        assert code == 1, err.getvalue()
 
 
 # certify --kind X for every class.  With q = 1 and one atom every weight is

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
-from stieltjeskit.matmeasure import EPS_MERGE, EPS_PSD, matrix_from_json, matrix_to_json, norm2, svd_rank
+from stieltjeskit.matmeasure import EPS_MERGE, EPS_PSD, as_psd, matrix_from_json, matrix_to_json, norm2, svd_rank
 
 from genutil import measure_left, measure_right, psd
 
@@ -77,24 +77,24 @@ def test_non_psd_weight_rejected():
 
 
 def _reference_canonical(q, support, atoms):
-    """Canonical (t, W) list, each atom checked on its own in input order, or the exception raised."""
+    """Canonical (t, W) list, or the exception raised.
+
+    Each check runs on the whole stack before the next: every weight's
+    shape, then finiteness, then hermiticity, then PSD; then the nodes.
+    """
     norm = lambda M: np.linalg.norm(M, 2)  # noqa: E731
     try:
-        cleaned = []
-        for t, W in atoms:
-            W = np.asarray(W, dtype=complex)
-            if W.ndim != 2 or W.shape[0] != W.shape[1]:
-                raise sk.DimensionMismatch("not square")
-            if not np.isfinite(W).all():
-                raise sk.StieltjesKitError("non-finite")
-            if norm(W - W.conj().T) > EPS_PSD * (1.0 + norm(W)):
-                raise sk.NotHermitian("not Hermitian")
-            H = 0.5 * (W + W.conj().T)
-            if np.linalg.eigvalsh(H)[0] < -EPS_PSD * (1.0 + norm(H)):
-                raise sk.NotPsd("not PSD")
-            if H.shape != (q, q):
-                raise sk.DimensionMismatch("wrong size")
-            cleaned.append((float(t), H))
+        Ws = [np.asarray(W, dtype=complex) for _, W in atoms]
+        if any(W.shape != (q, q) for W in Ws):
+            raise sk.DimensionMismatch("not q x q")
+        if not all(np.isfinite(W).all() for W in Ws):
+            raise sk.StieltjesKitError("non-finite")
+        if any(norm(W - W.conj().T) > EPS_PSD * (1.0 + norm(W)) for W in Ws):
+            raise sk.NotHermitian("not Hermitian")
+        Hs = [0.5 * (W + W.conj().T) for W in Ws]
+        if any(np.linalg.eigvalsh(H)[0] < -EPS_PSD * (1.0 + norm(H)) for H in Hs):
+            raise sk.NotPsd("not PSD")
+        cleaned = [(float(t), H) for (t, _), H in zip(atoms, Hs)]
         if not all(np.isfinite(t) for t, _ in cleaned):
             raise sk.SupportViolation("non-finite node")
         cleaned.sort(key=lambda tw: tw[0])
@@ -139,25 +139,30 @@ def _random_atoms(rng, q, support, n, defect):
     weights = [
         np.zeros((q, q)) if rng.random() < 0.15 else _ill_conditioned_psd(rng, q) for _ in range(n)
     ]
-    if defect and n:
-        k = int(rng.integers(n))
-        W = psd(rng, q)
-        scale = 1.0 + np.linalg.norm(W, 2)
-        weights[k] = {
-            "herm": W + 1e-4 * scale * np.triu(np.ones((q, q)), 1),
-            "psd": W - (np.linalg.eigvalsh(W)[-1] + 1e-3 * scale) * np.eye(q),
-            "nan": np.where(np.eye(q) > 0, np.nan, W),
-            "inf": W + np.diag([np.inf] + [0.0] * (q - 1)),
-            "size": psd(rng, q + 1),
-            "square": np.ones((q, q + 1)),
-        }.get(defect, weights[k])
-        if defect == "inf_node":
-            nodes[k] = sign * np.inf
+    for defect in defect if isinstance(defect, tuple) else (defect,):  # a pair: two defects, each at a random atom
+        if defect and n:
+            k = int(rng.integers(n))
+            W = psd(rng, q)
+            scale = 1.0 + np.linalg.norm(W, 2)
+            weights[k] = {
+                "herm": W + 1e-4 * scale * np.triu(np.ones((q, q)), 1),
+                "psd": W - (np.linalg.eigvalsh(W)[-1] + 1e-3 * scale) * np.eye(q),
+                "nan": np.where(np.eye(q) > 0, np.nan, W),
+                "inf": W + np.diag([np.inf] + [0.0] * (q - 1)),
+                "size": psd(rng, q + 1),
+                "square": np.ones((q, q + 1)),
+            }.get(defect, weights[k])
+            if defect == "inf_node":
+                nodes[k] = sign * np.inf
     return list(zip(nodes, weights))
 
 
 SUPPORTS = ("right_ray", "open_right_ray", "left_ray", "open_left_ray", "line")
 DEFECTS = (None, None, None, "herm", "psd", "nan", "inf", "size", "square", "inf_node")
+# Two defects in one stack: the check order, not the atoms' order, decides which one raises.
+TWO_DEFECTS = (
+    ("psd", "nan"), ("psd", "herm"), ("herm", "inf"), ("nan", "size"), ("psd", "square"), ("inf_node", "psd")
+)
 
 
 @given(
@@ -165,7 +170,7 @@ DEFECTS = (None, None, None, "herm", "psd", "nan", "inf", "size", "square", "inf
     q=st.integers(1, 4),
     n=st.integers(0, 12),
     kind=st.sampled_from(SUPPORTS),
-    defect=st.sampled_from(DEFECTS),
+    defect=st.sampled_from(DEFECTS + TWO_DEFECTS),
 )
 @settings(max_examples=300, deadline=None)
 def test_stacked_canonicalization_matches_per_atom_reference(seed, q, n, kind, defect):
@@ -186,6 +191,55 @@ def test_stacked_canonicalization_matches_per_atom_reference(seed, q, n, kind, d
         assert np.array_equal(W, W_ref)
     assert not mu.nodes.flags.writeable and not mu.weights.flags.writeable
     assert sk.MatrixMeasure.from_arrays(q, support, mu.nodes, mu.weights) == mu
+
+
+@pytest.mark.parametrize(
+    "atoms, error",
+    [
+        ([(1.0, -I2), (2.0, np.diag([np.nan, 1.0]))], sk.StieltjesKitError),  # a NaN atom after a non-PSD one
+        ([(1.0, np.diag([np.inf, 1.0])), (2.0, np.eye(3))], sk.DimensionMismatch),
+        ([(1.0, -I2), (2.0, np.triu(np.ones((2, 2))))], sk.NotHermitian),
+        ([(np.inf, I2), (2.0, -I2)], sk.NotPsd),  # the weights are checked before the nodes
+    ],
+    ids=["finite_before_psd", "shape_before_finite", "hermitian_before_psd", "weights_before_nodes"],
+)
+def test_each_check_runs_on_the_whole_stack_before_the_next(atoms, error):
+    for order in (atoms, atoms[::-1]):
+        with pytest.raises(sk.StieltjesKitError) as exc:
+            sk.MatrixMeasure(2, sk.whole_line(), order)
+        assert type(exc.value) is error
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: sk.SupportSet("ray"), sk.UnsupportedKind),
+        (lambda: sk.SupportSet(["right_ray"]), sk.UnsupportedKind),
+        (lambda: sk.right_ray(np.inf), sk.StieltjesKitError),
+        (lambda: sk.left_ray(np.nan), sk.StieltjesKitError),
+        (lambda: sk.right_ray([0.0, 1.0]), sk.StieltjesKitError),
+        (lambda: sk.right_ray(10**400), sk.DimensionMismatch),
+        (lambda: sk.right_ray("0"), sk.DimensionMismatch),
+        (lambda: sk.right_ray(None), sk.DimensionMismatch),
+        (lambda: sk.MatrixMeasure("1", sk.whole_line()), sk.DimensionMismatch),
+        (lambda: sk.MatrixMeasure(1.0, sk.whole_line()), sk.DimensionMismatch),
+        (lambda: sk.MatrixMeasure(0, sk.whole_line()), sk.DimensionMismatch),
+        (lambda: sk.MatrixMeasure(1, sk.whole_line(), [(None, np.eye(1))]), sk.DimensionMismatch),
+        (lambda: sk.MatrixMeasure(1, sk.whole_line(), [("1", np.eye(1))]), sk.DimensionMismatch),
+        (lambda: sk.MatrixMeasure(1, sk.whole_line(), [(10**400, np.eye(1))]), sk.DimensionMismatch),
+        (lambda: sk.MatrixMeasure(1, sk.whole_line(), [(1.0, [[None]])]), sk.DimensionMismatch),
+        (lambda: as_psd([[1.0, 0.0], [0.0]]), sk.DimensionMismatch),
+    ],
+    ids=[
+        "unknown_kind", "list_kind", "infinite_endpoint", "nan_endpoint", "two_endpoints", "big_integer_endpoint",
+        "string_endpoint", "null_endpoint", "string_q", "float_q", "zero_q", "null_node", "string_node",
+        "big_integer_node", "null_weight", "ragged_matrix",
+    ],
+)
+def test_constructors_refuse_malformed_input_with_a_typed_error(make, error):
+    with pytest.raises(sk.StieltjesKitError) as exc:
+        make()
+    assert type(exc.value) is error
 
 
 NON_FINITE = (float("nan"), float("inf"), -float("inf"), complex(0.0, float("nan")))
@@ -529,11 +583,39 @@ def test_measure_json_round_trip():
         ("nan", sk.StieltjesKitError),
         ("infinity", sk.StieltjesKitError),
         ("mixed_sizes", sk.DimensionMismatch),
+        ("big_integer_entry", sk.DimensionMismatch),
+        ("big_integer_node", sk.DimensionMismatch),
+        ("missing_q", sk.DimensionMismatch),
+        ("string_q", sk.DimensionMismatch),
+        ("missing_W", sk.DimensionMismatch),
+        ("atoms_not_a_list", sk.DimensionMismatch),
+        ("support_not_an_object", sk.DimensionMismatch),
+        ("unknown_support", sk.UnsupportedKind),
+        ("infinite_endpoint", sk.StieltjesKitError),
+        ("not_an_object", sk.DimensionMismatch),
     ],
 )
 def test_measure_json_defects_are_typed_errors(defect, error):
     obj = measure_right(np.random.default_rng(9), 2, 0.0, n_atoms=3).to_json()
     W = obj["atoms"][1]["W"]
+    edits = {
+        "big_integer_entry": lambda: W[0].__setitem__(0, [10**400, 0]),
+        "big_integer_node": lambda: obj["atoms"][0].__setitem__("t", 10**400),
+        "missing_q": lambda: obj.pop("q"),
+        "string_q": lambda: obj.__setitem__("q", "2"),
+        "missing_W": lambda: obj["atoms"][2].pop("W"),
+        "atoms_not_a_list": lambda: obj.__setitem__("atoms", 3),
+        "support_not_an_object": lambda: obj.__setitem__("support", "right_ray"),
+        "unknown_support": lambda: obj["support"].__setitem__("kind", "ray"),
+        "infinite_endpoint": lambda: obj["support"].__setitem__("endpoint", float("inf")),
+    }
+    if defect in edits or defect == "not_an_object":
+        edits.get(defect, lambda: None)()
+        text = json.dumps([obj] if defect == "not_an_object" else obj)
+        with pytest.raises(sk.StieltjesKitError) as exc:
+            sk.MatrixMeasure.from_json(json.loads(text))
+        assert type(exc.value) is error
+        return
     if defect == "ragged_row":
         W[1] = W[1][:1]
     elif defect == "non_pair":

@@ -22,6 +22,7 @@ from genutil import (
     random_t0,
     random_tinf,
     random_tpair,
+    with_far_atom,
 )
 
 I2 = np.eye(2)
@@ -415,6 +416,110 @@ def test_repr_json_round_trip_all_kinds():
         assert back.KIND == r.KIND
         z = 1.7 + 2.3j
         np.testing.assert_array_equal(sk.evaluate(back, z), sk.evaluate(r, z))
+
+
+def test_record_shape_and_support_mismatches_are_dimension_errors():
+    mu = sk.MatrixMeasure(2, sk.right_ray(0.0), [(1.0, I2)])
+    for make in (
+        lambda: sk.StieltjesPair(0.0, np.eye(3), mu),  # a 3 x 3 gamma with a 2 x 2 measure
+        lambda: sk.NevanlinnaTriple(I2, np.eye(1), sk.MatrixMeasure(2, sk.whole_line())),
+        lambda: sk.StieltjesPair(1.0, I2, mu),  # mu lives on [0, inf), not [1, inf)
+        lambda: sk.TPair(0.0, I2, sk.MatrixMeasure(2, sk.right_ray(0.0))),  # a right ray for a left one
+        lambda: sk.SInfTriple(0.0, I2, I2, mu),  # the closed ray where the open one is required
+    ):
+        with pytest.raises(sk.DimensionMismatch, match="dimensions differ|must live on"):
+            make()
+
+
+@pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_endpoint_is_refused(alpha):
+    empty = sk.MatrixMeasure(1, sk.right_ray(0.0))
+    with pytest.raises(sk.StieltjesKitError, match="finite"):
+        sk.S0Measure(alpha, empty)
+    with pytest.raises(sk.StieltjesKitError, match="finite"):
+        sk.S0Measure(alpha, sk.MatrixMeasure(1, sk.right_ray(alpha)))
+    obj = sk.repr_to_json(sk.S0Measure(0.0, empty))
+    obj["alpha"] = obj["sigma"]["support"]["endpoint"] = alpha
+    with pytest.raises(sk.StieltjesKitError, match="finite"):
+        sk.repr_from_json(json.loads(json.dumps(obj)))
+
+
+def _set(path, value):
+    """An edit of a JSON object that sets the value at ``path``."""
+
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error, match",
+    [
+        (_set(["kind"], "s1"), sk.UnsupportedPath, "unknown kind s1"),
+        (_set(["kind"], ["s0"]), sk.DimensionMismatch, "malformed field 'kind'"),
+        (lambda obj: obj.pop("kind"), sk.DimensionMismatch, "missing field 'kind'"),
+        (lambda obj: obj.pop("gamma"), sk.DimensionMismatch, "missing field 'gamma'"),
+        (lambda obj: obj["mu"].pop("q"), sk.DimensionMismatch, "missing field 'q'"),
+        (_set(["mu"], "x"), sk.DimensionMismatch, "measure must be a JSON object"),
+        (_set(["mu", "atoms", 0], 1.0), sk.DimensionMismatch, "malformed field 'atoms'"),
+        (_set(["mu", "support", "kind"], "ray"), sk.UnsupportedKind, "unknown support kind"),
+        (_set(["alpha"], 10**400), sk.DimensionMismatch, "endpoint"),
+        (_set(["alpha"], "0"), sk.DimensionMismatch, "endpoint"),
+        (_set(["gamma", 0, 0, 0], 10**400), sk.DimensionMismatch, "matrix"),
+        (_set(["gamma", 0, 0], None), sk.DimensionMismatch, "matrix"),
+        (_set(["gamma", 0], [[1.0, 0.0]]), sk.DimensionMismatch, "matrix"),
+        (_set(["mu", "atoms", 0, "t"], 10**400), sk.DimensionMismatch, "nodes"),
+        (_set(["mu", "q"], "2"), sk.DimensionMismatch, "q must be a positive integer"),
+    ],
+    ids=[
+        "unknown_kind", "list_kind", "no_kind", "no_gamma", "no_q", "measure_not_an_object", "atom_not_an_object",
+        "unknown_support", "big_integer_alpha", "string_alpha", "big_integer_gamma", "null_gamma_entry",
+        "ragged_gamma", "big_integer_node", "string_q",
+    ],
+)
+def test_repr_from_json_gives_a_typed_error_naming_the_defect(edit, error, match):
+    obj = sk.repr_to_json(random_pair(np.random.default_rng(5), q=2, alpha=0.0, n_atoms=2))
+    edit(obj)
+    with pytest.raises(sk.StieltjesKitError, match=match) as exc:
+        sk.repr_from_json(json.loads(json.dumps(obj)))
+    assert type(exc.value) is error
+
+
+def test_repr_from_json_wants_a_json_object():
+    with pytest.raises(sk.DimensionMismatch, match="representation must be a JSON object"):
+        sk.repr_from_json([sk.repr_to_json(random_pair(np.random.default_rng(6)))])
+
+
+def test_an_atomless_nevanlinna_triple_is_entire():
+    A, B = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -3.0]]), psd(np.random.default_rng(7), 2)
+    nev = sk.NevanlinnaTriple(A, B, sk.MatrixMeasure(2, sk.whole_line()))
+    F = sk.evaluator(nev)
+    assert F.excluded is None and endpoint_side(nev) == (0.0, "right")
+    zs = [0.0, -3.5, 2.0, 1.0 + 1.0j]  # on the real axis too: F = A + z B has no pole
+    np.testing.assert_allclose(F.batch(zs), [A + z * B for z in zs], rtol=1e-15, atol=0)
+    assert F.distance(2.0) == np.inf
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(tuple(RANDOM_KINDS) + ("kk_pair", "nevanlinna")),
+    q=st.integers(1, 4),
+    n=st.integers(0, 6),
+    endpoint=st.sampled_from([0.0, -1.5, 1e-8, 3.3e8, -1e12]),
+    far=st.sampled_from([None, 0, 6, 12]),
+)
+@example(seed=0, kind="nevanlinna", q=2, n=0, endpoint=0.0, far=None)  # atomless: excluded from nowhere
+@settings(max_examples=60, deadline=None)
+def test_every_record_the_api_accepts_loads_back_from_its_json(seed, kind, q, n, endpoint, far):
+    rng = np.random.default_rng(seed)
+    r = random_kind(kind, rng, q=q, n_atoms=n, **{"beta" if KINDS[kind].side == "left" else "alpha": endpoint})
+    if far is not None:
+        r = with_far_atom(rng, r, far)
+    text = json.dumps(sk.repr_to_json(r), allow_nan=False)  # strict JSON: no NaN or Infinity written
+    assert sk.repr_from_json(json.loads(text)) == r
 
 
 # --- batched evaluation ---

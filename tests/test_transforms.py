@@ -94,6 +94,15 @@ def test_is_ep_examples():
     assert not sk.is_ep(np.array([[0.0, 1.0], [0.0, 0.0]]))  # range e1, range of M* e2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("op", [sk.pinv, sk.is_ep, ep_im_identity_defect])
+def test_a_non_finite_matrix_is_a_typed_error(op, bad):
+    M = np.eye(2, dtype=complex)
+    M[0, 1] = bad  # reaches no SVD: numpy would raise an untyped LinAlgError there
+    with pytest.raises(sk.StieltjesKitError, match="non-finite"):
+        op(M)
+
+
 def test_pinv_map_scalar_resolvent_gives_constant_one():
     mu = sk.MatrixMeasure(1, sk.right_ray(0.0), [(0.0, np.eye(1))])
     p = sk.StieltjesPair(0.0, np.zeros((1, 1)), mu)  # F(z) = 1/(-z)
