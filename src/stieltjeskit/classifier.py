@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ClassMismatch,
+    DimensionMismatch,
     EvaluationFailed,
     InconsistentEquivalence,
     NoConvergence,
@@ -31,18 +32,18 @@ from .errors import (
     RankInstability,
     UnsupportedKind,
 )
-from .limits import limit_at_infinity
+from .limits import K_MAX, limit_at_infinity
 from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
 from .matmeasure import TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd, norm2, range_split
-from .matmeasure import svd_rank, total_mass
+from .matmeasure import svd_rank
 from .representations import (
     KINDS,
     Evaluator,
     Representation,
     StieltjesPair,
+    _structural_sum,
     endpoint_side,
     evaluator,
-    measure_of,
 )
 
 
@@ -247,16 +248,15 @@ def _growth_ratio(F: Evaluator, base: float) -> tuple[float, complex]:
 def _y_norm_bounded(F: Evaluator) -> tuple[float, complex]:
     """(margin, witness) of the bounded-growth condition of the bounded classes.
 
-    The growth ratio is probed at y = max(2^20, 2^depth), depth being
-    where the mass ladder converges: only there is y past the scale of the
-    atoms, so an atom far out does not read as unbounded growth.
+    The growth ratio is probed K_MAX rungs past the stop of the mass
+    ladder, at y = 2^(depth + K_MAX): the ladder starts past the atoms, but
+    a term y C can hide under a far atom's mass on every rung it runs.
     """
-    base = 2.0**20
     try:
         depth = limit_at_infinity(F, "y_scaled").ladder_depth
     except NoConvergence:
-        return -1.0, 2j * base
-    ratio, witness = _growth_ratio(F, max(base, 2.0**depth))
+        return -1.0, 2j * 2.0**20
+    ratio, witness = _growth_ratio(F, 2.0 ** (depth + K_MAX))
     return 0.5 - (ratio - 1.0), witness
 
 
@@ -353,7 +353,7 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
     try:
         plain = gamma(limit_at_infinity(F, "plain_iy"))
     except NoConvergence as exc:  # F grows at infinity, as no class with parameters does
-        if exc.last_estimates is None:  # no ladder ran: a node of F lies past its last rung
+        if exc.last_estimates is None:  # no ladder ran: a node of F lies past the first-rung ceiling
             raise
         raise ClassMismatch(f"the plain limit of class {claimed} diverges: {exc}") from exc
     record: dict = {"claimed": claimed, "alpha": alpha, "gamma": plain}
@@ -408,19 +408,6 @@ def _svd_projectors(M: np.ndarray):
     """(range projectors, null projectors, ranks) of a stack of general complex matrices."""
     U, _, V, r = svd_rank(M, RTOL_RANK, RANK_ZERO)
     return U @ U.conj().swapaxes(-1, -2), np.eye(M.shape[-1]) - V @ V.conj().swapaxes(-1, -2), r
-
-
-def _structural_sum(repr_: Representation) -> np.ndarray:
-    """PSD matrix whose range/null space equal those predicted for F(z).
-
-    For PSD summands, N(A) ∩ N(B) = N(A + B) and R(A) + R(B) = R(A + B),
-    so the predicted intersection/sum is realized by a single matrix sum.
-    """
-    names = KINDS[repr_.KIND].structural
-    if names is None:
-        raise UnsupportedKind(f"no structural subspace statement for kind {repr_.KIND}")
-    terms = [getattr(repr_, name) for name in names] + [total_mass(measure_of(repr_))]
-    return sum(terms[1:], terms[0])
 
 
 def kernel_range_report(repr_: Representation) -> dict:
@@ -492,7 +479,7 @@ def null_domination(repr_, A) -> dict:
         raise UnsupportedKind("null domination is stated for StieltjesPair")
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] != repr_.q:
-        raise ValueError(f"A must have q = {repr_.q} columns")
+        raise DimensionMismatch(f"A must have q = {repr_.q} columns")
     Vr = svd_rank(_finite_entries(A), NULL_RTOL_FACTOR * max(A.shape))[2]
     P = Vr @ Vr.conj().T  # orthogonal projector onto R(A*) = N(A)^perp
     Pn = np.eye(repr_.q, dtype=complex) - P

@@ -40,8 +40,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except FileNotFoundError:
-        raise StieltjesKitError(f"input file not found: {path}")
+    except OSError as exc:  # missing, a directory, no read permission, ...
+        raise StieltjesKitError(f"cannot read input file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise StieltjesKitError(f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(obj, dict):
@@ -60,6 +60,7 @@ def _limit_json(est: LimitEstimate) -> dict:
         "value": matrix_to_json(est.value),
         "error_bound": est.error_bound,
         "ladder_depth": est.ladder_depth,
+        "increments": list(est.increments),  # rungs j+1..ladder_depth, 2^j being the first rung
     }
 
 

@@ -1,9 +1,9 @@
 """Limits at infinity of black-box evaluators, by a Richardson ladder.
 
 The representations are analytic in 1/y at infinity along vertical and
-radial rays, so a geometric ladder y_k = y0 * 2^k combined with Richardson
-extrapolation in 1/y converges fast and carries an explicit increment-based
-error estimate.
+radial rays, so a geometric ladder y_k = 2^k combined with Richardson
+extrapolation in 1/y converges fast, from a first rung past the farthest
+pole, and carries an explicit increment-based error estimate.
 
 The ladder is evaluated in blocks of ``LADDER_BLOCK`` rungs: one guarded
 ``F.batch`` call per block, and the Neville tableau of the block computed
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .matmeasure import EPS_LIM
+from .matmeasure import EPS_LIM, RUNG_CEILING
 from .representations import Evaluator
 
-K_MAX = 48
+K_MAX = 48  # rungs past the first
 # Rungs per guarded batch.  A block costs one tableau column per rung
 # evaluated so far, so larger blocks need fewer columns in all; the price is
 # up to LADDER_BLOCK - 1 rungs evaluated past the stopping rung.  Against 8
@@ -52,8 +52,9 @@ MODES = ("plain_iy", "y_scaled", "radial")
 class LimitEstimate:
     """The extrapolated limit, its error bound and how the ladder got there.
 
-    ``increments`` holds the norm of the change of the diagonal
-    extrapolant at rungs 1..ladder_depth; the last one is ``error_bound``.
+    ``increments`` holds the norm of the change of the diagonal extrapolant at
+    rungs j+1..ladder_depth (the first rung is 2^j, the stopping rung y =
+    2^ladder_depth); the last one is ``error_bound``.
     """
 
     value: np.ndarray
@@ -107,22 +108,16 @@ def _tableau(last: np.ndarray, S: np.ndarray) -> np.ndarray:
     return T
 
 
-def limit_at_infinity(
-    F: Evaluator,
-    mode: str = "plain_iy",
-    alpha: float = 0.0,
-    phi: float = math.pi,
-    y0: float = 1.0,
-    k_max: int = K_MAX,
-) -> LimitEstimate:
-    """Richardson-extrapolated limit along a geometric ladder y_k = y0 2^k.
+def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, phi: float = math.pi) -> LimitEstimate:
+    """Richardson-extrapolated limit along the geometric ladder y = 2^j, ..., 2^(j + K_MAX).
 
-    Stops when successive diagonal extrapolants differ by less than
-    EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at depth ``k_max``.
-    An atomic F (one with ``_nodes``) stops only at a rung y > max |t - c|,
-    c = alpha in radial mode, else 0: nearer in, tiny samples can agree
-    before the ladder passes an atom.  If no rung gets there, NoConvergence
-    names the farthest node before any evaluation, without last_estimates.
+    2^j is the least power of two past the reach max |t - c| over the
+    nodes of an atomic F (one with ``_nodes``), c = alpha in radial mode,
+    else 0; j = 0 for an opaque F or a reach below 1.  Stops when
+    successive diagonal extrapolants differ by less than
+    EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at the last rung.
+    A reach at or past 2^RUNG_CEILING raises NoConvergence naming the farthest
+    node before any evaluation, without last_estimates.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -132,20 +127,18 @@ def limit_at_infinity(
         lo, hi = (-math.pi / 2, math.pi / 2) if left else (math.pi / 2, 3 * math.pi / 2)
         if not lo < phi < hi:
             raise ValueError("phi must lie in (-pi/2, pi/2)" if left else "phi must lie in (pi/2, 3*pi/2)")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     dist = np.abs((np.empty(0) if F._nodes is None else F._nodes) - (alpha if mode == "radial" else 0.0))
-    reach = float(dist.max(initial=-math.inf))
-    if reach >= y0 * 2.0**k_max:
-        raise NoConvergence(f"node {float(F._nodes[dist.argmax()])} lies past the last rung y = {y0 * 2.0**k_max}")
+    j = max(0, math.frexp(float(dist.max(initial=0.0)))[1])  # the least 2^j past the reach
+    if j > RUNG_CEILING:
+        raise NoConvergence(f"node {float(F._nodes[dist.argmax()])} lies past the first-rung ceiling 2^{RUNG_CEILING}")
 
     last = np.empty((0, F.q, F.q), dtype=complex)  # the row of the previous rung
     increments: list[float] = []
     prev_diag = None
-    k, redo_end = 0, 0  # rungs below redo_end are evaluated one at a time
-    while k <= k_max:
-        stop = min(k + (1 if k < redo_end else LADDER_BLOCK), k_max + 1)
-        ys = [y0 * 2.0**j for j in range(k, stop)]
+    k, redo_end, top = j, j, j + K_MAX  # rungs below redo_end are evaluated one at a time
+    while k <= top:
+        stop = min(k + (1 if k < redo_end else LADDER_BLOCK), top + 1)
+        ys = [2.0**i for i in range(k, stop)]
         if k < redo_end:
             T = _tableau(last, _samples(F, mode, ys, alpha, phi))
         else:
@@ -157,17 +150,17 @@ def limit_at_infinity(
                 redo_end = stop
                 continue
         for i in range(1, T.shape[1]):
-            diag = T[k, i]
+            diag = T[k - j, i]
             if prev_diag is not None:
                 inc = float(np.linalg.norm(diag - prev_diag))
                 increments.append(inc)
-                if inc < EPS_LIM * (1.0 + float(np.linalg.norm(diag))) and y0 * 2.0**k > reach:
+                if inc < EPS_LIM * (1.0 + float(np.linalg.norm(diag))):
                     return LimitEstimate(diag.copy(), inc, k, tuple(increments))
             prev_diag = diag
             k += 1
         last = T[:, -1]
     raise NoConvergence(
-        f"ladder reached k_max = {k_max} without meeting the stopping criterion",
-        # the diagonals of rungs k_max - 1 and k_max (slot 0 holds the row before the block)
+        f"ladder reached its last rung y = 2^{top} without meeting the stopping criterion",
+        # the diagonals of the last two rungs (slot 0 holds the row before the block)
         last_estimates=(T[-2, -2].copy(), T[-1, -1].copy()),
     )

@@ -56,6 +56,7 @@ RANGE_RTOL = 1e-10  # rank cut of a PSD parameter sum, relative to lambda_max
 NULL_TOL = 1e-8  # deviation allowed in each null_domination condition, relative to ||F||
 NULL_RTOL_FACTOR = np.finfo(float).eps  # null_domination cuts its k x q A at this max(k, q) sigma_1: A's rounding
 EPS_LIM = 1e-10  # the ladder stops once the diagonal moves less than this, relative
+RUNG_CEILING = 180  # first rung <= 2^180: past it, top rungs' y^2-growing samples, tableau or stop norm could overflow
 PARAMS_TOL = 1e-6  # slack of the limits extract_params compares, on top of their error bounds
 PINV_RTOL_FACTOR = 1e-12  # pinv cuts at PINV_RTOL_FACTOR q sigma_1, so Penrose holds to rounding
 EP_RTOL = 1e-10  # rank cut of is_ep, relative: given matrices, not samples, so between pinv's and RTOL_RANK
@@ -347,8 +348,8 @@ class MatrixMeasure:
         return mu
 
     def _canonical(self, q, support, nodes, weights) -> None:
-        if not isinstance(q, (int, np.integer)) or q < 1:
-            raise DimensionMismatch(f"q must be a positive integer, got {q!r}")
+        if not isinstance(q, (int, np.integer)) or q < 1 or 16 * int(q) ** 2 > np.iinfo(np.intp).max:
+            raise DimensionMismatch(f"q must be a positive integer that numpy can shape a matrix by, got {q!r}")
         nodes, weights = _canonicalize(q, support, nodes, weights)
         for name, value in (("q", q), ("support", support), ("nodes", nodes), ("weights", weights)):
             object.__setattr__(self, name, value)

@@ -37,6 +37,7 @@ from .errors import (
     IllegalConversion,
     NotAnAtom,
     PoleProximity,
+    UnsupportedKind,
     UnsupportedPath,
 )
 from .matmeasure import (
@@ -55,6 +56,7 @@ from .matmeasure import (
     matrix_to_json,
     read_fields,
     right_ray,
+    total_mass,
     whole_line,
 )
 
@@ -330,6 +332,19 @@ def endpoint_side(repr_: Representation) -> tuple[float, str]:
         return getattr(repr_, spec.endpoint), spec.side
     nodes = measure_of(repr_).nodes
     return (float(nodes.min()) if nodes.size else 0.0), spec.side
+
+
+def _structural_sum(repr_: Representation) -> np.ndarray:
+    """PSD matrix whose range/null space equal those predicted for F(z).
+
+    For PSD summands, N(A) ∩ N(B) = N(A + B) and R(A) + R(B) = R(A + B),
+    so the predicted intersection/sum is realized by a single matrix sum.
+    """
+    names = KINDS[repr_.KIND].structural
+    if names is None:
+        raise UnsupportedKind(f"no structural subspace statement for kind {repr_.KIND}")
+    terms = [getattr(repr_, name) for name in names] + [total_mass(measure_of(repr_))]
+    return sum(terms[1:], terms[0])
 
 
 # ---------------------------------------------------------------------------

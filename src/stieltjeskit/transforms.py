@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import _structural_sum, rank_constancy, sample_points
+from .classifier import rank_constancy, sample_points
 from .errors import DimensionMismatch, ShiftNotPsd, UnsupportedKind
 from .matmeasure import EP_RTOL, EP_TOL, EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR, MatrixMeasure, _square, as_hermitian
 from .matmeasure import _im, image_measure, is_psd, norm2, range_split, right_ray, svd_rank
@@ -26,6 +26,7 @@ from .representations import (
     Evaluator,
     Representation,
     StieltjesPair,
+    _structural_sum,
     convert,
     endpoint_side,
     evaluator,

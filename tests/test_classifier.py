@@ -607,6 +607,12 @@ def test_null_domination_routes_consistent_random():
         assert isinstance(rep["all"], bool)
 
 
+def test_null_domination_refuses_an_a_of_the_wrong_width():
+    p = random_pair(np.random.default_rng(3), q=2)
+    with pytest.raises(sk.DimensionMismatch, match="q = 2 columns"):  # was an untyped ValueError
+        sk.null_domination(p, np.eye(3))
+
+
 def test_null_domination_refuses_a_non_finite_a():
     p = random_pair(np.random.default_rng(3), q=2)
     with pytest.raises(sk.StieltjesKitError, match="non-finite"):

@@ -84,6 +84,13 @@ def test_missing_file_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_directory_as_input_is_one_json_error(tmp_path, capsys):
+    assert run(["eval", "--input", str(tmp_path)]) == 1  # was a raw IsADirectoryError
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == f"cannot read input file {tmp_path}: Is a directory"
+
+
 def test_moments_of_endpoint_atom(tmp_path, capsys):
     rng = np.random.default_rng(2)
     B = psd(rng, 2)
@@ -145,8 +152,8 @@ def test_params_and_certify_of_an_atom_far_out(tmp_path, capsys, side, claim):
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_params_of_a_node_past_the_last_rung_exit_one(tmp_path, capsys, side):
-    assert run(["params", "--input", write_repr(tmp_path, far_atom(side, 1e15))]) == 1
-    assert "lies past the last rung" in json.loads(capsys.readouterr().err)["error"]
+    assert run(["params", "--input", write_repr(tmp_path, far_atom(side, 1e70))]) == 1
+    assert "lies past the first-rung ceiling" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_certify_alpha_past_the_nodes_exit_two(tmp_path, capsys):
@@ -558,22 +565,22 @@ CERTIFY_DIGESTS = {
     ("pair", "s"): "bd8e8f5df230beeb9a0e6c01c91635a3154394996fd8d4267a59a86c73a7980a",
     ("pair", "s_via_pair"): "fc88c8ea9b3fbf2f334874f66eefa0600c2c133a357b1afe0ff28b8177c0a876",
     ("pair", "s0"): "ac678bcf3fd0aa3b8ed11f9f24d40caf221bcbb5bcab7dedc150b29408223291",
-    ("pair", "sdot"): "54ea8478060216b18b8d2b1b59b295640755ab085441f99e3ee5c0a6b278f733",
+    ("pair", "sdot"): "363631d5a8f9ebc22382ddef3ee0a4d8ee88d03933bc72a0a1b5842a19959154",
     ("pair", "sinf"): "704d72fce39c9e42a93439dd27122803c3b031ff11ba82e5c582008123ca0321",
     ("pair", "t"): "78a6c4657e443bbb8b0246874563aaeac63c46e32fa0ddbb8fdb5aaa8f500499",
     ("pair", "t_via_pair"): "1ecab0a16238cab43351e310d8157cf7b7aa98d317f073e63c52c069d5543a9d",
     ("pair", "t0"): "2205abccbf3b744c7b588ae01ba108baf5e365925a2682093e22fcfc4aeeccdb",
-    ("pair", "tdot"): "f6c0c903dfea61a203bae94f19bbfaf749ae515de22176c3c74ffb9c101efc51",
+    ("pair", "tdot"): "6ff85c05ac14e3ec2b8d5ded764da57f96c17fc259710ad866025de014a69a0a",
     ("pair", "tinf"): "908205ac4571f707a65f84d6bcd6d006ce267e6c00fa60c7cccc86e1b299ca51",
     ("t_pair", "s"): "4c540912713fea5238b2d3d6a85598804c35592914b38f8c948ddb17136245c1",
     ("t_pair", "s_via_pair"): "804f78d49a5411f2170ba8cb3acd9854c9eb1e6ae9993d53c7e6a54c147a7a9b",
     ("t_pair", "s0"): "36749faa962531a6ac402e6d5d101721b69da2ac00d4fbdddb3ef8383332506a",
-    ("t_pair", "sdot"): "d4a7494b79186f62a20154408f749b8353768a93b2970db1bb945a70059dbf36",
+    ("t_pair", "sdot"): "e5842fb574441c8140c148b6ab24da439c0b6ae259c696b4d6ae938960e288c3",
     ("t_pair", "sinf"): "065b0c58ac53a10d0bd225ee79ca5b03eb979be42a265ec55e2f796c2f69f447",
     ("t_pair", "t"): "610596f59ae7a1d84c9a9babdef36aa1cccba416ce884bc81945a6865cfb4245",
     ("t_pair", "t_via_pair"): "e73e42e3c78ca31480d4fc7d3193e7a83a5d4fbc043645457b470d7c73db69a1",
     ("t_pair", "t0"): "7281e79bdfc5fe28954bb2f3c95c24226ffdde773799b3bf7e087b226a40846c",
-    ("t_pair", "tdot"): "f09870d13e30b3c530bf364ece58f6e29a94951ebd2cbfa4e902f61625521cb4",
+    ("t_pair", "tdot"): "c702777fa080ae6d37315897bc88b9bb8bb74ab82e8217c3806feeb6b04a4027",
     ("t_pair", "tinf"): "ec137ca95b9a46a6da556e75a2757a71817a8fd768efc56890b1b3ccf871e2d0",
 }
 MEMBER_CLASSES = {"pair": {"s", "s_via_pair"}, "t_pair": {"t", "t_via_pair"}}
@@ -590,8 +597,8 @@ def test_certificates_are_byte_stable(tmp_path, capsys, name, make, kind):
 # pinv transforms on the inputs above: the exit code and the digest of stdout
 # and stderr together.
 PARAMS_DIGESTS = {
-    ("pair", ""): (0, "82074467119c64f164dc198ddef79a4520fe4234e01292d4ac6db7373400264e"),
-    ("pair", "--kind s"): (0, "82074467119c64f164dc198ddef79a4520fe4234e01292d4ac6db7373400264e"),
+    ("pair", ""): (0, "a7fb766b06dbb548e0555af207ead228f7ff29bcff2084c952ac87584fd8e597"),
+    ("pair", "--kind s"): (0, "a7fb766b06dbb548e0555af207ead228f7ff29bcff2084c952ac87584fd8e597"),
     ("pair", "--kind s_via_pair"): (1, "6473a6a3b856186e63fbdee5cf228a24007c4d906682354f7eb88972b46b933b"),
     ("pair", "--kind s0"): (2, "55114fcdc22fee0c8cad86d7035b8f06cabc3f60a37fb1e64d5b01901d680d9f"),
     ("pair", "--kind sdot"): (2, "a875e248aee7fa9f9835b03de2816f702038dba55b225d4cda5f0b7823724b99"),
@@ -601,25 +608,25 @@ PARAMS_DIGESTS = {
     ("pair", "--kind t0"): (2, "db617f42071a09e63c1ca35eee01903d01a0b35793c1f24c53ece5d82dfdc5c4"),
     ("pair", "--kind tdot"): (2, "8f64349721464c8bb1636dce92326f9acd6f8a44e6fb8cea645aab8a5085e140"),
     ("pair", "--kind tinf"): (1, "468ef109cbe164ca27560a80cfa6b1a8d286f6f273aa012f4c84a2b3dc6dfe5a"),
-    ("pair", "--mode plain_iy"): (0, "ac92e28bd7d4c7d9d3265dc6c5ae842064841dc3d44660640c523dbcd3d8fa9c"),
-    ("pair", "--mode y_scaled"): (1, "62fa54c115063325b1232b3b812d1e4b16af64d3810a141bbe1a2c7fc33649cc"),
-    ("pair", "--mode radial"): (0, "03c2c4b83edba493c5541357696a382752d34bf0e67779e226cec08eb6756a9b"),
+    ("pair", "--mode plain_iy"): (0, "4a3958a7062a7cb965bf07ced8494621f2ffd69a2782a0135bce23b66d619267"),
+    ("pair", "--mode y_scaled"): (1, "4c5f3d2861edeeec350f1fe44149a2b6db8935c045afc221dbd7cde83f20c486"),
+    ("pair", "--mode radial"): (0, "fdc2dee74cce33fae33245f5df32b3d3d4848e9fdf4e0941e3059c159219a977"),
     ("pair", "--op pinv_map"): (0, "8c319eef2d6d308271b544ef93c0954cea57ca12bcce5821c8295fd4937ae5bb"),
     ("pair", "--op neg_pinv"): (0, "8cb4440d345ef881dd554027d69683c0920e5fc93561c919936ba643b99be5cd"),
-    ("t_pair", ""): (0, "6bca1292379ae74ee60ce821e7690ba5fecdd28bbcb351481e28d9d5691e749c"),
+    ("t_pair", ""): (0, "f934204a1c5cb72764cb2e303fd56ec3bcde7a301e9645d3d8eef28561dbf9d3"),
     ("t_pair", "--kind s"): (2, "6dd87814dcafa9203bab1972ab1032c38b2cb7dea70f20693be48ece92bbea47"),
     ("t_pair", "--kind s_via_pair"): (1, "6473a6a3b856186e63fbdee5cf228a24007c4d906682354f7eb88972b46b933b"),
     ("t_pair", "--kind s0"): (2, "6ff578bea1ff1becf4ac7c9b0911d71bc4a643818200863dc76113d36cc4d29e"),
     ("t_pair", "--kind sdot"): (2, "3a18bd48280564a9b1ad26253d01da74da9d241ab749554201fbab638265eec9"),
     ("t_pair", "--kind sinf"): (1, "82d77bc8eac7afeea60da3ba4e9c6e687fbd5aceda160a6f76fbb8a6f2329c48"),
-    ("t_pair", "--kind t"): (0, "6bca1292379ae74ee60ce821e7690ba5fecdd28bbcb351481e28d9d5691e749c"),
+    ("t_pair", "--kind t"): (0, "f934204a1c5cb72764cb2e303fd56ec3bcde7a301e9645d3d8eef28561dbf9d3"),
     ("t_pair", "--kind t_via_pair"): (1, "f67634a0ff99cab4f374699117f66a52e892ae27c32d9a7454d789ef6b55c6fd"),
     ("t_pair", "--kind t0"): (2, "ce23b528f96b99960c9aa22db7f81863e04ec57af39a9da89ec10a3666dcf1e3"),
     ("t_pair", "--kind tdot"): (2, "9eafd270a5f2d434ca73ea33db366294ccb3f268bb242e1e5ca522c22a71b347"),
     ("t_pair", "--kind tinf"): (1, "468ef109cbe164ca27560a80cfa6b1a8d286f6f273aa012f4c84a2b3dc6dfe5a"),
-    ("t_pair", "--mode plain_iy"): (0, "3d30a6b1d394c40a31781147085ae749b4d87e31572cdfe23f9111b6cb54bac0"),
-    ("t_pair", "--mode y_scaled"): (1, "62fa54c115063325b1232b3b812d1e4b16af64d3810a141bbe1a2c7fc33649cc"),
-    ("t_pair", "--mode radial"): (0, "dfa00784feead145bb38c74816febba965157cfb647c38ba2bea11013770d4e7"),
+    ("t_pair", "--mode plain_iy"): (0, "1ae8e294fb95f260a2971c73dd66f020a9bd2d672a2d0bcfc6add5ff9dd8230d"),
+    ("t_pair", "--mode y_scaled"): (1, "4c5f3d2861edeeec350f1fe44149a2b6db8935c045afc221dbd7cde83f20c486"),
+    ("t_pair", "--mode radial"): (0, "898aa45bc438e99212e8614aaf0cd364ba51c1f340e6ee0bfa6b6cdac106fe41"),
     ("t_pair", "--op pinv_map"): (0, "3e569157bd1ed2411cbcf104a409b7b9c1c8c17c1715f9b7458dc26617ed02da"),
     ("t_pair", "--op neg_pinv"): (0, "b976bbd1b7f0a2ee0e646dc85efa9118ef14333118d18fdfec86e7a42df020b1"),
 }

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,8 +59,9 @@ def test_ladder_start_invariance():
     rng = np.random.default_rng(4)
     p = random_pair(rng, q=3)
     F = sk.evaluator(p)
-    e1 = sk.limit_at_infinity(F, "plain_iy", y0=1.0)
-    e2 = sk.limit_at_infinity(F, "plain_iy", y0=2.0)
+    e1 = sk.limit_at_infinity(F, "plain_iy")  # starts past the nodes
+    e2 = sk.limit_at_infinity(sk.Evaluator(F.q, F.excluded, F.fn), "plain_iy")  # opaque: starts at y = 1
+    assert 2.0 ** (e1.ladder_depth - len(e1.increments)) > np.abs(p.mu.nodes).max()
     assert np.linalg.norm(e1.value - e2.value) <= 2 * (e1.error_bound + e2.error_bound) + 1e-12
 
 
@@ -71,7 +74,7 @@ def test_radial_phi_validated():
 def test_no_convergence_for_growing_function():
     F = sk.Evaluator(1, None, lambda z: np.sqrt(abs(z)) * np.eye(1))
     with pytest.raises(sk.NoConvergence) as exc:
-        sk.limit_at_infinity(F, "plain_iy", k_max=20)
+        sk.limit_at_infinity(F, "plain_iy")
     assert exc.value.last_estimates is not None
 
 
@@ -212,8 +215,19 @@ def test_scaled_limit_matches_total_mass(seed):
 # --- the blocked ladder against the rung-by-rung one ---
 
 
-def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=sk.limits.K_MAX):
-    """The ladder one rung at a time: one guarded call and one Neville row per rung."""
+def first_rung(F, mode="plain_iy", alpha=0.0):
+    """The least power of two past every node of F, from alpha in radial mode (1 if F is opaque), by doubling."""
+    center = alpha if mode == "radial" else 0.0
+    reach = max((abs(t - center) for t in ([] if F._nodes is None else F._nodes.tolist())), default=0.0)
+    y = 1.0
+    while y <= reach:
+        y *= 2.0
+    return y
+
+
+def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=None):
+    """The ladder one rung at a time from y0 = 2^j: one guarded call and one Neville row per rung; depth j + k."""
+    k_max = sk.limits.K_MAX if k_max is None else k_max
     rows, prev_diag = [], None
     for k in range(k_max + 1):
         y = y0 * 2.0**k
@@ -232,7 +246,7 @@ def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=s
         if prev_diag is not None:
             inc = float(np.linalg.norm(diag - prev_diag))
             if inc < sk.limits.EPS_LIM * (1.0 + float(np.linalg.norm(diag))):
-                return sk.LimitEstimate(diag, inc, k)
+                return sk.LimitEstimate(diag, inc, round(math.log2(y0)) + k)
         prev_diag = diag
     raise sk.NoConvergence("k_max reached", last_estimates=(rows[-2][-1], rows[-1][-1]))
 
@@ -283,29 +297,46 @@ def _failing(fn, q, center, y_fail, how):
     return wrapped
 
 
+def _opaque(q, excluded, fn, nodes):
+    """An evaluator of fn that loops over points, so its ladder is the reference's bit for bit.
+
+    With ``nodes`` its ladder starts past them, as an atomic evaluator's does.
+    """
+    F = sk.Evaluator(q, excluded, fn)
+    object.__setattr__(F, "_nodes", nodes)
+    return F
+
+
 @given(
     seed=st.integers(0, 10**6),
     mode=st.sampled_from(sk.limits.MODES),
-    y0=st.sampled_from([0.5, 1.0, 3.0]),
+    with_nodes=st.booleans(),
     k_max=st.sampled_from([3, 11, sk.limits.K_MAX]),
     family=st.sampled_from(["atoms", "growing", "fails_past_stop", "fails_at_reached"]),
     how=st.sampled_from(["raise", "inf", "nan", "warn"]),
 )
 @settings(max_examples=300, deadline=None)
-def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, y0, k_max, family, how):
-    """On opaque evaluators (whose batch is the per-point loop) the outcome is the reference's, bit for bit."""
+def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k_max, family, how):
+    """On evaluators whose batch is the per-point loop the outcome is the reference's, bit for bit.
+
+    Short ladders patch limits.K_MAX; with_nodes starts the ladder past the nodes of the function drawn.
+    """
     rng = np.random.default_rng(seed)
     q = int(rng.integers(1, 4))
     side = "left" if mode.startswith("neg") or rng.integers(0, 2) else "right"
     r = _far_atoms(rng, q, side)
     e, _ = endpoint_side(r)
-    kw = {"mode": mode, "y0": y0, "k_max": k_max}
+    kw = {"mode": mode}
     if mode == "radial":
         # Along the real gap (pi off a right ray, 0 off a left one) or up to 0.45 pi off it.
         phi = float(rng.choice([math.pi, rng.uniform(0.55, 1.45) * math.pi]))
         kw.update(alpha=e, phi=phi if side == "right" else phi - math.pi)
-    base = sk.evaluator(r).fn
+    atomic = sk.evaluator(r)
+    base, nodes = atomic.fn, (atomic._nodes if with_nodes else None)
     center = kw.get("alpha", 0.0)
+    y0 = first_rung(_opaque(q, atomic.excluded, base, nodes), mode, center)
+    ref_kw = {**kw, "y0": y0, "k_max": k_max}
+    j = round(math.log2(y0))
     if family == "growing":
         M = psd(rng, q) + np.eye(q)
         power = float(rng.choice([0.5, 1.0]))
@@ -313,13 +344,14 @@ def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, y0, k_max, fa
     elif family == "atoms":
         fn = base
     else:
-        ref = outcome(reference_ladder, sk.Evaluator(q, sk.evaluator(r).excluded, base), **kw)
-        depth = ref[0][3] if ref[0][0] == "limit" else k_max
-        rung = depth + 1 if family == "fails_past_stop" else int(rng.integers(0, depth + 1))
-        fn = _failing(base, q, center, y0 * 2.0 ** (rung - 0.5), how)
-    F = sk.Evaluator(q, sk.evaluator(r).excluded, fn)
-    expected = outcome(reference_ladder, F, **kw)
-    assert outcome(sk.limit_at_infinity, F, **kw) == expected
+        ref = outcome(reference_ladder, _opaque(q, atomic.excluded, base, nodes), **ref_kw)
+        depth = ref[0][3] if ref[0][0] == "limit" else j + k_max
+        rung = depth + 1 if family == "fails_past_stop" else int(rng.integers(j, depth + 1))
+        fn = _failing(base, q, center, 2.0 ** (rung - 0.5), how)
+    F = _opaque(q, atomic.excluded, fn, nodes)
+    expected = outcome(reference_ladder, F, **ref_kw)
+    with mock.patch.object(sk.limits, "K_MAX", k_max):
+        assert outcome(sk.limit_at_infinity, F, **kw) == expected
     if family == "fails_past_stop":
         assert expected[0][0] in ("limit", "no_convergence") or expected[0][0] is sk.PoleProximity
         assert not expected[1]
@@ -348,7 +380,7 @@ def test_blocked_ladder_agrees_with_reference_on_batched_evaluators(make, mode):
     for _ in range(10):
         F = make(rng)
         try:
-            expected = reference_ladder(F, mode)
+            expected = reference_ladder(F, mode, y0=first_rung(F, mode))
         except sk.NoConvergence as exc:
             with pytest.raises(sk.NoConvergence) as got:
                 sk.limit_at_infinity(F, mode)
@@ -364,16 +396,10 @@ def test_increments_record_the_ladder():
     rng = np.random.default_rng(9)
     for F, mode in [(sk.evaluator(random_pair(rng)), "plain_iy"), (sk.pinv_map(random_s0(rng, q=2)), "plain_iy")]:
         est = sk.limit_at_infinity(F, mode)
-        assert len(est.increments) == est.ladder_depth
+        assert 2.0 ** (est.ladder_depth - len(est.increments)) == first_rung(F)  # one per rung past the first
         assert est.increments[-1] == est.error_bound
         assert all(isinstance(inc, float) for inc in est.increments)
     assert sk.LimitEstimate(np.eye(1), 0.0, 1).increments == ()  # positional construction as before
-
-
-def test_k_max_below_one_rejected():
-    F = sk.evaluator(random_pair(np.random.default_rng(10)))
-    with pytest.raises(ValueError):
-        sk.limit_at_infinity(F, "plain_iy", k_max=0)
 
 
 def far_atom(side, t=1e8, W=1e-3):
@@ -392,7 +418,7 @@ def test_ladder_of_an_atomic_evaluator_passes_its_nodes(side, claim):
     np.testing.assert_allclose(sk.extract_params(F, 0.0, claim)["mass"].value, [[1e-3]], rtol=1e-9)
     cert = sk.certify_class(F, 0.0, claim)
     assert cert.verdict and cert.margin("y_norm_bounded") > 0.49
-    # The same function, opaque, keeps the plain rule: its first two samples differ by 3e-11 and stop it.
+    # The same function, opaque, starts at y = 1: its first two samples differ by 3e-11 and stop it.
     assert sk.limit_at_infinity(sk.Evaluator(F.q, F.excluded, F.fn), "y_scaled").ladder_depth == 1
 
 
@@ -404,14 +430,18 @@ def test_radial_reach_is_measured_from_alpha():
     assert 2.0 ** sk.limit_at_infinity(F, "plain_iy").ladder_depth > a + 2.0  # past |t|
 
 
-@pytest.mark.parametrize(
-    "side, claim, node", [("right", "s0", "1000000000000000.0"), ("left", "t0", "-1000000000000000.0")]
-)
+@pytest.mark.parametrize("side, claim, node", [("right", "s0", "1e+70"), ("left", "t0", "-1e+70")])
 def test_node_past_the_last_rung_raises_and_is_no_mismatch(side, claim, node):
-    F = sk.evaluator(far_atom(side, t=1e15))  # the last rung is y0 2^K_MAX = 2.8e14
+    # Past the first-rung ceiling 2^RUNG_CEILING, and past 2^(RUNG_CEILING + K_MAX), the last rung any ladder reaches.
+    F = sk.evaluator(far_atom(side, t=1e70))
+    calls = []
+    spy = sk.Evaluator(F.q, F.excluded, F.fn, lambda zs: calls.append(zs) or F.batch_raw(zs))
+    object.__setattr__(spy, "_nodes", F._nodes)
     for mode in ("plain_iy", "y_scaled"):
-        with pytest.raises(sk.NoConvergence, match=f"node {node} lies past the last rung") as info:
-            sk.limit_at_infinity(F, mode)
+        with pytest.raises(sk.NoConvergence, match=re.escape(f"node {node} lies past the first-rung ceiling")) as info:
+            sk.limit_at_infinity(spy, mode)
         assert info.value.last_estimates is None
-    with pytest.raises(sk.NoConvergence, match="past the last rung"):  # a member: not a ClassMismatch
-        sk.extract_params(F, 0.0, claim)
+    with pytest.raises(sk.NoConvergence, match="first-rung ceiling"):  # a member: not a ClassMismatch
+        sk.extract_params(spy, 0.0, claim)
+    assert not calls
+    assert 1e70 > 2.0 ** (sk.limits.RUNG_CEILING + sk.limits.K_MAX)

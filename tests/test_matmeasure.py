@@ -224,6 +224,8 @@ def test_each_check_runs_on_the_whole_stack_before_the_next(atoms, error):
         (lambda: sk.MatrixMeasure("1", sk.whole_line()), sk.DimensionMismatch),
         (lambda: sk.MatrixMeasure(1.0, sk.whole_line()), sk.DimensionMismatch),
         (lambda: sk.MatrixMeasure(0, sk.whole_line()), sk.DimensionMismatch),
+        (lambda: sk.MatrixMeasure(10**400, sk.right_ray(0.0)), sk.DimensionMismatch),
+        (lambda: sk.MatrixMeasure(2**32, sk.right_ray(0.0)), sk.DimensionMismatch),
         (lambda: sk.MatrixMeasure(1, sk.whole_line(), [(None, np.eye(1))]), sk.DimensionMismatch),
         (lambda: sk.MatrixMeasure(1, sk.whole_line(), [("1", np.eye(1))]), sk.DimensionMismatch),
         (lambda: sk.MatrixMeasure(1, sk.whole_line(), [(10**400, np.eye(1))]), sk.DimensionMismatch),
@@ -232,8 +234,8 @@ def test_each_check_runs_on_the_whole_stack_before_the_next(atoms, error):
     ],
     ids=[
         "unknown_kind", "list_kind", "infinite_endpoint", "nan_endpoint", "two_endpoints", "big_integer_endpoint",
-        "string_endpoint", "null_endpoint", "string_q", "float_q", "zero_q", "null_node", "string_node",
-        "big_integer_node", "null_weight", "ragged_matrix",
+        "string_endpoint", "null_endpoint", "string_q", "float_q", "zero_q", "big_integer_q", "unshapeable_q",
+        "null_node", "string_node", "big_integer_node", "null_weight", "ragged_matrix",
     ],
 )
 def test_constructors_refuse_malformed_input_with_a_typed_error(make, error):

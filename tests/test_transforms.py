@@ -310,15 +310,15 @@ def test_pole_at_a_node_and_a_double_pole():
 def test_node_near_1e13_passes_the_ladder_through_the_image_pole():
     """F = 1 + (1 + t) 1e-3 / (t - z) with t = 1e13 vanishes at t + (1 + t) 1e-3, about 1.001e13.
 
-    The image is atomic, so the ladder of params passes that pole before it stops: depth 44, the first
-    rung 2^44 past 1.001e13, with gamma 0.  The SVD map stops at depth 2 with the same gamma.
+    The image is atomic, so the ladder of params starts past that pole, at 2^44, and stops at depth 45 with
+    gamma 0.  The SVD map stops at depth 2 with the same gamma.
     """
     p = sk.StieltjesPair(0.0, np.eye(1), sk.MatrixMeasure(1, sk.right_ray(0.0), [(1e13, 1e-3 * np.eye(1))]))
     G = sk.pinv_map(p)
     np.testing.assert_allclose(G._nodes, [0.0, 1e13 + (1.0 + 1e13) * 1e-3], rtol=1e-15)
     assert sk.certify_class(G, 0.0, "s").verdict
     params = sk.extract_params(G, 0.0, "s")
-    assert params["gamma"].ladder_depth == 44 and params["gamma_radial"].ladder_depth == 44
+    assert params["gamma"].ladder_depth == 45 and params["gamma_radial"].ladder_depth == 45
     assert np.linalg.norm(params["gamma"].value) <= 1e-15
     svd = sk.extract_params(_svd_map(p, False), 0.0, "s")
     assert svd["gamma"].ladder_depth == 2 and np.linalg.norm(svd["gamma"].value) <= 1e-15
