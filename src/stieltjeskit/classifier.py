@@ -34,8 +34,8 @@ from .errors import (
 )
 from .limits import K_MAX, limit_at_infinity
 from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
-from .matmeasure import TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd, norm2, range_split
-from .matmeasure import svd_rank
+from .matmeasure import RUNG_CEILING, TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd, norm2
+from .matmeasure import range_split, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -236,28 +236,23 @@ def _holomorphy(F: Evaluator, zs: np.ndarray, dist: np.ndarray, endpoint: float,
     return -float(depth[i]), complex(F._nodes[i])
 
 
-def _growth_ratio(F: Evaluator, base: float) -> tuple[float, complex]:
-    """Ratio of y*||F(iy)|| between 2*base and base; ~1 for bounded decay."""
-    s1 = base * float(np.linalg.norm(_values(F, np.array([1j * base]))))
-    s2 = 2.0 * base * float(np.linalg.norm(_values(F, np.array([2j * base]))))
-    if s1 <= 1e-300:
-        return 1.0, 2j * base
-    return s2 / s1, 2j * base
-
-
 def _y_norm_bounded(F: Evaluator) -> tuple[float, complex]:
-    """(margin, witness) of the bounded-growth condition of the bounded classes.
+    """(margin, witness) of the bounded-growth condition: the ratio of y ||F(iy)|| from y to 2y, ~1 if bounded.
 
-    The growth ratio is probed K_MAX rungs past the stop of the mass
-    ladder, at y = 2^(depth + K_MAX): the ladder starts past the atoms, but
-    a term y C can hide under a far atom's mass on every rung it runs.
+    y is the least power of two past ||mass|| / PARAMS_TOL, where a constant of PARAMS_TOL (the largest
+    plain limit extract_params lets a bounded class keep) would match the mass, and no nearer than the
+    stop of the mass ladder: a constant under a heavy far atom hides on every rung the ladder runs, and a
+    probe farther out would read y times the rounding of a value at infinity that cancels.  y stays at
+    or below the top rung of a ladder at the ceiling.
     """
     try:
-        depth = limit_at_infinity(F, "y_scaled").ladder_depth
-    except NoConvergence:
-        return -1.0, 2j * 2.0**20
-    ratio, witness = _growth_ratio(F, 2.0 ** (depth + K_MAX))
-    return 0.5 - (ratio - 1.0), witness
+        mass = limit_at_infinity(F, "y_scaled")
+    except NoConvergence as exc:
+        return -1.0, 1j * (exc.last_rung or 2.0**RUNG_CEILING)  # None: no rung ran, a node lies past the ceiling
+    past = math.frexp(float(np.linalg.norm(mass.value)) / PARAMS_TOL)[1]
+    y = 2.0 ** min(max(mass.ladder_depth, past), RUNG_CEILING + K_MAX)
+    s1, s2 = (v * float(np.linalg.norm(_values(F, np.array([1j * v])))) for v in (y, 2.0 * y))
+    return 0.5 - ((1.0 if s1 <= 1e-300 else s2 / s1) - 1.0), 2j * y
 
 
 def _decay_at_infinity(F: Evaluator) -> tuple[float, complex]:

@@ -230,7 +230,7 @@ def run(argv=None) -> int:
         if tol is not None and not (1e-15 <= tol <= 1e-2):
             raise StieltjesKitError("tolerance override outside [1e-15, 1e-2]")
         code, report = _COMMANDS[args.command][0](args)
-    except (StieltjesKitError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
+    except (StieltjesKitError, ValueError, MemoryError) as exc:  # numpy's LinAlgError is a ValueError
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
     report["tol"] = tol

@@ -59,11 +59,12 @@ class NotAnAtom(StieltjesKitError):
 
 
 class NoConvergence(StieltjesKitError):
-    """The extrapolation ladder hit its depth cap without converging."""
+    """The extrapolation ladder hit its last rung, y = ``last_rung``, without converging (None: no rung ran)."""
 
-    def __init__(self, message, last_estimates=None):
+    def __init__(self, message, last_estimates=None, last_rung=None):
         super().__init__(message)
         self.last_estimates = last_estimates
+        self.last_rung = last_rung
 
 
 class ClassMismatch(StieltjesKitError):

@@ -117,7 +117,7 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
     successive diagonal extrapolants differ by less than
     EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at the last rung.
     A reach at or past 2^RUNG_CEILING raises NoConvergence naming the farthest
-    node before any evaluation, without last_estimates.
+    node before any evaluation, without last_estimates or last_rung.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -163,4 +163,5 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
         f"ladder reached its last rung y = 2^{top} without meeting the stopping criterion",
         # the diagonals of the last two rungs (slot 0 holds the row before the block)
         last_estimates=(T[-2, -2].copy(), T[-1, -1].copy()),
+        last_rung=2.0**top,
     )

@@ -278,7 +278,10 @@ def _weight_stack(q: int, weights) -> np.ndarray:
     then finiteness, then hermiticity and PSD (``_hermitian_stack``).
     """
     if not len(weights):
-        return np.zeros((0, q, q), dtype=complex)
+        try:
+            return np.zeros((0, q, q), dtype=complex)
+        except ValueError as exc:  # a q past numpy's shape limit
+            raise DimensionMismatch(f"no ({q}, {q}) matrix can be shaped: {exc}") from exc
     W = _numbers(weights, "weights", "biufc")
     if W.shape[1:] != (q, q):
         raise DimensionMismatch(f"weights of shape {W.shape} are not a stack of ({q}, {q}) matrices")
@@ -348,8 +351,8 @@ class MatrixMeasure:
         return mu
 
     def _canonical(self, q, support, nodes, weights) -> None:
-        if not isinstance(q, (int, np.integer)) or q < 1 or 16 * int(q) ** 2 > np.iinfo(np.intp).max:
-            raise DimensionMismatch(f"q must be a positive integer that numpy can shape a matrix by, got {q!r}")
+        if not isinstance(q, (int, np.integer)) or q < 1:
+            raise DimensionMismatch(f"q must be a positive integer, got {q!r}")
         nodes, weights = _canonicalize(q, support, nodes, weights)
         for name, value in (("q", q), ("support", support), ("nodes", nodes), ("weights", weights)):
             object.__setattr__(self, name, value)

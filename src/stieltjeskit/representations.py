@@ -142,6 +142,11 @@ class NevanlinnaTriple(_Record):
     B: np.ndarray
     nu: MatrixMeasure
 
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """A - integral of t dnu: the limit of F(iy) - iy B, the constant of the kernel (1 + t^2)/(t - z)."""
+        return as_hermitian(self.A - _first_moment(self.nu))
+
 
 @dataclass(frozen=True, eq=False)
 class S0Measure(_Record):
@@ -217,13 +222,12 @@ Representation = (
 
 @dataclass(frozen=True)
 class KindSpec:
-    """One representation kind: F(z) = affine(r, z, sum c(t, z)/(t - z) W).
+    """One representation kind: F(z) = affine(r, z, sum c(t)/(t - z) W).
 
     ``fields`` lists the record's fields in order as (name, role), the role
     being ENDPOINT (a float), PSD or HERM (a q x q matrix held to that
-    constraint) or MEASURE.  The kernel numerator is
-    c(t, z) = numerator(t, e) + z * numerator_z(t, e) with e the endpoint;
-    ``numerator_z`` is None when c does not depend on z.
+    constraint) or MEASURE.  The kernel numerator is c(t) = numerator(t, e)
+    with e the endpoint.
     """
 
     cls: type
@@ -237,7 +241,6 @@ class KindSpec:
     structural: tuple | None = None  # matrices whose sum with the total mass pins N(F(z)), R(F(z))
     eigen: tuple | None = None  # (matrix, sign): eigen_invariance needs matrix + sign*lam*I PSD
     residue: bool = False  # residue_weight is stated for this kind
-    numerator_z: Callable | None = None
 
     @property
     def kind(self) -> str:
@@ -279,8 +282,8 @@ KINDS = {
         ),
         KindSpec(
             NevanlinnaTriple, (("A", HERM), ("B", PSD), ("nu", MEASURE)), None, "right",
-            _unit_numerator, lambda r, z, S: r.A + z * r.B + S, "s",
-            numerator_z=lambda t, _: t,
+            # (1 + tz)/(t - z) = (1 + t^2)/(t - z) - t: sum t W leaves A once, in gamma, not in every sample
+            lambda t, _: 1.0 + t * t, lambda r, z, S: r.gamma + z * r.B + S, "s",
         ),
         KindSpec(
             S0Measure, (("alpha", ENDPOINT), ("sigma", MEASURE)), "right_ray", "right",
@@ -420,10 +423,10 @@ KERNEL_ENTRIES = 16384
 
 
 def _kernel_batch(repr_: Representation) -> Callable[[np.ndarray], np.ndarray]:
-    """zs -> F(zs) of shape (m, q, q): affine(r, z, (c(t, z)/(t - z)) @ W) in blocks of points.
+    """zs -> F(zs) of shape (m, q, q): affine(r, z, (c(t)/(t - z)) @ W) in blocks of points.
 
     The weights are the measure's stored stack, viewed as (n, q^2); the
-    z-free numerator is computed once here.
+    numerator is computed once here.
     """
     spec = KINDS[repr_.KIND]
     mu = measure_of(repr_)
@@ -431,15 +434,13 @@ def _kernel_batch(repr_: Representation) -> Callable[[np.ndarray], np.ndarray]:
     q, t, affine = mu.q, mu.nodes, spec.affine
     W = mu.weights.reshape(t.size, q * q)
     coeff = spec.numerator(t, endpoint)
-    slope = None if spec.numerator_z is None else spec.numerator_z(t, endpoint)
     block = max(1, KERNEL_ENTRIES // max(1, t.size))
 
     def batch(zs):
         out = np.empty((zs.size, q, q), dtype=complex)
         for start in range(0, zs.size, block):
             z = zs[start : start + block, None]
-            c = coeff if slope is None else coeff + slope * z
-            S = ((c / (t - z)) @ W).reshape(-1, q, q)
+            S = ((coeff / (t - z)) @ W).reshape(-1, q, q)
             out[start : start + block] = affine(repr_, z[:, :, None], S)
         return out
 
@@ -538,7 +539,7 @@ def _nev_to_kk(n: NevanlinnaTriple, _target, alpha: float | None) -> KKPair:
         alpha, _ = endpoint_side(n)
     if nodes.size and float(nodes.min()) < alpha:
         raise IllegalConversion(f"nu carries mass below alpha = {alpha}")
-    C = as_psd(n.A - _first_moment(n.nu))
+    C = as_psd(n.gamma)
     eta = MatrixMeasure.from_arrays(n.q, right_ray(alpha), n.nu.nodes, n.nu.weights)
     return KKPair(alpha, C, eta)
 

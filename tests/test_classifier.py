@@ -239,6 +239,35 @@ def test_far_atom_s0_and_t0_pass(t):
     assert cert.verdict and cert.margin("y_norm_bounded") > 0.49
 
 
+def _textbook_nevanlinna(sigma, excluded):
+    """Opaque F(z) = A + sum (1 + t z)/(t - z) nu with nu = sigma / (1 + t^2) and A = sum t nu: the resolvent of sigma.
+
+    Each sample sums terms near -t nu against A, so F's value at infinity is a rounding of about eps sum |t| nu.
+    """
+    t, nu = sigma.nodes, sigma.weights / (1.0 + sigma.nodes**2)[:, None, None]
+    A = np.sum(t[:, None, None] * nu, axis=0)
+    kernel = lambda zs: np.einsum("mn,nij->mij", (1.0 + t * zs[:, None]) / (t - zs[:, None]), nu)  # noqa: E731
+    return sk.Evaluator.of_batch(sigma.q, excluded, lambda zs: A + kernel(zs))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_s0_and_t0_through_a_nevanlinna_triple_pass(seed):
+    """The bounded-growth probe must not read the rounding of a cancelling value at infinity times a far y.
+
+    The triple converted from an s0 member, and the textbook Nevanlinna form of an s0 and of a t0 member
+    (no conversion reaches a left ray).
+    """
+    s, t0 = random_s0(np.random.default_rng(seed)), random_t0(np.random.default_rng(seed))
+    triple = sk.convert(sk.convert(sk.convert(s, "stieltjes_pair"), "kk_pair"), "nevanlinna")
+    for F, endpoint, cls in [
+        (sk.evaluator(triple), s.alpha, "s0"),
+        (_textbook_nevanlinna(s.sigma, sk.right_ray(s.alpha)), s.alpha, "s0"),
+        (_textbook_nevanlinna(t0.sigma, sk.left_ray(t0.beta)), t0.beta, "t0"),
+    ]:
+        cert = sk.certify_class(F, endpoint, cls, SMALL_GRID)
+        assert cert.verdict and cert.margin("y_norm_bounded") > 0.49
+
+
 # --- one eigen-pass per certificate ---
 
 

@@ -91,6 +91,23 @@ def test_a_directory_as_input_is_one_json_error(tmp_path, capsys):
     assert json.loads(err)["error"] == f"cannot read input file {tmp_path}: Is a directory"
 
 
+def test_a_q_numpy_cannot_allocate_is_one_json_error(tmp_path, capsys, monkeypatch):
+    """q = 2**20 shapes an empty measure; its first q x q matrix is 16 TiB, which numpy refuses with MemoryError.
+
+    The refusal is simulated, so the test allocates nothing whatever the machine's overcommit policy.
+    """
+
+    def refuse(*_):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array with shape (1048576, 1048576)")
+
+    monkeypatch.setattr("stieltjeskit.cli.measure_moments", refuse)
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"q": 2**20, "support": {"kind": "right_ray", "endpoint": 0.0}, "atoms": []}))
+    assert run(["moments", "--input", str(path)]) == 1  # was a raw MemoryError traceback
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"].startswith("Unable to allocate 16.0 TiB")
+
+
 def test_moments_of_endpoint_atom(tmp_path, capsys):
     rng = np.random.default_rng(2)
     B = psd(rng, 2)
@@ -564,22 +581,22 @@ def test_a_malformed_input_gives_a_report_or_one_json_error(tmp_path_factory, ta
 CERTIFY_DIGESTS = {
     ("pair", "s"): "bd8e8f5df230beeb9a0e6c01c91635a3154394996fd8d4267a59a86c73a7980a",
     ("pair", "s_via_pair"): "fc88c8ea9b3fbf2f334874f66eefa0600c2c133a357b1afe0ff28b8177c0a876",
-    ("pair", "s0"): "ac678bcf3fd0aa3b8ed11f9f24d40caf221bcbb5bcab7dedc150b29408223291",
+    ("pair", "s0"): "0f4f0515a7a76074382206a7a29543fc886d2451b1eeb1609b1cd5e55d2f2ee8",
     ("pair", "sdot"): "363631d5a8f9ebc22382ddef3ee0a4d8ee88d03933bc72a0a1b5842a19959154",
     ("pair", "sinf"): "704d72fce39c9e42a93439dd27122803c3b031ff11ba82e5c582008123ca0321",
     ("pair", "t"): "78a6c4657e443bbb8b0246874563aaeac63c46e32fa0ddbb8fdb5aaa8f500499",
     ("pair", "t_via_pair"): "1ecab0a16238cab43351e310d8157cf7b7aa98d317f073e63c52c069d5543a9d",
-    ("pair", "t0"): "2205abccbf3b744c7b588ae01ba108baf5e365925a2682093e22fcfc4aeeccdb",
+    ("pair", "t0"): "ec252e60370e69975e4559811e5f43a295183c4680dbf218c089303e164f1ad9",
     ("pair", "tdot"): "6ff85c05ac14e3ec2b8d5ded764da57f96c17fc259710ad866025de014a69a0a",
     ("pair", "tinf"): "908205ac4571f707a65f84d6bcd6d006ce267e6c00fa60c7cccc86e1b299ca51",
     ("t_pair", "s"): "4c540912713fea5238b2d3d6a85598804c35592914b38f8c948ddb17136245c1",
     ("t_pair", "s_via_pair"): "804f78d49a5411f2170ba8cb3acd9854c9eb1e6ae9993d53c7e6a54c147a7a9b",
-    ("t_pair", "s0"): "36749faa962531a6ac402e6d5d101721b69da2ac00d4fbdddb3ef8383332506a",
+    ("t_pair", "s0"): "9096b2939c0226466d1fc92e6bc40f7a514082a0d5fab32ba64c3a18f3f0edfb",
     ("t_pair", "sdot"): "e5842fb574441c8140c148b6ab24da439c0b6ae259c696b4d6ae938960e288c3",
     ("t_pair", "sinf"): "065b0c58ac53a10d0bd225ee79ca5b03eb979be42a265ec55e2f796c2f69f447",
     ("t_pair", "t"): "610596f59ae7a1d84c9a9babdef36aa1cccba416ce884bc81945a6865cfb4245",
     ("t_pair", "t_via_pair"): "e73e42e3c78ca31480d4fc7d3193e7a83a5d4fbc043645457b470d7c73db69a1",
-    ("t_pair", "t0"): "7281e79bdfc5fe28954bb2f3c95c24226ffdde773799b3bf7e087b226a40846c",
+    ("t_pair", "t0"): "b4aee823795edbec981a05bedabbd493a38f029401e00e88b890876e1faaa671",
     ("t_pair", "tdot"): "c702777fa080ae6d37315897bc88b9bb8bb74ab82e8217c3806feeb6b04a4027",
     ("t_pair", "tinf"): "ec137ca95b9a46a6da556e75a2757a71817a8fd768efc56890b1b3ccf871e2d0",
 }

@@ -540,8 +540,7 @@ def _reference(r, z):
     e, _ = endpoint_side(r)
     S = np.zeros((r.q, r.q), dtype=complex)
     for t, W in measure_of(r).atoms:
-        c = spec.numerator(np.array(t), e) + (0.0 if spec.numerator_z is None else z * spec.numerator_z(np.array(t), e))
-        S = S + (c / (t - z)) * W
+        S = S + (spec.numerator(np.array(t), e) / (t - z)) * W
     return spec.affine(r, z, S)
 
 
