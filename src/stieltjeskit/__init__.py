@@ -14,6 +14,7 @@ from .errors import (
     EvaluationFailed,
     IllegalConversion,
     InconsistentEquivalence,
+    InvalidArgument,
     NoConvergence,
     NonFiniteKernel,
     NonPsdDensity,

@@ -27,15 +27,16 @@ from .errors import (
     DimensionMismatch,
     EvaluationFailed,
     InconsistentEquivalence,
+    InvalidArgument,
     NoConvergence,
     PreconditionUnmet,
     RankInstability,
     UnsupportedKind,
 )
 from .limits import K_MAX, limit_at_infinity
-from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
-from .matmeasure import RUNG_CEILING, TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd, norm2
-from .matmeasure import range_split, svd_rank
+from .matmeasure import CR_STEP, DECAY_TOL, EPS_NEAR, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO
+from .matmeasure import RTOL_RANK, RUNG_CEILING, TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd
+from .matmeasure import norm2, range_split, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -52,17 +53,18 @@ class GridConfig:
     n_upper: int = 64
     n_lower: int = 64
     n_gap: int = 32
-    im_min: float = 1e-3
-    im_max: float = 1e3
-    re_spread: float = 5.0
     seed: int = 42
 
     def __post_init__(self):
         if min(self.n_upper, self.n_lower, self.n_gap) < 1:
-            raise ValueError("all grid counts must be >= 1")
+            raise InvalidArgument("all grid counts must be >= 1")
 
 
 DEFAULT_GRID = GridConfig()
+
+# Every grid's |Im z| off the gap, and its gap points' distance from the endpoint, run log-evenly over
+# [GRID_IM_MIN, GRID_IM_MAX]; Re z off the gap lies within GRID_RE_SPREAD of it.  Certificates echo them.
+GRID_IM_MIN, GRID_IM_MAX, GRID_RE_SPREAD = 1e-3, 1e3, 5.0
 
 
 @lru_cache(maxsize=64)
@@ -73,12 +75,12 @@ def _grid_offsets(side: str, grid: GridConfig) -> np.ndarray:
     endpoint (gap points to the left) and "left" for the mirror case.
     """
     rng = np.random.default_rng(grid.seed)
-    ims = lambda n: np.logspace(math.log10(grid.im_min), math.log10(grid.im_max), n)  # noqa: E731
+    ims = lambda n: np.logspace(math.log10(GRID_IM_MIN), math.log10(GRID_IM_MAX), n)  # noqa: E731
     n_u, n_l = grid.n_upper, grid.n_lower
     out = np.zeros(n_u + n_l + grid.n_gap, dtype=complex)
-    out.real[:n_u] = rng.uniform(-grid.re_spread, grid.re_spread, n_u)
+    out.real[:n_u] = rng.uniform(-GRID_RE_SPREAD, GRID_RE_SPREAD, n_u)
     out.imag[:n_u] = ims(n_u)
-    out.real[n_u : n_u + n_l] = rng.uniform(-grid.re_spread, grid.re_spread, n_l)
+    out.real[n_u : n_u + n_l] = rng.uniform(-GRID_RE_SPREAD, GRID_RE_SPREAD, n_l)
     out.imag[n_u : n_u + n_l] = -ims(n_l)
     out.real[n_u + n_l :] = (-1.0 if side == "right" else 1.0) * ims(grid.n_gap)
     out.flags.writeable = False
@@ -156,7 +158,7 @@ class Certificate:
                 }
                 for c in self.conditions
             ],
-            "grid": asdict(self.grid),
+            "grid": {**asdict(self.grid), "im_min": GRID_IM_MIN, "im_max": GRID_IM_MAX, "re_spread": GRID_RE_SPREAD},
         }
 
 
@@ -256,12 +258,12 @@ def _y_norm_bounded(F: Evaluator) -> tuple[float, complex]:
 
 
 def _decay_at_infinity(F: Evaluator) -> tuple[float, complex]:
-    """(margin, witness) of the vanishing plain limit of the decaying classes."""
+    """(margin, witness) of the vanishing plain limit of the decaying classes, witnessed at the ladder's stop."""
     try:
-        margin = DECAY_TOL - float(np.linalg.norm(limit_at_infinity(F, "plain_iy").value))
-    except NoConvergence:
-        margin = -1.0
-    return margin, 1j * 2.0**20
+        plain = limit_at_infinity(F, "plain_iy")
+    except NoConvergence as exc:
+        return -1.0, 1j * (exc.last_rung or 2.0**RUNG_CEILING)  # None: no rung ran, a node lies past the ceiling
+    return DECAY_TOL - float(np.linalg.norm(plain.value)), 1j * 2.0**plain.ladder_depth
 
 
 # Condition at infinity -> (its certificate margin, what a nonzero gamma contradicts in extract_params).
@@ -373,7 +375,7 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
 
 @lru_cache(maxsize=64)
 def _sample_offsets(side: str, n: int, seed: int) -> np.ndarray:
-    """Sample points less the endpoint, read-only."""
+    """Sample points less the endpoint, read-only: 0.5 to 3.7 from it, at least 0.5 from the ray."""
     rng = np.random.default_rng(seed)
     out = np.zeros(n, dtype=complex)
     for j in range(n):
@@ -388,8 +390,13 @@ def _sample_offsets(side: str, n: int, seed: int) -> np.ndarray:
 
 
 def sample_points(endpoint: float, side: str, n: int = 10, seed: int = 7):
-    """Deterministic off-ray sample points mixing both half-planes and the gap."""
-    return (endpoint + _sample_offsets(side, n, seed)).tolist()
+    """Deterministic off-ray sample points mixing both half-planes and the gap.
+
+    The offsets scale by max(1, 4 EPS_NEAR (1 + |endpoint|)), so every point passes the pole guard at
+    any endpoint: at least 2 EPS_NEAR (1 + |endpoint|) from the ray.  Up to |endpoint| ~ 2.5e8 the scale is 1.
+    """
+    scale = max(1.0, 4.0 * EPS_NEAR * (1.0 + abs(endpoint)))
+    return (endpoint + scale * _sample_offsets(side, n, seed)).tolist()
 
 
 def range_projector(M: np.ndarray) -> np.ndarray:
@@ -434,7 +441,7 @@ def rank_constancy(F: Evaluator, samples) -> tuple[int, bool]:
     """Numerical rank of F at each sample; raises on any disagreement."""
     zs = np.array(list(samples), dtype=complex)
     if zs.size < 2:
-        raise ValueError("need at least two sample points")
+        raise InvalidArgument("need at least two sample points")
     ranks = set(svd_rank(_values(F, zs), RTOL_RANK, RANK_ZERO)[3].tolist())
     if len(ranks) != 1:
         raise RankInstability(f"ranks {sorted(ranks)} disagree across samples")

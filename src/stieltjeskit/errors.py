@@ -10,6 +10,10 @@ class StieltjesKitError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(StieltjesKitError, ValueError):
+    """An argument lies outside the values the function takes; a ValueError too, for callers that catch that."""
+
+
 class DimensionMismatch(StieltjesKitError):
     """Matrix or measure dimensions are not conformable."""
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
-from .matmeasure import EPS_LIM, RUNG_CEILING
+from .errors import InvalidArgument, NoConvergence
+from .matmeasure import EPS_LIM, EPS_NEAR, RUNG_CEILING
 from .representations import Evaluator
 
 K_MAX = 48  # rungs past the first
@@ -113,22 +113,24 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
 
     2^j is the least power of two past the reach max |t - c| over the
     nodes of an atomic F (one with ``_nodes``), c = alpha in radial mode,
-    else 0; j = 0 for an opaque F or a reach below 1.  Stops when
+    else 0; j = 0 for an opaque F or a reach below 1.  A radial reach is at
+    least 2 EPS_NEAR (1 + |alpha|): every rung passes the pole guard.  Stops when
     successive diagonal extrapolants differ by less than
     EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at the last rung.
     A reach at or past 2^RUNG_CEILING raises NoConvergence naming the farthest
     node before any evaluation, without last_estimates or last_rung.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+        raise InvalidArgument(f"mode must be one of {MODES}")
     if mode == "radial":
         # The sector whose rays run along the real gap, away from the excluded ray.
         left = F.excluded is not None and F.excluded.side == "left"
         lo, hi = (-math.pi / 2, math.pi / 2) if left else (math.pi / 2, 3 * math.pi / 2)
         if not lo < phi < hi:
-            raise ValueError("phi must lie in (-pi/2, pi/2)" if left else "phi must lie in (pi/2, 3*pi/2)")
+            raise InvalidArgument("phi must lie in (-pi/2, pi/2)" if left else "phi must lie in (pi/2, 3*pi/2)")
     dist = np.abs((np.empty(0) if F._nodes is None else F._nodes) - (alpha if mode == "radial" else 0.0))
-    j = max(0, math.frexp(float(dist.max(initial=0.0)))[1])  # the least 2^j past the reach
+    guard = 2.0 * EPS_NEAR * (1.0 + abs(alpha)) if mode == "radial" else 0.0  # a radial rung at y lies y off the ray
+    j = max(0, math.frexp(float(dist.max(initial=guard)))[1])  # the least 2^j past the reach
     if j > RUNG_CEILING:
         raise NoConvergence(f"node {float(F._nodes[dist.argmax()])} lies past the first-rung ceiling 2^{RUNG_CEILING}")
 

@@ -12,10 +12,10 @@ in node order, as a loop over the atoms would.
 Everything is immutable and canonicalized at construction, by stacked
 array operations.  Input is checked here, in the constructors, and the
 JSON loaders only read fields.  The weight stack is checked whole, one
-check at a time: its shape, finiteness, hermiticity, then PSD (one stacked
-``eigvalsh``); the first failing check raises.  Then nodes are stably
-sorted ascending, near-duplicate nodes merged by weight addition and zero
-weights dropped.
+check at a time: its shape, finiteness, hermiticity, then PSD (the last
+two read off one stacked ``eigvalsh``); the first failing check raises.
+Then nodes are stably sorted ascending, near-duplicate nodes merged by
+weight addition and zero weights dropped.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DegenerateMap,
     DimensionMismatch,
+    InvalidArgument,
     NonFiniteKernel,
     NonPsdDensity,
     NotHermitian,
@@ -39,8 +40,7 @@ from .errors import (
 
 # Tolerance policy: every cutoff of the library, each with its reason; the
 # modules import the names they use.  Relative ones scale by 1 + magnitude.
-EPS_HERM = 1e-10  # ||M - M*||_2 allowed in a Hermitian input, relative: its rounding
-EPS_PSD = 1e-10  # lambda_min allowed below zero in a PSD input, relative: its rounding
+EPS_PSD = 1e-10  # ||M - M*||_2, and lambda_min below zero, allowed in a Hermitian (PSD) input, relative: its rounding
 EPS_MERGE = 1e-12  # nodes closer than this, relative, are one atom
 EPS_NEAR = 1e-9  # evaluation is refused within EPS_NEAR (1 + |z|) of the excluded set
 EPS_CONVERT = 1e-13  # a term a conversion drops must vanish to rounding: gamma relative, B absolute
@@ -51,17 +51,15 @@ CR_STEP = 1e-5  # stencil step, relative to |z|
 DECAY_TOL = 1e-7  # ||lim F(iy)|| allowed for a decaying class: above the ladder's error bound
 RTOL_RANK = 1e-8  # rank cut of a sampled F(z), relative to sigma_1: far above its rounding, so stable
 RANK_ZERO = 1e-12  # sigma_1 at or below this: F(z) counts as the zero matrix
-PROJ_TOL = 1e-9  # projector deviation allowed between samples and parameters
-RANGE_RTOL = 1e-10  # rank cut of a PSD parameter sum, relative to lambda_max
+PROJ_TOL = 1e-9  # projector deviation allowed: samples against parameters, and the range projectors of is_ep
+RANGE_RTOL = 1e-10  # rank cut of a given matrix, not a sample, relative to its largest eigen- or singular value
 NULL_TOL = 1e-8  # deviation allowed in each null_domination condition, relative to ||F||
 NULL_RTOL_FACTOR = np.finfo(float).eps  # null_domination cuts its k x q A at this max(k, q) sigma_1: A's rounding
 EPS_LIM = 1e-10  # the ladder stops once the diagonal moves less than this, relative
 RUNG_CEILING = 180  # first rung <= 2^180: past it, top rungs' y^2-growing samples, tableau or stop norm could overflow
 PARAMS_TOL = 1e-6  # slack of the limits extract_params compares, on top of their error bounds
 PINV_RTOL_FACTOR = 1e-12  # pinv cuts at PINV_RTOL_FACTOR q sigma_1, so Penrose holds to rounding
-EP_RTOL = 1e-10  # rank cut of is_ep, relative: given matrices, not samples, so between pinv's and RTOL_RANK
 EP_ZERO = 1e-14  # sigma_1 at or below this: the matrix is EP trivially
-EP_TOL = 1e-9  # range projectors of M and M* may differ by this in is_ep
 
 # Support kind -> ((t, endpoint) -> whether t lies in the set, the side the ray extends to, the mirror image).
 _SUPPORT = {
@@ -124,38 +122,33 @@ def norm2(M: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_stack(M: np.ndarray, psd: bool) -> np.ndarray:
-    """Read-only symmetrized copies (M + M*)/2 of a stack of finite square matrices, validated.
+    """Read-only symmetrized copies H = (M + M*)/2 of a stack of finite square matrices, validated.
 
-    Hermiticity is checked on the whole stack, then, with ``psd``, PSD: the
-    first matrix with a defect ||M - M*||_2 above eps (1 + ||M||_2) raises
-    NotHermitian, else the first with lambda_min(H) below -eps (1 + ||H||_2)
-    raises NotPsd; eps is EPS_PSD with ``psd`` and EPS_HERM without.
-    ||H||_2 is read off the eigenvalues; the two norms of the defect test
-    (scaled Gram eigenvalues, ``norm2``) are taken only for matrices that
-    differ from their conjugate transpose.
+    One stacked eigvalsh over H and the skew parts K = (M - M*)/2i where M != M* decides, on the whole
+    stack, hermiticity (the first ||M - M*||_2 = 2 ||K||_2 above EPS_PSD (1 + ||H||_2) raises NotHermitian),
+    then with ``psd`` PSD (the first lambda_min(H) below -EPS_PSD (1 + ||H||_2) raises NotPsd).  An
+    exactly Hermitian stack checked without ``psd`` runs none.
     """
-    eps = EPS_PSD if psd else EPS_HERM
-    Mh = M.conj().swapaxes(1, 2)
-    H = 0.5 * (M + Mh)
-    D = M - Mh
-    asym = D.any(axis=(1, 2))
-    if asym.any():
-        defect, scale = norm2(D[asym]), eps * (1.0 + norm2(M[asym]))
-        k = int(np.argmax(defect > scale))
-        if defect[k] > scale[k]:
-            raise NotHermitian(f"hermiticity defect {defect[k]:.3e} exceeds {scale[k]:.3e}")
-    if psd and M.shape[-1]:
-        lam = np.linalg.eigvalsh(H)
-        lam_min, scale = lam[:, 0], -eps * (1.0 + np.maximum(-lam[:, 0], lam[:, -1]))
-        k = int(np.argmax(lam_min < scale))
-        if lam_min[k] < scale[k]:
-            raise NotPsd(f"lambda_min {lam_min[k]:.3e} below {scale[k]:.3e}")
+    H, K = _herm(M), _im(M)
+    asym = K.any(axis=(1, 2))
+    if M.shape[-1] and (psd or asym.any()):
+        Hs = H if psd else H[asym]  # the H whose norm (and, with psd, lambda_min) is read
+        lam = np.linalg.eigvalsh(np.concatenate((Hs, K[asym])))
+        lam_H, lam_K = lam[: len(Hs)], lam[len(Hs) :]
+        bound = EPS_PSD * (1.0 + np.maximum(-lam_H[:, 0], lam_H[:, -1]))
+        defect, cut = 2.0 * np.maximum(-lam_K[:, 0], lam_K[:, -1]), bound[asym] if psd else bound
+        if (over := defect > cut).any():
+            k = int(np.argmax(over))
+            raise NotHermitian(f"hermiticity defect {defect[k]:.3e} exceeds {cut[k]:.3e}")
+        if psd and (under := lam_H[:, 0] < -bound).any():
+            k = int(np.argmax(under))
+            raise NotPsd(f"lambda_min {lam_H[k, 0]:.3e} below {-bound[k]:.3e}")
     H.flags.writeable = False
     return H
 
 
 def as_hermitian(M) -> np.ndarray:
-    """Validate finiteness and hermiticity within EPS_HERM; return the symmetrized copy."""
+    """Validate finiteness and hermiticity within EPS_PSD; return the symmetrized copy."""
     return _hermitian_stack(_square(M)[None], psd=False)[0]
 
 
@@ -271,23 +264,6 @@ def whole_line() -> SupportSet:
     return SupportSet("line", 0.0)
 
 
-def _weight_stack(q: int, weights) -> np.ndarray:
-    """Validated symmetrized weights of shape (n, q, q).
-
-    The whole stack is checked in one fixed order: its shape (n, q, q),
-    then finiteness, then hermiticity and PSD (``_hermitian_stack``).
-    """
-    if not len(weights):
-        try:
-            return np.zeros((0, q, q), dtype=complex)
-        except ValueError as exc:  # a q past numpy's shape limit
-            raise DimensionMismatch(f"no ({q}, {q}) matrix can be shaped: {exc}") from exc
-    W = _numbers(weights, "weights", "biufc")
-    if W.shape[1:] != (q, q):
-        raise DimensionMismatch(f"weights of shape {W.shape} are not a stack of ({q}, {q}) matrices")
-    return _hermitian_stack(_finite_entries(W), psd=True)
-
-
 def _merge(t: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Add every sorted node within EPS_MERGE (1 + |t|) of its group's first node into that node."""
     ts = t.tolist()
@@ -297,31 +273,6 @@ def _merge(t: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             starts.append(i)
     ends = starts[1:] + [len(ts)]
     return t[starts], np.stack([np.cumsum(W[i:j], axis=0)[-1] for i, j in zip(starts, ends)])
-
-
-def _canonicalize(q: int, support: SupportSet, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (nodes, weights): validated, stably sorted, near-duplicates merged, zero weights dropped.
-
-    The weights are checked first, then the nodes.  A non-finite node lies
-    outside every support set, whatever its weight.
-    """
-    W = _weight_stack(q, weights)
-    t = _numbers(nodes, "nodes")
-    if t.shape != (len(W),):
-        raise DimensionMismatch(f"{t.shape} nodes for {len(W)} weights")
-    if np.isfinite(t).all():
-        order = np.argsort(t, kind="stable")
-        t, W = t[order], W[order]
-        if np.any(np.diff(t) <= EPS_MERGE * (1.0 + np.abs(t[1:]))):
-            t, W = _merge(t, W)
-        keep = W.any(axis=(1, 2))
-        t, W = t[keep], W[keep]
-    outside = ~support.contains(t)
-    if outside.any():
-        raise SupportViolation(f"node {float(t[np.argmax(outside)])} outside support {support.kind}({support.endpoint})")
-    t.flags.writeable = False
-    W.flags.writeable = False
-    return t, W
 
 
 @dataclass(frozen=True, init=False)
@@ -351,10 +302,41 @@ class MatrixMeasure:
         return mu
 
     def _canonical(self, q, support, nodes, weights) -> None:
+        """Set the fields: validated, stably sorted, near-duplicates merged, zero weights dropped, read-only.
+
+        q is checked first, then the weight stack in one fixed order (its shape
+        (n, q, q), finiteness, hermiticity and PSD), then the nodes.  A
+        non-finite node lies outside every support set, whatever its weight.
+        """
         if not isinstance(q, (int, np.integer)) or q < 1:
             raise DimensionMismatch(f"q must be a positive integer, got {q!r}")
-        nodes, weights = _canonicalize(q, support, nodes, weights)
-        for name, value in (("q", q), ("support", support), ("nodes", nodes), ("weights", weights)):
+        if not len(weights):
+            try:
+                W = np.zeros((0, q, q), dtype=complex)
+            except ValueError as exc:  # a q past numpy's shape limit
+                raise DimensionMismatch(f"no ({q}, {q}) matrix can be shaped: {exc}") from exc
+        else:
+            W = _numbers(weights, "weights", "biufc")
+            if W.shape[1:] != (q, q):
+                raise DimensionMismatch(f"weights of shape {W.shape} are not a stack of ({q}, {q}) matrices")
+            W = _hermitian_stack(_finite_entries(W), psd=True)
+        t = _numbers(nodes, "nodes")
+        if t.shape != (len(W),):
+            raise DimensionMismatch(f"{t.shape} nodes for {len(W)} weights")
+        if np.isfinite(t).all():
+            order = np.argsort(t, kind="stable")
+            t, W = t[order], W[order]
+            if np.any(np.diff(t) <= EPS_MERGE * (1.0 + np.abs(t[1:]))):
+                t, W = _merge(t, W)
+            keep = W.any(axis=(1, 2))
+            t, W = t[keep], W[keep]
+        outside = ~support.contains(t)
+        if outside.any():
+            node = float(t[np.argmax(outside)])
+            raise SupportViolation(f"node {node} outside support {support.kind}({support.endpoint})")
+        t.flags.writeable = False
+        W.flags.writeable = False
+        for name, value in (("q", q), ("support", support), ("nodes", t), ("weights", W)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
@@ -440,7 +422,7 @@ def image_measure(mu: MatrixMeasure, a: float, b: float) -> MatrixMeasure:
 def moments(mu: MatrixMeasure, m: int) -> list[np.ndarray]:
     """Power moments s_0 .. s_m, s_j = sum t_k^j W_k, each Hermitian."""
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise InvalidArgument("m must be nonnegative")
     return [integrate(mu, lambda t, j=j: t**j) for j in range(m + 1)]
 
 
@@ -458,9 +440,9 @@ def quadrature_ingest(
     density value must pass the PSD tolerance.
     """
     if not (a < b):
-        raise ValueError("interval must satisfy a < b")
+        raise InvalidArgument("interval must satisfy a < b")
     if n < 1:
-        raise ValueError("need at least one node")
+        raise InvalidArgument("need at least one node")
     x, w = np.polynomial.legendre.leggauss(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     scale = 0.5 * (b - a)
@@ -483,7 +465,7 @@ def scalar_projection(mu: MatrixMeasure, u) -> MatrixMeasure:
     if u.shape[0] != mu.q:
         raise DimensionMismatch(f"vector length {u.shape[0]} != q = {mu.q}")
     if not np.any(u):
-        raise ValueError("u must be nonzero")
+        raise InvalidArgument("u must be nonzero")
     w = np.maximum(((u.conj() @ mu.weights) @ u).real, 0.0)
     return MatrixMeasure.from_arrays(1, mu.support, mu.nodes, w[:, None, None])
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import rank_constancy, sample_points
-from .errors import DimensionMismatch, ShiftNotPsd, UnsupportedKind
-from .matmeasure import EP_RTOL, EP_TOL, EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR, MatrixMeasure, _square, as_hermitian
+from .errors import DimensionMismatch, InvalidArgument, ShiftNotPsd, UnsupportedKind
+from .matmeasure import EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR, PROJ_TOL, RANGE_RTOL, MatrixMeasure, _square, as_hermitian
 from .matmeasure import _im, image_measure, is_psd, norm2, range_split, right_ray, svd_rank
 from .representations import (
     KINDS,
@@ -67,8 +67,8 @@ def pinv(M) -> PinvResult:
 
 def is_ep(M) -> bool:
     """EP test: range of M equals range of M* (as orthogonal projectors)."""
-    U, _, V, _ = svd_rank(_square(M), EP_RTOL, EP_ZERO)
-    return float(norm2(U @ U.conj().T - V @ V.conj().T)) <= EP_TOL
+    U, _, V, _ = svd_rank(_square(M), RANGE_RTOL, EP_ZERO)
+    return float(norm2(U @ U.conj().T - V @ V.conj().T)) <= PROJ_TOL
 
 
 def ep_im_identity_defect(M) -> float:
@@ -88,7 +88,7 @@ def _svd_input(F, endpoint: float | None, side: str) -> tuple[Evaluator, float, 
     if not isinstance(F, Evaluator):
         return evaluator(F), *endpoint_side(F)
     if endpoint is None:
-        raise ValueError("endpoint is required for a bare Evaluator input")
+        raise InvalidArgument("endpoint is required for a bare Evaluator input")
     rank_constancy(F, sample_points(endpoint, side, n=8, seed=11))  # raises RankInstability
     return F, endpoint, side
 
@@ -261,7 +261,7 @@ def congruence_sum(terms) -> StieltjesPair:
     """
     terms = list(terms)
     if not terms:
-        raise ValueError("need at least one term")
+        raise InvalidArgument("need at least one term")
     alphas = {p.alpha for _, p in terms}
     if len(alphas) != 1:
         raise DimensionMismatch(f"terms do not share alpha: {sorted(alphas)}")

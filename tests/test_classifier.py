@@ -268,6 +268,29 @@ def test_s0_and_t0_through_a_nevanlinna_triple_pass(seed):
         assert cert.verdict and cert.margin("y_norm_bounded") > 0.49
 
 
+def _decay(F, endpoint, cls="sdot"):
+    (c,) = [c for c in sk.certify_class(F, endpoint, cls, SMALL_GRID).conditions if c["name"] == "decay_at_infinity"]
+    return c["margin"], c["witness"]
+
+
+def test_decay_at_infinity_is_witnessed_where_the_plain_ladder_stops():
+    p = random_pair(np.random.default_rng(4), q=2)
+    p = sk.StieltjesPair(p.alpha, p.gamma + I2, p.mu)
+    F = sk.evaluator(p)
+    depth = sk.limit_at_infinity(F, "plain_iy").ladder_depth
+    margin, witness = _decay(F, p.alpha)
+    assert margin < -1.0 and witness == 1j * 2.0**depth and depth < 20  # not the leftover 2^20
+    s = random_s0(np.random.default_rng(4))
+    assert _decay(sk.evaluator(s), s.alpha)[0] > 0.0  # a decaying member passes
+
+
+def test_decay_at_infinity_without_a_limit_is_witnessed_at_the_last_rung():
+    growing = sk.Evaluator.of_batch(1, sk.right_ray(0.0), lambda zs: zs[:, None, None] * np.ones((1, 1)))
+    assert _decay(growing, 0.0) == (-1.0, 1j * 2.0**sk.limits.K_MAX)  # an opaque ladder runs 2^0 .. 2^K_MAX
+    past = sk.S0Measure(0.0, sk.MatrixMeasure(1, sk.right_ray(0.0), [(1e60, np.eye(1))]))  # no rung runs
+    assert _decay(sk.evaluator(past), 0.0) == (-1.0, 1j * 2.0**sk.limits.RUNG_CEILING)
+
+
 # --- one eigen-pass per certificate ---
 
 

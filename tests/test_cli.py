@@ -582,22 +582,22 @@ CERTIFY_DIGESTS = {
     ("pair", "s"): "bd8e8f5df230beeb9a0e6c01c91635a3154394996fd8d4267a59a86c73a7980a",
     ("pair", "s_via_pair"): "fc88c8ea9b3fbf2f334874f66eefa0600c2c133a357b1afe0ff28b8177c0a876",
     ("pair", "s0"): "0f4f0515a7a76074382206a7a29543fc886d2451b1eeb1609b1cd5e55d2f2ee8",
-    ("pair", "sdot"): "363631d5a8f9ebc22382ddef3ee0a4d8ee88d03933bc72a0a1b5842a19959154",
+    ("pair", "sdot"): "cc4e6cdbc1fdf006b1213f8fb6a8c900f09956bf8499951dcc6caade23f8979c",
     ("pair", "sinf"): "704d72fce39c9e42a93439dd27122803c3b031ff11ba82e5c582008123ca0321",
     ("pair", "t"): "78a6c4657e443bbb8b0246874563aaeac63c46e32fa0ddbb8fdb5aaa8f500499",
     ("pair", "t_via_pair"): "1ecab0a16238cab43351e310d8157cf7b7aa98d317f073e63c52c069d5543a9d",
     ("pair", "t0"): "ec252e60370e69975e4559811e5f43a295183c4680dbf218c089303e164f1ad9",
-    ("pair", "tdot"): "6ff85c05ac14e3ec2b8d5ded764da57f96c17fc259710ad866025de014a69a0a",
+    ("pair", "tdot"): "f31747f0781c90a19b8415a28b40b8468608321b90f8e59fe3898c86289941bc",
     ("pair", "tinf"): "908205ac4571f707a65f84d6bcd6d006ce267e6c00fa60c7cccc86e1b299ca51",
     ("t_pair", "s"): "4c540912713fea5238b2d3d6a85598804c35592914b38f8c948ddb17136245c1",
     ("t_pair", "s_via_pair"): "804f78d49a5411f2170ba8cb3acd9854c9eb1e6ae9993d53c7e6a54c147a7a9b",
     ("t_pair", "s0"): "9096b2939c0226466d1fc92e6bc40f7a514082a0d5fab32ba64c3a18f3f0edfb",
-    ("t_pair", "sdot"): "e5842fb574441c8140c148b6ab24da439c0b6ae259c696b4d6ae938960e288c3",
+    ("t_pair", "sdot"): "ccccd164389008831de5c535ff42e6c0a768d7fc66b37d98a6c31aae1a2f4f13",
     ("t_pair", "sinf"): "065b0c58ac53a10d0bd225ee79ca5b03eb979be42a265ec55e2f796c2f69f447",
     ("t_pair", "t"): "610596f59ae7a1d84c9a9babdef36aa1cccba416ce884bc81945a6865cfb4245",
     ("t_pair", "t_via_pair"): "e73e42e3c78ca31480d4fc7d3193e7a83a5d4fbc043645457b470d7c73db69a1",
     ("t_pair", "t0"): "b4aee823795edbec981a05bedabbd493a38f029401e00e88b890876e1faaa671",
-    ("t_pair", "tdot"): "c702777fa080ae6d37315897bc88b9bb8bb74ab82e8217c3806feeb6b04a4027",
+    ("t_pair", "tdot"): "eb9b578aba890e004b75f91bf9a92825795775599a5aa01b104df3189129ee70",
     ("t_pair", "tinf"): "ec137ca95b9a46a6da556e75a2757a71817a8fd768efc56890b1b3ccf871e2d0",
 }
 MEMBER_CLASSES = {"pair": {"s", "s_via_pair"}, "t_pair": {"t", "t_via_pair"}}

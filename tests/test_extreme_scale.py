@@ -4,8 +4,9 @@ Atoms lie 1e-8 to 1e16 from endpoints up to +-1e8, weights and constants
 span 16 decades, and the constants may be rank-deficient.  A member must
 pass its default class and give back its stored gamma or mass, and a
 perturbed copy must fail with a witness.  The explicit examples are the
-far-atom reproducers (once rejected) and the non-members that once passed
-``s0``, in the API and in the CLI.
+far-atom reproducers (once rejected), the non-members that once passed
+``s0`` and a pair at the endpoint 1e10 (once refused by the pole guard),
+in the API and in the CLI.
 """
 
 import json
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
-from stieltjeskit.classifier import CLASSES, DEFAULT_GRID
+from stieltjeskit.classifier import CLASSES, DEFAULT_GRID, sample_points
 from stieltjeskit.cli import run
 from stieltjeskit.representations import KINDS, endpoint_side
 
@@ -194,6 +195,44 @@ def test_a_heavy_kk_atom_gives_its_gamma():
     F = sk.evaluator(sk.KKPair(0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(1e12, 1e8 * I1)])))
     assert sk.certify_class(F, 0.0, "s").verdict
     np.testing.assert_allclose(sk.extract_params(F, 0.0, "s")["gamma"].value, I1, rtol=1e-9)
+
+
+FAR = 1e10
+FAR_PAIRS = {
+    "pair": sk.StieltjesPair(FAR, I1, sk.MatrixMeasure(1, sk.right_ray(FAR), [(FAR + 1.0, I1)])),
+    "t_pair": sk.TPair(-FAR, I1, sk.MatrixMeasure(1, sk.left_ray(-FAR), [(-FAR - 1.0, I1)])),
+}
+
+
+@pytest.mark.parametrize("name", list(FAR_PAIRS))
+def test_a_far_endpoint_keeps_every_point_past_the_pole_guard(tmp_path, capsys, name):
+    """Sample points 0.5 to 3 off the ray and a first radial rung at y = 2 lay within EPS_NEAR (1 + |z|) ~ 10 of it.
+
+    eval, report, transform and params raised PoleProximity there, while certify passed.
+    """
+    r = FAR_PAIRS[name]
+    F, (e, side) = sk.evaluator(r), endpoint_side(r)
+    cls = KINDS[r.KIND].default_class
+    assert sk.certify_class(F, e, cls).verdict
+    record = sk.extract_params(F, e, cls)
+    for key in ("gamma", "gamma_radial"):
+        np.testing.assert_allclose(record[key].value, I1, rtol=0.0, atol=1e-8)
+    for G in (F, sk.pinv_map(r), sk.neg_pinv_map(r)):
+        assert np.isfinite(G.batch(sample_points(e, side, n=20))).all()  # guarded
+    for argv in (("eval",), ("certify",), ("report",), ("transform", "--op", "pinv_map"), ("params",)):
+        code, report = cli(tmp_path, capsys, *argv, r=r)
+        assert code == 0, report
+    np.testing.assert_allclose(_value(report["gamma"]), I1, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("e", [1.0, 1e8, 3e8, 1e9, 1e13, 1e100, 1e300])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_sample_points_pass_the_pole_guard_at_any_endpoint(e, side):
+    e = e if side == "right" else -e
+    ray = sk.right_ray(e) if side == "right" else sk.left_ray(e)
+    guarded = sk.Evaluator.of_batch(1, ray, lambda zs: np.zeros((zs.size, 1, 1)))
+    for seed in range(5):
+        guarded.batch(sample_points(e, side, n=50, seed=seed))  # raises PoleProximity at a point too near
 
 
 @pytest.mark.parametrize("t", [1e16, 1e54, 1e55, 1e100, 1e150])

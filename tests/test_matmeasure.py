@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
+from stieltjeskit import matmeasure
 from stieltjeskit.matmeasure import EPS_MERGE, EPS_PSD, as_psd, matrix_from_json, matrix_to_json, norm2, svd_rank
 
 from genutil import measure_left, measure_right, psd
@@ -71,6 +72,37 @@ def test_non_psd_weight_rejected():
         sk.MatrixMeasure(2, sk.whole_line(), [(0.0, np.diag([1.0, -1.0]))])
     with pytest.raises(sk.NotHermitian):
         sk.MatrixMeasure(2, sk.whole_line(), [(0.0, np.array([[1.0, 1.0], [0.0, 1.0]]))])
+
+
+@pytest.mark.parametrize("check_psd", [False, True])
+@pytest.mark.parametrize("defects", [0, 1, 3])
+def test_the_hermitian_gate_runs_one_eigvalsh(monkeypatch, check_psd, defects):
+    """One stacked eigvalsh over H and the skew parts of the defective matrices; none without defects or psd."""
+    rng = np.random.default_rng(defects)
+    M = np.stack([psd(rng, 3) for _ in range(5)])
+    for k in range(defects):  # a last-bit defect, as a product of Hermitian matrices leaves
+        M[k, 0, 1] = M[k, 0, 1] * (1.0 + 2.0**-52)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(A.shape) or eigvalsh(A))
+    for name in ("norm2", "_scaled_gram"):
+        monkeypatch.setattr(matmeasure, name, lambda *_: pytest.fail("the gate reads no Gram norm"))
+    H = matmeasure._hermitian_stack(M, check_psd)
+    assert calls == ([(5 + defects, 3, 3)] if check_psd else [(2 * defects, 3, 3)] if defects else [])
+    assert np.array_equal(H, 0.5 * (M + M.conj().swapaxes(1, 2))) and not H.flags.writeable
+
+
+@pytest.mark.parametrize("check_psd", [False, True])
+def test_the_hermiticity_defect_is_measured_against_one_plus_the_norm_of_h(check_psd):
+    """||M - M*||_2 = 2 d here, against EPS_PSD (1 + ||H||_2) = 1e-10 (1 + 1e6)."""
+    H = np.diag([1e6, 0.0])
+    for d, ok in ((0.49e-4, True), (0.51e-4, False)):
+        M = H + np.array([[0.0, 1j * d], [1j * d, 0.0]])  # skew part K = [[0, d], [d, 0]]
+        if ok:
+            assert np.array_equal(matmeasure._hermitian_stack(M[None], check_psd)[0], H)
+        else:
+            with pytest.raises(sk.NotHermitian):
+                matmeasure._hermitian_stack(M[None], check_psd)
 
 
 # --- canonicalization on the stack against a per-atom reference ---
