@@ -61,6 +61,7 @@ from .representations import (
     evaluator,
     im_mulz_closed,
     im_re_parts,
+    rank_constancy,
     repr_from_json,
     repr_to_json,
     residue_weight,
@@ -74,7 +75,6 @@ from .classifier import (
     extract_params,
     kernel_range_report,
     null_domination,
-    rank_constancy,
 )
 from .transforms import (
     PinvResult,

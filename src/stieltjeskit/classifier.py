@@ -10,8 +10,9 @@ Holomorphy is exact for an atomic evaluator (built from a representation,
 its only poles are the nodes, which must lie in the claimed ray); for an
 opaque one it is a normalized Cauchy-Riemann residual of fourth-order
 (Richardson-combined) symmetric difference quotients in two directions,
-evaluated in fixed-size batches.  F itself is evaluated once per grid
-point, in one batch.
+evaluated in one batch.  F itself is evaluated once per grid point, in one
+batch.  Every sampled value, here and in the structural checks, is read
+through ``representations.sampled_values``.
 """
 
 from __future__ import annotations
@@ -25,26 +26,28 @@ import numpy as np
 from .errors import (
     ClassMismatch,
     DimensionMismatch,
-    EvaluationFailed,
     InconsistentEquivalence,
     InvalidArgument,
     NoConvergence,
     PreconditionUnmet,
-    RankInstability,
     UnsupportedKind,
 )
 from .limits import K_MAX, limit_at_infinity
-from .matmeasure import CR_STEP, DECAY_TOL, EPS_NEAR, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO
-from .matmeasure import RTOL_RANK, RUNG_CEILING, TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd
-from .matmeasure import norm2, range_split, svd_rank
+from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
+from .matmeasure import RUNG_CEILING, TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd, norm2
+from .matmeasure import range_split, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
     Representation,
     StieltjesPair,
+    _finite,
     _structural_sum,
     endpoint_side,
     evaluator,
+    offset_scale,
+    sample_points,
+    sampled_values,
 )
 
 
@@ -63,7 +66,8 @@ class GridConfig:
 DEFAULT_GRID = GridConfig()
 
 # Every grid's |Im z| off the gap, and its gap points' distance from the endpoint, run log-evenly over
-# [GRID_IM_MIN, GRID_IM_MAX]; Re z off the gap lies within GRID_RE_SPREAD of it.  Certificates echo them.
+# [GRID_IM_MIN, GRID_IM_MAX]; Re z off the gap lies within GRID_RE_SPREAD of it.  All three scale by
+# offset_scale(endpoint), and certificates echo the scaled extents.
 GRID_IM_MIN, GRID_IM_MAX, GRID_RE_SPREAD = 1e-3, 1e3, 5.0
 
 
@@ -138,6 +142,7 @@ class Certificate:
     conditions: tuple
     grid: GridConfig
     tol_cert: float = TOL_CERT
+    scale: float = 1.0  # offset_scale(endpoint), the factor on the grid's offsets and on the extents echoed
 
     def margin(self, name: str) -> float:
         for c in self.conditions:
@@ -146,6 +151,7 @@ class Certificate:
         raise KeyError(name)
 
     def to_json(self) -> dict:
+        extents = {"im_min": GRID_IM_MIN, "im_max": GRID_IM_MAX, "re_spread": GRID_RE_SPREAD}
         return {
             "kind": self.kind,
             "verdict": "pass" if self.verdict else "fail",
@@ -158,30 +164,8 @@ class Certificate:
                 }
                 for c in self.conditions
             ],
-            "grid": {**asdict(self.grid), "im_min": GRID_IM_MIN, "im_max": GRID_IM_MAX, "re_spread": GRID_RE_SPREAD},
+            "grid": {**asdict(self.grid), **{key: self.scale * v for key, v in extents.items()}},
         }
-
-
-def _values(F: Evaluator, zs: np.ndarray) -> np.ndarray:
-    """F at each point (unguarded); a raise (found again point by point) or a non-finite value fails at the first."""
-    try:
-        V = F.batch_raw(zs)
-    except Exception as exc:  # noqa: BLE001 - wrapped with the witness point
-        if zs.size == 1:
-            z = complex(zs[0])
-            raise EvaluationFailed(f"evaluator raised at z = {z}: {exc}", witness=z) from exc
-        for i in range(zs.size):
-            _values(F, zs[i : i + 1])
-        raise EvaluationFailed(f"batch evaluation raised, no single point does: {exc}") from exc
-    return _finite(zs, V)
-
-
-def _finite(zs: np.ndarray, V: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(V).all(axis=(1, 2))
-    if bad.any():
-        z = complex(zs[np.argmax(bad)])
-        raise EvaluationFailed(f"evaluator returned a non-finite value at z = {z}", witness=z)
-    return V
 
 
 def _worst(points, margins):
@@ -197,7 +181,6 @@ def _worst(points, margins):
 
 # Stencil offsets in units of h: +-h, +-ih, then +-h/2, +-ih/2.
 _STENCIL = np.array([1.0, -1.0, 1j, -1j, 0.5, -0.5, 0.5j, -0.5j])
-CR_BLOCK = 64  # grid points per stencil batch, so 512 evaluations at most
 
 
 def _cr_residuals(F: Evaluator, zs: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -207,21 +190,17 @@ def _cr_residuals(F: Evaluator, zs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     the symmetric quotient D in the x or the y direction, so the
     truncation error is O(h^4) and stays far below TOL_CR even where |F|
     is large against |F'|.  The step is capped by the distance to the
-    excluded set so the stencil stays well inside the domain.
+    excluded set so the stencil stays well inside the domain.  The whole
+    stencil is one batch.
     """
     h = np.minimum(CR_STEP * (1.0 + np.abs(zs)), dist / 3000.0)
-    out = np.empty(zs.size)
-    for start in range(0, zs.size, CR_BLOCK):
-        block = slice(start, start + CR_BLOCK)
-        hb = h[block, None, None]
-        V = _values(F, (zs[block, None] + h[block, None] * _STENCIL).reshape(-1))
-        V = V.reshape(-1, _STENCIL.size, F.q, F.q)
-        D = lambda i, step: (V[:, i] - V[:, i + 1]) / step  # noqa: E731
-        dx = (4.0 * D(4, hb) - D(0, 2.0 * hb)) / 3.0
-        dy = (4.0 * D(6, 1j * hb) - D(2, 2j * hb)) / 3.0
-        fro = lambda A: np.linalg.norm(A, axis=(1, 2))  # noqa: E731
-        out[block] = fro(dx - dy) / (1.0 + fro(dx) + fro(dy))
-    return out
+    hb = h[:, None, None]
+    V = sampled_values(F, (zs[:, None] + h[:, None] * _STENCIL).reshape(-1)).reshape(-1, _STENCIL.size, F.q, F.q)
+    D = lambda i, step: (V[:, i] - V[:, i + 1]) / step  # noqa: E731
+    dx = (4.0 * D(4, hb) - D(0, 2.0 * hb)) / 3.0
+    dy = (4.0 * D(6, 1j * hb) - D(2, 2j * hb)) / 3.0
+    fro = lambda A: np.linalg.norm(A, axis=(1, 2))  # noqa: E731
+    return fro(dx - dy) / (1.0 + fro(dx) + fro(dy))
 
 
 def _holomorphy(F: Evaluator, zs: np.ndarray, dist: np.ndarray, endpoint: float, sign: int) -> tuple[float, complex]:
@@ -253,7 +232,7 @@ def _y_norm_bounded(F: Evaluator) -> tuple[float, complex]:
         return -1.0, 1j * (exc.last_rung or 2.0**RUNG_CEILING)  # None: no rung ran, a node lies past the ceiling
     past = math.frexp(float(np.linalg.norm(mass.value)) / PARAMS_TOL)[1]
     y = 2.0 ** min(max(mass.ladder_depth, past), RUNG_CEILING + K_MAX)
-    s1, s2 = (v * float(np.linalg.norm(_values(F, np.array([1j * v])))) for v in (y, 2.0 * y))
+    s1, s2 = (v * float(np.linalg.norm(sampled_values(F, [1j * v]))) for v in (y, 2.0 * y))
     return 0.5 - ((1.0 if s1 <= 1e-300 else s2 / s1) - 1.0), 2j * y
 
 
@@ -287,8 +266,9 @@ def certify_class(
     """
     kind = kind.lower()
     spec = _class_spec(kind)
-    zs = endpoint + _grid_offsets(spec.side, grid)
-    V = _values(F, zs)
+    scale = offset_scale(endpoint)
+    zs = endpoint + scale * _grid_offsets(spec.side, grid)
+    V = sampled_values(F, zs)
     dist = F.distance(zs)
     is_upper = np.arange(zs.size) < grid.n_upper
     on_gap = np.arange(zs.size) >= grid.n_upper + grid.n_lower
@@ -329,7 +309,7 @@ def certify_class(
         conditions.append({"name": spec.infinity, "margin": margin, "witness": witness})
 
     verdict = all(c["margin"] >= -tol_cert for c in conditions)
-    return Certificate(kind, verdict, tuple(conditions), grid, tol_cert)
+    return Certificate(kind, verdict, tuple(conditions), grid, tol_cert, scale)
 
 
 def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
@@ -373,39 +353,6 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _sample_offsets(side: str, n: int, seed: int) -> np.ndarray:
-    """Sample points less the endpoint, read-only: 0.5 to 3.7 from it, at least 0.5 from the ray."""
-    rng = np.random.default_rng(seed)
-    out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        off = rng.uniform(-3.0, 3.0)
-        im = rng.uniform(0.5, 2.0) * (1 if j % 2 == 0 else -1)
-        if j % 5 == 4:  # every fifth point on the real gap
-            out[j] = (-1.0 if side == "right" else 1.0) * rng.uniform(0.5, 3.0)
-        else:
-            out[j] = complex(off, im)
-    out.flags.writeable = False
-    return out
-
-
-def sample_points(endpoint: float, side: str, n: int = 10, seed: int = 7):
-    """Deterministic off-ray sample points mixing both half-planes and the gap.
-
-    The offsets scale by max(1, 4 EPS_NEAR (1 + |endpoint|)), so every point passes the pole guard at
-    any endpoint: at least 2 EPS_NEAR (1 + |endpoint|) from the ray.  Up to |endpoint| ~ 2.5e8 the scale is 1.
-    """
-    scale = max(1.0, 4.0 * EPS_NEAR * (1.0 + abs(endpoint)))
-    return (endpoint + scale * _sample_offsets(side, n, seed)).tolist()
-
-
-def range_projector(M: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the range of a Hermitian PSD matrix."""
-    _, vecs, keep = range_split(M)
-    V = vecs[:, keep]
-    return V @ V.conj().T
-
-
 def _svd_projectors(M: np.ndarray):
     """(range projectors, null projectors, ranks) of a stack of general complex matrices."""
     U, _, V, r = svd_rank(M, RTOL_RANK, RANK_ZERO)
@@ -419,12 +366,10 @@ def kernel_range_report(repr_: Representation) -> dict:
     the structural parameter sum; dually for ranges.  Reports the common
     rank and the worst projector deviation over the samples.
     """
-    S = _structural_sum(repr_)
-    P_range = range_projector(S)
-    q = S.shape[0]
-    P_null = np.eye(q, dtype=complex) - P_range
-    endpoint, side = endpoint_side(repr_)
-    Pr, Pn, r = _svd_projectors(evaluator(repr_).batch_raw(sample_points(endpoint, side)))
+    Pr, Pn, r = _svd_projectors(sampled_values(evaluator(repr_), sample_points(*endpoint_side(repr_))))
+    _, vecs, keep = range_split(_structural_sum(repr_))  # after the samples, whose read fails first and typed
+    P_range = vecs[:, keep] @ vecs[:, keep].conj().T
+    P_null = np.eye(repr_.q, dtype=complex) - P_range
     ranks = set(r.tolist())
     worst = float(np.max(np.maximum(norm2(Pr - P_range), norm2(Pn - P_null)), initial=0.0))
     rank_param = int(round(float(np.real(np.trace(P_range)))))
@@ -435,17 +380,6 @@ def kernel_range_report(repr_: Representation) -> dict:
         "max_projector_deviation": worst,
         "ok": ok,
     }
-
-
-def rank_constancy(F: Evaluator, samples) -> tuple[int, bool]:
-    """Numerical rank of F at each sample; raises on any disagreement."""
-    zs = np.array(list(samples), dtype=complex)
-    if zs.size < 2:
-        raise InvalidArgument("need at least two sample points")
-    ranks = set(svd_rank(_values(F, zs), RTOL_RANK, RANK_ZERO)[3].tolist())
-    if len(ranks) != 1:
-        raise RankInstability(f"ranks {sorted(ranks)} disagree across samples")
-    return ranks.pop(), True
 
 
 def eigen_invariance(repr_: Representation, lam: float) -> bool:
@@ -460,8 +394,7 @@ def eigen_invariance(repr_: Representation, lam: float) -> bool:
     name, sign = precond
     if not is_psd(getattr(repr_, name) + sign * lam * np.eye(repr_.q)):
         raise PreconditionUnmet(f"{name} {'+' if sign > 0 else '-'} lam*I is not PSD for lambda = {lam}")
-    endpoint, side = endpoint_side(repr_)
-    V = evaluator(repr_).batch_raw(sample_points(endpoint, side))
+    V = sampled_values(evaluator(repr_), sample_points(*endpoint_side(repr_)))
     P = _svd_projectors(V - lam * np.eye(repr_.q))[1]
     i, j = np.triu_indices(len(P), 1)
     return float(np.max(norm2(P[i] - P[j]), initial=0.0)) <= PROJ_TOL
@@ -485,8 +418,8 @@ def null_domination(repr_, A) -> dict:
     Vr = svd_rank(_finite_entries(A), NULL_RTOL_FACTOR * max(A.shape))[2]
     P = Vr @ Vr.conj().T  # orthogonal projector onto R(A*) = N(A)^perp
     Pn = np.eye(repr_.q, dtype=complex) - P
+    V = sampled_values(evaluator(repr_), sample_points(repr_.alpha, "right"))
     S = _structural_sum(repr_)
-    V = evaluator(repr_).batch_raw(sample_points(repr_.alpha, "right"))
     s = 1.0 + norm2(V)
     worst = lambda D: float(np.max(norm2(D) / s, initial=0.0))  # noqa: E731
     worst_null, worst_right, worst_left = worst(V @ Pn), worst(V @ P - V), worst(P @ V - V)

@@ -19,10 +19,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classifier import CLASSES, GridConfig, certify_class, extract_params, sample_points
+from .classifier import CLASSES, GridConfig, certify_class, extract_params
 from .errors import ClassMismatch, StieltjesKitError
 from .limits import MODES, LimitEstimate, limit_at_infinity
-from .matmeasure import TOL_CERT, MatrixMeasure, matrix_to_json, moments as measure_moments
+from .matmeasure import TOL_CERT, MatrixMeasure, _herm, matrix_to_json, moments as measure_moments
 from .representations import (
     KINDS,
     Evaluator,
@@ -32,6 +32,8 @@ from .representations import (
     measure_of,
     repr_from_json,
     repr_to_json,
+    sample_points,
+    sampled_values,
 )
 from .transforms import dual_map, neg_pinv_map, pinv_map, transpose_map
 
@@ -52,7 +54,7 @@ def _load_json(path: str) -> dict:
 def _dump_grid(F: Evaluator, endpoint: float, side: str, seed: int) -> list:
     """F at the 20 sample points of ``seed`` off the excluded ray, with the points."""
     pts = sample_points(endpoint, side, n=20, seed=seed)
-    return [{"z": [z.real, z.imag], "F": matrix_to_json(V)} for z, V in zip(pts, F.batch(pts))]
+    return [{"z": [z.real, z.imag], "F": matrix_to_json(V)} for z, V in zip(pts, sampled_values(F, pts))]
 
 
 def _limit_json(est: LimitEstimate) -> dict:
@@ -69,20 +71,20 @@ def _moments_json(mu: MatrixMeasure, m: int) -> dict:
     s = measure_moments(mu, m)
     n = m // 2 + 1
     H = np.block([[s[j + k] for k in range(n)] for j in range(n)])
-    lam = float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0])
+    lam = float(np.linalg.eigvalsh(_herm(H))[0])
+    if not math.isfinite(lam):
+        raise StieltjesKitError(f"the Hankel block's lambda_min is not finite: {lam}")
     return {"moments": [matrix_to_json(M) for M in s], "hankel_min_eigenvalue": lam}
 
 
-def _cmd_eval(args) -> tuple[int, dict]:
-    r = repr_from_json(_load_json(args.input))
+def _cmd_eval(args, r) -> tuple[int, dict]:
     endpoint, side = endpoint_side(r)
-    report = {
+    return 0, {
         "command": "eval",
         "kind": r.KIND,
         "grid_seed": args.grid_seed,
         "grid": _dump_grid(evaluator(r), endpoint, side, args.grid_seed),
     }
-    return 0, report
 
 
 def _certificate(args, r, endpoint: float):
@@ -92,20 +94,17 @@ def _certificate(args, r, endpoint: float):
     return certify_class(evaluator(r), endpoint, kind, GridConfig(seed=args.grid_seed), tol)
 
 
-def _cmd_certify(args) -> tuple[int, dict]:
-    r = repr_from_json(_load_json(args.input))
+def _cmd_certify(args, r) -> tuple[int, dict]:
     endpoint, _ = endpoint_side(r)
     if args.alpha is not None:
         endpoint = args.alpha
     if args.beta is not None:
         endpoint = args.beta
     cert = _certificate(args, r, endpoint)
-    report = {"command": "certify", "certificate": cert.to_json()}
-    return (0 if cert.verdict else 2), report
+    return (0 if cert.verdict else 2), {"command": "certify", "certificate": cert.to_json()}
 
 
-def _cmd_params(args) -> tuple[int, dict]:
-    r = repr_from_json(_load_json(args.input))
+def _cmd_params(args, r) -> tuple[int, dict]:
     endpoint, _ = endpoint_side(r)
     F = evaluator(r)
     claimed = args.kind or KINDS[r.KIND].default_class
@@ -124,14 +123,12 @@ def _cmd_params(args) -> tuple[int, dict]:
     return 0, out
 
 
-def _cmd_convert(args) -> tuple[int, dict]:
-    r = repr_from_json(_load_json(args.input))
+def _cmd_convert(args, r) -> tuple[int, dict]:
     out = convert(r, args.kind, alpha=args.alpha)
     return 0, {"command": "convert", "target": args.kind, "representation": repr_to_json(out)}
 
 
-def _cmd_transform(args) -> tuple[int, dict]:
-    r = repr_from_json(_load_json(args.input))
+def _cmd_transform(args, r) -> tuple[int, dict]:
     endpoint, side = endpoint_side(r)
     op = args.op
     if op == "dual":
@@ -152,17 +149,15 @@ def _cmd_transform(args) -> tuple[int, dict]:
     }
 
 
-def _cmd_moments(args) -> tuple[int, dict]:
-    obj = _load_json(args.input)
-    mu = measure_of(repr_from_json(obj)) if "kind" in obj else MatrixMeasure.from_json(obj)
+def _cmd_moments(args, r) -> tuple[int, dict]:
+    mu = r if isinstance(r, MatrixMeasure) else measure_of(r)
     return 0, {"command": "moments", "m": args.m, **_moments_json(mu, args.m)}
 
 
-def _cmd_report(args) -> tuple[int, dict]:
-    r = repr_from_json(_load_json(args.input))
+def _cmd_report(args, r) -> tuple[int, dict]:
     endpoint, side = endpoint_side(r)
     cert = _certificate(args, r, endpoint)
-    report = {
+    return (0 if cert.verdict else 2), {
         "command": "report",
         "kind": r.KIND,
         "grid_seed": args.grid_seed,
@@ -170,7 +165,6 @@ def _cmd_report(args) -> tuple[int, dict]:
         **_moments_json(measure_of(r), args.m),  # before the samples: an error in the moments is the one reported
         "samples": _dump_grid(evaluator(r), endpoint, side, args.grid_seed),
     }
-    return (0 if cert.verdict else 2), report
 
 
 def finite(text: str) -> float:
@@ -229,7 +223,9 @@ def run(argv=None) -> int:
         tol = getattr(args, "tol", None)  # echoed by every command, null where it takes no --tol
         if tol is not None and not (1e-15 <= tol <= 1e-2):
             raise StieltjesKitError("tolerance override outside [1e-15, 1e-2]")
-        code, report = _COMMANDS[args.command][0](args)
+        obj = _load_json(args.input)
+        bare = args.command == "moments" and "kind" not in obj  # moments also takes a bare measure
+        code, report = _COMMANDS[args.command][0](args, MatrixMeasure.from_json(obj) if bare else repr_from_json(obj))
     except (StieltjesKitError, ValueError, MemoryError) as exc:  # numpy's LinAlgError is a ValueError
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1

@@ -127,19 +127,21 @@ def _hermitian_stack(M: np.ndarray, psd: bool) -> np.ndarray:
     One stacked eigvalsh over H and the skew parts K = (M - M*)/2i where M != M* decides, on the whole
     stack, hermiticity (the first ||M - M*||_2 = 2 ||K||_2 above EPS_PSD (1 + ||H||_2) raises NotHermitian),
     then with ``psd`` PSD (the first lambda_min(H) below -EPS_PSD (1 + ||H||_2) raises NotPsd).  An
-    exactly Hermitian stack checked without ``psd`` runs none.
+    exactly Hermitian stack checked without ``psd`` runs none.  ||K||_2 meets half the bound: 2 ||K||_2 may overflow.
     """
     H, K = _herm(M), _im(M)
     asym = K.any(axis=(1, 2))
     if M.shape[-1] and (psd or asym.any()):
         Hs = H if psd else H[asym]  # the H whose norm (and, with psd, lambda_min) is read
         lam = np.linalg.eigvalsh(np.concatenate((Hs, K[asym])))
+        if not np.isfinite(lam).all():  # a norm past the largest float: no bound relative to it decides
+            raise StieltjesKitError("a matrix's spectral norm exceeds the largest float")
         lam_H, lam_K = lam[: len(Hs)], lam[len(Hs) :]
         bound = EPS_PSD * (1.0 + np.maximum(-lam_H[:, 0], lam_H[:, -1]))
-        defect, cut = 2.0 * np.maximum(-lam_K[:, 0], lam_K[:, -1]), bound[asym] if psd else bound
-        if (over := defect > cut).any():
+        skew, cut = np.maximum(-lam_K[:, 0], lam_K[:, -1]), bound[asym] if psd else bound
+        if (over := skew > 0.5 * cut).any():
             k = int(np.argmax(over))
-            raise NotHermitian(f"hermiticity defect {defect[k]:.3e} exceeds {cut[k]:.3e}")
+            raise NotHermitian(f"hermiticity defect {2.0 * float(skew[k]):.3e} exceeds {cut[k]:.3e}")
         if psd and (under := lam_H[:, 0] < -bound).any():
             k = int(np.argmax(under))
             raise NotPsd(f"lambda_min {lam_H[k, 0]:.3e} below {-bound[k]:.3e}")
@@ -172,12 +174,19 @@ def svd_rank(M, rtol: float, zero: float = 0.0):
     return U[..., :k] * keep, s, Vh[..., :k, :].conj().swapaxes(-1, -2) * keep, r
 
 
+def _halved(M: np.ndarray) -> np.ndarray:
+    """M / 2 by halving each real component (a complex product adds cross terms): M + M* overflows past 9e307."""
+    return (np.ascontiguousarray(M, dtype=complex).view(float) * 0.5).view(complex)
+
+
 def _herm(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.conj().swapaxes(-1, -2))
+    X = _halved(M)
+    return X + X.conj().swapaxes(-1, -2)
 
 
 def _im(M: np.ndarray) -> np.ndarray:
-    return (M - M.conj().swapaxes(-1, -2)) / 2j
+    X = _halved(M)
+    return (X - X.conj().swapaxes(-1, -2)) / 1j
 
 
 def range_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,10 +429,14 @@ def image_measure(mu: MatrixMeasure, a: float, b: float) -> MatrixMeasure:
 
 
 def moments(mu: MatrixMeasure, m: int) -> list[np.ndarray]:
-    """Power moments s_0 .. s_m, s_j = sum t_k^j W_k, each Hermitian."""
+    """Power moments s_0 .. s_m, s_j = sum t_k^j W_k, each Hermitian; one that is not finite raises NonFiniteKernel."""
     if m < 0:
         raise InvalidArgument("m must be nonnegative")
-    return [integrate(mu, lambda t, j=j: t**j) for j in range(m + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is the typed error below
+        s = [integrate(mu, lambda t, j=j: t**j) for j in range(m + 1)]
+    if not np.isfinite(s).all():
+        raise NonFiniteKernel(f"a moment s_0 .. s_{m} is not finite")
+    return s
 
 
 def quadrature_ingest(

@@ -26,39 +26,27 @@ depends on the kind reads that table.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EvaluationFailed,
     IllegalConversion,
+    InvalidArgument,
     NotAnAtom,
     PoleProximity,
+    RankInstability,
     UnsupportedKind,
     UnsupportedPath,
 )
-from .matmeasure import (
-    EPS_CONVERT,
-    EPS_MERGE,
-    EPS_NEAR,
-    RESIDUE_TOL,
-    MatrixMeasure,
-    SupportSet,
-    as_endpoint,
-    as_hermitian,
-    as_psd,
-    atom_sum,
-    left_ray,
-    matrix_from_json,
-    matrix_to_json,
-    read_fields,
-    right_ray,
-    total_mass,
-    whole_line,
-)
+from .matmeasure import EPS_CONVERT, EPS_MERGE, EPS_NEAR, RANK_ZERO, RESIDUE_TOL, RTOL_RANK, MatrixMeasure, SupportSet
+from .matmeasure import as_endpoint, as_hermitian, as_psd, atom_sum, left_ray, matrix_from_json, matrix_to_json
+from .matmeasure import read_fields, right_ray, svd_rank, total_mass, whole_line
 
 # Field roles in a KindSpec.
 ENDPOINT, PSD, HERM, MEASURE = "endpoint", "psd", "herm", "measure"
@@ -416,6 +404,36 @@ def _guarded(distance: Callable, zs) -> np.ndarray:
     return zs
 
 
+def sampled_values(F: Evaluator, zs) -> np.ndarray:
+    """F at each point, unguarded: the one read of sampled values for certificates, reports and the CLI.
+
+    A raise (found again point by point) or a non-finite value is EvaluationFailed at the first such point.
+    A RuntimeWarning (numpy's overflow, invalid value or division by zero) counts as a raise, as under the
+    test suite's filter, so no warning is printed beside the typed error.
+    """
+    zs = _points(zs)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            V = F.batch_raw(zs)
+    except Exception as exc:  # noqa: BLE001 - wrapped with the witness point
+        if zs.size == 1:
+            z = complex(zs[0])
+            raise EvaluationFailed(f"evaluator raised at z = {z}: {exc}", witness=z) from exc
+        for i in range(zs.size):
+            sampled_values(F, zs[i : i + 1])
+        raise EvaluationFailed(f"batch evaluation raised, no single point does: {exc}") from exc
+    return _finite(zs, V)
+
+
+def _finite(zs: np.ndarray, V: np.ndarray) -> np.ndarray:
+    bad = ~np.isfinite(V).all(axis=(1, 2))
+    if bad.any():
+        z = complex(zs[np.argmax(bad)])
+        raise EvaluationFailed(f"evaluator returned a non-finite value at z = {z}", witness=z)
+    return V
+
+
 # Entries per block of the atomic kernel's (points, atoms) coefficient
 # array: a block holds KERNEL_ENTRIES // n points, so its temporaries stay
 # near 256 KB each (cache-resident) whatever the batch size.
@@ -459,6 +477,41 @@ def evaluator(repr_: Representation) -> Evaluator:
     F = Evaluator.of_batch(repr_.q, excluded_set(repr_), _kernel_batch(repr_))
     object.__setattr__(F, "_nodes", measure_of(repr_).nodes)
     return F
+
+
+def offset_scale(endpoint: float) -> float:
+    """Factor on sample and certificate offsets, 1 up to |endpoint| ~ 2.5e8: past it none rounds onto the endpoint."""
+    return max(1.0, 4.0 * EPS_NEAR * (1.0 + abs(endpoint)))
+
+
+@lru_cache(maxsize=64)
+def _sample_offsets(side: str, n: int, seed: int) -> np.ndarray:
+    """Sample points less the endpoint, read-only: 0.5 to 3.7 from it, at least 0.5 from the ray."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros(n, dtype=complex)
+    for j in range(n):  # every fifth point on the real gap, with one more draw
+        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.5, 2.0) * (1 if j % 2 == 0 else -1))
+        out[j] = (-1.0 if side == "right" else 1.0) * rng.uniform(0.5, 3.0) if j % 5 == 4 else z
+    out.flags.writeable = False
+    return out
+
+
+def sample_points(endpoint: float, side: str, n: int = 10, seed: int = 7):
+    """Deterministic off-ray sample points mixing both half-planes and the gap.
+
+    Scaled by offset_scale, every point lies 2 EPS_NEAR (1 + |endpoint|) or more from the ray: past the pole guard."""
+    return (endpoint + offset_scale(endpoint) * _sample_offsets(side, n, seed)).tolist()
+
+
+def rank_constancy(F: Evaluator, samples) -> tuple[int, bool]:
+    """Numerical rank of F at each sample; raises on any disagreement."""
+    zs = np.array(list(samples), dtype=complex)
+    if zs.size < 2:
+        raise InvalidArgument("need at least two sample points")
+    ranks = set(svd_rank(sampled_values(F, zs), RTOL_RANK, RANK_ZERO)[3].tolist())
+    if len(ranks) != 1:
+        raise RankInstability(f"ranks {sorted(ranks)} disagree across samples")
+    return ranks.pop(), True
 
 
 def evaluate(repr_: Representation, z: complex) -> np.ndarray:

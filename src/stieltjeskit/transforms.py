@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import rank_constancy, sample_points
 from .errors import DimensionMismatch, InvalidArgument, ShiftNotPsd, UnsupportedKind
 from .matmeasure import EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR, PROJ_TOL, RANGE_RTOL, MatrixMeasure, _square, as_hermitian
 from .matmeasure import _im, image_measure, is_psd, norm2, range_split, right_ray, svd_rank
@@ -32,6 +31,8 @@ from .representations import (
     evaluator,
     map_fields,
     measure_of,
+    rank_constancy,
+    sample_points,
 )
 
 

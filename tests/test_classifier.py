@@ -546,6 +546,15 @@ def test_copies_and_maps_carry_no_nodes(points_seen):
     assert _points(points_seen, G) >= 9 * N_GRID
 
 
+def test_the_stencil_is_one_batch(points_seen):
+    """The grid in one batch, then the stencil of every grid point in one more."""
+    p = random_pair(np.random.default_rng(5), q=2)
+    F = sk.evaluator(p)
+    opaque = sk.Evaluator(F.q, F.excluded, F.fn)
+    assert sk.certify_class(opaque, p.alpha, "s").verdict
+    assert [n for G, n in points_seen if G is opaque] == [N_GRID, 8 * N_GRID]
+
+
 # --- kernel_range_report ---
 
 

@@ -10,6 +10,7 @@ in the API and in the CLI.
 """
 
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import stieltjeskit as sk
 from stieltjeskit.classifier import CLASSES, DEFAULT_GRID, sample_points
 from stieltjeskit.cli import run
-from stieltjeskit.representations import KINDS, endpoint_side
+from stieltjeskit.representations import KINDS, endpoint_side, offset_scale
 
 from genutil import psd
 
@@ -256,3 +257,63 @@ def test_far_nodes_warn_nowhere_and_past_the_ceiling_are_no_mismatch(t, kind):
                 assert past and exc.last_estimates is None
             except sk.ClassMismatch:
                 assert not past
+
+
+# --- a far endpoint: the certificate grid scales with it ---
+
+
+def test_a_nevanlinna_endpoint_at_1e16_certifies():
+    """Gap points 1e-3 from the endpoint 1e16 rounded onto it, a node: certify raised EvaluationFailed at z = 1e16."""
+    pair = sk.StieltjesPair(0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(1e16, 1e-3 * I1)]))
+    r = sk.convert(sk.convert(pair, "kk_pair"), "nevanlinna")
+    assert endpoint_side(r) == (1e16, "right")
+    cert = sk.certify_class(sk.evaluator(r), 1e16, "s")
+    assert cert.verdict
+    scale = offset_scale(1e16)
+    assert scale == 4e-9 * (1.0 + 1e16)
+    grid = cert.to_json()["grid"]
+    assert (grid["im_min"], grid["im_max"], grid["re_spread"]) == (scale * 1e-3, scale * 1e3, scale * 5.0)
+
+
+# --- weights near the largest float: every sampled read is gated ---
+
+
+def overflowing_pair():
+    """Finite, valid weights whose values overflow: three atoms of 8e307 (their total mass is inf)."""
+    return sk.StieltjesPair(0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(t, 8e307 * I1) for t in (1.0, 1.5, 2.0)]))
+
+
+@pytest.mark.parametrize(
+    "report",
+    [sk.kernel_range_report, lambda p: sk.eigen_invariance(p, 0.5), lambda p: sk.null_domination(p, I1)],
+    ids=["kernel_range_report", "eigen_invariance", "null_domination"],
+)
+def test_structural_reports_fail_typed_at_a_sample_point(report):
+    """They read F raw and returned a NaN deviation (ok: False) or NaN-decided False."""
+    with pytest.raises(sk.EvaluationFailed) as exc:
+        report(overflowing_pair())
+    assert exc.value.witness in sample_points(0.0, "right")
+
+
+@pytest.mark.parametrize("action", ["error", "default"])  # the suite's warning filter, and the console script's
+@pytest.mark.parametrize("command", ["eval", "moments", "report"])
+def test_overflowing_values_are_one_json_error(tmp_path, capsys, command, action):
+    """eval and moments exited 0 and printed NaN and Infinity; no numpy warning joins the one JSON error."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(sk.repr_to_json(overflowing_pair())))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        # shown on stderr, as outside pytest, which records them instead
+        warnings.showwarning = lambda msg, cat, name, line, *_: sys.stderr.write(
+            warnings.formatwarning(msg, cat, name, line)
+        )
+        assert run([command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(json.loads(captured.err)) == ["error"]
+
+
+def test_a_weight_of_1e308_evaluates_finite(tmp_path, capsys):
+    """Stored as inf+nanj, it made eval print NaN with exit 0."""
+    code, report = cli(tmp_path, capsys, "eval", r=one_atom("stieltjes_pair", 1.0, W=1e308))
+    assert code == 0
+    assert np.isfinite(np.array([rec["F"] for rec in report["grid"]], dtype=float)).all()

@@ -313,6 +313,38 @@ def test_support_distance():
         assert support.contains(ts).tolist() == [support.contains(t) for t in ts.tolist()]
 
 
+# --- the Hermitian gate near the largest float ---
+
+
+def test_hermitian_gate_halves_before_it_adds():
+    """M + M* overflows past about 9e307: these finite inputs were stored with an inf+nanj entry."""
+    big = np.diag([1.7e308, 1.0]).astype(complex)
+    assert np.array_equal(as_psd(big), big)
+    assert sk.MatrixMeasure(1, sk.right_ray(0.0), [(1.0, [[1e308]])]).weights.tolist() == [[[1e308]]]
+    # finite, Hermitian and indefinite, but lambda_max = 2.3e308 is not a float: the PSD bound relative to it was inf
+    with pytest.raises(sk.StieltjesKitError, match="largest float"):
+        sk.MatrixMeasure(2, sk.right_ray(0.0), [(1.0, [[1.7e308, 1e308], [1e308, 1.0]])])
+
+
+def test_hermitian_gate_refuses_a_skew_matrix_near_the_largest_float():
+    """Its skew part M - M* overflowed, and the gate passed it and returned zeros."""
+    with pytest.raises(sk.NotHermitian):
+        matmeasure.as_hermitian([[0.0, 1.7e308], [-1.7e308, 0.0]])
+
+
+def test_hermitian_and_skew_parts_keep_their_bits():
+    """Halving first gives the bits of 0.5 (M + M*) and (M - M*) / 2j, signed zeros of negated matrices too."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        q = int(rng.integers(1, 5))
+        A = rng.standard_normal((q, q)) * (rng.random((q, q)) < 0.7)
+        L = rng.standard_normal((q, 2)) + 1j * rng.standard_normal((q, 2))
+        for M in (A + A.T + 0j, -(A + A.T + 0j), np.conj(A + 0j), L @ L.conj().T, L @ L.T, A + 1j * A.T):
+            Mh = M.conj().T
+            assert matmeasure._herm(M).tobytes() == (0.5 * (M + Mh)).tobytes()
+            assert matmeasure._im(M).tobytes() == ((M - Mh) / 2j).tobytes()
+
+
 # --- total_mass ---
 
 
@@ -494,6 +526,13 @@ def test_moments_zero_measure():
     mu = sk.MatrixMeasure(2, sk.whole_line(), [])
     for s in sk.moments(mu, 2):
         assert np.array_equal(s, np.zeros((2, 2)))
+
+
+def test_a_moment_that_overflows_is_a_typed_error():
+    """Three finite weights of 8e307 sum past the largest float; the moments were inf."""
+    mu = sk.MatrixMeasure(1, sk.right_ray(0.0), [(t, [[8e307]]) for t in (1.0, 1.5, 2.0)])
+    with pytest.raises(sk.NonFiniteKernel, match="not finite"):
+        sk.moments(mu, 2)
 
 
 def test_moments_two_atoms():
