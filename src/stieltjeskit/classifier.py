@@ -35,7 +35,7 @@ from .errors import (
 from .limits import K_MAX, limit_at_infinity
 from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
 from .matmeasure import RUNG_CEILING, TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd, norm2
-from .matmeasure import range_split, svd_rank
+from .matmeasure import fro, range_split, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -199,8 +199,8 @@ def _cr_residuals(F: Evaluator, zs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     D = lambda i, step: (V[:, i] - V[:, i + 1]) / step  # noqa: E731
     dx = (4.0 * D(4, hb) - D(0, 2.0 * hb)) / 3.0
     dy = (4.0 * D(6, 1j * hb) - D(2, 2j * hb)) / 3.0
-    fro = lambda A: np.linalg.norm(A, axis=(1, 2))  # noqa: E731
-    return fro(dx - dy) / (1.0 + fro(dx) + fro(dy))
+    norms = lambda A: fro(A, axis=(1, 2))  # noqa: E731
+    return norms(dx - dy) / (1.0 + norms(dx) + norms(dy))
 
 
 def _holomorphy(F: Evaluator, zs: np.ndarray, dist: np.ndarray, endpoint: float, sign: int) -> tuple[float, complex]:
@@ -230,9 +230,9 @@ def _y_norm_bounded(F: Evaluator) -> tuple[float, complex]:
         mass = limit_at_infinity(F, "y_scaled")
     except NoConvergence as exc:
         return -1.0, 1j * (exc.last_rung or 2.0**RUNG_CEILING)  # None: no rung ran, a node lies past the ceiling
-    past = math.frexp(float(np.linalg.norm(mass.value)) / PARAMS_TOL)[1]
+    past = math.frexp(float(fro(mass.value)) / PARAMS_TOL)[1]
     y = 2.0 ** min(max(mass.ladder_depth, past), RUNG_CEILING + K_MAX)
-    s1, s2 = (v * float(np.linalg.norm(sampled_values(F, [1j * v]))) for v in (y, 2.0 * y))
+    s1, s2 = (v * float(fro(sampled_values(F, [1j * v]))) for v in (y, 2.0 * y))
     return 0.5 - ((1.0 if s1 <= 1e-300 else s2 / s1) - 1.0), 2j * y
 
 
@@ -242,7 +242,7 @@ def _decay_at_infinity(F: Evaluator) -> tuple[float, complex]:
         plain = limit_at_infinity(F, "plain_iy")
     except NoConvergence as exc:
         return -1.0, 1j * (exc.last_rung or 2.0**RUNG_CEILING)  # None: no rung ran, a node lies past the ceiling
-    return DECAY_TOL - float(np.linalg.norm(plain.value)), 1j * 2.0**plain.ladder_depth
+    return DECAY_TOL - float(fro(plain.value)), 1j * 2.0**plain.ladder_depth
 
 
 # Condition at infinity -> (its certificate margin, what a nonzero gamma contradicts in extract_params).
@@ -337,11 +337,11 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
     if spec.infinity != "y_norm_bounded":
         radial = gamma(limit_at_infinity(F, "radial", alpha=alpha, phi=spec.phi))
         record["gamma_radial"] = radial
-        gap = float(np.linalg.norm(plain.value - radial.value))
+        gap = float(fro(plain.value - radial.value))
         budget = 2.0 * (plain.error_bound + radial.error_bound) + PARAMS_TOL
         if gap > budget:
             raise ClassMismatch(f"vertical and radial limits disagree by {gap:.3e} (budget {budget:.3e})")
-    if spec.infinity is not None and float(np.linalg.norm(plain.value)) > PARAMS_TOL:
+    if spec.infinity is not None and float(fro(plain.value)) > PARAMS_TOL:
         raise ClassMismatch(_AT_INFINITY[spec.infinity][1])
     if spec.infinity == "y_norm_bounded":
         record["mass"] = limit_at_infinity(F, "y_scaled")

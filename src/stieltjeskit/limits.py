@@ -5,15 +5,13 @@ radial rays, so a geometric ladder y_k = 2^k combined with Richardson
 extrapolation in 1/y converges fast, from a first rung past the farthest
 pole, and carries an explicit increment-based error estimate.
 
-The ladder is evaluated in blocks of ``LADDER_BLOCK`` rungs: one guarded
-``F.batch`` call per block, and the Neville tableau of the block computed
-column by column over its rungs.  The stopping test still runs rung by
-rung, so the depth, the value and the error bound are those of a ladder
-evaluated one rung at a time from the same samples.  A block whose batch
-raises, or whose batch or tableau warns (an infinite sample does), is
-redone one rung at a time, so a rung past the stopping rung never
-changes the outcome, and an error or warning that does surface comes
-from the rung where the one-at-a-time ladder meets it.
+The ladder reads its rungs in blocks of ``LADDER_BLOCK`` through
+``sampled_values`` and builds the Neville tableau of a block column by
+column, but runs the stopping test rung by rung: the depth, value and error
+bound are those of a one-rung-at-a-time ladder on the same samples.  A rung
+the gate names (it raised, warned or was not finite) cuts its block there;
+its ``EvaluationFailed`` is raised only if the rungs before it do not stop
+the ladder.  A non-finite extrapolant raises ``NoConvergence`` at its rung.
 
 Supported modes:
 
@@ -26,23 +24,20 @@ Supported modes:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NoConvergence
-from .matmeasure import EPS_LIM, EPS_NEAR, RUNG_CEILING
-from .representations import Evaluator
+from .errors import EvaluationFailed, InvalidArgument, NoConvergence
+from .matmeasure import EPS_LIM, EPS_NEAR, RUNG_CEILING, _fro
+from .representations import Evaluator, _guarded, sampled_values
 
 K_MAX = 48  # rungs past the first
-# Rungs per guarded batch.  A block costs one tableau column per rung
-# evaluated so far, so larger blocks need fewer columns in all; the price is
-# up to LADDER_BLOCK - 1 rungs evaluated past the stopping rung.  Against 8
-# (one CPU, in-process medians per ladder): the 48-rung ladder of a q = 2
-# non-member 2.45 -> 1.82 ms, converged q <= 3 ladders 0.31 -> 0.19 ms,
-# (4, 50) atoms 0.37 -> 0.28 ms; only (8, 500) atoms, where a rung costs
-# most, lose: 1.13 -> 1.44 ms, on certificates of about 25 ms.
+# Rungs per read through the gate.  A block costs one tableau column per rung
+# evaluated so far, so larger blocks need fewer columns in all, at the price of
+# up to LADDER_BLOCK - 1 rungs past the stopping rung.  Against 8 (one CPU,
+# in-process medians per ladder): converged q <= 3 ladders 0.31 -> 0.19 ms,
+# 48-rung q = 2 ladders 2.45 -> 1.82 ms; only (8, 500) atoms lose, 1.13 -> 1.44 ms.
 LADDER_BLOCK = 16
 
 MODES = ("plain_iy", "y_scaled", "radial")
@@ -70,19 +65,16 @@ class LimitEstimate:
         return fields(self) == fields(other) and np.array_equal(self.value, other.value)
 
 
-def _samples(F: Evaluator, mode: str, ys: list, alpha: float, phi: float) -> np.ndarray:
-    """The mode's samples at the rungs ``ys`` in one guarded batch, shape (len(ys), q, q).
-
-    Points and scale factors come from the scalar arithmetic of a single
-    rung, so each sample is the one a rung-by-rung ladder would take.
-    """
-    if mode == "radial":
-        direction = complex(math.cos(phi), math.sin(phi))
-        return F.batch([alpha + y * direction for y in ys])
-    V = F.batch([1j * y for y in ys])
-    if mode == "plain_iy":
-        return V
-    return np.array([-1j * y for y in ys])[:, None, None] * V  # y_scaled
+def _read(F: Evaluator, zs: np.ndarray) -> tuple[np.ndarray, EvaluationFailed | None]:
+    """(F at zs through the gate, None), or F before the first point it names and its error, raised if that is zs[0]."""
+    try:
+        return sampled_values(F, zs), None
+    except EvaluationFailed as exc:
+        cut = int(np.argmax(zs == exc.witness))  # 0 without a witness: the batch raised and no single point does
+        if not cut:
+            raise
+        V, earlier = _read(F, zs[:cut])  # read again up to the failing point, which may fail earlier
+        return V, earlier or exc
 
 
 def _tableau(last: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -116,7 +108,8 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
     else 0; j = 0 for an opaque F or a reach below 1.  A radial reach is at
     least 2 EPS_NEAR (1 + |alpha|): every rung passes the pole guard.  Stops when
     successive diagonal extrapolants differ by less than
-    EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at the last rung.
+    EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at the last rung, or
+    without last_estimates at the first rung whose extrapolant is not finite.
     A reach at or past 2^RUNG_CEILING raises NoConvergence naming the farthest
     node before any evaluation, without last_estimates or last_rung.
     """
@@ -134,32 +127,30 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
     if j > RUNG_CEILING:
         raise NoConvergence(f"node {float(F._nodes[dist.argmax()])} lies past the first-rung ceiling 2^{RUNG_CEILING}")
 
-    last = np.empty((0, F.q, F.q), dtype=complex)  # the row of the previous rung
-    increments: list[float] = []
-    prev_diag = None
-    k, redo_end, top = j, j, j + K_MAX  # rungs below redo_end are evaluated one at a time
+    last, increments, prev_diag = np.empty((0, F.q, F.q), dtype=complex), [], None  # last: the previous rung's row
+    k, top, direction = j, j + K_MAX, complex(math.cos(phi), math.sin(phi))
     while k <= top:
-        stop = min(k + (1 if k < redo_end else LADDER_BLOCK), top + 1)
-        ys = [2.0**i for i in range(k, stop)]
-        if k < redo_end:
-            T = _tableau(last, _samples(F, mode, ys, alpha, phi))
-        else:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    T = _tableau(last, _samples(F, mode, ys, alpha, phi))
-            except Exception:  # noqa: BLE001 - redone rung by rung, which raises where it should
-                redo_end = stop
-                continue
-        for i in range(1, T.shape[1]):
-            diag = T[k - j, i]
-            if prev_diag is not None:
-                inc = float(np.linalg.norm(diag - prev_diag))
-                increments.append(inc)
-                if inc < EPS_LIM * (1.0 + float(np.linalg.norm(diag))):
-                    return LimitEstimate(diag.copy(), inc, k, tuple(increments))
-            prev_diag = diag
-            k += 1
+        ys = [2.0**i for i in range(k, min(k + LADDER_BLOCK, top + 1))]  # per-rung scalar points and factors
+        S, failed = _read(F, _guarded(F.distance, [alpha + y * direction if mode == "radial" else 1j * y for y in ys]))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # a non-finite extrapolant is typed below
+            if mode == "y_scaled":
+                S = np.array([-1j * y for y in ys[: len(S)]])[:, None, None] * S
+            T = _tableau(last, S)
+            b = len(S)  # the rungs tested: those before the first non-finite diagonal, after which none is finite
+            if not np.isfinite(T[-1, -1]).all():
+                b = int(np.argmin(np.isfinite(T[k - j + np.arange(b), 1 + np.arange(b)]).all(axis=(1, 2))))
+                failed = NoConvergence(f"the extrapolant at rung y = 2^{k + b} is not finite", last_rung=2.0 ** (k + b))
+            for i in range(1, b + 1):
+                diag = T[k - j, i]
+                if prev_diag is not None:
+                    inc = float(_fro(diag - prev_diag))
+                    increments.append(inc)
+                    if inc < EPS_LIM * (1.0 + float(_fro(diag))):
+                        return LimitEstimate(diag.copy(), inc, k, tuple(increments))
+                prev_diag = diag
+                k += 1
+        if failed is not None:
+            raise failed
         last = T[:, -1]
     raise NoConvergence(
         f"ladder reached its last rung y = 2^{top} without meeting the stopping criterion",

@@ -121,6 +121,25 @@ def norm2(M: np.ndarray) -> np.ndarray:
     return m * np.sqrt(np.linalg.eigvalsh(G).max(axis=-1, initial=0.0))
 
 
+def fro(M, axis=None):
+    """Frobenius norm of M, or over the pair of axes ``axis`` of each matrix of a stack, as np.linalg.norm takes it.
+
+    Outside [2^-480, inf), where its sum of squares may have over- or underflowed, the norm of M / 2^e times 2^e, 2^e
+    the scale of the matrix's largest |Re| or |Im|: exact scalings, so its bits where that sum did neither."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return _fro(M, axis)
+
+
+def _fro(M, axis=None):
+    """fro inside a caller's np.errstate that ignores overflow, underflow and invalid values: the ladder's stop test."""
+    n = np.linalg.norm(M, axis=axis)
+    if (2.0**-480 <= n < np.inf) if axis is None else ((n >= 2.0**-480) & (n < np.inf)).all():
+        return n
+    top = lambda part: np.abs(part).max(axis=axis, keepdims=True, initial=0.0)  # noqa: E731
+    e = np.frexp(np.maximum(top(M.real), top(M.imag)))[1]
+    return np.ldexp(np.linalg.norm(M * np.ldexp(1.0, -e), axis=axis, keepdims=True), e).reshape(np.shape(n))[()]
+
+
 def _hermitian_stack(M: np.ndarray, psd: bool) -> np.ndarray:
     """Read-only symmetrized copies H = (M + M*)/2 of a stack of finite square matrices, validated.
 
@@ -390,8 +409,11 @@ def atom_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def total_mass(mu: MatrixMeasure) -> np.ndarray:
-    """mu(Omega) = sum of all atom weights; PSD Hermitian."""
-    return atom_sum(mu.weights)
+    """mu(Omega) = sum of all atom weights; PSD Hermitian.  A sum that overflows raises NonFiniteKernel."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is the typed error below
+        if np.isfinite(s := atom_sum(mu.weights)).all():
+            return s
+    raise NonFiniteKernel("the total mass is not finite: the sum of the weights overflows")
 
 
 def integrate(mu: MatrixMeasure, f: Callable[[float], complex]) -> np.ndarray:

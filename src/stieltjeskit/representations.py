@@ -46,7 +46,7 @@ from .errors import (
 )
 from .matmeasure import EPS_CONVERT, EPS_MERGE, EPS_NEAR, RANK_ZERO, RESIDUE_TOL, RTOL_RANK, MatrixMeasure, SupportSet
 from .matmeasure import as_endpoint, as_hermitian, as_psd, atom_sum, left_ray, matrix_from_json, matrix_to_json
-from .matmeasure import read_fields, right_ray, svd_rank, total_mass, whole_line
+from .matmeasure import fro, read_fields, right_ray, svd_rank, total_mass, whole_line
 
 # Field roles in a KindSpec.
 ENDPOINT, PSD, HERM, MEASURE = "endpoint", "psd", "herm", "measure"
@@ -405,7 +405,7 @@ def _guarded(distance: Callable, zs) -> np.ndarray:
 
 
 def sampled_values(F: Evaluator, zs) -> np.ndarray:
-    """F at each point, unguarded: the one read of sampled values for certificates, reports and the CLI.
+    """F at each point, unguarded: the one read of sampled values, for certificates, reports, ladders and the CLI.
 
     A raise (found again point by point) or a non-finite value is EvaluationFailed at the first such point.
     A RuntimeWarning (numpy's overflow, invalid value or division by zero) counts as a raise, as under the
@@ -427,9 +427,8 @@ def sampled_values(F: Evaluator, zs) -> np.ndarray:
 
 
 def _finite(zs: np.ndarray, V: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(V).all(axis=(1, 2))
-    if bad.any():
-        z = complex(zs[np.argmax(bad)])
+    if not np.isfinite(V).all():
+        z = complex(zs[np.argmin(np.isfinite(V).all(axis=(1, 2)))])
         raise EvaluationFailed(f"evaluator returned a non-finite value at z = {z}", witness=z)
     return V
 
@@ -567,12 +566,13 @@ def _rekernel(r, target: str, _alpha):
     src, dst = KINDS[r.KIND], KINDS[target]
     e, _ = endpoint_side(r)
     mu = measure_of(r)
-    c = src.numerator(mu.nodes, e) / dst.numerator(mu.nodes, e)
-    mu = MatrixMeasure.from_arrays(r.q, mu.support, mu.nodes, c[:, None, None] * mu.weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing weight fails the measure's finiteness check
+        weights = (src.numerator(mu.nodes, e) / dst.numerator(mu.nodes, e))[:, None, None] * mu.weights
+    mu = MatrixMeasure.from_arrays(r.q, mu.support, mu.nodes, weights)
     const = next((getattr(r, name) for name, role in src.fields if role == PSD), None)
     if any(role == PSD for _, role in dst.fields):
         return dst.cls(e, np.zeros((r.q, r.q)) if const is None else const, mu)
-    if np.any(np.abs(const) > EPS_CONVERT * (1.0 + np.linalg.norm(const))):
+    if np.any(np.abs(const) > EPS_CONVERT * (1.0 + fro(const))):
         raise IllegalConversion("gamma != 0: the function has a nonzero limit at i*inf")
     return dst.cls(e, mu)
 
@@ -585,7 +585,7 @@ def _kk_to_nev(k: KKPair, *_) -> NevanlinnaTriple:
 
 
 def _nev_to_kk(n: NevanlinnaTriple, _target, alpha: float | None) -> KKPair:
-    if float(np.linalg.norm(n.B)) > EPS_CONVERT:
+    if float(fro(n.B)) > EPS_CONVERT:
         raise IllegalConversion("triple has B != 0; not a right-ray restriction")
     nodes = n.nu.nodes
     if alpha is None:
@@ -666,8 +666,8 @@ def residue_weight(repr_: Representation, t0: float, verify: bool = False) -> np
 
     For a pair this is (1 + t0 - alpha) W0 (the kernel numerator at the
     node); for an S0/T0 measure it is W0 itself.  With ``verify=True`` the
-    analytic value is cross-checked against the numeric limit of
-    (t0 - z) F(z) along z = t0 + i 2^{-k}.
+    analytic value is cross-checked against (t0 - z) F(z) at z = t0 + i 2^-26,
+    read through ``sampled_values``.
     """
     spec = KINDS[repr_.KIND]
     if not spec.residue:
@@ -681,9 +681,9 @@ def residue_weight(repr_: Representation, t0: float, verify: bool = False) -> np
     value = spec.numerator(t, endpoint_side(repr_)[0]) * W
     if verify:
         eps = 2.0**-26
-        approx = (-1j * eps) * evaluator(repr_).batch_raw([t + 1j * eps])[0]
-        err = np.linalg.norm(approx - value)
-        if err > RESIDUE_TOL * (1.0 + np.linalg.norm(value)):
+        approx = (-1j * eps) * sampled_values(evaluator(repr_), [t + 1j * eps])[0]
+        err = fro(approx - value)
+        if err > RESIDUE_TOL * (1.0 + fro(value)):
             raise NotAnAtom(f"numeric residue check failed: |diff| = {err:.3e}")
     return value
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, ShiftNotPsd, UnsupportedKind
+from .errors import DimensionMismatch, InvalidArgument, NonFiniteKernel, ShiftNotPsd, UnsupportedKind
 from .matmeasure import EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR, PROJ_TOL, RANGE_RTOL, MatrixMeasure, _square, as_hermitian
 from .matmeasure import _im, image_measure, is_psd, norm2, range_split, right_ray, svd_rank
 from .representations import (
@@ -131,7 +131,10 @@ def _pair_pinv(p: StieltjesPair) -> StieltjesPair:
     U = vecs[:, keep]
     nodes = mu.nodes[::-1]  # descending: the columns of B and O fall off with the node
     w, vecs, keep = range_split(mu.weights[::-1])
-    factors = vecs * np.sqrt(np.where(keep, w, 0.0) * (1.0 + nodes - a)[:, None])[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing factor is a typed error
+        factors = vecs * np.sqrt(np.where(keep, w, 0.0) * (1.0 + nodes - a)[:, None])[:, None, :]
+        if not np.isfinite(factors).all():
+            raise NonFiniteKernel("a weight times its kernel numerator 1 + t - alpha overflows")
     cols = keep.reshape(-1)  # atom k, column j at k q + j
     L = U.conj().T @ factors.transpose(1, 0, 2).reshape(q, -1)[:, cols]
     t = np.repeat(nodes, q)[cols]

@@ -295,21 +295,81 @@ def test_structural_reports_fail_typed_at_a_sample_point(report):
     assert exc.value.witness in sample_points(0.0, "right")
 
 
+HEAVY = {
+    "three atoms of 8e307": overflowing_pair(),
+    "pair (1, 1e308)": one_atom("stieltjes_pair", 1.0, W=1e308),
+    "pair (1e10, 1e300)": one_atom("stieltjes_pair", 1e10, W=1e300),
+    "s0 (1, 1e308)": one_atom("s0", 1.0, W=1e308),
+}
+CLI_MATRIX = [
+    ["eval"], ["certify"], ["report"], ["moments"],
+    ["params"], ["params", "--mode", "y_scaled"], ["params", "--mode", "radial"],
+    ["convert", "--kind", "kk_pair"], ["convert", "--kind", "s0"],
+    ["transform", "--op", "pinv_map"], ["transform", "--op", "neg_pinv"],
+]
+
+
 @pytest.mark.parametrize("action", ["error", "default"])  # the suite's warning filter, and the console script's
-@pytest.mark.parametrize("command", ["eval", "moments", "report"])
-def test_overflowing_values_are_one_json_error(tmp_path, capsys, command, action):
-    """eval and moments exited 0 and printed NaN and Infinity; no numpy warning joins the one JSON error."""
+@pytest.mark.parametrize("argv", CLI_MATRIX, ids=" ".join)
+@pytest.mark.parametrize("name", list(HEAVY))
+def test_heavy_weights_give_a_report_or_one_json_error(tmp_path, capsys, name, argv, action):
+    """No numpy warning on stderr beside the report or the one JSON error, and no NaN or Infinity in a report.
+
+    While the ladder read outside the gate and the reweighting builds overflowed untyped, 21 of these runs
+    printed warnings and transform printed the zero function for the three atoms of 8e307; before every
+    sampled read was gated, their eval and moments printed NaN and Infinity with exit 0.
+    """
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(sk.repr_to_json(overflowing_pair())))
+    path.write_text(json.dumps(sk.repr_to_json(HEAVY[name])))
     with warnings.catch_warnings():
         warnings.simplefilter(action)
         # shown on stderr, as outside pytest, which records them instead
         warnings.showwarning = lambda msg, cat, name, line, *_: sys.stderr.write(
             warnings.formatwarning(msg, cat, name, line)
         )
-        assert run([command, "--input", str(path)]) == 1
+        code = run([*argv, "--input", str(path)])
     captured = capsys.readouterr()
-    assert captured.out == "" and list(json.loads(captured.err)) == ["error"]
+    if name == "three atoms of 8e307" and argv[0] in ("eval", "moments", "report", "transform"):
+        assert code == 1  # its values, moments and total mass overflow
+    if captured.err:
+        assert code == 1 and captured.out == "" and list(json.loads(captured.err)) == ["error"]
+    else:
+        assert code in (0, 2)
+        json.loads(captured.out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+
+
+def test_heavy_members_of_s0_and_t0_certify():
+    """||F(iy)|| past 1.3e154 overflowed the unscaled Frobenius norm: the y_norm_bounded margin was NaN."""
+    for W in (1e155, 1e160, 1e200, 1e300):
+        for kind in ("s0", "t0"):
+            F = sk.evaluator(one_atom(kind, 1.0, W=W))
+            cert = sk.certify_class(F, 0.0, kind)
+            assert cert.verdict and cert.margin("y_norm_bounded") == 0.5
+            np.testing.assert_allclose(sk.limit_at_infinity(F, "y_scaled").value, [[W]], rtol=5e-14)
+
+
+@pytest.mark.parametrize("name", ["three atoms of 8e307", "pair (1, 1e308)"])
+def test_heavy_pairs_fail_typed_in_the_ladder_and_the_pinv_builds(name):
+    """The scaled ladder overflowed with a warning; the pinv builds gave the zero function or an SVD failure."""
+    F = sk.evaluator(HEAVY[name])
+    with pytest.raises(sk.NoConvergence, match=r"rung y = 2\^2 is not finite") as exc:
+        sk.limit_at_infinity(F, "y_scaled")
+    assert exc.value.last_rung == 4.0 and exc.value.last_estimates is None
+    for build in (sk.pinv_map, sk.neg_pinv_map):
+        with pytest.raises(sk.NonFiniteKernel):
+            build(HEAVY[name])
+
+
+def test_an_overflowing_total_mass_is_typed():
+    with pytest.raises(sk.NonFiniteKernel, match="total mass"):
+        sk.total_mass(overflowing_pair().mu)
+    assert sk.total_mass(HEAVY["pair (1, 1e308)"].mu)[0, 0] == 1e308
+
+
+def test_a_heavy_residue_verifies():
+    """The unscaled norm of the residue 2e300 overflowed."""
+    r = one_atom("stieltjes_pair", 1.0, W=1e300)
+    np.testing.assert_array_equal(sk.residue_weight(r, 1.0, verify=True), [[2e300]])
 
 
 def test_a_weight_of_1e308_evaluates_finite(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import stieltjeskit as sk
 
-from stieltjeskit.representations import endpoint_side
+from stieltjeskit.representations import _guarded, endpoint_side, sampled_values
 
 from genutil import psd, random_pair, random_s0, random_sinf, random_t0, random_tinf, random_tpair
 
@@ -225,30 +225,42 @@ def first_rung(F, mode="plain_iy", alpha=0.0):
     return y
 
 
+def read_rung(F, z):
+    """F at one point: the pole guard first, then the gate."""
+    return sampled_values(F, _guarded(F.distance, [z]))[0]
+
+
 def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=None):
-    """The ladder one rung at a time from y0 = 2^j: one guarded call and one Neville row per rung; depth j + k."""
+    """The ladder one rung at a time from y0 = 2^j: one gated read and one Neville row per rung; depth j + k.
+
+    A non-finite diagonal raises NoConvergence at its rung, without last_estimates.
+    """
     k_max = sk.limits.K_MAX if k_max is None else k_max
     rows, prev_diag = [], None
     for k in range(k_max + 1):
         y = y0 * 2.0**k
         if mode == "radial":
-            sample = F(alpha + y * complex(math.cos(phi), math.sin(phi)))
+            sample = read_rung(F, alpha + y * complex(math.cos(phi), math.sin(phi)))
         elif mode == "plain_iy":
-            sample = F(1j * y)
+            sample = read_rung(F, 1j * y)
         else:
-            sample = -1j * y * F(1j * y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sample = -1j * y * read_rung(F, 1j * y)
         row = [sample]
-        for j in range(1, k + 1):
-            factor = 2.0**j
-            row.append((factor * row[j - 1] - rows[k - 1][j - 1]) / (factor - 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, k + 1):
+                factor = 2.0**j
+                row.append((factor * row[j - 1] - rows[k - 1][j - 1]) / (factor - 1.0))
         rows.append(row)
         diag = row[-1]
+        if not np.isfinite(diag).all():
+            raise sk.NoConvergence("a non-finite diagonal", last_rung=y)
         if prev_diag is not None:
             inc = float(np.linalg.norm(diag - prev_diag))
             if inc < sk.limits.EPS_LIM * (1.0 + float(np.linalg.norm(diag))):
                 return sk.LimitEstimate(diag, inc, round(math.log2(y0)) + k)
         prev_diag = diag
-    raise sk.NoConvergence("k_max reached", last_estimates=(rows[-2][-1], rows[-1][-1]))
+    raise sk.NoConvergence("k_max reached", last_estimates=(rows[-2][-1], rows[-1][-1]), last_rung=y)
 
 
 def _bits(A):
@@ -263,7 +275,7 @@ def outcome(ladder, F, **kw):
             est = ladder(F, **kw)
             result = ("limit", _bits(est.value), est.error_bound, est.ladder_depth)
         except sk.NoConvergence as exc:
-            result = ("no_convergence", *map(_bits, exc.last_estimates))
+            result = ("no_convergence", exc.last_rung, *map(_bits, exc.last_estimates or ()))
         except Exception as exc:  # noqa: BLE001 - compared by type and message
             result = (type(exc), str(exc))
     return result, [(w.category, str(w.message)) for w in caught]
@@ -317,9 +329,10 @@ def _opaque(q, excluded, fn, nodes):
 )
 @settings(max_examples=300, deadline=None)
 def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k_max, family, how):
-    """On evaluators whose batch is the per-point loop the outcome is the reference's, bit for bit.
+    """On evaluators whose batch is the per-point loop the outcome is the reference's bit for bit; no warning escapes.
 
-    Short ladders patch limits.K_MAX; with_nodes starts the ladder past the nodes of the function drawn.
+    Short ladders patch limits.K_MAX; with_nodes starts the ladder past the nodes of the function drawn.  A
+    rung that raises, warns or gives inf or nan fails the gate: EvaluationFailed there, unless the ladder stopped.
     """
     rng = np.random.default_rng(seed)
     q = int(rng.integers(1, 4))
@@ -354,7 +367,9 @@ def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k
         assert outcome(sk.limit_at_infinity, F, **kw) == expected
     if family == "fails_past_stop":
         assert expected[0][0] in ("limit", "no_convergence") or expected[0][0] is sk.PoleProximity
-        assert not expected[1]
+    elif family == "fails_at_reached":
+        assert expected[0][0] is sk.EvaluationFailed
+    assert not expected[1]
 
 
 @pytest.mark.parametrize(
@@ -390,6 +405,40 @@ def test_blocked_ladder_agrees_with_reference_on_batched_evaluators(make, mode):
         est = sk.limit_at_infinity(F, mode)
         assert est.ladder_depth == expected.ladder_depth
         assert np.linalg.norm(est.value - expected.value) <= 1e-12 * (1.0 + np.linalg.norm(expected.value))
+
+
+def opaque_s0_failing_past(how, radius=100.0):
+    """S0Measure(0, atom (1, I)) as an opaque evaluator whose fn raises or warns past |z| = radius."""
+    F = sk.evaluator(sk.S0Measure(0.0, sk.MatrixMeasure(1, sk.right_ray(0.0), [(1.0, np.eye(1))])))
+
+    def fn(z):
+        if abs(z) > radius:
+            if how == "raise":
+                raise ValueError(f"no value at z = {z}")
+            warnings.warn(f"suspect value at z = {z}", RuntimeWarning)
+        return F.fn(z)
+
+    return sk.Evaluator(1, F.excluded, fn)
+
+
+@pytest.mark.parametrize("how", ["raise", "warn"])
+def test_a_rung_that_raises_or_warns_fails_the_ladder_at_its_point(how):
+    """Read outside the gate, a warning fn returned at depth 9 after 6 warnings and a raising one a ValueError."""
+    G = opaque_s0_failing_past(how)
+    reads = {
+        "extract_params": lambda: sk.extract_params(G, 0.0, "s0"),
+        "plain_iy": lambda: sk.limit_at_infinity(G, "plain_iy"),
+        "y_scaled": lambda: sk.limit_at_infinity(G, "y_scaled"),
+        "radial": lambda: sk.limit_at_infinity(G, "radial", phi=math.pi),
+    }
+    for name, read in reads.items():
+        with pytest.raises(sk.EvaluationFailed) as exc:
+            read()
+        want = -128.0 + 128.0 * math.sin(math.pi) * 1j if name == "radial" else 128j
+        assert exc.value.witness == want, name
+    # Failing from 2^10 on, past the stop at 2^9 but in the same block: the ladder cuts the block there and stops.
+    for mode in ("plain_iy", "y_scaled"):
+        assert sk.limit_at_infinity(opaque_s0_failing_past(how, radius=2.0**9), mode).ladder_depth == 9
 
 
 def test_increments_record_the_ladder():

@@ -385,6 +385,30 @@ def test_norm2_is_the_largest_singular_value(q, scale):
     np.testing.assert_allclose(norm2(M[3]), sigma_1[3], rtol=2e-15, atol=0.0)  # a single matrix
 
 
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1, 1), (2, 2), (3, 3), (8, 8), (5, 3, 3), (7, 2, 2)]),
+       real=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fro_is_numpys_norm_where_that_is_exact(seed, shape, real):
+    """Entries 1e-100 to 1e100: np.linalg.norm's bits, for one matrix and per matrix of a stack."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=shape) * 10.0 ** rng.uniform(-100.0, 100.0, size=shape)
+    if not real:
+        M = M + 1j * rng.normal(size=shape) * 10.0 ** rng.uniform(-100.0, 100.0, size=shape)
+    axis = None if len(shape) == 2 else (1, 2)
+    want = np.linalg.norm(M, axis=axis)
+    assert np.array_equal(matmeasure.fro(M, axis), want)
+    assert np.array_equal(matmeasure.fro(M * 2.0**600, axis), want * 2.0**600)  # unscaled, its squares overflow
+
+
+def test_fro_scales_past_overflow_and_underflow():
+    big, tiny = np.diag([1e300, 1e300j]), np.diag([1e-300, 1e-300j])
+    stack = matmeasure.fro(np.stack((big, tiny, np.eye(2))), (1, 2))
+    np.testing.assert_allclose([matmeasure.fro(big), matmeasure.fro(tiny), *stack], np.sqrt(2.0) * np.array(
+        [1e300, 1e-300, 1e300, 1e-300, 1.0]), rtol=4e-16, atol=0.0)
+    assert matmeasure.fro(np.diag([1.7e308, 1.7e308j])) == np.inf  # past the largest float: no warning
+    assert matmeasure.fro(np.zeros((2, 2))) == 0.0 and np.isnan(matmeasure.fro(np.diag([np.nan, 1.0])))
+
+
 def test_norm2_of_zero_and_empty_matrices():
     assert np.array_equal(norm2(np.zeros((4, 3, 3), dtype=complex)), np.zeros(4))
     assert norm2(np.zeros((2, 2))) == 0.0
