@@ -6,7 +6,8 @@ extrapolation in 1/y converges fast, from a first rung past the farthest
 pole, and carries an explicit increment-based error estimate.
 
 The ladder reads its rungs in blocks of ``LADDER_BLOCK`` through
-``sampled_values`` and builds the Neville tableau of a block column by
+``F.batch`` (the pole guard, then the gate ``sampled_values``), as every
+public read of F, and builds the Neville tableau of a block column by
 column, but runs the stopping test rung by rung: the depth, value and error
 bound are those of a one-rung-at-a-time ladder on the same samples.  A rung
 the gate names (it raised, warned or was not finite) cuts its block there;
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import EvaluationFailed, InvalidArgument, NoConvergence
 from .matmeasure import EPS_LIM, EPS_NEAR, RUNG_CEILING, _fro
-from .representations import Evaluator, _guarded, sampled_values
+from .representations import Evaluator
 
 K_MAX = 48  # rungs past the first
 # Rungs per read through the gate.  A block costs one tableau column per rung
@@ -66,9 +67,9 @@ class LimitEstimate:
 
 
 def _read(F: Evaluator, zs: np.ndarray) -> tuple[np.ndarray, EvaluationFailed | None]:
-    """(F at zs through the gate, None), or F before the first point it names and its error, raised if that is zs[0]."""
+    """(F.batch at zs, None), or F before the first point the gate names and its error, raised if that is zs[0]."""
     try:
-        return sampled_values(F, zs), None
+        return F.batch(zs), None
     except EvaluationFailed as exc:
         cut = int(np.argmax(zs == exc.witness))  # 0 without a witness: the batch raised and no single point does
         if not cut:
@@ -131,7 +132,7 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
     k, top, direction = j, j + K_MAX, complex(math.cos(phi), math.sin(phi))
     while k <= top:
         ys = [2.0**i for i in range(k, min(k + LADDER_BLOCK, top + 1))]  # per-rung scalar points and factors
-        S, failed = _read(F, _guarded(F.distance, [alpha + y * direction if mode == "radial" else 1j * y for y in ys]))
+        S, failed = _read(F, np.array([alpha + y * direction if mode == "radial" else 1j * y for y in ys]))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # a non-finite extrapolant is typed below
             if mode == "y_scaled":
                 S = np.array([-1j * y for y in ys[: len(S)]])[:, None, None] * S

@@ -181,13 +181,15 @@ def as_psd(M) -> np.ndarray:
 def svd_rank(M, rtol: float, zero: float = 0.0):
     """Rank-cut SVD (U_r, s, V_r, r) of M, or of each matrix of a stack: every rank is decided here.
 
-    r counts the singular values above rtol * sigma_1 (0 when sigma_1 <= zero).  U_r and V_r hold the
-    singular vectors of the min(p, q) singular values s with the columns past r zeroed, so U_r U_r* and
-    V_r V_r* project onto the ranges of M and M*.  For a stack of shape (m, p, q), r has shape (m,).
+    r counts the singular values above rtol * sigma_1 (0 when sigma_1 <= zero); a sigma_1 past the largest float
+    raises.  U_r and V_r hold the singular vectors of the min(p, q) singular values s with the columns past r zeroed,
+    so U_r U_r* and V_r V_r* project onto the ranges of M and M*.  For a stack of shape (m, p, q), r has shape (m,).
     """
     U, s, Vh = np.linalg.svd(M)
     k = s.shape[-1]
     s1 = s[..., :1] if k else np.zeros((*s.shape[:-1], 1))  # sigma_1: 0 for an empty matrix
+    if not np.isfinite(s1).all():  # a norm past the largest float: no cut relative to it decides
+        raise StieltjesKitError("a matrix's spectral norm exceeds the largest float")
     r = np.where(s1[..., 0] <= zero, 0, np.sum(s > rtol * s1, axis=-1))
     keep = np.arange(k) < r[..., None, None]  # the first r columns
     return U[..., :k] * keep, s, Vh[..., :k, :].conj().swapaxes(-1, -2) * keep, r
@@ -417,7 +419,7 @@ def total_mass(mu: MatrixMeasure) -> np.ndarray:
 
 
 def integrate(mu: MatrixMeasure, f: Callable[[float], complex]) -> np.ndarray:
-    """Sum of f(t_k) W_k over the atoms; linear in f, integrate(1) = total mass."""
+    """Sum of f(t_k) W_k over the atoms; linear in f, integrate(1) = total mass.  Not finite: NonFiniteKernel."""
     values = []
     for t in mu.nodes.tolist():
         try:
@@ -427,7 +429,10 @@ def integrate(mu: MatrixMeasure, f: Callable[[float], complex]) -> np.ndarray:
         if not np.isfinite(v.real) or not np.isfinite(v.imag):
             raise NonFiniteKernel(f"kernel not finite at node {t}: {v}")
         values.append(v)
-    return atom_sum(np.array(values, dtype=complex)[:, None, None] * mu.weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing term or sum is the typed error below
+        if np.isfinite(s := atom_sum(np.array(values, dtype=complex)[:, None, None] * mu.weights)).all():
+            return s
+    raise NonFiniteKernel("the integral is not finite: a term f(t) W or the sum over the atoms overflows")
 
 
 def _map_support(support: SupportSet, a: float, b: float) -> SupportSet:
@@ -447,18 +452,16 @@ def image_measure(mu: MatrixMeasure, a: float, b: float) -> MatrixMeasure:
     b = float(b)
     if a == 0.0:
         raise DegenerateMap("affine map must have nonzero slope")
-    return MatrixMeasure.from_arrays(mu.q, _map_support(mu.support, a, b), a * mu.nodes + b, mu.weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing node fails the support check
+        nodes = a * mu.nodes + b
+    return MatrixMeasure.from_arrays(mu.q, _map_support(mu.support, a, b), nodes, mu.weights)
 
 
 def moments(mu: MatrixMeasure, m: int) -> list[np.ndarray]:
     """Power moments s_0 .. s_m, s_j = sum t_k^j W_k, each Hermitian; one that is not finite raises NonFiniteKernel."""
     if m < 0:
         raise InvalidArgument("m must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is the typed error below
-        s = [integrate(mu, lambda t, j=j: t**j) for j in range(m + 1)]
-    if not np.isfinite(s).all():
-        raise NonFiniteKernel(f"a moment s_0 .. s_{m} is not finite")
-    return s
+    return [integrate(mu, lambda t, j=j: t**j) for j in range(m + 1)]
 
 
 def quadrature_ingest(
@@ -501,7 +504,8 @@ def scalar_projection(mu: MatrixMeasure, u) -> MatrixMeasure:
         raise DimensionMismatch(f"vector length {u.shape[0]} != q = {mu.q}")
     if not np.any(u):
         raise InvalidArgument("u must be nonzero")
-    w = np.maximum(((u.conj() @ mu.weights) @ u).real, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing weight fails the measure's finiteness check
+        w = np.maximum(((u.conj() @ mu.weights) @ u).real, 0.0)
     return MatrixMeasure.from_arrays(1, mu.support, mu.nodes, w[:, None, None])
 
 

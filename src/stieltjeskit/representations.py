@@ -38,6 +38,7 @@ from .errors import (
     EvaluationFailed,
     IllegalConversion,
     InvalidArgument,
+    NonFiniteKernel,
     NotAnAtom,
     PoleProximity,
     RankInstability,
@@ -348,13 +349,13 @@ class Evaluator:
     """Pure map z -> q x q matrix with a declared excluded set.
 
     ``excluded=None`` means the map is defined on the whole plane.
-    ``batch`` and ``batch_raw`` evaluate many points at once and return an
-    array of shape (m, q, q); ``batch`` enforces the pole-proximity guard
-    and ``batch_raw`` skips it.  Both run ``batch_fn`` (a 1-D complex array
-    of m points -> (m, q, q) values) when the evaluator has one and
-    otherwise loop over ``fn``.  Calling the evaluator is ``batch`` at one
-    point.  ``_nodes``, the poles, is set by :func:`evaluator` only; any
-    other evaluator, ``dataclasses.replace`` copies too, is opaque (None).
+    ``batch`` reads many points at once, shape (m, q, q), through the pole
+    guard (PoleProximity) and then the gate ``sampled_values``
+    (EvaluationFailed); calling the evaluator is ``batch`` at one point.
+    ``batch_raw``, the raw hook, with neither, runs ``batch_fn`` (a 1-D complex
+    array of m points -> (m, q, q) values) if given, else loops over ``fn``.
+    ``_nodes``, the poles, is set by :func:`evaluator` only; any other
+    evaluator, ``dataclasses.replace`` copies too, is opaque (None).
     """
 
     q: int
@@ -378,8 +379,12 @@ class Evaluator:
         return self.batch([z])[0]
 
     def batch(self, zs) -> np.ndarray:
-        """Guarded values at each point; PoleProximity names the first point too near."""
-        return self.batch_raw(_guarded(self.distance, zs))
+        """Guarded, gated values: PoleProximity names the first point within EPS_NEAR (1 + |z|) of the excluded set."""
+        zs = _points(zs)
+        near = self.distance(zs) < EPS_NEAR * (1.0 + np.hypot(zs.real, zs.imag))  # abs(z) bit for bit
+        if near.any():
+            raise PoleProximity(f"z = {complex(zs[np.argmax(near)])} is within tolerance of the excluded set")
+        return sampled_values(self, zs)
 
     def batch_raw(self, zs) -> np.ndarray:
         zs = _points(zs)
@@ -395,17 +400,8 @@ def _points(zs) -> np.ndarray:
     return np.asarray(zs, dtype=complex).reshape(-1)
 
 
-def _guarded(distance: Callable, zs) -> np.ndarray:
-    """The points; PoleProximity names the first within EPS_NEAR (1 + |z|) of the excluded set."""
-    zs = _points(zs)
-    near = distance(zs) < EPS_NEAR * (1.0 + np.hypot(zs.real, zs.imag))  # abs(z) bit for bit
-    if near.any():
-        raise PoleProximity(f"z = {complex(zs[np.argmax(near)])} is within tolerance of the excluded set")
-    return zs
-
-
 def sampled_values(F: Evaluator, zs) -> np.ndarray:
-    """F at each point, unguarded: the one read of sampled values, for certificates, reports, ladders and the CLI.
+    """F at each point, unguarded: the gate of every read, F.batch's after its guard; grids inside the guard read it.
 
     A raise (found again point by point) or a non-finite value is EvaluationFailed at the first such point.
     A RuntimeWarning (numpy's overflow, invalid value or division by zero) counts as a raise, as under the
@@ -428,7 +424,7 @@ def sampled_values(F: Evaluator, zs) -> np.ndarray:
 
 def _finite(zs: np.ndarray, V: np.ndarray) -> np.ndarray:
     if not np.isfinite(V).all():
-        z = complex(zs[np.argmin(np.isfinite(V).all(axis=(1, 2)))])
+        z = complex(zs[np.argmin(np.isfinite(V).reshape(zs.size, -1).all(axis=1))])
         raise EvaluationFailed(f"evaluator returned a non-finite value at z = {z}", witness=z)
     return V
 
@@ -517,11 +513,17 @@ def evaluate(repr_: Representation, z: complex) -> np.ndarray:
     return evaluator(repr_)(z)
 
 
+def _at(repr_: StieltjesPair, z: complex, value: Callable) -> np.ndarray:
+    """value(z) of a pair read as F(z) is: the pole guard, then the gate."""
+    return Evaluator.of_batch(repr_.q, excluded_set(repr_), lambda zs: value(complex(zs[0]))[None])(z)
+
+
 def eval_mulz(repr_: StieltjesPair, z: complex) -> np.ndarray:
     """(z - alpha) * F(z), the product transform of a pair."""
     if not isinstance(repr_, StieltjesPair):
         raise DimensionMismatch("eval_mulz is defined for StieltjesPair only")
-    return (complex(z) - repr_.alpha) * evaluate(repr_, z)
+    F = evaluator(repr_)
+    return _at(repr_, z, lambda z: (z - repr_.alpha) * F.fn(z))
 
 
 def im_re_parts(repr_: StieltjesPair, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -530,11 +532,14 @@ def im_re_parts(repr_: StieltjesPair, z: complex) -> tuple[np.ndarray, np.ndarra
     Re F(z) = gamma + sum (1+t-a)(t - Re z)/|t-z|^2 W
     Im F(z) = (Im z) * sum (1+t-a)/|t-z|^2 W
     """
-    z = complex(_guarded(excluded_set(repr_).distance, z)[0])
     t, W = repr_.mu.nodes, repr_.mu.weights
-    k = (1.0 + t - repr_.alpha) / np.abs(t - z) ** 2
-    re = repr_.gamma + atom_sum((k * (t - z.real))[:, None, None] * W)
-    return re, z.imag * atom_sum(k[:, None, None] * W)
+
+    def parts(z):
+        k = (1.0 + t - repr_.alpha) / np.abs(t - z) ** 2
+        re = repr_.gamma + atom_sum((k * (t - z.real))[:, None, None] * W)
+        return np.stack((re, z.imag * atom_sum(k[:, None, None] * W)))
+
+    return tuple(_at(repr_, z, parts))
 
 
 def im_mulz_closed(repr_: StieltjesPair, z: complex) -> np.ndarray:
@@ -542,10 +547,13 @@ def im_mulz_closed(repr_: StieltjesPair, z: complex) -> np.ndarray:
 
     Im F_mul(z) = (Im z) * [gamma + sum (1+t-a)(t-a)/|t-z|^2 W]
     """
-    z = complex(_guarded(excluded_set(repr_).distance, z)[0])
     t, W = repr_.mu.nodes, repr_.mu.weights
-    k = (1.0 + t - repr_.alpha) * (t - repr_.alpha) / np.abs(t - z) ** 2
-    return z.imag * (repr_.gamma + atom_sum(k[:, None, None] * W))
+
+    def closed(z):
+        k = (1.0 + t - repr_.alpha) * (t - repr_.alpha) / np.abs(t - z) ** 2
+        return z.imag * (repr_.gamma + atom_sum(k[:, None, None] * W))
+
+    return _at(repr_, z, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +686,10 @@ def residue_weight(repr_: Representation, t0: float, verify: bool = False) -> np
         raise NotAnAtom(f"no atom within tolerance of t0 = {t0}")
     k = int(np.argmax(at))
     t, W = float(mu.nodes[k]), mu.weights[k]
-    value = spec.numerator(t, endpoint_side(repr_)[0]) * W
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing weight is the typed error below
+        value = spec.numerator(t, endpoint_side(repr_)[0]) * W
+    if not np.isfinite(value).all():
+        raise NonFiniteKernel(f"the residue weight at t0 = {t} is not finite: its kernel numerator times W overflows")
     if verify:
         eps = 2.0**-26
         approx = (-1j * eps) * sampled_values(evaluator(repr_), [t + 1j * eps])[0]

@@ -33,6 +33,7 @@ from .representations import (
     measure_of,
     rank_constancy,
     sample_points,
+    sampled_values,
 )
 
 
@@ -95,7 +96,7 @@ def _svd_input(F, endpoint: float | None, side: str) -> tuple[Evaluator, float, 
 
 
 def _neg_pinv(ev: Evaluator, zs: np.ndarray) -> np.ndarray:
-    return -_pinv_stack(ev.batch_raw(zs), PINV_RTOL_FACTOR * ev.q)[0]
+    return -_pinv_stack(sampled_values(ev, zs), PINV_RTOL_FACTOR * ev.q)[0]
 
 
 def _pair_pinv(p: StieltjesPair) -> StieltjesPair:
@@ -152,8 +153,11 @@ def _pair_pinv(p: StieltjesPair) -> StieltjesPair:
     M = (np.hstack((P, np.zeros((P.shape[0], off.sum())))) - Y @ X.conj().T) * scale
     R = M @ V  # column j is R_j
     Z = M - R @ V.conj().T if r[0] < O.shape[0] else M[:, :0]  # M on N(O*): the poles at alpha
-    gram = s**2
-    lam = np.where(gram <= EPS_MERGE * (1.0 + np.abs(a + gram)), a, a + gram)  # as canonicalization merges
+    with np.errstate(over="ignore"):  # a pole past the largest float is the typed error below
+        gram = s**2
+    if not np.isfinite(poles := a + gram).all():
+        raise NonFiniteKernel("a pole alpha + s^2 of the image lies past the largest float")
+    lam = np.where(gram <= EPS_MERGE * (1.0 + np.abs(poles)), a, poles)  # as canonicalization merges
     nodes = np.concatenate(([a], lam))
     rank_one = R.T[:, :, None] * R.conj().T[:, None, :]  # R_j R_j*
     weights = np.concatenate(((Z @ Z.conj().T)[None], rank_one / (1.0 + lam - a)[:, None, None]))
@@ -279,10 +283,11 @@ def congruence_sum(terms) -> StieltjesPair:
             raise DimensionMismatch("terms map to different output dimensions")
     q_out = As[0].shape[1]
     gamma, nodes, weights = np.zeros((q_out, q_out), dtype=complex), [], []  # from zero: a -0.0 sum is 0.0
-    for A, (_, p) in zip(As, terms):
-        gamma = gamma + A.conj().T @ p.gamma @ A
-        nodes.append(p.mu.nodes)
-        weights.append(A.conj().T @ p.mu.weights @ A)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing entry fails the constructors' finiteness check
+        for A, (_, p) in zip(As, terms):
+            gamma = gamma + A.conj().T @ p.gamma @ A
+            nodes.append(p.mu.nodes)
+            weights.append(A.conj().T @ p.mu.weights @ A)
     mu = MatrixMeasure.from_arrays(q_out, terms[0][1].mu.support, np.concatenate(nodes), np.concatenate(weights))
     return StieltjesPair(alphas.pop(), gamma, mu)
 

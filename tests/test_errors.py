@@ -22,6 +22,14 @@ KK = sk.convert(PAIR, "kk_pair")
 MU = PAIR.mu
 CERT = sk.certify_class(F, 0.0, "s", sk.GridConfig(n_upper=4, n_lower=4, n_gap=4))
 NEAR_ATOMS = sk.S0Measure(0.0, sk.MatrixMeasure(1, sk.right_ray(0.0), [(1.0, I1), (1.0 + 1e-7, I1)]))
+HUGE = np.full((2, 2), 1e308)  # finite entries, sigma_1 = 2e308 past the largest float
+# Its values, its closed forms and its sums overflow: three finite atoms of 8e307.
+OVERFLOWING = sk.StieltjesPair(0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(t, 8e307 * I1) for t in (1, 1.5, 2)]))
+GAMMA_1E300 = sk.StieltjesPair(0.0, 1e300 * I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(1.0, I1)]))
+HEAVY_ATOM = sk.StieltjesPair(0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(1.0, 1e308 * I1)]))
+HEAVY_MU = sk.MatrixMeasure(1, sk.right_ray(0.0), [(1.0, 1e308 * I1), (2.0, 1e308 * I1)])
+# An opaque evaluator, I2 but at 5i, where its value's sigma_1 is past the largest float.
+SPIKED = sk.Evaluator(2, sk.right_ray(0.0), lambda z: HUGE if z == 5j else I2)
 
 INVALID_ARGUMENTS = {
     "grid count 0": lambda: sk.GridConfig(n_gap=0),
@@ -59,6 +67,23 @@ OTHER_RAISES = {
     "no residue for kk": (lambda: sk.residue_weight(KK, float(KK.eta.nodes[0])), sk.UnsupportedPath),
     # the atom 1e-7 away spoils the numeric residue at 1 + i 2^-26 by about 2^-26 / 1e-7
     "numeric residue off": (lambda: sk.residue_weight(NEAR_ATOMS, 1.0, verify=True), sk.NotAnAtom),
+    # a norm past the largest float: the rank decision had sigma_1 = inf and cut every singular value
+    "pinv of sigma_1 past the largest float": (lambda: sk.pinv(HUGE), sk.StieltjesKitError),
+    "is_ep of sigma_1 past the largest float": (lambda: sk.is_ep(HUGE), sk.StieltjesKitError),
+    "null domination by A of sigma_1 past the largest float": (lambda: sk.null_domination(PAIR, HUGE),
+                                                               sk.StieltjesKitError),
+    "SVD map at a value of sigma_1 past the largest float": (lambda: sk.neg_pinv_map(SPIKED, 0.0)(5j),
+                                                             sk.EvaluationFailed),
+    # public results that were not finite, or warned before the typed error
+    "closed-form parts that overflow": (lambda: sk.im_re_parts(OVERFLOWING, 1j), sk.EvaluationFailed),
+    "product transform that overflows": (lambda: sk.eval_mulz(GAMMA_1E300, 1e10j), sk.EvaluationFailed),
+    "closed-form Im of the product that overflows": (lambda: sk.im_mulz_closed(GAMMA_1E300, 1e10j),
+                                                     sk.EvaluationFailed),
+    "residue weight that overflows": (lambda: sk.residue_weight(HEAVY_ATOM, 1.0), sk.NonFiniteKernel),
+    "integral that overflows": (lambda: sk.integrate(HEAVY_MU, lambda t: 10.0), sk.NonFiniteKernel),
+    "image node that overflows": (lambda: sk.image_measure(HEAVY_MU, 1e308, 0.0), sk.SupportViolation),
+    "congruence sum that overflows": (lambda: sk.congruence_sum([(1e200 * I1, HEAVY_ATOM)]), sk.StieltjesKitError),
+    "scalar projection that overflows": (lambda: sk.scalar_projection(HEAVY_MU, [1e10]), sk.StieltjesKitError),
 }
 
 

@@ -300,6 +300,10 @@ HEAVY = {
     "pair (1, 1e308)": one_atom("stieltjes_pair", 1.0, W=1e308),
     "pair (1e10, 1e300)": one_atom("stieltjes_pair", 1e10, W=1e300),
     "s0 (1, 1e308)": one_atom("s0", 1.0, W=1e308),
+    # the pinv image's pole alpha + s^2 lies past the largest float: it was merged into alpha
+    "pinv pole past the largest float": sk.StieltjesPair(
+        0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(0.5, 6e307 * I1), (0.6, 6e307 * I1)])
+    ),
 }
 CLI_MATRIX = [
     ["eval"], ["certify"], ["report"], ["moments"],
@@ -317,7 +321,8 @@ def test_heavy_weights_give_a_report_or_one_json_error(tmp_path, capsys, name, a
 
     While the ladder read outside the gate and the reweighting builds overflowed untyped, 21 of these runs
     printed warnings and transform printed the zero function for the three atoms of 8e307; before every
-    sampled read was gated, their eval and moments printed NaN and Infinity with exit 0.
+    sampled read was gated, their eval and moments printed NaN and Infinity with exit 0.  transform of the
+    pinv pole past the largest float printed a pole merged into alpha, with a warning.
     """
     path = tmp_path / "input.json"
     path.write_text(json.dumps(sk.repr_to_json(HEAVY[name])))
@@ -331,6 +336,8 @@ def test_heavy_weights_give_a_report_or_one_json_error(tmp_path, capsys, name, a
     captured = capsys.readouterr()
     if name == "three atoms of 8e307" and argv[0] in ("eval", "moments", "report", "transform"):
         assert code == 1  # its values, moments and total mass overflow
+    if name == "pinv pole past the largest float" and argv[0] == "transform":
+        assert code == 1
     if captured.err:
         assert code == 1 and captured.out == "" and list(json.loads(captured.err)) == ["error"]
     else:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import stieltjeskit as sk
 
-from stieltjeskit.representations import _guarded, endpoint_side, sampled_values
+from stieltjeskit.representations import endpoint_side
 
 from genutil import psd, random_pair, random_s0, random_sinf, random_t0, random_tinf, random_tpair
 
@@ -225,13 +225,8 @@ def first_rung(F, mode="plain_iy", alpha=0.0):
     return y
 
 
-def read_rung(F, z):
-    """F at one point: the pole guard first, then the gate."""
-    return sampled_values(F, _guarded(F.distance, [z]))[0]
-
-
 def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=None):
-    """The ladder one rung at a time from y0 = 2^j: one gated read and one Neville row per rung; depth j + k.
+    """The ladder one rung at a time from y0 = 2^j: one read F(z) and one Neville row per rung; depth j + k.
 
     A non-finite diagonal raises NoConvergence at its rung, without last_estimates.
     """
@@ -240,12 +235,12 @@ def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=N
     for k in range(k_max + 1):
         y = y0 * 2.0**k
         if mode == "radial":
-            sample = read_rung(F, alpha + y * complex(math.cos(phi), math.sin(phi)))
+            sample = F(alpha + y * complex(math.cos(phi), math.sin(phi)))
         elif mode == "plain_iy":
-            sample = read_rung(F, 1j * y)
+            sample = F(1j * y)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                sample = -1j * y * read_rung(F, 1j * y)
+                sample = -1j * y * F(1j * y)
         row = [sample]
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, k + 1):

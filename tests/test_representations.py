@@ -71,6 +71,53 @@ def test_pole_proximity_refused():
     sk.evaluate(p, -1.0)
 
 
+# A pair with three finite atoms of 8e307: its values overflow near the ray, not at 100i.
+OVERFLOWING = sk.StieltjesPair(
+    0.0, np.eye(1), sk.MatrixMeasure(1, sk.right_ray(0.0), [(t, 8e307 * np.eye(1)) for t in (1.0, 1.5, 2.0)])
+)
+# Each bad value an opaque evaluator gives within 10 of the origin.
+BAD_VALUES = {
+    "raises": lambda: 1 / 0,
+    "warns": lambda: np.full((2, 2), 1e308) * 10.0,
+    "returns nan": lambda: np.full((2, 2), np.nan),
+}
+PUBLIC_READS = {
+    "F(z)": lambda F, z: F(z),
+    "F.batch": lambda F, z: F.batch([100j, z, z + 1j]),
+}
+PAIR_READS = {
+    **PUBLIC_READS,
+    "sk.evaluate": lambda F, z: sk.evaluate(OVERFLOWING, z),
+    "sk.eval_mulz": lambda F, z: sk.eval_mulz(OVERFLOWING, z),
+}
+
+
+def opaque(bad):
+    return sk.Evaluator(2, sk.right_ray(0.0), lambda z: bad() if abs(z) < 10.0 else I2)
+
+
+@pytest.mark.parametrize("read", list(PUBLIC_READS))
+@pytest.mark.parametrize("bad", list(BAD_VALUES))
+def test_a_public_read_of_an_opaque_evaluator_is_gated(read, bad):
+    """F(z) and F.batch raised the evaluator's own error, or passed its warning and NaN on."""
+    with pytest.raises(sk.EvaluationFailed) as exc:
+        PUBLIC_READS[read](opaque(BAD_VALUES[bad]), 5j)
+    assert exc.value.witness == 5j  # the first bad point of the batch
+    with pytest.raises(sk.PoleProximity):  # the guard comes first
+        PUBLIC_READS[read](opaque(BAD_VALUES[bad]), 1.0)
+
+
+@pytest.mark.parametrize("read", list(PAIR_READS))
+def test_a_public_read_of_an_overflowing_pair_is_gated(read):
+    """They returned [[nan+infj]] after two RuntimeWarnings."""
+    F = sk.evaluator(OVERFLOWING)
+    with pytest.raises(sk.EvaluationFailed) as exc:
+        PAIR_READS[read](F, 1j)
+    assert exc.value.witness == 1j
+    with pytest.raises(sk.PoleProximity):
+        PAIR_READS[read](F, 1.0)
+
+
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_conjugate_symmetry_all_kinds(seed):
