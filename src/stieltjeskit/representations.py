@@ -535,7 +535,8 @@ def im_re_parts(repr_: StieltjesPair, z: complex) -> tuple[np.ndarray, np.ndarra
     t, W = repr_.mu.nodes, repr_.mu.weights
 
     def parts(z):
-        k = (1.0 + t - repr_.alpha) / np.abs(t - z) ** 2
+        d = np.abs(t - z)  # divided by twice: |t - z|^2 overflows for a node past 1.3e154
+        k = (1.0 + t - repr_.alpha) / d / d
         re = repr_.gamma + atom_sum((k * (t - z.real))[:, None, None] * W)
         return np.stack((re, z.imag * atom_sum(k[:, None, None] * W)))
 
@@ -550,7 +551,8 @@ def im_mulz_closed(repr_: StieltjesPair, z: complex) -> np.ndarray:
     t, W = repr_.mu.nodes, repr_.mu.weights
 
     def closed(z):
-        k = (1.0 + t - repr_.alpha) * (t - repr_.alpha) / np.abs(t - z) ** 2
+        d = np.abs(t - z)
+        k = ((1.0 + t - repr_.alpha) / d) * ((t - repr_.alpha) / d)
         return z.imag * (repr_.gamma + atom_sum(k[:, None, None] * W))
 
     return _at(repr_, z, closed)

@@ -1,12 +1,15 @@
-"""Random instance generators shared across the test modules.
+"""Random instance generators shared across the test modules, and a screened/unscreened certificate pair.
 
 All generators take an explicit numpy Generator so every test is
 reproducible from its seed.
 """
 
+import json
+
 import numpy as np
 
 import stieltjeskit as sk
+from stieltjeskit import classifier
 from stieltjeskit.representations import KINDS, endpoint_side, map_fields
 
 
@@ -155,3 +158,18 @@ def off_ray_points(rng, endpoint, side, n):
         im = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
         pts.append(complex(endpoint + off, im))
     return pts
+
+
+def screened_and_unscreened(F, endpoint, cls, grid=classifier.DEFAULT_GRID):
+    """certify_class's JSON text, or the error it raised, with the eigvalsh screen at every q and at none."""
+    out, saved = [], classifier._SCREEN_MIN_Q
+    try:
+        for min_q in (1, 2**62):
+            classifier._SCREEN_MIN_Q = min_q
+            try:
+                out.append(json.dumps(sk.certify_class(F, endpoint, cls, grid).to_json()))
+            except sk.StieltjesKitError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+    finally:
+        classifier._SCREEN_MIN_Q = saved
+    return tuple(out)

@@ -1,10 +1,14 @@
 import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stieltjeskit as sk
+from stieltjeskit import classifier
 from stieltjeskit.classifier import CLASSES, TOL_CERT, TOL_CR, _grid_offsets, sample_points
 from stieltjeskit.representations import KINDS, endpoint_side
 
@@ -18,6 +22,7 @@ from genutil import (
     random_t0,
     random_tinf,
     random_tpair,
+    screened_and_unscreened,
     with_far_atom,
 )
 
@@ -398,13 +403,92 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("q", [3, 4, 8])  # unscreened, then screened
 @pytest.mark.parametrize("cls", list(CLASSES))
-def test_a_certificate_is_one_eigvalsh_and_no_svd(linalg_calls, cls):
-    for r in (random_pair(np.random.default_rng(4), q=3), random_tpair(np.random.default_rng(4), q=3)):
+def test_a_certificate_is_one_eigvalsh_and_no_svd(linalg_calls, cls, q):
+    for r in (random_pair(np.random.default_rng(4), q=q), random_tpair(np.random.default_rng(4), q=q)):
         F = sk.evaluator(r)
         linalg_calls.clear()
         sk.certify_class(F, endpoint_side(r)[0], cls)
         assert linalg_calls == {"eigvalsh": 1}
+
+
+def test_an_s_certificate_at_q8_hands_eigvalsh_under_half_its_matrices(monkeypatch):
+    """The screen keeps 160 of the 388 matrices: unscreened, the 160 Grams and 228 block matrices."""
+    r = random_pair(np.random.default_rng(8), q=8, n_atoms=500)
+    F, sizes, real = sk.evaluator(r), [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: sizes.append(len(H)) or real(H))
+    sk.certify_class(F, r.alpha, "s")
+    monkeypatch.setattr(classifier, "_SCREEN_MIN_Q", 2**62)
+    sk.certify_class(F, r.alpha, "s")
+    assert sizes == [160, 388]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8])
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(list(RANDOM_KINDS)))
+@settings(max_examples=20, deadline=None)
+def test_screened_certificates_are_the_unscreened_bytes(q, seed, kind):
+    """Every class, the other side's and the mulz ones included, on members with and without a far rank-one atom."""
+    rng = np.random.default_rng(seed)
+    r = RANDOM_KINDS[kind](rng, q=q, n_atoms=int(rng.integers(1, 40)))
+    if rng.integers(2):
+        r = with_far_atom(rng, r, rng.uniform(1.0, 10.0), weight_rank=1)
+    F, endpoint = sk.evaluator(r), endpoint_side(r)[0]
+    for cls in CLASSES:
+        screened, unscreened = screened_and_unscreened(F, endpoint, cls)
+        assert screened == unscreened, cls
+
+
+@pytest.mark.parametrize("cls", list(CLASSES))
+def test_screened_zero_function_ties_at_its_first_grid_points(cls):
+    """Every PSD margin of the zero function is 0 at every point: the screen keeps them all, witness the first."""
+    spec = CLASSES[cls]
+    ray = sk.right_ray(0.0) if spec.side == "right" else sk.left_ray(0.0)
+    zero = sk.Evaluator(4, ray, lambda z: np.zeros((4, 4), dtype=complex))
+    screened, unscreened = screened_and_unscreened(zero, 0.0, cls, SMALL_GRID)
+    assert screened == unscreened
+    zs = _grid_offsets(spec.side, SMALL_GRID)
+    index = np.arange(zs.size)
+    upper, gap = index < SMALL_GRID.n_upper, index >= SMALL_GRID.n_upper + SMALL_GRID.n_lower
+    first = {"herglotz_upper": upper, "herglotz_upper_mulz": upper, "herglotz_lower_conj": ~upper & ~gap}
+    first.update({"psd_on_gap": gap, "npsd_on_gap": gap})
+    first.update({"re_psd_left": gap | (zs.real < 0), "re_npsd_right": gap | (zs.real > 0)})
+    psd_conditions = [c for c in json.loads(screened)["conditions"] if c["name"] in first]
+    assert len(psd_conditions) >= 2
+    for c in psd_conditions:
+        assert c["margin"] == 0.0 and complex(*c["witness_z"]) == zs[first[c["name"]]][0], c
+
+
+def test_the_screen_keeps_a_point_whose_bounds_overflow():
+    """A row sum past the largest float makes a lower bound -inf, and c ||V|| past it too NaN: the point stays.
+
+    Point 2's margin 2.5 lies above point 0's 1 and is dropped while the bounds are finite or -inf; a NaN
+    upper bound (inf / inf) keeps every point.
+    """
+    eye, off = np.eye(4), np.ones((4, 4)) - np.eye(4)
+    H = np.stack([2.0 * eye, 3.0 * eye + 1e308 * off, 5.0 * eye]).astype(complex)
+    points = np.ones(3, dtype=bool)
+    for V, c, want in [
+        (np.stack([eye, eye, eye]), 1.0, [True, True, False]),
+        (np.stack([eye, 1e300 * eye, eye]), np.array([1.0, 1e10, 1.0]), [True, True, True]),
+    ]:
+        need, ((kept, H_kept, c_kept, _),) = classifier._screen(V.astype(complex), [(points, H, c, (("m", points),))])
+        assert need.tolist() == kept.tolist() == want
+        assert np.array_equal(H_kept, H[kept]) and np.array_equal(c_kept, c if np.isscalar(c) else c[kept])
+
+
+def test_the_screen_reads_values_gated_finite(monkeypatch):
+    """sampled_values raises on a non-finite value before the screen runs: no NaN margin can be screened out."""
+    seen, real = [], classifier._screen
+    monkeypatch.setattr(classifier, "_screen", lambda V, blocks: seen.append(np.isfinite(V).all()) or real(V, blocks))
+    r = random_pair(np.random.default_rng(5), q=4)
+    F = sk.evaluator(r)
+    sk.certify_class(F, r.alpha, "s")
+    assert seen == [True]
+    far = lambda zs: np.where(np.abs(zs)[:, None, None] > 100.0, np.inf, F.batch_raw(zs))  # noqa: E731
+    with pytest.raises(sk.EvaluationFailed, match="non-finite"):
+        sk.certify_class(sk.Evaluator.of_batch(4, F.excluded, far), r.alpha, "s")
+    assert seen == [True]
 
 
 # Atoms at 1 and 10, two of the gap points of a left-side grid at endpoint 0

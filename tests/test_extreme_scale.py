@@ -23,7 +23,7 @@ from stieltjeskit.classifier import CLASSES, DEFAULT_GRID, sample_points
 from stieltjeskit.cli import run
 from stieltjeskit.representations import KINDS, endpoint_side, offset_scale
 
-from genutil import psd
+from genutil import psd, screened_and_unscreened
 
 I1 = np.eye(1)
 
@@ -32,12 +32,12 @@ def _scaled(rng, q, rank):
     return psd(rng, q, rank=rank) * 10.0 ** rng.uniform(-8.0, 8.0)
 
 
-def scaled_member(rng, kind):
-    """A member of ``kind`` at q <= 4; kk_pair and nevanlinna convert a pair, as genutil.random_kind does.
+def scaled_member(rng, kind, q=None):
+    """A member of ``kind`` at q <= 4 (drawn if None); kk_pair and nevanlinna convert a pair, as genutil.random_kind does.
 
     A Nevanlinna triple's endpoint is its lowest node, so its pair keeps an atom at alpha.
     """
-    q = int(rng.integers(1, 5))
+    q = int(rng.integers(1, 5)) if q is None else q
     nevanlinna = kind == "nevanlinna"
     base = "stieltjes_pair" if kind in ("kk_pair", "nevanlinna") else kind
     spec = KINDS[base]
@@ -106,14 +106,15 @@ def test_badly_scaled_members_pass_and_a_dent_fails(seed, kind):
 
 
 def one_atom(kind, t, W=1e-3, constant=1.0):
-    """A q = 1 member of ``kind`` with one atom |t| from the endpoint 0, constants ``constant``.
+    """A member of ``kind`` with one atom |t| from the endpoint 0, weight W and constants ``constant``.
 
-    A Nevanlinna triple's endpoint is its lowest node: it has a second atom, at 0.
+    W and ``constant`` are scalars for q = 1, or q x q matrices.  A Nevanlinna triple's endpoint is its
+    lowest node: it has a second atom, at 0.
     """
     spec = KINDS["stieltjes_pair" if kind in ("kk_pair", "nevanlinna") else kind]
     side = 1.0 if spec.side == "right" else -1.0
     atoms = [(side * t, W * I1)] + ([(0.0, W * I1)] if kind == "nevanlinna" else [])
-    mu = sk.MatrixMeasure(1, getattr(sk, spec.support)(0.0), atoms)
+    mu = sk.MatrixMeasure(len(W * I1), getattr(sk, spec.support)(0.0), atoms)
     r = spec.cls(0.0, *[constant * I1 for _ in spec.fields[1:-1]], mu)
     if kind in ("kk_pair", "nevanlinna"):
         r = sk.convert(r, "kk_pair")
@@ -353,6 +354,31 @@ def test_heavy_members_of_s0_and_t0_certify():
             cert = sk.certify_class(F, 0.0, kind)
             assert cert.verdict and cert.margin("y_norm_bounded") == 0.5
             np.testing.assert_allclose(sk.limit_at_infinity(F, "y_scaled").value, [[W]], rtol=5e-14)
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(list(KINDS)))
+@settings(max_examples=40, deadline=None)
+def test_screened_certificates_of_badly_scaled_q4_members_are_the_unscreened_bytes(seed, kind):
+    """Weights and constants over 16 decades, atoms 1e-8 to 1e16 out; the member, and its dent that fails."""
+    r = scaled_member(np.random.default_rng(seed), kind, q=4)
+    F, (endpoint, _) = sk.evaluator(r), endpoint_side(r)
+    cls = KINDS[r.KIND].default_class
+    for G in (F, dented(F, endpoint, cls)):
+        screened, unscreened = screened_and_unscreened(G, endpoint, cls)
+        assert screened == unscreened
+
+
+@pytest.mark.parametrize("W", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_screened_certificates_of_heavy_q4_members_are_the_unscreened_bytes(kind, W):
+    """A rank-two atom of weight W at 1 or 1e10 from the endpoint 0, rank-three constants: every class."""
+    rng = np.random.default_rng(26)
+    for t in (1.0, 1e10):
+        r = one_atom(kind, t, W=W * psd(rng, 4, rank=2), constant=psd(rng, 4, rank=3))
+        F, (endpoint, _) = sk.evaluator(r), endpoint_side(r)
+        for cls in CLASSES:
+            screened, unscreened = screened_and_unscreened(F, endpoint, cls)
+            assert screened == unscreened, (t, cls)
 
 
 @pytest.mark.parametrize("name", ["three atoms of 8e307", "pair (1, 1e308)"])

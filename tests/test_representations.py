@@ -197,6 +197,17 @@ def test_closed_forms_refuse_an_atom():
             closed_form(p, 1.0)
 
 
+def test_closed_forms_of_an_atom_past_1e154_are_finite():
+    """They formed |t - z|^2, which overflows past 1.3e154: both raised EvaluationFailed on a finite value."""
+    p = sk.StieltjesPair(0.0, np.eye(1), delta(1, 0.0, 1e200, 1e-3 * np.eye(1)))
+    F, Fm = sk.evaluate(p, 1j), sk.eval_mulz(p, 1j)
+    np.testing.assert_allclose(F.real, [[1.001]], rtol=1e-12)
+    re, im = sk.im_re_parts(p, 1j)
+    np.testing.assert_allclose(re, F.real, rtol=1e-12)
+    np.testing.assert_allclose(im, F.imag, rtol=1e-12)
+    np.testing.assert_allclose(sk.im_mulz_closed(p, 1j), Fm.imag, rtol=1e-12)
+
+
 def test_im_re_parts_real_point_has_zero_imaginary():
     rng = np.random.default_rng(4)
     p = random_pair(rng, alpha=0.0)
