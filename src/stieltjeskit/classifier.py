@@ -38,13 +38,13 @@ from .errors import (
 from .limits import K_MAX, limit_at_infinity
 from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
 from .matmeasure import RUNG_CEILING, TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd, norm2
-from .matmeasure import fro, range_split, svd_rank
+from .matmeasure import finite, fro, range_split, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
     Representation,
     StieltjesPair,
-    _finite,
+    _non_finite_at,
     _structural_sum,
     endpoint_side,
     evaluator,
@@ -299,6 +299,15 @@ def _screen(V: np.ndarray, blocks: list) -> tuple[np.ndarray, list]:
     return need, kept_blocks
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _margins(lam: np.ndarray, c, m: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """lam / (1 + c m root); where that denominator overflows, its equal (lam / m) / (1 / m + c root), not +-0."""
+    den = 1.0 + c * (m * root)
+    if den.max(initial=0.0) < np.inf:
+        return lam / den
+    return np.where(den < np.inf, lam / den, (lam / m) / (1.0 / m + c * root))
+
+
 def certify_class(
     F: Evaluator,
     endpoint: float,
@@ -339,17 +348,18 @@ def certify_class(
         blocks.append((half, _herm(spec.gap * V[half]), 1.0, tuple(zip(names, (on_gap, half)))[: 1 + spec.half_plane]))
     if spec.mulz:
         factor = spec.sign * (zs[is_upper] - endpoint)
-        P = _finite(zs[is_upper], factor[:, None, None] * V[is_upper])
+        product = f"{'(z - alpha)' if spec.sign > 0 else '(beta - z)'} F(z) is not finite"
+        P = finite(lambda: factor[:, None, None] * V[is_upper], lambda P: _non_finite_at(zs[is_upper], P, product))
         blocks.append((is_upper, _herm(_im(P)), np.abs(factor), (("herglotz_upper_mulz", is_upper),)))
     need, blocks = _screen(V, blocks) if F.q >= _SCREEN_MIN_Q else (slice(None), blocks)
     gram, m = _scaled_gram(V[need])  # then one eigvalsh, per matrix: each lambda_min keeps its bits
     lam = np.linalg.eigvalsh(np.concatenate([gram] + [H for _, H, _, _ in blocks]))
-    norm = np.zeros(zs.size)
-    norm[need] = m * np.sqrt(lam[: len(gram), -1])
+    peak, root = np.zeros(zs.size), np.zeros(zs.size)  # ||V||_2 = peak root, kept apart: the product may overflow
+    peak[need], root[need] = m, np.sqrt(lam[: len(gram), -1])
     ends = np.cumsum([len(gram)] + [len(H) for _, H, _, _ in blocks])
     for (points, _, c, names), start, stop in zip(blocks, ends, ends[1:]):
         margins = np.full(zs.size, np.inf)  # a point screened out holds no worst margin
-        margins[points] = lam[start:stop, 0] / (1.0 + c * norm[points])
+        margins[points] = _margins(lam[start:stop, 0], c, peak[points], root[points])
         for name, mask in names:  # the worst margin at the masked points, witnessed in grid order
             margin, witness = _worst(zs[mask], margins[mask])
             conditions.append({"name": name, "margin": margin, "witness": witness})

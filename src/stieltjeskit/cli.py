@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import CLASSES, GridConfig, certify_class, extract_params
-from .errors import ClassMismatch, StieltjesKitError
+from .errors import ClassMismatch, InvalidArgument, StieltjesKitError
 from .limits import MODES, LimitEstimate, limit_at_infinity
 from .matmeasure import TOL_CERT, MatrixMeasure, _herm, matrix_to_json, moments as measure_moments
 from .representations import (
@@ -170,7 +170,7 @@ def _cmd_report(args, r) -> tuple[int, dict]:
 def finite(text: str) -> float:
     """The type of --alpha, --beta and --phi: float() takes inf, nan and 1e400; this refuses them."""
     if not math.isfinite(value := float(text)):
-        raise ValueError(text)
+        raise InvalidArgument(text)  # a ValueError: argparse reports "invalid finite value"
     return value
 
 

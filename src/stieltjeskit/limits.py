@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationFailed, InvalidArgument, NoConvergence
-from .matmeasure import EPS_LIM, EPS_NEAR, RUNG_CEILING, _fro
+from .matmeasure import EPS_LIM, EPS_NEAR, RUNG_CEILING, fro
 from .representations import Evaluator
 
 K_MAX = 48  # rungs past the first
@@ -144,9 +144,9 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
             for i in range(1, b + 1):
                 diag = T[k - j, i]
                 if prev_diag is not None:
-                    inc = float(_fro(diag - prev_diag))
+                    inc = float(fro(diag - prev_diag))
                     increments.append(inc)
-                    if inc < EPS_LIM * (1.0 + float(_fro(diag))):
+                    if inc < EPS_LIM * (1.0 + float(fro(diag))):
                         return LimitEstimate(diag.copy(), inc, k, tuple(increments))
                 prev_diag = diag
                 k += 1

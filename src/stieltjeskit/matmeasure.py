@@ -69,6 +69,7 @@ _SUPPORT = {
     "open_left_ray": (np.less, "left", "open_right_ray"),
     "line": (lambda t, _: True, None, "line"),
 }
+_NORM_OVERFLOW = "a matrix's spectral norm exceeds the largest float"  # no bound or rank cut relative to it decides
 
 
 def _numbers(data, what: str, kinds: str = "biuf") -> np.ndarray:
@@ -83,9 +84,7 @@ def _numbers(data, what: str, kinds: str = "biuf") -> np.ndarray:
 
 
 def _finite_entries(M: np.ndarray) -> np.ndarray:
-    if not np.isfinite(M).all():
-        raise StieltjesKitError("matrix has a non-finite entry")
-    return M
+    return finite(lambda: M, "matrix has a non-finite entry", StieltjesKitError)
 
 
 def _square(M) -> np.ndarray:
@@ -121,23 +120,29 @@ def norm2(M: np.ndarray) -> np.ndarray:
     return m * np.sqrt(np.linalg.eigvalsh(G).max(axis=-1, initial=0.0))
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def fro(M, axis=None):
     """Frobenius norm of M, or over the pair of axes ``axis`` of each matrix of a stack, as np.linalg.norm takes it.
 
-    Outside [2^-480, inf), where its sum of squares may have over- or underflowed, the norm of M / 2^e times 2^e, 2^e
-    the scale of the matrix's largest |Re| or |Im|: exact scalings, so its bits where that sum did neither."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return _fro(M, axis)
-
-
-def _fro(M, axis=None):
-    """fro inside a caller's np.errstate that ignores overflow, underflow and invalid values: the ladder's stop test."""
+    Outside [2^-480, inf), where its sum of squares may over- or underflow, Blue's scaling as in LAPACK's nrm2: the
+    norm of M / 2^e times 2^e, 2^e the scale of its largest |Re| or |Im|; exact, so elsewhere the bits are numpy's."""
     n = np.linalg.norm(M, axis=axis)
     if (2.0**-480 <= n < np.inf) if axis is None else ((n >= 2.0**-480) & (n < np.inf)).all():
         return n
     top = lambda part: np.abs(part).max(axis=axis, keepdims=True, initial=0.0)  # noqa: E731
     e = np.frexp(np.maximum(top(M.real), top(M.imag)))[1]
     return np.ldexp(np.linalg.norm(M * np.ldexp(1.0, -e), axis=axis, keepdims=True), e).reshape(np.shape(n))[()]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def finite(compute: Callable[[], np.ndarray], message, error=NonFiniteKernel) -> np.ndarray:
+    """compute() without numpy's overflow or invalid-value warnings; a non-finite entry raises error(message).
+
+    The one overflow rule: a value past the largest float is a typed error, never a silent inf or a warning.
+    ``message`` may instead be a function of the result that returns the error, so that it can name a point."""
+    if not np.isfinite(value := compute()).all():
+        raise message(value) if callable(message) else error(message)
+    return value
 
 
 def _hermitian_stack(M: np.ndarray, psd: bool) -> np.ndarray:
@@ -152,9 +157,7 @@ def _hermitian_stack(M: np.ndarray, psd: bool) -> np.ndarray:
     asym = K.any(axis=(1, 2))
     if M.shape[-1] and (psd or asym.any()):
         Hs = H if psd else H[asym]  # the H whose norm (and, with psd, lambda_min) is read
-        lam = np.linalg.eigvalsh(np.concatenate((Hs, K[asym])))
-        if not np.isfinite(lam).all():  # a norm past the largest float: no bound relative to it decides
-            raise StieltjesKitError("a matrix's spectral norm exceeds the largest float")
+        lam = finite(lambda: np.linalg.eigvalsh(np.concatenate((Hs, K[asym]))), _NORM_OVERFLOW, StieltjesKitError)
         lam_H, lam_K = lam[: len(Hs)], lam[len(Hs) :]
         bound = EPS_PSD * (1.0 + np.maximum(-lam_H[:, 0], lam_H[:, -1]))
         skew, cut = np.maximum(-lam_K[:, 0], lam_K[:, -1]), bound[asym] if psd else bound
@@ -187,9 +190,7 @@ def svd_rank(M, rtol: float, zero: float = 0.0):
     """
     U, s, Vh = np.linalg.svd(M)
     k = s.shape[-1]
-    s1 = s[..., :1] if k else np.zeros((*s.shape[:-1], 1))  # sigma_1: 0 for an empty matrix
-    if not np.isfinite(s1).all():  # a norm past the largest float: no cut relative to it decides
-        raise StieltjesKitError("a matrix's spectral norm exceeds the largest float")
+    s1 = finite(lambda: s[..., :1] if k else np.zeros((*s.shape[:-1], 1)), _NORM_OVERFLOW, StieltjesKitError)
     r = np.where(s1[..., 0] <= zero, 0, np.sum(s > rtol * s1, axis=-1))
     keep = np.arange(k) < r[..., None, None]  # the first r columns
     return U[..., :k] * keep, s, Vh[..., :k, :].conj().swapaxes(-1, -2) * keep, r
@@ -412,10 +413,7 @@ def atom_sum(terms: np.ndarray) -> np.ndarray:
 
 def total_mass(mu: MatrixMeasure) -> np.ndarray:
     """mu(Omega) = sum of all atom weights; PSD Hermitian.  A sum that overflows raises NonFiniteKernel."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is the typed error below
-        if np.isfinite(s := atom_sum(mu.weights)).all():
-            return s
-    raise NonFiniteKernel("the total mass is not finite: the sum of the weights overflows")
+    return finite(lambda: atom_sum(mu.weights), "the total mass is not finite: the sum of the weights overflows")
 
 
 def integrate(mu: MatrixMeasure, f: Callable[[float], complex]) -> np.ndarray:
@@ -429,10 +427,8 @@ def integrate(mu: MatrixMeasure, f: Callable[[float], complex]) -> np.ndarray:
         if not np.isfinite(v.real) or not np.isfinite(v.imag):
             raise NonFiniteKernel(f"kernel not finite at node {t}: {v}")
         values.append(v)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing term or sum is the typed error below
-        if np.isfinite(s := atom_sum(np.array(values, dtype=complex)[:, None, None] * mu.weights)).all():
-            return s
-    raise NonFiniteKernel("the integral is not finite: a term f(t) W or the sum over the atoms overflows")
+    message = "the integral is not finite: a term f(t) W or the sum over the atoms overflows"
+    return finite(lambda: atom_sum(np.array(values, dtype=complex)[:, None, None] * mu.weights), message)
 
 
 def _map_support(support: SupportSet, a: float, b: float) -> SupportSet:

@@ -38,7 +38,6 @@ from .errors import (
     EvaluationFailed,
     IllegalConversion,
     InvalidArgument,
-    NonFiniteKernel,
     NotAnAtom,
     PoleProximity,
     RankInstability,
@@ -47,7 +46,7 @@ from .errors import (
 )
 from .matmeasure import EPS_CONVERT, EPS_MERGE, EPS_NEAR, RANK_ZERO, RESIDUE_TOL, RTOL_RANK, MatrixMeasure, SupportSet
 from .matmeasure import as_endpoint, as_hermitian, as_psd, atom_sum, left_ray, matrix_from_json, matrix_to_json
-from .matmeasure import fro, read_fields, right_ray, svd_rank, total_mass, whole_line
+from .matmeasure import finite, fro, read_fields, right_ray, svd_rank, total_mass, whole_line
 
 # Field roles in a KindSpec.
 ENDPOINT, PSD, HERM, MEASURE = "endpoint", "psd", "herm", "measure"
@@ -419,14 +418,13 @@ def sampled_values(F: Evaluator, zs) -> np.ndarray:
         for i in range(zs.size):
             sampled_values(F, zs[i : i + 1])
         raise EvaluationFailed(f"batch evaluation raised, no single point does: {exc}") from exc
-    return _finite(zs, V)
+    return finite(lambda: V, lambda V: _non_finite_at(zs, V, "evaluator returned a non-finite value"))
 
 
-def _finite(zs: np.ndarray, V: np.ndarray) -> np.ndarray:
-    if not np.isfinite(V).all():
-        z = complex(zs[np.argmin(np.isfinite(V).reshape(zs.size, -1).all(axis=1))])
-        raise EvaluationFailed(f"evaluator returned a non-finite value at z = {z}", witness=z)
-    return V
+def _non_finite_at(zs: np.ndarray, V: np.ndarray, what: str) -> EvaluationFailed:
+    """The EvaluationFailed of values V at zs, witnessed at the first point whose value is not finite."""
+    z = complex(zs[np.argmin(np.isfinite(V).reshape(zs.size, -1).all(axis=1))])
+    return EvaluationFailed(f"{what} at z = {z}", witness=z)
 
 
 # Entries per block of the atomic kernel's (points, atoms) coefficient
@@ -688,10 +686,8 @@ def residue_weight(repr_: Representation, t0: float, verify: bool = False) -> np
         raise NotAnAtom(f"no atom within tolerance of t0 = {t0}")
     k = int(np.argmax(at))
     t, W = float(mu.nodes[k]), mu.weights[k]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing weight is the typed error below
-        value = spec.numerator(t, endpoint_side(repr_)[0]) * W
-    if not np.isfinite(value).all():
-        raise NonFiniteKernel(f"the residue weight at t0 = {t} is not finite: its kernel numerator times W overflows")
+    message = f"the residue weight at t0 = {t} is not finite: its kernel numerator times W overflows"
+    value = finite(lambda: spec.numerator(t, endpoint_side(repr_)[0]) * W, message)
     if verify:
         eps = 2.0**-26
         approx = (-1j * eps) * sampled_values(evaluator(repr_), [t + 1j * eps])[0]

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NonFiniteKernel, ShiftNotPsd, UnsupportedKind
+from .errors import DimensionMismatch, InvalidArgument, ShiftNotPsd, UnsupportedKind
 from .matmeasure import EP_ZERO, EPS_MERGE, PINV_RTOL_FACTOR, PROJ_TOL, RANGE_RTOL, MatrixMeasure, _square, as_hermitian
-from .matmeasure import _im, image_measure, is_psd, norm2, range_split, right_ray, svd_rank
+from .matmeasure import _im, finite, image_measure, is_psd, norm2, range_split, right_ray, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -132,10 +132,8 @@ def _pair_pinv(p: StieltjesPair) -> StieltjesPair:
     U = vecs[:, keep]
     nodes = mu.nodes[::-1]  # descending: the columns of B and O fall off with the node
     w, vecs, keep = range_split(mu.weights[::-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing factor is a typed error
-        factors = vecs * np.sqrt(np.where(keep, w, 0.0) * (1.0 + nodes - a)[:, None])[:, None, :]
-        if not np.isfinite(factors).all():
-            raise NonFiniteKernel("a weight times its kernel numerator 1 + t - alpha overflows")
+    message = "a weight times its kernel numerator 1 + t - alpha overflows"
+    factors = finite(lambda: vecs * np.sqrt(np.where(keep, w, 0.0) * (1.0 + nodes - a)[:, None])[:, None, :], message)
     cols = keep.reshape(-1)  # atom k, column j at k q + j
     L = U.conj().T @ factors.transpose(1, 0, 2).reshape(q, -1)[:, cols]
     t = np.repeat(nodes, q)[cols]
@@ -153,11 +151,8 @@ def _pair_pinv(p: StieltjesPair) -> StieltjesPair:
     M = (np.hstack((P, np.zeros((P.shape[0], off.sum())))) - Y @ X.conj().T) * scale
     R = M @ V  # column j is R_j
     Z = M - R @ V.conj().T if r[0] < O.shape[0] else M[:, :0]  # M on N(O*): the poles at alpha
-    with np.errstate(over="ignore"):  # a pole past the largest float is the typed error below
-        gram = s**2
-    if not np.isfinite(poles := a + gram).all():
-        raise NonFiniteKernel("a pole alpha + s^2 of the image lies past the largest float")
-    lam = np.where(gram <= EPS_MERGE * (1.0 + np.abs(poles)), a, poles)  # as canonicalization merges
+    poles = finite(lambda: a + s**2, "a pole alpha + s^2 of the image lies past the largest float")
+    lam = np.where(s**2 <= EPS_MERGE * (1.0 + np.abs(poles)), a, poles)  # as canonicalization merges
     nodes = np.concatenate(([a], lam))
     rank_one = R.T[:, :, None] * R.conj().T[:, None, :]  # R_j R_j*
     weights = np.concatenate(((Z @ Z.conj().T)[None], rank_one / (1.0 + lam - a)[:, None, None]))

@@ -305,9 +305,14 @@ HEAVY = {
     "pinv pole past the largest float": sk.StieltjesPair(
         0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(0.5, 6e307 * I1), (0.6, 6e307 * I1)])
     ),
+    # (z - alpha) F(z) resp. (beta - z) F(z) overflows in the mulz condition of s_via_pair resp. t_via_pair
+    "pair gamma 1e306": one_atom("stieltjes_pair", 1.0, W=1.0, constant=1e306),
+    "t-pair gamma 1e306": one_atom("t_pair", 1.0, W=1.0, constant=1e306),
 }
+MULZ_OVERFLOW = {"pair gamma 1e306": "s_via_pair", "t-pair gamma 1e306": "t_via_pair"}
 CLI_MATRIX = [
-    ["eval"], ["certify"], ["report"], ["moments"],
+    ["eval"], ["certify"], ["certify", "--kind", "s_via_pair"], ["certify", "--kind", "t_via_pair"],
+    ["report"], ["moments"],
     ["params"], ["params", "--mode", "y_scaled"], ["params", "--mode", "radial"],
     ["convert", "--kind", "kk_pair"], ["convert", "--kind", "s0"],
     ["transform", "--op", "pinv_map"], ["transform", "--op", "neg_pinv"],
@@ -339,6 +344,8 @@ def test_heavy_weights_give_a_report_or_one_json_error(tmp_path, capsys, name, a
         assert code == 1  # its values, moments and total mass overflow
     if name == "pinv pole past the largest float" and argv[0] == "transform":
         assert code == 1
+    if argv[1:] == ["--kind", MULZ_OVERFLOW.get(name)]:  # a numpy warning, then an error that blamed the evaluator
+        assert code == 1 and " F(z) is not finite at z = " in json.loads(captured.err)["error"]
     if captured.err:
         assert code == 1 and captured.out == "" and list(json.loads(captured.err)) == ["error"]
     else:
@@ -410,3 +417,27 @@ def test_a_weight_of_1e308_evaluates_finite(tmp_path, capsys):
     code, report = cli(tmp_path, capsys, "eval", r=one_atom("stieltjes_pair", 1.0, W=1e308))
     assert code == 0
     assert np.isfinite(np.array([rec["F"] for rec in report["grid"]], dtype=float)).all()
+
+
+HUGE_NORM = sk.Evaluator(2, sk.right_ray(0.0), lambda z: 1e308 * np.ones((2, 2)) - 1e300j * np.eye(2))
+
+
+def test_a_norm_past_the_largest_float_keeps_its_margins():
+    """Im F = -1e300 I is no Herglotz value, but ||F||_2 = 2e308 made 1 + ||F||_2 inf, every margin +-0: it passed s."""
+    cert = sk.certify_class(HUGE_NORM, 0.0, "s")
+    assert not cert.verdict
+    assert cert.margin("herglotz_upper") == pytest.approx(-5e-9, rel=1e-12)
+    assert cert.margin("herglotz_lower_conj") == pytest.approx(5e-9, rel=1e-12)
+    screened, unscreened = screened_and_unscreened(HUGE_NORM, 0.0, "s")
+    assert screened == unscreened
+
+
+@pytest.mark.parametrize("name", list(MULZ_OVERFLOW))
+def test_an_overflowing_mulz_product_is_typed(name):
+    """c F(z) overflowed with a RuntimeWarning, then blamed the evaluator, whose values are finite."""
+    F = sk.evaluator(HEAVY[name])
+    with pytest.raises(sk.EvaluationFailed) as exc:
+        sk.certify_class(F, 0.0, MULZ_OVERFLOW[name])
+    factor = "(z - alpha)" if HEAVY[name].KIND == "stieltjes_pair" else "(beta - z)"
+    assert str(exc.value) == f"{factor} F(z) is not finite at z = {exc.value.witness}"
+    assert exc.value.witness.imag > 0 and np.isfinite(F(exc.value.witness)).all()  # an upper grid point, F finite
