@@ -10,12 +10,13 @@ From q = 4 on, ``_screen`` first drops every point whose margin provably
 lies above its condition's worst; LAPACK factors each matrix of a stack on
 its own, so the margins kept, worst margins and witnesses keep their bits.
 Holomorphy is exact for an atomic evaluator (built from a representation,
-its only poles are the nodes, which must lie in the claimed ray); for an
-opaque one it is a normalized Cauchy-Riemann residual of fourth-order
-(Richardson-combined) symmetric difference quotients in two directions,
-evaluated in one batch.  F itself is evaluated once per grid point, in one
-batch.  Every sampled value, here and in the structural checks, is read
-through ``representations.sampled_values``.
+its only poles are the nodes, which must lie in the claimed ray).  For an
+opaque one it reads the grid values already taken: a set-valued AAA
+rational fit of the q^2 entries says where poles may lie, and a Cauchy
+circle around each fitted pole off the claimed ray, all read in one batch,
+decides whether F has one there.  F itself is evaluated once per grid
+point, in one batch.  Every sampled value, here and in the structural
+checks, is read through ``representations.sampled_values``.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .errors import (
     UnsupportedKind,
 )
 from .limits import K_MAX, limit_at_infinity
-from .matmeasure import CR_STEP, DECAY_TOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO, RTOL_RANK
-from .matmeasure import RUNG_CEILING, TOL_CERT, TOL_CR, _finite_entries, _herm, _im, _scaled_gram, is_psd, norm2
-from .matmeasure import finite, fro, range_split, svd_rank
+from .matmeasure import DECAY_TOL, EPS_MERGE, FIT_RTOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO
+from .matmeasure import RTOL_RANK, RUNG_CEILING, TOL_CERT, TOL_FIT, _finite_entries, _herm, _im, _scaled_gram, is_psd
+from .matmeasure import finite, fro, least_singular_vector, left_ray, norm2, pow2_scaled, range_split, right_ray
+from .matmeasure import svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -182,40 +184,97 @@ def _worst(points, margins):
     return float(margins[i]), complex(points[i])
 
 
-# Stencil offsets in units of h: +-h, +-ih, then +-h/2, +-ih/2.
-_STENCIL = np.array([1.0, -1.0, 1j, -1j, 0.5, -0.5, 0.5j, -0.5j])
+# The fit's Loewner matrix takes at most _PROBES columns of values a step: the q^2 entries' own, else a fixed Gaussian
+# sketch of them.  A candidate pole is read on a circle of _CIRCLE.size points, at half steps so that none is real.
+_PROBES = 4
+_CIRCLE = np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
 
 
-def _cr_residuals(F: Evaluator, zs: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Normalized Cauchy-Riemann residuals of fourth-order difference quotients.
+@np.errstate(divide="ignore", invalid="ignore")
+def _fit(zs: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(poles, residuals) of set-valued AAA on the columns of F (points x entries, parts below 1) at zs.
 
-    Each quotient is the Richardson combination (4 D(h/2) - D(h)) / 3 of
-    the symmetric quotient D in the x or the y direction, so the
-    truncation error is O(h^4) and stays far below TOL_CR even where |F|
-    is large against |F'|.  The step is capped by the distance to the
-    excluded set so the stencil stays well inside the domain.  The whole
-    stencil is one batch.
+    Each step makes the first point of largest residual over every entry a support point and takes the barycentric
+    weights from the least singular vector of the probes' stacked Loewner matrices.  The fit stops once no residual
+    exceeds FIT_RTOL or half the points are support points; a point's residual is its largest over the entries, 0
+    at a support point.  The poles are the zeros of the weights' denominator sum_j w_j / (z - s_j): the finite
+    eigenvalues of the arrowhead pencil, whose two infinite ones the shift-invert at a free point maps nearest 0.
     """
-    h = np.minimum(CR_STEP * (1.0 + np.abs(zs)), dist / 3000.0)
-    hb = h[:, None, None]
-    V = sampled_values(F, (zs[:, None] + h[:, None] * _STENCIL).reshape(-1)).reshape(-1, _STENCIL.size, F.q, F.q)
-    D = lambda i, step: (V[:, i] - V[:, i + 1]) / step  # noqa: E731
-    dx = (4.0 * D(4, hb) - D(0, 2.0 * hb)) / 3.0
-    dy = (4.0 * D(6, 1j * hb) - D(2, 2j * hb)) / 3.0
-    norms = lambda A: fro(A, axis=(1, 2))  # noqa: E731
-    return norms(dx - dy) / (1.0 + norms(dx) + norms(dy))
+    m, k = F.shape
+    probes = F if k <= _PROBES else F @ np.random.default_rng(0).standard_normal((k, _PROBES))
+    residual, support = np.abs(F - F.mean(axis=0)).max(axis=1, initial=0.0), []
+    while residual.max(initial=0.0) > FIT_RTOL and len(support) < m // 2:
+        support.append(int(np.argmax(residual)))
+        free = np.ones(m, dtype=bool)
+        free[support] = False
+        C = 1.0 / (zs[free, None] - zs[support])
+        loewner = (probes[free, None, :] - probes[support]) * C[:, :, None]
+        w = least_singular_vector(loewner.transpose(0, 2, 1).reshape(-1, len(support)))
+        D = C @ w
+        residual = np.zeros(m)
+        residual[free] = np.abs(F[free] - (C @ (w[:, None] * F[support])) / D[:, None]).max(axis=1)
+    if len(support) < 2:  # a constant or one support point: no pole
+        return np.zeros(0, dtype=complex), residual
+    sigma = zs[free][np.argmax(np.abs(D))]
+    pencil = np.diag(np.concatenate(([0.0], zs[support] - sigma)))
+    pencil[0, 1:], pencil[1:, 0] = w, 1.0
+    B = np.eye(len(support) + 1)
+    B[0, 0] = 0.0
+    mu = np.linalg.eigvals(np.linalg.solve(pencil, B))
+    poles = sigma + 1.0 / mu[np.argsort(np.abs(mu), kind="stable")[2:]]
+    return poles[np.isfinite(poles)], residual
 
 
-def _holomorphy(F: Evaluator, zs: np.ndarray, dist: np.ndarray, endpoint: float, sign: int) -> tuple[float, complex]:
-    """(margin, witness) of holomorphy off the claimed ray, stencil-sampled at ``zs`` for an opaque F.
+@np.errstate(divide="ignore", invalid="ignore")
+def _confirmed(F: Evaluator, poles: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The poles a Cauchy circle confirms, each located by its circle: the fit says where to look, the circles decide.
 
-    An atomic F is exact: a node at depth sign (endpoint - t) / (1 + |endpoint|) > 0 is a pole in the gap.
+    A candidate lies farther than rounding, EPS_MERGE (1 + |p|), from the claimed ray, at ``dist``.  Its circle has
+    radius r a quarter of its distance to the ray and to the other poles, so the disc lies off the ray; every circle
+    is read in one batch.  With X the circle's values scaled by pow2_scaled, the contour sum c_1 = mean(X e^{i theta})
+    is the residue over r and about X's variation max ||X - mean X|| at a simple pole, while holomorphy on the disc
+    makes it of order 4^-(n - 2) of it, n = _CIRCLE.size.  A pole is confirmed where the sum exceeds a quarter of the
+    variation plus TOL_FIT ||X||, so that a circle on which F is constant to rounding confirms nothing.  It is then
+    p + r <c_1, c_2> / <c_1, c_1>, c_2 = mean(X e^{2i theta}), the pole of a simple one, if that lies in the disc.
+    """
+    candidate = dist > EPS_MERGE * (1.0 + np.abs(poles))
+    if not candidate.any():
+        return np.zeros(0, dtype=complex)
+    apart = np.abs(poles[:, None] - poles)
+    np.fill_diagonal(apart, np.inf)
+    p, r = poles[candidate], 0.25 * np.minimum(dist, apart.min(axis=1))[candidate]
+    V = sampled_values(F, (p[:, None] + r[:, None] * _CIRCLE).reshape(-1)).reshape(p.size, _CIRCLE.size, -1)
+    X = pow2_scaled(V, axis=(1, 2))[0]
+    c1, c2 = ((X * _CIRCLE[:, None] ** j).mean(axis=1) for j in (1, 2))
+    variation = fro(X - X.mean(axis=1, keepdims=True), axis=2).max(axis=1)
+    sure = fro(c1, axis=1) > 0.25 * (variation + TOL_FIT * fro(X, axis=2).max(axis=1))
+    shift = r * np.einsum("ck,ck->c", c1.conj(), c2) / np.einsum("ck,ck->c", c1.conj(), c1)
+    return np.where(np.abs(shift) < r, p + shift, p)[sure]
+
+
+def _holomorphy(
+    F: Evaluator, zs: np.ndarray, V: np.ndarray, defined: np.ndarray, endpoint: float, sign: int
+) -> tuple[float, complex]:
+    """(margin, witness) of holomorphy off the claimed ray; an opaque F's from its values V at the ``defined`` points zs.
+
+    An atomic F is exact: a node at depth sign (endpoint - t) / (1 + |endpoint|) > 0 is a pole in the gap.  An opaque
+    one is fitted (_fit) and its off-ray poles read on Cauchy circles (_confirmed): the deepest confirmed pole p
+    fails at -dist(p, ray) / (1 + |endpoint|), witnessed at p; without one the margin is TOL_FIT less the fit's
+    residual, witnessed at the first worst grid point, so a fit that does not converge fails.
     """
     if F._nodes is None:
-        return _worst(zs, TOL_CR - _cr_residuals(F, zs, dist))
+        ray = (right_ray if sign > 0 else left_ray)(endpoint)
+        zs, V = zs[defined], V[defined]
+        poles, residual = _fit(zs, pow2_scaled(V)[0].reshape(zs.size, -1))
+        confirmed = _confirmed(F, poles, ray.distance(poles))
+        if not confirmed.size:
+            return _worst(zs, TOL_FIT - residual)
+        dist = ray.distance(confirmed)
+        i = int(np.argmax(dist))  # the first of the deepest
+        return -float(dist[i]) / (1.0 + abs(endpoint)), complex(confirmed[i])
     depth = sign * (endpoint - F._nodes) / (1.0 + abs(endpoint))
     if depth.max(initial=0.0) <= 0.0:
-        return TOL_CR, complex(zs[0])  # residual 0 at every point
+        return TOL_FIT, complex(zs[0])  # residual 0 at every point; the first, an upper one, is defined
     i = int(np.argmax(depth))  # the first of the deepest
     return -float(depth[i]), complex(F._nodes[i])
 
@@ -330,10 +389,9 @@ def certify_class(
     on_gap = np.arange(zs.size) >= grid.n_upper + grid.n_lower
 
     # A gap point on the evaluator's own excluded ray (a class claimed for
-    # the other side) leaves the difference stencil no room: holomorphy is
-    # sampled only where the evaluator is defined.
-    defined = dist > 0.0
-    margin, witness = _holomorphy(F, zs[defined], dist[defined], endpoint, spec.sign)
+    # the other side) has no value to fit: holomorphy reads the values where
+    # the evaluator is defined.
+    margin, witness = _holomorphy(F, zs, V, dist > 0.0, endpoint, spec.sign)
     conditions = [{"name": "holomorphic", "margin": margin, "witness": witness}]
 
     # PSD margins lambda_min(H) / (1 + ||c V||_2); a block holds H at its points, c there and the conditions it

@@ -46,8 +46,8 @@ EPS_NEAR = 1e-9  # evaluation is refused within EPS_NEAR (1 + |z|) of the exclud
 EPS_CONVERT = 1e-13  # a term a conversion drops must vanish to rounding: gamma relative, B absolute
 RESIDUE_TOL = 1e-6  # numeric residue (step 2^-26) against the analytic one, relative
 TOL_CERT = 1e-9  # a certificate condition fails below margin -TOL_CERT
-TOL_CR = 1e-6  # Cauchy-Riemann residual allowed: far above the O(h^4) error of the stencil
-CR_STEP = 1e-5  # stencil step, relative to |z|
+TOL_FIT = 1e-6  # holomorphy of an opaque F: rational-fit residual allowed on the grid, relative to F's largest value
+FIT_RTOL = 1e-13  # the fit stops below this residual, relative: near rounding, so it resolves every pole the grid shows
 DECAY_TOL = 1e-7  # ||lim F(iy)|| allowed for a decaying class: above the ladder's error bound
 RTOL_RANK = 1e-8  # rank cut of a sampled F(z), relative to sigma_1: far above its rounding, so stable
 RANK_ZERO = 1e-12  # sigma_1 at or below this: F(z) counts as the zero matrix
@@ -120,18 +120,30 @@ def norm2(M: np.ndarray) -> np.ndarray:
     return m * np.sqrt(np.linalg.eigvalsh(G).max(axis=-1, initial=0.0))
 
 
+def pow2_scaled(M: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """(M / 2^e, e), 2^e the scale of the largest |Re| or |Im| of M, or of each slice over ``axis`` (e keeps its axes).
+
+    Exact, by ldexp: every real and imaginary part of the result lies below 1, and none over- or underflows on the way.
+    """
+    top = lambda part: np.abs(part).max(axis=axis, keepdims=True, initial=0.0)  # noqa: E731
+    e = np.frexp(np.maximum(top(M.real), top(M.imag)))[1]
+    X = np.ldexp(M.real, -e).astype(M.dtype)
+    if np.iscomplexobj(M):
+        X.imag = np.ldexp(M.imag, -e)
+    return X, e
+
+
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def fro(M, axis=None):
     """Frobenius norm of M, or over the pair of axes ``axis`` of each matrix of a stack, as np.linalg.norm takes it.
 
     Outside [2^-480, inf), where its sum of squares may over- or underflow, Blue's scaling as in LAPACK's nrm2: the
-    norm of M / 2^e times 2^e, 2^e the scale of its largest |Re| or |Im|; exact, so elsewhere the bits are numpy's."""
+    norm of pow2_scaled(M) times 2^e; exact, so elsewhere the bits are numpy's."""
     n = np.linalg.norm(M, axis=axis)
     if (2.0**-480 <= n < np.inf) if axis is None else ((n >= 2.0**-480) & (n < np.inf)).all():
         return n
-    top = lambda part: np.abs(part).max(axis=axis, keepdims=True, initial=0.0)  # noqa: E731
-    e = np.frexp(np.maximum(top(M.real), top(M.imag)))[1]
-    return np.ldexp(np.linalg.norm(M * np.ldexp(1.0, -e), axis=axis, keepdims=True), e).reshape(np.shape(n))[()]
+    X, e = pow2_scaled(np.asarray(M), axis)
+    return np.ldexp(np.linalg.norm(X, axis=axis, keepdims=True), e).reshape(np.shape(n))[()]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -194,6 +206,11 @@ def svd_rank(M, rtol: float, zero: float = 0.0):
     r = np.where(s1[..., 0] <= zero, 0, np.sum(s > rtol * s1, axis=-1))
     keep = np.arange(k) < r[..., None, None]  # the first r columns
     return U[..., :k] * keep, s, Vh[..., :k, :].conj().swapaxes(-1, -2) * keep, r
+
+
+def least_singular_vector(A: np.ndarray) -> np.ndarray:
+    """The right singular vector of the least singular value of a p x m matrix A, p >= m: ||A v|| is least at it."""
+    return np.linalg.svd(A, full_matrices=False)[2][-1].conj()
 
 
 def _halved(M: np.ndarray) -> np.ndarray:

@@ -57,6 +57,21 @@ def test_criterion_01_representations_certify_their_class():
     _announce(1, f"300 random representations certify in class (worst margin {worst:.2e} >= -1e-10)", ok)
 
 
+def test_criterion_01_inputs_wrapped_opaque_certify_their_class():
+    """The same 300 inputs, each behind a bare Evaluator: holomorphy is fitted, not read off the nodes."""
+    rng = np.random.default_rng(101)
+    makers = [(random_pair, "s"), (random_s0, "s0"), (random_sinf, "sinf")]
+    makers += [(random_tpair, "t"), (random_t0, "t0"), (random_tinf, "tinf")]
+    worst = 0.0
+    for make, cls in makers:
+        for _ in range(50):
+            r = make(rng)
+            F = sk.evaluator(r)
+            cert = sk.certify_class(sk.Evaluator(F.q, F.excluded, F.fn), _endpoint(r), cls, DEFAULT_GRID)
+            worst = min([worst] + [c["margin"] for c in cert.conditions])
+    _announce(1, f"300 opaque wrappers certify in class (worst margin {worst:.2e} >= -1e-10)", worst >= -1e-10)
+
+
 def test_criterion_02_parameter_extraction_limits():
     rng = np.random.default_rng(102)
     ok = True

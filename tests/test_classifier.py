@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import stieltjeskit as sk
 from stieltjeskit import classifier
-from stieltjeskit.classifier import CLASSES, TOL_CERT, TOL_CR, _grid_offsets, sample_points
+from stieltjeskit.classifier import CLASSES, TOL_CERT, TOL_FIT, _grid_offsets, sample_points
 from stieltjeskit.representations import KINDS, endpoint_side
 
 from genutil import (
@@ -193,24 +194,61 @@ def test_non_finite_value_is_an_evaluation_failure():
     assert exc.value.witness is not None
 
 
-def test_nan_margin_fails_the_certificate():
+def test_a_jump_fails_holomorphy_at_a_finite_margin():
     # Finite values of +-1e308 that jump at the real part of one upper grid
-    # point: the difference quotient there overflows and its CR residual is
-    # NaN, while every PSD condition holds (the values are real, and
-    # positive left of the endpoint).
+    # point, while every PSD condition holds (the values are real, and
+    # positive left of the endpoint).  The stencil's difference quotient
+    # overflowed there to a NaN residual; the fit scales the values first.
     z0 = next(z for z in upper_points(0.0, "right", SMALL_GRID) if z.real > 0.0)
     F = sk.Evaluator(1, sk.right_ray(0.0), lambda z: np.array([[1e308 if z.real < z0.real else -1e308]], dtype=complex))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cert = sk.certify_class(F, 0.0, "s", SMALL_GRID)
+    cert = sk.certify_class(F, 0.0, "s", SMALL_GRID)
     assert not cert.verdict
-    assert np.isnan(cert.margin("holomorphic"))
-    assert [c["witness"] for c in cert.conditions if c["name"] == "holomorphic"] == [z0]
+    hol = _holomorphic(cert)
+    assert -np.inf < hol["margin"] < -TOL_CERT
+    assert all(c["margin"] >= 0.0 for c in cert.conditions if c["name"] != "holomorphic")
+
+
+def test_a_nan_margin_is_the_worst():
+    """A NaN margin never passes: _worst returns the first one, whatever else the margins hold."""
+    points = np.array([1j, 2j, 3j, 4j])
+    margin, witness = classifier._worst(points, np.array([-1.0, np.nan, -np.inf, np.nan]))
+    assert np.isnan(margin) and witness == 2j
+    assert not margin >= -TOL_CERT
+    assert classifier._worst(points, np.array([0.5, -2.0, -2.0, 1.0])) == (-2.0, 2j)  # the first of the least
+
+
+def test_an_oscillation_near_the_largest_float_fails_holomorphy_without_a_warning():
+    """1.5e308 cos(1e6 Re z) + i: the stencil's differences overflowed, with a warning, to a NaN margin."""
+    F = sk.Evaluator(1, sk.right_ray(0.0), lambda z: np.array([[1.5e308 * np.cos(1e6 * z.real) + 1j]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = sk.certify_class(F, 0.0, "s")
+    hol = _holomorphic(cert)
+    assert not cert.verdict and -np.inf < hol["margin"] < -TOL_CERT
+
+
+def test_conj_fails_holomorphy_with_a_witness():
+    F = sk.Evaluator(1, sk.right_ray(0.0), lambda z: np.array([[np.conj(z)]]))
+    cert = sk.certify_class(F, 0.0, "s")
+    hol = _holomorphic(cert)
+    assert not cert.verdict and -np.inf < hol["margin"] < -TOL_CERT
+    assert np.isfinite(hol["witness"])
+
+
+@pytest.mark.parametrize("alpha", [0.0, -2.5, 1e4])
+def test_an_opaque_inverse_square_root_passes(alpha):
+    """(alpha - z)^(-1/2) is a Stieltjes function but not rational: its fit runs to half the grid, far below TOL_FIT."""
+    F = sk.Evaluator(1, sk.right_ray(alpha), lambda z: np.array([[(alpha - z) ** -0.5]]))
+    cert = sk.certify_class(F, alpha, "s")
+    assert cert.verdict
+    assert 0.9 * TOL_FIT < cert.margin("holomorphic") < TOL_FIT
 
 
 def test_member_with_large_values_passes_holomorphy():
     # A tinf triple (q = 1) whose |F| reaches about 77 near the upper grid
-    # point -4.885+0.464i: the truncation error of a second-order stencil
-    # gave a CR residual of 1.06e-6 > TOL_CR there and rejected a member.
+    # point -4.885+0.464i: the truncation error of a second-order
+    # Cauchy-Riemann stencil gave a residual of 1.06e-6 there and rejected a
+    # member.
     r = sk.TInfTriple(
         -1.427563988274403,
         [[2.5597370498127003]],
@@ -228,10 +266,10 @@ def test_member_with_large_values_passes_holomorphy():
         ),
     )
     F = sk.evaluator(r)
-    for G in (F, sk.Evaluator(F.q, F.excluded, F.fn)):  # exact, and sampled by the stencil
+    for G in (F, sk.Evaluator(F.q, F.excluded, F.fn)):  # exact, and fitted
         cert = sk.certify_class(G, r.beta, "tinf")
         assert cert.verdict
-        assert cert.margin("holomorphic") > 0.9 * TOL_CR
+        assert cert.margin("holomorphic") > 0.9 * TOL_FIT
 
 
 @pytest.mark.parametrize("t", [1e7, 1e10])
@@ -566,28 +604,31 @@ def points_seen(monkeypatch):
     return seen
 
 
-def _points(seen, F):
-    return sum(n for G, n in seen if G is F)
-
-
 def _holomorphic(cert):
     return next(c for c in cert.conditions if c["name"] == "holomorphic")
 
 
+@pytest.mark.parametrize("opaque", [False, True])
 @pytest.mark.parametrize("shift", [0.5, 1e4])
-def test_node_in_the_gap_fails_holomorphy_with_the_node_as_witness(shift):
+def test_node_in_the_gap_fails_holomorphy_with_the_node_as_witness(shift, opaque):
     # The pair's one node lies at 1.22; claimed past it, it is a pole in the gap.
-    # At shift 1e4 no grid point comes near it: only the exact check can see it.
+    # At shift 1e4 no grid point comes near it: the exact check sees it, and so
+    # does the fit of the opaque wrapper, whose Cauchy circle then locates it.
     p = random_pair(np.random.default_rng(5), q=2)
     (t,) = p.mu.nodes
     endpoint = p.alpha + shift
-    cert = sk.certify_class(sk.evaluator(p), endpoint, "s")
+    F = sk.evaluator(p)
+    depth = (endpoint - t) / (1.0 + abs(endpoint))
+    if not opaque:
+        cert = sk.certify_class(F, endpoint, "s")
+        assert not cert.verdict
+        assert _holomorphic(cert) == {"name": "holomorphic", "margin": -depth, "witness": complex(t)}
+        return
+    cert = sk.certify_class(sk.Evaluator(F.q, F.excluded, F.fn), endpoint, "s")
+    hol = _holomorphic(cert)
     assert not cert.verdict
-    assert _holomorphic(cert) == {
-        "name": "holomorphic",
-        "margin": -(endpoint - t) / (1.0 + abs(endpoint)),
-        "witness": complex(t),
-    }
+    assert abs(hol["witness"] - t) <= 1e-9 * abs(t)
+    assert hol["margin"] == pytest.approx(-depth, rel=1e-9)
 
 
 @pytest.mark.parametrize("make, claim, deepest", [(random_pair, "t", -1), (random_tpair, "s", 0)])
@@ -600,9 +641,18 @@ def test_claim_for_the_other_side_fails_holomorphy_at_the_deepest_node(make, cla
     assert hol["witness"] == complex(r.mu.nodes[deepest])
 
 
+def _batches(seen, F):
+    return [n for G, n in seen if G is F]
+
+
+def _grid_then_circles(batches):
+    """The grid in one batch, then at most one more: every Cauchy circle of the candidate poles."""
+    return batches[0] == N_GRID and len(batches) <= 2 and all(n % classifier._CIRCLE.size == 0 for n in batches[1:])
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("kind", list(KINDS))
-def test_opaque_wrapper_runs_the_stencil_to_the_same_verdict(points_seen, kind, q):
+def test_opaque_wrapper_is_fitted_to_the_same_verdict(points_seen, kind, q):
     r = random_kind(kind, np.random.default_rng(q), q=q)
     endpoint, _ = endpoint_side(r)
     cls = KINDS[kind].default_class
@@ -610,8 +660,12 @@ def test_opaque_wrapper_runs_the_stencil_to_the_same_verdict(points_seen, kind, 
     opaque = sk.Evaluator(F.q, F.excluded, F.fn)
     exact, sampled = (sk.certify_class(G, endpoint, cls) for G in (F, opaque))
     assert exact.verdict and sampled.verdict
-    assert exact.margin("holomorphic") == TOL_CR > sampled.margin("holomorphic")
-    assert _points(points_seen, opaque) - _points(points_seen, F) == 8 * N_GRID  # the stencil at every point
+    assert exact.margin("holomorphic") == TOL_FIT > sampled.margin("holomorphic")
+    atomic, fitted = _batches(points_seen, F), _batches(points_seen, opaque)
+    circles = fitted[1 : len(fitted) - len(atomic) + 1]
+    assert fitted == atomic[:1] + circles + atomic[1:]  # the grid, the circles if any, then the same ladder
+    assert _grid_then_circles(fitted[:1] + circles)
+    assert not circles or cls in ("sinf", "tinf")  # a fit of linear growth leaves far poles, which no circle confirms
 
 
 def test_copies_and_maps_carry_no_nodes(points_seen):
@@ -622,21 +676,23 @@ def test_copies_and_maps_carry_no_nodes(points_seen):
     for G in copies:
         assert G._nodes is None
         cert = sk.certify_class(G, p.alpha, "s")
-        assert cert.verdict and cert.margin("holomorphic") < TOL_CR
-        assert _points(points_seen, G) == 9 * N_GRID
+        assert cert.verdict and cert.margin("holomorphic") < TOL_FIT
+        assert _grid_then_circles(_batches(points_seen, G))
     G = sk.pinv_map(F, p.alpha)  # the map of a bare Evaluator; a representation's is atomic
     assert G._nodes is None
     sk.certify_class(G, p.alpha, "s")
-    assert _points(points_seen, G) >= 9 * N_GRID
+    assert N_GRID in _batches(points_seen, G)
 
 
-def test_the_stencil_is_one_batch(points_seen):
-    """The grid in one batch, then the stencil of every grid point in one more."""
+def test_the_circles_are_one_batch(points_seen):
+    """The grid in one batch, then the circle of every candidate pole in one more; a member reads none here."""
     p = random_pair(np.random.default_rng(5), q=2)
     F = sk.evaluator(p)
     opaque = sk.Evaluator(F.q, F.excluded, F.fn)
     assert sk.certify_class(opaque, p.alpha, "s").verdict
-    assert [n for G, n in points_seen if G is opaque] == [N_GRID, 8 * N_GRID]
+    assert _batches(points_seen, opaque) == [N_GRID]
+    assert not sk.certify_class(opaque, p.alpha + 0.5, "s").verdict
+    assert _batches(points_seen, opaque)[1:] == [N_GRID, classifier._CIRCLE.size]
 
 
 # --- kernel_range_report ---

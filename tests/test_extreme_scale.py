@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stieltjeskit as sk
-from stieltjeskit.classifier import CLASSES, DEFAULT_GRID, sample_points
+from stieltjeskit.classifier import CLASSES, DEFAULT_GRID, TOL_FIT, sample_points
 from stieltjeskit.cli import run
 from stieltjeskit.representations import KINDS, endpoint_side, offset_scale
 
@@ -100,6 +100,29 @@ def test_badly_scaled_members_pass_and_a_dent_fails(seed, kind):
         bad = sk.certify_class(dented(F, endpoint, cls), endpoint, cls)
     worst = min(bad.conditions, key=lambda c: c["margin"])
     assert not bad.verdict and worst["margin"] < -1e-6 and isinstance(worst["witness"], complex)
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(list(KINDS)))
+@settings(max_examples=100, deadline=None)
+def test_badly_scaled_members_wrapped_opaque_pass_holomorphy_and_a_crossed_atom_fails_at_it(seed, kind):
+    """The rational fit reads a member's grid values to its stop, and sees an atom moved one grid unit into the gap.
+
+    The Cauchy-Riemann stencil it replaced rejected 199 of 480 such members (seeds 0-59, every kind) as not holomorphic.
+    """
+    r = scaled_member(np.random.default_rng(seed), kind)
+    F, (endpoint, _) = sk.evaluator(r), endpoint_side(r)
+    cls = KINDS[r.KIND].default_class
+    t = endpoint - CLASSES[cls].sign * offset_scale(endpoint)
+    size = 2.0 * (1.0 + max(float(np.linalg.norm(V, 2)) for V in F.batch_raw(np.array([t + 1j, t - 1j]))))
+    atom = lambda zs: (size / (t - zs))[:, None, None] * np.eye(F.q)  # noqa: E731
+    crossed = sk.Evaluator.of_batch(F.q, F.excluded, lambda zs: F.batch_raw(zs) + atom(zs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        member, bad = (sk.certify_class(G, endpoint, cls) for G in (sk.Evaluator(F.q, F.excluded, F.fn), crossed))
+    assert 0.9 * TOL_FIT < member.margin("holomorphic") <= TOL_FIT
+    hol = next(c for c in bad.conditions if c["name"] == "holomorphic")
+    assert abs(hol["witness"] - t) <= 1e-3 * abs(endpoint - t)
+    assert hol["margin"] == pytest.approx(-abs(endpoint - t) / (1.0 + abs(endpoint)), rel=1e-3)
 
 
 # --- explicit examples, in the API and the CLI ---

@@ -406,6 +406,9 @@ def test_fro_scales_past_overflow_and_underflow():
     np.testing.assert_allclose([matmeasure.fro(big), matmeasure.fro(tiny), *stack], np.sqrt(2.0) * np.array(
         [1e300, 1e-300, 1e300, 1e-300, 1.0]), rtol=4e-16, atol=0.0)
     assert matmeasure.fro(np.diag([1.7e308, 1.7e308j])) == np.inf  # past the largest float: no warning
+    sub = np.diag([3e-310, 4e-310j])  # subnormal: the scale 2^1029 itself overflows, so it is applied by ldexp
+    assert matmeasure.fro(sub) == pytest.approx(5e-310, rel=1e-12)
+    assert matmeasure.fro(np.stack((sub, np.eye(2))), (1, 2)) == pytest.approx([5e-310, np.sqrt(2.0)], rel=1e-12)
     assert matmeasure.fro(np.zeros((2, 2))) == 0.0 and np.isnan(matmeasure.fro(np.diag([np.nan, 1.0])))
 
 

@@ -235,9 +235,9 @@ CRITERION_06 = [  # (input, map, claimed class) as criterion 06 certifies them
 
 
 @pytest.mark.parametrize("make, mapper, cls", CRITERION_06)
-def test_criterion_06_certificates_run_no_stencil(monkeypatch, make, mapper, cls):
-    """The certificate evaluates the grid and then, for a bounded class, ladder rungs i 2^k only."""
-    monkeypatch.setattr(classifier, "_cr_residuals", lambda *a: pytest.fail("the stencil ran"))
+def test_criterion_06_certificates_run_no_fit(monkeypatch, make, mapper, cls):
+    """The images are atomic: the certificate evaluates the grid, then for a bounded class ladder rungs i 2^k only."""
+    monkeypatch.setattr(classifier, "_fit", lambda *a: pytest.fail("the rational fit ran"))
     seen = []
     raw = sk.Evaluator.batch_raw
     monkeypatch.setattr(sk.Evaluator, "batch_raw", lambda F, zs: seen.append((F, np.array(zs))) or raw(F, zs))
