@@ -303,7 +303,7 @@ def _decay_at_infinity(F: Evaluator) -> tuple[float, complex]:
     try:
         plain = limit_at_infinity(F, "plain_iy")
     except NoConvergence as exc:
-        return -1.0, 1j * (exc.last_rung or 2.0**RUNG_CEILING)  # None: no rung ran, a node lies past the ceiling
+        return -1.0, 1j * (exc.last_rung or 2.0**RUNG_CEILING)  # None: no rung ran (a node or horizon past the ceiling)
     return DECAY_TOL - float(fro(plain.value)), 1j * 2.0**plain.ladder_depth
 
 
@@ -447,7 +447,7 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
     try:
         plain = gamma(limit_at_infinity(F, "plain_iy"))
     except NoConvergence as exc:  # F grows at infinity, as no class with parameters does
-        if exc.last_estimates is None:  # no ladder ran: a node of F lies past the first-rung ceiling
+        if exc.last_estimates is None:  # no ladder ran: a node of F or its horizon lies past the ceiling
             raise
         raise ClassMismatch(f"the plain limit of class {claimed} diverges: {exc}") from exc
     record: dict = {"claimed": claimed, "alpha": alpha, "gamma": plain}

@@ -3,16 +3,21 @@
 The representations are analytic in 1/y at infinity along vertical and
 radial rays, so a geometric ladder y_k = 2^k combined with Richardson
 extrapolation in 1/y converges fast, from a first rung past the farthest
-pole, and carries an explicit increment-based error estimate.
+pole, and carries an explicit increment-based error estimate.  For plain
+and radial limits of an atomic F the first rung also lies past the rounding
+horizon sum |c(t)| ||W||_F eps / EPS_LIM, inside which a sample's rounding
+hides any increment the stop could accept.
 
 The ladder reads its rungs in blocks of ``LADDER_BLOCK`` through
 ``F.batch`` (the pole guard, then the gate ``sampled_values``), as every
-public read of F, and builds the Neville tableau of a block column by
-column, but runs the stopping test rung by rung: the depth, value and error
-bound are those of a one-rung-at-a-time ladder on the same samples.  A rung
-the gate names (it raised, warned or was not finite) cuts its block there;
-its ``EvaluationFailed`` is raised only if the rungs before it do not stop
-the ladder.  A non-finite extrapolant raises ``NoConvergence`` at its rung.
+public read of F, and keeps the samples of every rung read as one stack.
+After each block it runs the plain Neville recurrence over the whole stack,
+column r = (2^r col[1:] - col[:-1]) / (2^r - 1), whose first entry is rung
+r's diagonal, and tests the rungs of the block in turn: the depth, value and
+error bound are those of a one-rung-at-a-time ladder on the same samples.
+A rung the gate names (it raised, warned or was not finite) cuts its block
+there; its ``EvaluationFailed`` is raised only if the rungs before it do not
+stop the ladder.  A non-finite extrapolant raises ``NoConvergence`` at its rung.
 
 Supported modes:
 
@@ -78,41 +83,21 @@ def _read(F: Evaluator, zs: np.ndarray) -> tuple[np.ndarray, EvaluationFailed | 
         return V, earlier or exc
 
 
-def _tableau(last: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Neville rows of the rungs k0..k0+b-1 from their samples S (b, q, q), column by column.
-
-    ``last`` holds the k0 entries of the row of rung k0 - 1.  Row k has
-    k + 1 entries, row[j] = (2^j row[j-1] - prev_row[j-1]) / (2^j - 1),
-    eliminating successive powers of 1/y (ratio 2).  Returns T of shape
-    (k0 + b, b + 1, q, q) with entry j of row k0 + i at T[j, i + 1] and
-    ``last`` in slot 0 (entries past a row's end are unset).  Column j
-    depends only on column j - 1, so each is one array expression over
-    the block.
-    """
-    k0, b = len(last), len(S)
-    T = np.empty((k0 + b, b + 1) + S.shape[1:], dtype=np.result_type(last, S))
-    T[:k0, 0] = last
-    T[0, 1:] = S
-    for j in range(1, k0 + b):
-        factor = 2.0**j
-        i0 = max(0, j - k0)  # rows of rungs below j have no entry j
-        prev = T[j - 1]
-        T[j, 1 + i0 :] = (factor * prev[1 + i0 :] - prev[i0:-1]) / (factor - 1.0)
-    return T
-
-
 def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, phi: float = math.pi) -> LimitEstimate:
     """Richardson-extrapolated limit along the geometric ladder y = 2^j, ..., 2^(j + K_MAX).
 
     2^j is the least power of two past the reach max |t - c| over the
     nodes of an atomic F (one with ``_nodes``), c = alpha in radial mode,
-    else 0; j = 0 for an opaque F or a reach below 1.  A radial reach is at
-    least 2 EPS_NEAR (1 + |alpha|): every rung passes the pole guard.  Stops when
+    else 0, and outside y_scaled mode past the rounding horizon
+    h = sum |c(t)| ||W||_F eps / EPS_LIM of its kernel (``_kernel``); j = 0
+    for an opaque F or both below 1.  A radial reach is at least
+    2 EPS_NEAR (1 + |alpha|): every rung passes the pole guard.  Stops when
     successive diagonal extrapolants differ by less than
     EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at the last rung, or
     without last_estimates at the first rung whose extrapolant is not finite.
-    A reach at or past 2^RUNG_CEILING raises NoConvergence naming the farthest
-    node before any evaluation, without last_estimates or last_rung.
+    A reach or a horizon at or past 2^RUNG_CEILING raises NoConvergence naming
+    the farthest node or the horizon before any evaluation, without
+    last_estimates or last_rung.
     """
     if mode not in MODES:
         raise InvalidArgument(f"mode must be one of {MODES}")
@@ -127,35 +112,37 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
     j = max(0, math.frexp(float(dist.max(initial=guard)))[1])  # the least 2^j past the reach
     if j > RUNG_CEILING:
         raise NoConvergence(f"node {float(F._nodes[dist.argmax()])} lies past the first-rung ceiling 2^{RUNG_CEILING}")
+    if mode != "y_scaled" and F._kernel is not None:  # y_scaled samples are relative to the mass: no horizon
+        c, W = F._kernel
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite horizon lies past the ceiling too
+            h = float((np.abs(c) * fro(W, axis=1)).sum()) * np.finfo(float).eps / EPS_LIM
+        if not h < 2.0**RUNG_CEILING:
+            raise NoConvergence(f"the rounding horizon {h:.3g} lies past the first-rung ceiling 2^{RUNG_CEILING}")
+        j = max(j, math.frexp(h)[1])  # the least 2^j past max(reach, h)
 
-    last, increments, prev_diag = np.empty((0, F.q, F.q), dtype=complex), [], None  # last: the previous rung's row
-    k, top, direction = j, j + K_MAX, complex(math.cos(phi), math.sin(phi))
-    while k <= top:
-        ys = [2.0**i for i in range(k, min(k + LADDER_BLOCK, top + 1))]  # per-rung scalar points and factors
-        S, failed = _read(F, np.array([alpha + y * direction if mode == "radial" else 1j * y for y in ys]))
+    S, increments, direction = np.empty((0, F.q, F.q), dtype=complex), [], complex(math.cos(phi), math.sin(phi))
+    while len(S) <= K_MAX:  # S: the samples of every rung read, rung i at y = 2^(j + i)
+        ys = [2.0 ** (j + i) for i in range(len(S), min(len(S) + LADDER_BLOCK, K_MAX + 1))]
+        block, failed = _read(F, np.array([alpha + y * direction if mode == "radial" else 1j * y for y in ys]))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # a non-finite extrapolant is typed below
             if mode == "y_scaled":
-                S = np.array([-1j * y for y in ys[: len(S)]])[:, None, None] * S
-            T = _tableau(last, S)
-            b = len(S)  # the rungs tested: those before the first non-finite diagonal, after which none is finite
-            if not np.isfinite(T[-1, -1]).all():
-                b = int(np.argmin(np.isfinite(T[k - j + np.arange(b), 1 + np.arange(b)]).all(axis=(1, 2))))
-                failed = NoConvergence(f"the extrapolant at rung y = 2^{k + b} is not finite", last_rung=2.0 ** (k + b))
-            for i in range(1, b + 1):
-                diag = T[k - j, i]
-                if prev_diag is not None:
-                    inc = float(fro(diag - prev_diag))
-                    increments.append(inc)
-                    if inc < EPS_LIM * (1.0 + float(fro(diag))):
-                        return LimitEstimate(diag.copy(), inc, k, tuple(increments))
-                prev_diag = diag
-                k += 1
+                block = np.array([-1j * y for y in ys[: len(block)]])[:, None, None] * block
+            k0, S = len(S), np.concatenate((S, block))
+            col, diags = S, [S[0]]  # column r of the Neville tableau; its first entry is rung r's diagonal
+            for r in range(1, len(S)):
+                col = (2.0**r * col[1:] - col[:-1]) / (2.0**r - 1.0)
+                diags.append(col[0])
+            for i in range(k0, len(S)):
+                if not np.isfinite(diags[i]).all():
+                    raise NoConvergence(f"the extrapolant at rung y = 2^{j + i} is not finite", last_rung=2.0 ** (j + i))
+                if i:
+                    increments.append(inc := float(fro(diags[i] - diags[i - 1])))
+                    if inc < EPS_LIM * (1.0 + float(fro(diags[i]))):
+                        return LimitEstimate(diags[i].copy(), inc, j + i, tuple(increments))
         if failed is not None:
             raise failed
-        last = T[:, -1]
     raise NoConvergence(
-        f"ladder reached its last rung y = 2^{top} without meeting the stopping criterion",
-        # the diagonals of the last two rungs (slot 0 holds the row before the block)
-        last_estimates=(T[-2, -2].copy(), T[-1, -1].copy()),
-        last_rung=2.0**top,
+        f"ladder reached its last rung y = 2^{j + K_MAX} without meeting the stopping criterion",
+        last_estimates=(diags[-2].copy(), diags[-1].copy()),
+        last_rung=2.0 ** (j + K_MAX),
     )

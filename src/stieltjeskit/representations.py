@@ -353,7 +353,8 @@ class Evaluator:
     (EvaluationFailed); calling the evaluator is ``batch`` at one point.
     ``batch_raw``, the raw hook, with neither, runs ``batch_fn`` (a 1-D complex
     array of m points -> (m, q, q) values) if given, else loops over ``fn``.
-    ``_nodes``, the poles, is set by :func:`evaluator` only; any other
+    ``_nodes``, the poles, and ``_kernel``, the kernel's numerators c(t) and
+    weights viewed as (n, q^2), are set by :func:`evaluator` only; any other
     evaluator, ``dataclasses.replace`` copies too, is opaque (None).
     """
 
@@ -362,6 +363,7 @@ class Evaluator:
     fn: Callable[[complex], np.ndarray]
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
     _nodes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of_batch(cls, q: int, excluded: SupportSet | None, batch_fn: Callable) -> "Evaluator":
@@ -433,11 +435,11 @@ def _non_finite_at(zs: np.ndarray, V: np.ndarray, what: str) -> EvaluationFailed
 KERNEL_ENTRIES = 16384
 
 
-def _kernel_batch(repr_: Representation) -> Callable[[np.ndarray], np.ndarray]:
-    """zs -> F(zs) of shape (m, q, q): affine(r, z, (c(t)/(t - z)) @ W) in blocks of points.
+def _kernel_batch(repr_: Representation) -> tuple[Callable[[np.ndarray], np.ndarray], tuple]:
+    """(zs -> F(zs) of shape (m, q, q), (c(t), W)): affine(r, z, (c(t)/(t - z)) @ W) in blocks of points.
 
-    The weights are the measure's stored stack, viewed as (n, q^2); the
-    numerator is computed once here.
+    The weights W are the measure's stored stack, viewed as (n, q^2); the
+    numerator c(t) is computed once here.
     """
     spec = KINDS[repr_.KIND]
     mu = measure_of(repr_)
@@ -455,7 +457,7 @@ def _kernel_batch(repr_: Representation) -> Callable[[np.ndarray], np.ndarray]:
             out[start : start + block] = affine(repr_, z[:, :, None], S)
         return out
 
-    return batch
+    return batch, (coeff, W)
 
 
 def excluded_set(repr_: Representation) -> SupportSet | None:
@@ -467,8 +469,10 @@ def excluded_set(repr_: Representation) -> SupportSet | None:
 
 def evaluator(repr_: Representation) -> Evaluator:
     """Build the pure evaluator of a representation: rational, with poles at the measure's nodes only."""
-    F = Evaluator.of_batch(repr_.q, excluded_set(repr_), _kernel_batch(repr_))
+    batch, kernel = _kernel_batch(repr_)
+    F = Evaluator.of_batch(repr_.q, excluded_set(repr_), batch)
     object.__setattr__(F, "_nodes", measure_of(repr_).nodes)
+    object.__setattr__(F, "_kernel", kernel)
     return F
 
 

@@ -164,11 +164,16 @@ def _pair_pinv(p: StieltjesPair) -> StieltjesPair:
 _PRODUCT = {"stieltjes_pair": "sinf_triple", "t_pair": "tinf_triple"}
 _PAIR = {product: pair for pair, product in _PRODUCT.items()}
 
-# A bound on the build's cost, not a measured crossover: the closed form is dense and cubic in the
-# measure's columns m (nodes times q), while the SVD map costs O(m q^2) per point, and where one
-# overtakes the other depends on q as well as m.  The bound keeps the test suite's largest pinned
-# inputs (q = 8, n = 500: a build of minutes) on the SVD map.  No benchmark input has more
-# columns, so the cost above it is unmeasured.
+# The closed form is dense and cubic in the measure's columns m (nodes times q); the SVD map costs
+# O(m q^2) per point.  Single runs on one BLAS thread of a 2-CPU x86-64 machine, a pair's closed-form
+# build and one s certificate against the SVD map of the same pair as a bare Evaluator and one (ms):
+#   m = 128: 6-12 against 19-161 (q = 2, 4, 8);  m = 256: 31-38 against 20-27 (q = 2),
+#   27-39 against 52 (q = 4), 34 against 192 (q = 8);  m = 512: 196-266 against 24-220;
+#   m = 1024: 1292-1354 against 32-133;  m = 2000: 8418 against 145 (q = 4).
+# So the crossover lies between 128 and 256 columns at q = 2 and between 256 and 512 at q = 4 and 8.
+# The bound stays at 128: moving it would change the certificates of 129- to 512-column inputs, it
+# keeps the test suite's largest pinned inputs (q = 8, n = 500) on the SVD map, and no benchmark pinv
+# input has more than 15 columns.
 _CLOSED_FORM_COLUMNS = 128
 
 

@@ -3,10 +3,11 @@
 Atoms lie 1e-8 to 1e16 from endpoints up to +-1e8, weights and constants
 span 16 decades, and the constants may be rank-deficient.  A member must
 pass its default class and give back its stored gamma or mass, and a
-perturbed copy must fail with a witness.  The explicit examples are the
-far-atom reproducers (once rejected), the non-members that once passed
-``s0`` and a pair at the endpoint 1e10 (once refused by the pole guard),
-in the API and in the CLI.
+perturbed copy must fail with a witness.  Members whose weights reach
+1e40 against constants of I must give their parameters too.  The explicit
+examples are the far-atom and heavy-atom reproducers, the non-members of
+``s0`` under a heavy atom and a pair at the endpoint 1e10, in the API and
+in the CLI.
 """
 
 import json
@@ -32,10 +33,15 @@ def _scaled(rng, q, rank):
     return psd(rng, q, rank=rank) * 10.0 ** rng.uniform(-8.0, 8.0)
 
 
-def scaled_member(rng, kind, q=None):
+def _heavy(rng, q, rank):
+    return psd(rng, q, rank=rank) * 10.0 ** rng.uniform(0.0, 40.0)
+
+
+def scaled_member(rng, kind, q=None, weight=_scaled, constant=_scaled):
     """A member of ``kind`` at q <= 4 (drawn if None); kk_pair and nevanlinna convert a pair, as genutil.random_kind does.
 
-    A Nevanlinna triple's endpoint is its lowest node, so its pair keeps an atom at alpha.
+    ``weight`` and ``constant`` draw its weights and constants, as ``_scaled(rng, q, rank)`` does.  A Nevanlinna
+    triple's endpoint is its lowest node, so its pair keeps an atom at alpha.
     """
     q = int(rng.integers(1, 5)) if q is None else q
     nevanlinna = kind == "nevanlinna"
@@ -43,14 +49,14 @@ def scaled_member(rng, kind, q=None):
     spec = KINDS[base]
     e = float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(0.0, 8.0))
     sign = 1.0 if spec.side == "right" else -1.0
-    atoms = [(e, _scaled(rng, q, q))] if nevanlinna else []
+    atoms = [(e, weight(rng, q, q))] if nevanlinna else []
     for _ in range(int(rng.integers(1, 6))):
         t = e + sign * 10.0 ** rng.uniform(-8.0, 16.0)
         # An offset below the endpoint's spacing rounds onto it: the next float keeps it off an open ray's endpoint.
         t = t if t != e else float(np.nextafter(e, sign * np.inf))
-        atoms.append((t, _scaled(rng, q, int(rng.integers(1, q + 1)))))
+        atoms.append((t, weight(rng, q, int(rng.integers(1, q + 1)))))
     mu = sk.MatrixMeasure(q, getattr(sk, spec.support)(e), atoms)
-    constants = [_scaled(rng, q, int(rng.integers(0, q + 1))) for _ in spec.fields[1:-1]]
+    constants = [constant(rng, q, int(rng.integers(0, q + 1))) for _ in spec.fields[1:-1]]
     r = spec.cls(e, *constants, mu)
     if kind == base:
         return r
@@ -214,12 +220,73 @@ def test_a_heavy_nevanlinna_triple_gives_its_gamma(tmp_path, capsys, t):
     assert code == 0 and report["verdict"] == "pass"
 
 
-@pytest.mark.xfail(raises=sk.NoConvergence, strict=True, reason="known limitation (README, limits): the ladder's stop "
-                   "cannot see the limit through samples (1 + t^2) W / y far above it")
-def test_a_heavy_kk_atom_gives_its_gamma():
-    F = sk.evaluator(sk.KKPair(0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(1e12, 1e8 * I1)])))
+HEAVY_GAMMA = {  # a member of s with gamma 1, and the depth of both its ladders
+    **{f"pair (1, {W:.0e})": (one_atom("stieltjes_pair", 1.0, W=W), depth)
+       for W, depth in [(1e10, 20), (1e20, 52), (1e30, 84), (1e40, 118)]},
+    "kk (1e12, 1e8)": (sk.KKPair(0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(1e12, 1e8 * I1)])), 91),
+}
+
+
+@pytest.mark.parametrize("name", list(HEAVY_GAMMA))
+def test_a_heavy_atom_gives_its_gamma(tmp_path, capsys, name):
+    """The ladders start past the rounding horizon sum |c(t)| ||W|| eps / EPS_LIM (2 W eps / EPS_LIM for a pair).
+
+    Started past the reach alone, the pairs from W = 1e20 on and the kk pair (samples (1 + t^2) W / y = 1e32 / y)
+    ran out of rungs: no increment got under the stop.
+    """
+    r, depth = HEAVY_GAMMA[name]
+    F = sk.evaluator(r)
     assert sk.certify_class(F, 0.0, "s").verdict
-    np.testing.assert_allclose(sk.extract_params(F, 0.0, "s")["gamma"].value, I1, rtol=1e-9)
+    record = sk.extract_params(F, 0.0, "s")
+    for key in ("gamma", "gamma_radial"):
+        np.testing.assert_allclose(record[key].value, I1, rtol=1e-9)
+        assert record[key].ladder_depth == depth
+    code, report = cli(tmp_path, capsys, "params", r=r)
+    assert code == 0 and report["verdict"] == "pass" and report["gamma"]["ladder_depth"] == depth
+    np.testing.assert_allclose(_value(report["gamma"]), I1, rtol=1e-9)
+
+
+def test_a_rounding_horizon_past_the_ceiling_raises_and_is_no_mismatch(tmp_path, capsys):
+    """Weight 1e300: the horizon 4.4e294 lies past 2^RUNG_CEILING.  params answered exit 2, a diverging plain limit."""
+    r = one_atom("stieltjes_pair", 1.0, W=1e300)
+    F = sk.evaluator(r)
+    assert sk.certify_class(F, 0.0, "s").verdict
+    for mode in ("plain_iy", "radial"):
+        with pytest.raises(sk.NoConvergence, match=r"rounding horizon 4\.44e\+294 lies past the first-rung ceiling") as info:
+            sk.limit_at_infinity(F, mode)
+        assert info.value.last_estimates is None and info.value.last_rung is None
+    with pytest.raises(sk.NoConvergence, match="rounding horizon"):
+        sk.extract_params(F, 0.0, "s")
+    (tmp_path / "input.json").write_text(json.dumps(sk.repr_to_json(r)))
+    assert run(["params", "--input", str(tmp_path / "input.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rounding horizon" in json.loads(captured.err)["error"]
+
+
+LADDER_KINDS = [kind for kind in KINDS if CLASSES[KINDS[kind].default_class].params]
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(LADDER_KINDS))
+@settings(max_examples=300, deadline=None)
+def test_heavy_weights_against_unit_constants_give_their_parameters(seed, kind):
+    """Every kind whose class has a plain ladder: it starts past the rounding horizon, or names it past the ceiling.
+
+    With the first rung past the reach alone, 170 of 300 such members (seeds 0-299, 50 of each kind) failed:
+    145 with a diverging plain limit (ClassMismatch), 25 with NoConvergence at the last rung.
+    """
+    r = scaled_member(np.random.default_rng(seed), kind, weight=_heavy, constant=lambda rng, q, rank: np.eye(q))
+    F, (endpoint, _) = sk.evaluator(r), endpoint_side(r)
+    cls = KINDS[r.KIND].default_class
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sk.certify_class(F, endpoint, cls).verdict
+        key, want = stored_limit(r)
+        try:
+            got = sk.extract_params(F, endpoint, cls)[key].value
+        except sk.NoConvergence as exc:
+            assert "rounding horizon" in str(exc) and exc.last_estimates is None
+            return
+    assert np.linalg.norm(got - want) <= 1e-8 * (1.0 + np.linalg.norm(want))
 
 
 FAR = 1e10

@@ -319,15 +319,17 @@ def _opaque(q, excluded, fn, nodes):
     mode=st.sampled_from(sk.limits.MODES),
     with_nodes=st.booleans(),
     k_max=st.sampled_from([3, 11, sk.limits.K_MAX]),
+    block=st.sampled_from([1, 5, 16, 49]),
     family=st.sampled_from(["atoms", "growing", "fails_past_stop", "fails_at_reached"]),
     how=st.sampled_from(["raise", "inf", "nan", "warn"]),
 )
 @settings(max_examples=300, deadline=None)
-def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k_max, family, how):
+def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k_max, block, family, how):
     """On evaluators whose batch is the per-point loop the outcome is the reference's bit for bit; no warning escapes.
 
-    Short ladders patch limits.K_MAX; with_nodes starts the ladder past the nodes of the function drawn.  A
-    rung that raises, warns or gives inf or nan fails the gate: EvaluationFailed there, unless the ladder stopped.
+    Short ladders patch limits.K_MAX, and blocks of 1 to 49 rungs limits.LADDER_BLOCK (at 1 a block boundary lies
+    before every rung, failing ones included); with_nodes starts the ladder past the nodes of the function drawn.
+    A rung that raises, warns or gives inf or nan fails the gate: EvaluationFailed there, unless the ladder stopped.
     """
     rng = np.random.default_rng(seed)
     q = int(rng.integers(1, 4))
@@ -358,7 +360,7 @@ def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k
         fn = _failing(base, q, center, 2.0 ** (rung - 0.5), how)
     F = _opaque(q, atomic.excluded, fn, nodes)
     expected = outcome(reference_ladder, F, **ref_kw)
-    with mock.patch.object(sk.limits, "K_MAX", k_max):
+    with mock.patch.object(sk.limits, "K_MAX", k_max), mock.patch.object(sk.limits, "LADDER_BLOCK", block):
         assert outcome(sk.limit_at_infinity, F, **kw) == expected
     if family == "fails_past_stop":
         assert expected[0][0] in ("limit", "no_convergence") or expected[0][0] is sk.PoleProximity
