@@ -262,7 +262,7 @@ def _holomorphy(
     fails at -dist(p, ray) / (1 + |endpoint|), witnessed at p; without one the margin is TOL_FIT less the fit's
     residual, witnessed at the first worst grid point, so a fit that does not converge fails.
     """
-    if F._nodes is None:
+    if F._kernel is None:
         ray = (right_ray if sign > 0 else left_ray)(endpoint)
         zs, V = zs[defined], V[defined]
         poles, residual = _fit(zs, pow2_scaled(V)[0].reshape(zs.size, -1))
@@ -272,11 +272,12 @@ def _holomorphy(
         dist = ray.distance(confirmed)
         i = int(np.argmax(dist))  # the first of the deepest
         return -float(dist[i]) / (1.0 + abs(endpoint)), complex(confirmed[i])
-    depth = sign * (endpoint - F._nodes) / (1.0 + abs(endpoint))
+    nodes = F._kernel[0]
+    depth = sign * (endpoint - nodes) / (1.0 + abs(endpoint))
     if depth.max(initial=0.0) <= 0.0:
         return TOL_FIT, complex(zs[0])  # residual 0 at every point; the first, an upper one, is defined
     i = int(np.argmax(depth))  # the first of the deepest
-    return -float(depth[i]), complex(F._nodes[i])
+    return -float(depth[i]), complex(nodes[i])
 
 
 def _y_norm_bounded(F: Evaluator) -> tuple[float, complex]:

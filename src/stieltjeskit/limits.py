@@ -3,10 +3,11 @@
 The representations are analytic in 1/y at infinity along vertical and
 radial rays, so a geometric ladder y_k = 2^k combined with Richardson
 extrapolation in 1/y converges fast, from a first rung past the farthest
-pole, and carries an explicit increment-based error estimate.  For plain
-and radial limits of an atomic F the first rung also lies past the rounding
-horizon sum |c(t)| ||W||_F eps / EPS_LIM, inside which a sample's rounding
-hides any increment the stop could accept.
+pole, and carries an explicit increment-based error estimate.  Plain and
+radial ladders of an atomic F whose kind has a constant g (gamma, C or 0:
+``KindSpec.constant``) also start past its rounding horizon
+h = sum |c(t)| ||W||_F eps / (EPS_LIM max(1, ||g||)), inside which a sample's
+rounding, about eps sum |c(t)| ||W||_F / y, exceeds the stop.
 
 The ladder reads its rungs in blocks of ``LADDER_BLOCK`` through
 ``F.batch`` (the pole guard, then the gate ``sampled_values``), as every
@@ -86,18 +87,16 @@ def _read(F: Evaluator, zs: np.ndarray) -> tuple[np.ndarray, EvaluationFailed | 
 def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, phi: float = math.pi) -> LimitEstimate:
     """Richardson-extrapolated limit along the geometric ladder y = 2^j, ..., 2^(j + K_MAX).
 
-    2^j is the least power of two past the reach max |t - c| over the
-    nodes of an atomic F (one with ``_nodes``), c = alpha in radial mode,
-    else 0, and outside y_scaled mode past the rounding horizon
-    h = sum |c(t)| ||W||_F eps / EPS_LIM of its kernel (``_kernel``); j = 0
-    for an opaque F or both below 1.  A radial reach is at least
-    2 EPS_NEAR (1 + |alpha|): every rung passes the pole guard.  Stops when
-    successive diagonal extrapolants differ by less than
-    EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at the last rung, or
-    without last_estimates at the first rung whose extrapolant is not finite.
-    A reach or a horizon at or past 2^RUNG_CEILING raises NoConvergence naming
-    the farthest node or the horizon before any evaluation, without
-    last_estimates or last_rung.
+    2^j is the least power of two past the reach max |t - c| over the nodes t
+    of an atomic F (``_kernel``), c = alpha in radial mode, else 0, and outside
+    y_scaled mode past the rounding horizon h above; j = 0 for an opaque F or
+    both below 1.  A radial reach is at least 2 EPS_NEAR (1 + |alpha|): every
+    rung passes the pole guard.  Stops when successive diagonal extrapolants
+    differ by less than EPS_LIM * (1 + ||value||); raises ``NoConvergence`` at
+    the last rung, or without last_estimates at the first rung whose
+    extrapolant is not finite.  A reach or a horizon at or past 2^RUNG_CEILING
+    raises NoConvergence naming the farthest node or the horizon before any
+    evaluation, without last_estimates or last_rung.
     """
     if mode not in MODES:
         raise InvalidArgument(f"mode must be one of {MODES}")
@@ -107,15 +106,16 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
         lo, hi = (-math.pi / 2, math.pi / 2) if left else (math.pi / 2, 3 * math.pi / 2)
         if not lo < phi < hi:
             raise InvalidArgument("phi must lie in (-pi/2, pi/2)" if left else "phi must lie in (pi/2, 3*pi/2)")
-    dist = np.abs((np.empty(0) if F._nodes is None else F._nodes) - (alpha if mode == "radial" else 0.0))
+    nodes, c, W, constant = (np.empty(0), None, None, None) if F._kernel is None else F._kernel
+    dist = np.abs(nodes - (alpha if mode == "radial" else 0.0))
     guard = 2.0 * EPS_NEAR * (1.0 + abs(alpha)) if mode == "radial" else 0.0  # a radial rung at y lies y off the ray
     j = max(0, math.frexp(float(dist.max(initial=guard)))[1])  # the least 2^j past the reach
     if j > RUNG_CEILING:
-        raise NoConvergence(f"node {float(F._nodes[dist.argmax()])} lies past the first-rung ceiling 2^{RUNG_CEILING}")
-    if mode != "y_scaled" and F._kernel is not None:  # y_scaled samples are relative to the mass: no horizon
-        c, W = F._kernel
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite horizon lies past the ceiling too
-            h = float((np.abs(c) * fro(W, axis=1)).sum()) * np.finfo(float).eps / EPS_LIM
+        raise NoConvergence(f"node {float(nodes[dist.argmax()])} lies past the first-rung ceiling 2^{RUNG_CEILING}")
+    if mode != "y_scaled" and constant is not None:  # y_scaled samples are relative to the mass: no horizon
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite (or nan) horizon lies past the ceiling too
+            rounding = float((np.abs(c) * fro(W, axis=1)).sum()) * np.finfo(float).eps
+            h = rounding / (EPS_LIM * max(1.0, float(fro(constant))))  # the stop's scale, within a factor 2
         if not h < 2.0**RUNG_CEILING:
             raise NoConvergence(f"the rounding horizon {h:.3g} lies past the first-rung ceiling 2^{RUNG_CEILING}")
         j = max(j, math.frexp(h)[1])  # the least 2^j past max(reach, h)

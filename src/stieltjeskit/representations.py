@@ -229,6 +229,7 @@ class KindSpec:
     structural: tuple | None = None  # matrices whose sum with the total mass pins N(F(z)), R(F(z))
     eigen: tuple | None = None  # (matrix, sign): eigen_invariance needs matrix + sign*lam*I PSD
     residue: bool = False  # residue_weight is stated for this kind
+    constant: Callable | None = None  # record -> +-lim F(iy) if the kernel sum enters F alone; None if z - e scales it
 
     @property
     def kind(self) -> str:
@@ -262,21 +263,21 @@ KINDS = {
         KindSpec(
             StieltjesPair, (("alpha", ENDPOINT), ("gamma", PSD), ("mu", MEASURE)), "right_ray", "right",
             _right_numerator, lambda r, z, S: r.gamma + S, "s",
-            dual="t_pair", structural=("gamma",), eigen=("gamma", -1.0), residue=True,
+            dual="t_pair", structural=("gamma",), eigen=("gamma", -1.0), residue=True, constant=lambda r: r.gamma,
         ),
         KindSpec(
             KKPair, (("alpha", ENDPOINT), ("C", PSD), ("eta", MEASURE)), "right_ray", "right",
-            lambda t, _: 1.0 + t * t, lambda r, z, S: r.C + S, "s",
+            lambda t, _: 1.0 + t * t, lambda r, z, S: r.C + S, "s", constant=lambda r: r.C,
         ),
         KindSpec(
             NevanlinnaTriple, (("A", HERM), ("B", PSD), ("nu", MEASURE)), None, "right",
             # (1 + tz)/(t - z) = (1 + t^2)/(t - z) - t: sum t W leaves A once, in gamma, not in every sample
-            lambda t, _: 1.0 + t * t, lambda r, z, S: r.gamma + z * r.B + S, "s",
+            lambda t, _: 1.0 + t * t, lambda r, z, S: r.gamma + z * r.B + S, "s", constant=lambda r: r.gamma,
         ),
         KindSpec(
             S0Measure, (("alpha", ENDPOINT), ("sigma", MEASURE)), "right_ray", "right",
             _unit_numerator, lambda r, z, S: S, "s0",
-            dual="t0", structural=(), residue=True,
+            dual="t0", structural=(), residue=True, constant=lambda r: 0.0,
         ),
         KindSpec(
             SInfTriple, (("alpha", ENDPOINT), ("D", PSD), ("E", PSD), ("rho", MEASURE)), "open_right_ray", "right",
@@ -286,12 +287,12 @@ KINDS = {
         KindSpec(
             TPair, (("beta", ENDPOINT), ("gamma", PSD), ("mu", MEASURE)), "left_ray", "left",
             _left_numerator, lambda r, z, S: -r.gamma + S, "t",
-            dual="stieltjes_pair", structural=("gamma",), eigen=("gamma", 1.0), residue=True,
+            dual="stieltjes_pair", structural=("gamma",), eigen=("gamma", 1.0), residue=True, constant=lambda r: r.gamma,
         ),
         KindSpec(
             T0Measure, (("beta", ENDPOINT), ("sigma", MEASURE)), "left_ray", "left",
             _unit_numerator, lambda r, z, S: S, "t0",
-            dual="s0", structural=(), residue=True,
+            dual="s0", structural=(), residue=True, constant=lambda r: 0.0,
         ),
         KindSpec(
             TInfTriple, (("beta", ENDPOINT), ("D", PSD), ("E", PSD), ("rho", MEASURE)), "open_left_ray", "left",
@@ -353,16 +354,16 @@ class Evaluator:
     (EvaluationFailed); calling the evaluator is ``batch`` at one point.
     ``batch_raw``, the raw hook, with neither, runs ``batch_fn`` (a 1-D complex
     array of m points -> (m, q, q) values) if given, else loops over ``fn``.
-    ``_nodes``, the poles, and ``_kernel``, the kernel's numerators c(t) and
-    weights viewed as (n, q^2), are set by :func:`evaluator` only; any other
-    evaluator, ``dataclasses.replace`` copies too, is opaque (None).
+    ``_kernel``, the nodes t, the kernel's numerators c(t), its weights viewed
+    as (n, q^2) and the record's ``KindSpec.constant`` (None if it has none),
+    is set by :func:`evaluator` only; any other evaluator, ``dataclasses.replace``
+    copies too, is opaque (None).
     """
 
     q: int
     excluded: SupportSet | None
     fn: Callable[[complex], np.ndarray]
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    _nodes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -436,7 +437,7 @@ KERNEL_ENTRIES = 16384
 
 
 def _kernel_batch(repr_: Representation) -> tuple[Callable[[np.ndarray], np.ndarray], tuple]:
-    """(zs -> F(zs) of shape (m, q, q), (c(t), W)): affine(r, z, (c(t)/(t - z)) @ W) in blocks of points.
+    """(zs -> F(zs) of shape (m, q, q), (t, c(t), W, constant)): affine(r, z, (c(t)/(t - z)) @ W) in blocks of points.
 
     The weights W are the measure's stored stack, viewed as (n, q^2); the
     numerator c(t) is computed once here.
@@ -457,7 +458,7 @@ def _kernel_batch(repr_: Representation) -> tuple[Callable[[np.ndarray], np.ndar
             out[start : start + block] = affine(repr_, z[:, :, None], S)
         return out
 
-    return batch, (coeff, W)
+    return batch, (t, coeff, W, None if spec.constant is None else spec.constant(repr_))
 
 
 def excluded_set(repr_: Representation) -> SupportSet | None:
@@ -471,7 +472,6 @@ def evaluator(repr_: Representation) -> Evaluator:
     """Build the pure evaluator of a representation: rational, with poles at the measure's nodes only."""
     batch, kernel = _kernel_batch(repr_)
     F = Evaluator.of_batch(repr_.q, excluded_set(repr_), batch)
-    object.__setattr__(F, "_nodes", measure_of(repr_).nodes)
     object.__setattr__(F, "_kernel", kernel)
     return F
 

@@ -671,15 +671,15 @@ def test_opaque_wrapper_is_fitted_to_the_same_verdict(points_seen, kind, q):
 def test_copies_and_maps_carry_no_nodes(points_seen):
     p = random_pair(np.random.default_rng(5), q=2)
     F = sk.evaluator(p)
-    assert F._nodes is not None
+    assert F._kernel is not None
     copies = (sk.Evaluator.of_batch(F.q, F.excluded, F.batch_fn), dataclasses.replace(F, fn=F.fn))
     for G in copies:
-        assert G._nodes is None
+        assert G._kernel is None
         cert = sk.certify_class(G, p.alpha, "s")
         assert cert.verdict and cert.margin("holomorphic") < TOL_FIT
         assert _grid_then_circles(_batches(points_seen, G))
     G = sk.pinv_map(F, p.alpha)  # the map of a bare Evaluator; a representation's is atomic
-    assert G._nodes is None
+    assert G._kernel is None
     sk.certify_class(G, p.alpha, "s")
     assert N_GRID in _batches(points_seen, G)
 

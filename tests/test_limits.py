@@ -218,7 +218,7 @@ def test_scaled_limit_matches_total_mass(seed):
 def first_rung(F, mode="plain_iy", alpha=0.0):
     """The least power of two past every node of F, from alpha in radial mode (1 if F is opaque), by doubling."""
     center = alpha if mode == "radial" else 0.0
-    reach = max((abs(t - center) for t in ([] if F._nodes is None else F._nodes.tolist())), default=0.0)
+    reach = max((abs(t - center) for t in ([] if F._kernel is None else F._kernel[0].tolist())), default=0.0)
     y = 1.0
     while y <= reach:
         y *= 2.0
@@ -307,10 +307,10 @@ def _failing(fn, q, center, y_fail, how):
 def _opaque(q, excluded, fn, nodes):
     """An evaluator of fn that loops over points, so its ladder is the reference's bit for bit.
 
-    With ``nodes`` its ladder starts past them, as an atomic evaluator's does.
+    With ``nodes`` its ladder starts past them, as an atomic evaluator's does; with no constant, not past a horizon.
     """
     F = sk.Evaluator(q, excluded, fn)
-    object.__setattr__(F, "_nodes", nodes)
+    object.__setattr__(F, "_kernel", None if nodes is None else (nodes, None, None, None))
     return F
 
 
@@ -342,7 +342,7 @@ def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k
         phi = float(rng.choice([math.pi, rng.uniform(0.55, 1.45) * math.pi]))
         kw.update(alpha=e, phi=phi if side == "right" else phi - math.pi)
     atomic = sk.evaluator(r)
-    base, nodes = atomic.fn, (atomic._nodes if with_nodes else None)
+    base, nodes = atomic.fn, (atomic._kernel[0] if with_nodes else None)
     center = kw.get("alpha", 0.0)
     y0 = first_rung(_opaque(q, atomic.excluded, base, nodes), mode, center)
     ref_kw = {**kw, "y0": y0, "k_max": k_max}
@@ -482,7 +482,7 @@ def test_node_past_the_last_rung_raises_and_is_no_mismatch(side, claim, node):
     F = sk.evaluator(far_atom(side, t=1e70))
     calls = []
     spy = sk.Evaluator(F.q, F.excluded, F.fn, lambda zs: calls.append(zs) or F.batch_raw(zs))
-    object.__setattr__(spy, "_nodes", F._nodes)
+    object.__setattr__(spy, "_kernel", F._kernel)
     for mode in ("plain_iy", "y_scaled"):
         with pytest.raises(sk.NoConvergence, match=re.escape(f"node {node} lies past the first-rung ceiling")) as info:
             sk.limit_at_infinity(spy, mode)

@@ -217,8 +217,8 @@ def test_closed_form_matches_the_svd_map(seed, kind, q, ranks, endpoint_atom, fa
     zs = e + classifier._grid_offsets(side, classifier.DEFAULT_GRID)
     for neg in (False, True) if kind not in ("sinf_triple", "tinf_triple") else (True,):
         G, H = (sk.neg_pinv_map if neg else sk.pinv_map)(r), _svd_map(r, neg)
-        assert G._nodes is not None and H._nodes is None
-        assert np.all(G._nodes >= e) if side == "right" else np.all(G._nodes <= e)  # every pole on the ray
+        assert G._kernel is not None and H._kernel is None
+        assert np.all(G._kernel[0] >= e) if side == "right" else np.all(G._kernel[0] <= e)  # every pole on the ray
         assert G.excluded == H.excluded
         for a, b in zip(G.batch(zs), H.batch(zs)):
             assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
@@ -263,7 +263,7 @@ def test_closed_form_of_the_constant_zero_and_resolvent_examples():
     gamma = psd(np.random.default_rng(1), 2) + 0.5 * I2
     const = sk.StieltjesPair(0.0, gamma, sk.MatrixMeasure(2, sk.right_ray(0.0), []))
     for p in (zero, one, const):
-        assert sk.pinv_map(p)._nodes is not None
+        assert sk.pinv_map(p)._kernel is not None
     image = _pinv_image(zero)  # 0^+ = 0
     assert np.array_equal(image.gamma, np.zeros((2, 2))) and not image.mu.nodes.size
     image = _pinv_image(one)  # F = 1/(-z): G = 1, no atom
@@ -315,7 +315,7 @@ def test_node_near_1e13_passes_the_ladder_through_the_image_pole():
     """
     p = sk.StieltjesPair(0.0, np.eye(1), sk.MatrixMeasure(1, sk.right_ray(0.0), [(1e13, 1e-3 * np.eye(1))]))
     G = sk.pinv_map(p)
-    np.testing.assert_allclose(G._nodes, [0.0, 1e13 + (1.0 + 1e13) * 1e-3], rtol=1e-15)
+    np.testing.assert_allclose(G._kernel[0], [0.0, 1e13 + (1.0 + 1e13) * 1e-3], rtol=1e-15)
     assert sk.certify_class(G, 0.0, "s").verdict
     params = sk.extract_params(G, 0.0, "s")
     assert params["gamma"].ladder_depth == 45 and params["gamma_radial"].ladder_depth == 45
@@ -338,12 +338,12 @@ def test_representations_take_no_rank_probe(monkeypatch):
 def test_svd_map_for_product_forms_and_large_measures():
     rng = np.random.default_rng(23)
     si = random_sinf(rng, q=2)
-    assert sk.pinv_map(si)._nodes is None  # a double pole at alpha: no pair image
+    assert sk.pinv_map(si)._kernel is None  # a double pole at alpha: no pair image
     n = transforms._CLOSED_FORM_COLUMNS // 2 + 1
     big = random_pair(rng, q=2, n_atoms=n)
     for mapper in (sk.pinv_map, sk.neg_pinv_map):
-        assert mapper(big)._nodes is None
-        assert mapper(random_pair(rng, q=2, n_atoms=n - 1))._nodes is not None
+        assert mapper(big)._kernel is None
+        assert mapper(random_pair(rng, q=2, n_atoms=n - 1))._kernel is not None
 
 
 def test_a_failure_of_the_closed_form_is_raised_not_replaced(monkeypatch):
