@@ -39,8 +39,8 @@ from .errors import (
 from .limits import K_MAX, limit_at_infinity
 from .matmeasure import DECAY_TOL, EPS_MERGE, FIT_RTOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO
 from .matmeasure import RTOL_RANK, RUNG_CEILING, TOL_CERT, TOL_FIT, _finite_entries, _herm, _im, _scaled_gram, is_psd
-from .matmeasure import finite, fro, least_singular_vector, left_ray, norm2, pow2_scaled, range_split, right_ray
-from .matmeasure import svd_rank
+from .matmeasure import as_endpoint, finite, fro, least_singular_vector, left_ray, norm2, pow2_scaled, range_split
+from .matmeasure import right_ray, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -292,7 +292,7 @@ def _y_norm_bounded(F: Evaluator) -> tuple[float, complex]:
     try:
         mass = limit_at_infinity(F, "y_scaled")
     except NoConvergence as exc:
-        return -1.0, 1j * (exc.last_rung or 2.0**RUNG_CEILING)  # None: no rung ran, a node lies past the ceiling
+        return -1.0, 1j * exc.last_rung
     past = math.frexp(float(fro(mass.value)) / PARAMS_TOL)[1]
     y = 2.0 ** min(max(mass.ladder_depth, past), RUNG_CEILING + K_MAX)
     s1, s2 = (v * float(fro(sampled_values(F, [1j * v]))) for v in (y, 2.0 * y))
@@ -304,7 +304,7 @@ def _decay_at_infinity(F: Evaluator) -> tuple[float, complex]:
     try:
         plain = limit_at_infinity(F, "plain_iy")
     except NoConvergence as exc:
-        return -1.0, 1j * (exc.last_rung or 2.0**RUNG_CEILING)  # None: no rung ran (a node or horizon past the ceiling)
+        return -1.0, 1j * exc.last_rung
     return DECAY_TOL - float(fro(plain.value)), 1j * 2.0**plain.ladder_depth
 
 
@@ -438,7 +438,7 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
     need gamma to vanish.  Raises ``ClassMismatch`` when a check fails beyond PARAMS_TOL, when the
     plain limit diverges, or at once when F is singular on a ray of the other side than the class's.
     """
-    claimed = claimed.lower()
+    alpha, claimed = as_endpoint(alpha), claimed.lower()
     spec = _class_spec(claimed)
     if not spec.params:
         raise UnsupportedKind(f"no limit parameters for class {claimed}; use --mode")
@@ -448,7 +448,7 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
     try:
         plain = gamma(limit_at_infinity(F, "plain_iy"))
     except NoConvergence as exc:  # F grows at infinity, as no class with parameters does
-        if exc.last_estimates is None:  # no ladder ran: a node of F or its horizon lies past the ceiling
+        if exc.estimate is None:  # no ladder ran to its end: a node or horizon past the ceiling, or an overflow
             raise
         raise ClassMismatch(f"the plain limit of class {claimed} diverges: {exc}") from exc
     record: dict = {"claimed": claimed, "alpha": alpha, "gamma": plain}

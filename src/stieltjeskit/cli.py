@@ -62,7 +62,7 @@ def _limit_json(est: LimitEstimate) -> dict:
         "value": matrix_to_json(est.value),
         "error_bound": est.error_bound,
         "ladder_depth": est.ladder_depth,
-        "increments": list(est.increments),  # rungs j+1..ladder_depth, 2^j being the first rung
+        "increments": list(est.increments),  # the rungs past est.first_rung up to 2^ladder_depth
     }
 
 

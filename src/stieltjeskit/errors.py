@@ -63,12 +63,15 @@ class NotAnAtom(StieltjesKitError):
 
 
 class NoConvergence(StieltjesKitError):
-    """The extrapolation ladder hit its last rung, y = ``last_rung``, without converging (None: no rung ran)."""
+    """The ladder stopped unconverged at rung y = ``last_rung``; ``estimate``: its LimitEstimate once every rung ran."""
 
-    def __init__(self, message, last_estimates=None, last_rung=None):
+    def __init__(self, message, last_rung, estimate=None):
         super().__init__(message)
-        self.last_estimates = last_estimates
         self.last_rung = last_rung
+        self.estimate = estimate
+
+    def __reduce__(self):  # Exception's own passes the message alone, and last_rung is required
+        return type(self), (str(self), self.last_rung, self.estimate)
 
 
 class ClassMismatch(StieltjesKitError):

@@ -478,7 +478,7 @@ def evaluator(repr_: Representation) -> Evaluator:
 
 def offset_scale(endpoint: float) -> float:
     """Factor on sample and certificate offsets, 1 up to |endpoint| ~ 2.5e8: past it none rounds onto the endpoint."""
-    return max(1.0, 4.0 * EPS_NEAR * (1.0 + abs(endpoint)))
+    return max(1.0, 4.0 * EPS_NEAR * (1.0 + abs(as_endpoint(endpoint))))
 
 
 @lru_cache(maxsize=64)

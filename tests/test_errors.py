@@ -30,6 +30,8 @@ HEAVY_ATOM = sk.StieltjesPair(0.0, I1, sk.MatrixMeasure(1, sk.right_ray(0.0), [(
 HEAVY_MU = sk.MatrixMeasure(1, sk.right_ray(0.0), [(1.0, 1e308 * I1), (2.0, 1e308 * I1)])
 # An opaque evaluator, I2 but at 5i, where its value's sigma_1 is past the largest float.
 SPIKED = sk.Evaluator(2, sk.right_ray(0.0), lambda z: HUGE if z == 5j else I2)
+BARE = sk.Evaluator.of_batch(2, sk.right_ray(0.0), F.batch_raw)  # no endpoint of its own
+S0 = sk.evaluator(random_s0(np.random.default_rng(3)))
 
 INVALID_ARGUMENTS = {
     "grid count 0": lambda: sk.GridConfig(n_gap=0),
@@ -40,7 +42,7 @@ INVALID_ARGUMENTS = {
     "empty quadrature interval": lambda: sk.quadrature_ingest(lambda t: I1, 1, 1.0, 1.0, 4),
     "no quadrature node": lambda: sk.quadrature_ingest(lambda t: I1, 1, 0.0, 1.0, 0),
     "zero projection vector": lambda: sk.scalar_projection(MU, [0.0, 0.0]),
-    "bare evaluator, no endpoint": lambda: sk.pinv_map(sk.Evaluator.of_batch(2, sk.right_ray(0.0), F.batch_raw)),
+    "bare evaluator, no endpoint": lambda: sk.pinv_map(BARE),
     "no congruence term": lambda: sk.congruence_sum([]),
 }
 
@@ -84,6 +86,15 @@ OTHER_RAISES = {
     "image node that overflows": (lambda: sk.image_measure(HEAVY_MU, 1e308, 0.0), sk.SupportViolation),
     "congruence sum that overflows": (lambda: sk.congruence_sum([(1e200 * I1, HEAVY_ATOM)]), sk.StieltjesKitError),
     "scalar projection that overflows": (lambda: sk.scalar_projection(HEAVY_MU, [1e10]), sk.StieltjesKitError),
+    # a non-finite endpoint, typed before any read: certify_class warned and blamed the evaluator at z = inf+infj,
+    # the pinv builds warned, the radial ladder raised PoleProximity and extract_params gave a record at nan
+    "certificate at an infinite endpoint": (lambda: sk.certify_class(F, np.inf, "s"), sk.StieltjesKitError),
+    "sample points at a nan endpoint": (lambda: sample_points(np.nan, "right"), sk.StieltjesKitError),
+    "pinv map of a bare evaluator at nan": (lambda: sk.pinv_map(BARE, np.nan), sk.StieltjesKitError),
+    "neg pinv map of a bare evaluator at nan": (lambda: sk.neg_pinv_map(BARE, np.nan), sk.StieltjesKitError),
+    "radial ladder at an infinite alpha": (lambda: sk.limit_at_infinity(F, "radial", alpha=np.inf),
+                                           sk.StieltjesKitError),
+    "parameters at a nan endpoint": (lambda: sk.extract_params(S0, np.nan, "s0"), sk.StieltjesKitError),
 }
 
 

@@ -175,7 +175,7 @@ def test_an_atom_far_out_is_a_member(tmp_path, capsys, t, kind, key, want):
     assert sk.certify_class(F, 0.0, cls).verdict
     est = sk.extract_params(F, 0.0, cls)[key]
     np.testing.assert_allclose(est.value, [[want]], rtol=1e-9)
-    assert 2.0 ** (est.ladder_depth - len(est.increments)) > t  # the first rung lies past the atom
+    assert est.first_rung > t  # the first rung lies past the atom
     code, report = cli(tmp_path, capsys, "params", r=r)
     assert code == 0 and report["verdict"] == "pass"
     limit = report[key]
@@ -259,7 +259,7 @@ def test_a_rounding_horizon_past_the_ceiling_raises_and_is_no_mismatch(tmp_path,
     for mode in ("plain_iy", "radial"):
         with pytest.raises(sk.NoConvergence, match=r"rounding horizon 4\.44e\+294 lies past the first-rung ceiling") as info:
             sk.limit_at_infinity(F, mode)
-        assert info.value.last_estimates is None and info.value.last_rung is None
+        assert info.value.estimate is None and info.value.last_rung == 2.0**RUNG_CEILING
     with pytest.raises(sk.NoConvergence, match="rounding horizon"):
         sk.extract_params(F, 0.0, "s")
     (tmp_path / "input.json").write_text(json.dumps(sk.repr_to_json(r)))
@@ -297,7 +297,7 @@ def test_heavy_weights_against_unit_constants_give_their_parameters(seed, kind):
         if _horizon(r) >= 2.0**RUNG_CEILING:
             with pytest.raises(sk.NoConvergence, match="rounding horizon .* lies past the first-rung ceiling") as info:
                 sk.extract_params(F, endpoint, cls)
-            assert info.value.last_estimates is None
+            assert info.value.estimate is None and info.value.last_rung == 2.0**RUNG_CEILING
             return
         key, want = stored_limit(r)
         got = sk.extract_params(F, endpoint, cls)[key].value
@@ -360,7 +360,7 @@ def test_far_nodes_warn_nowhere_and_past_the_ceiling_are_no_mismatch(t, kind):
             try:
                 sk.extract_params(F, endpoint, cls)
             except sk.NoConvergence as exc:
-                assert past and exc.last_estimates is None
+                assert past and exc.estimate is None and exc.last_rung == 2.0**RUNG_CEILING
             except sk.ClassMismatch:
                 assert not past
 
@@ -499,7 +499,7 @@ def test_heavy_pairs_fail_typed_in_the_ladder_and_the_pinv_builds(name):
     F = sk.evaluator(HEAVY[name])
     with pytest.raises(sk.NoConvergence, match=r"rung y = 2\^2 is not finite") as exc:
         sk.limit_at_infinity(F, "y_scaled")
-    assert exc.value.last_rung == 4.0 and exc.value.last_estimates is None
+    assert exc.value.last_rung == 4.0 and exc.value.estimate is None
     for build in (sk.pinv_map, sk.neg_pinv_map):
         with pytest.raises(sk.NonFiniteKernel):
             build(HEAVY[name])

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import warnings
 from unittest import mock
@@ -61,7 +62,7 @@ def test_ladder_start_invariance():
     F = sk.evaluator(p)
     e1 = sk.limit_at_infinity(F, "plain_iy")  # starts past the nodes
     e2 = sk.limit_at_infinity(sk.Evaluator(F.q, F.excluded, F.fn), "plain_iy")  # opaque: starts at y = 1
-    assert 2.0 ** (e1.ladder_depth - len(e1.increments)) > np.abs(p.mu.nodes).max()
+    assert e1.first_rung > np.abs(p.mu.nodes).max()
     assert np.linalg.norm(e1.value - e2.value) <= 2 * (e1.error_bound + e2.error_bound) + 1e-12
 
 
@@ -75,7 +76,11 @@ def test_no_convergence_for_growing_function():
     F = sk.Evaluator(1, None, lambda z: np.sqrt(abs(z)) * np.eye(1))
     with pytest.raises(sk.NoConvergence) as exc:
         sk.limit_at_infinity(F, "plain_iy")
-    assert exc.value.last_estimates is not None
+    est, K = exc.value.estimate, sk.limits.K_MAX  # opaque: the ladder runs 2^0 .. 2^K_MAX
+    assert exc.value.last_rung == 2.0**K and est.ladder_depth == K and est.first_rung == 1.0
+    assert len(est.increments) == K and est.increments[-1] == est.error_bound and np.isfinite(est.value).all()
+    again = pickle.loads(pickle.dumps(exc.value))
+    assert (str(again), again.last_rung, again.estimate) == (str(exc.value), exc.value.last_rung, est)
 
 
 def test_left_ray_gamma_is_the_negated_plain_limit_and_mass_the_scaled_one():
@@ -228,10 +233,10 @@ def first_rung(F, mode="plain_iy", alpha=0.0):
 def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=None):
     """The ladder one rung at a time from y0 = 2^j: one read F(z) and one Neville row per rung; depth j + k.
 
-    A non-finite diagonal raises NoConvergence at its rung, without last_estimates.
+    A non-finite diagonal raises NoConvergence at its rung, without an estimate.
     """
     k_max = sk.limits.K_MAX if k_max is None else k_max
-    rows, prev_diag = [], None
+    rows, prev_diag, increments, j0 = [], None, [], round(math.log2(y0))
     for k in range(k_max + 1):
         y = y0 * 2.0**k
         if mode == "radial":
@@ -249,17 +254,22 @@ def reference_ladder(F, mode="plain_iy", alpha=0.0, phi=math.pi, y0=1.0, k_max=N
         rows.append(row)
         diag = row[-1]
         if not np.isfinite(diag).all():
-            raise sk.NoConvergence("a non-finite diagonal", last_rung=y)
+            raise sk.NoConvergence("a non-finite diagonal", y)
         if prev_diag is not None:
-            inc = float(np.linalg.norm(diag - prev_diag))
+            increments.append(inc := float(np.linalg.norm(diag - prev_diag)))
             if inc < sk.limits.EPS_LIM * (1.0 + float(np.linalg.norm(diag))):
-                return sk.LimitEstimate(diag, inc, round(math.log2(y0)) + k)
+                return sk.LimitEstimate(diag, inc, j0 + k, tuple(increments))
         prev_diag = diag
-    raise sk.NoConvergence("k_max reached", last_estimates=(rows[-2][-1], rows[-1][-1]), last_rung=y)
+    raise sk.NoConvergence("k_max reached", y, sk.LimitEstimate(diag, inc, j0 + k_max, tuple(increments)))
 
 
 def _bits(A):
     return np.asarray(A).shape, np.asarray(A, dtype=complex).tobytes()
+
+
+def _estimate(est):
+    """A LimitEstimate as exact bits, or () for None."""
+    return () if est is None else (_bits(est.value), est.error_bound, est.ladder_depth, est.increments)
 
 
 def outcome(ladder, F, **kw):
@@ -268,9 +278,9 @@ def outcome(ladder, F, **kw):
         warnings.simplefilter("always")
         try:
             est = ladder(F, **kw)
-            result = ("limit", _bits(est.value), est.error_bound, est.ladder_depth)
+            result = ("limit", *_estimate(est))
         except sk.NoConvergence as exc:
-            result = ("no_convergence", exc.last_rung, *map(_bits, exc.last_estimates or ()))
+            result = ("no_convergence", exc.last_rung, *_estimate(exc.estimate))
         except Exception as exc:  # noqa: BLE001 - compared by type and message
             result = (type(exc), str(exc))
     return result, [(w.category, str(w.message)) for w in caught]
@@ -319,16 +329,14 @@ def _opaque(q, excluded, fn, nodes):
     mode=st.sampled_from(sk.limits.MODES),
     with_nodes=st.booleans(),
     k_max=st.sampled_from([3, 11, sk.limits.K_MAX]),
-    block=st.sampled_from([1, 5, 16, 49]),
     family=st.sampled_from(["atoms", "growing", "fails_past_stop", "fails_at_reached"]),
     how=st.sampled_from(["raise", "inf", "nan", "warn"]),
 )
 @settings(max_examples=300, deadline=None)
-def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k_max, block, family, how):
+def test_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k_max, family, how):
     """On evaluators whose batch is the per-point loop the outcome is the reference's bit for bit; no warning escapes.
 
-    Short ladders patch limits.K_MAX, and blocks of 1 to 49 rungs limits.LADDER_BLOCK (at 1 a block boundary lies
-    before every rung, failing ones included); with_nodes starts the ladder past the nodes of the function drawn.
+    Short ladders patch limits.K_MAX; with_nodes starts the ladder past the nodes of the function drawn.
     A rung that raises, warns or gives inf or nan fails the gate: EvaluationFailed there, unless the ladder stopped.
     """
     rng = np.random.default_rng(seed)
@@ -360,7 +368,7 @@ def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k
         fn = _failing(base, q, center, 2.0 ** (rung - 0.5), how)
     F = _opaque(q, atomic.excluded, fn, nodes)
     expected = outcome(reference_ladder, F, **ref_kw)
-    with mock.patch.object(sk.limits, "K_MAX", k_max), mock.patch.object(sk.limits, "LADDER_BLOCK", block):
+    with mock.patch.object(sk.limits, "K_MAX", k_max):
         assert outcome(sk.limit_at_infinity, F, **kw) == expected
     if family == "fails_past_stop":
         assert expected[0][0] in ("limit", "no_convergence") or expected[0][0] is sk.PoleProximity
@@ -386,7 +394,7 @@ def test_blocked_ladder_matches_rung_by_rung_reference(seed, mode, with_nodes, k
         pytest.param(lambda rng: sk.neg_pinv_map(random_tinf(rng, q=2)), "plain_iy", id="<lambda>-neg_plain2"),
     ],
 )
-def test_blocked_ladder_agrees_with_reference_on_batched_evaluators(make, mode):
+def test_ladder_agrees_with_reference_on_batched_evaluators(make, mode):
     """A batch of many points may differ from a batch of one in the last bits: same depth, value within 1e-12."""
     rng = np.random.default_rng(106)
     for _ in range(10):
@@ -396,8 +404,9 @@ def test_blocked_ladder_agrees_with_reference_on_batched_evaluators(make, mode):
         except sk.NoConvergence as exc:
             with pytest.raises(sk.NoConvergence) as got:
                 sk.limit_at_infinity(F, mode)
-            for a, b in zip(got.value.last_estimates, exc.last_estimates):
-                assert np.linalg.norm(a - b) <= 1e-12 * (1.0 + np.linalg.norm(b))
+            a, b = got.value.estimate, exc.estimate
+            assert got.value.last_rung == exc.last_rung and a.ladder_depth == b.ladder_depth
+            assert np.linalg.norm(a.value - b.value) <= 1e-12 * (1.0 + np.linalg.norm(b.value))
             continue
         est = sk.limit_at_infinity(F, mode)
         assert est.ladder_depth == expected.ladder_depth
@@ -433,7 +442,7 @@ def test_a_rung_that_raises_or_warns_fails_the_ladder_at_its_point(how):
             read()
         want = -128.0 + 128.0 * math.sin(math.pi) * 1j if name == "radial" else 128j
         assert exc.value.witness == want, name
-    # Failing from 2^10 on, past the stop at 2^9 but in the same block: the ladder cuts the block there and stops.
+    # Failing from 2^10 on, past the stop at 2^9: the ladder cuts its read there and stops.
     for mode in ("plain_iy", "y_scaled"):
         assert sk.limit_at_infinity(opaque_s0_failing_past(how, radius=2.0**9), mode).ladder_depth == 9
 
@@ -442,10 +451,54 @@ def test_increments_record_the_ladder():
     rng = np.random.default_rng(9)
     for F, mode in [(sk.evaluator(random_pair(rng)), "plain_iy"), (sk.pinv_map(random_s0(rng, q=2)), "plain_iy")]:
         est = sk.limit_at_infinity(F, mode)
-        assert 2.0 ** (est.ladder_depth - len(est.increments)) == first_rung(F)  # one per rung past the first
+        assert est.first_rung == first_rung(F)  # one increment per rung past the first
         assert est.increments[-1] == est.error_bound
         assert all(isinstance(inc, float) for inc in est.increments)
     assert sk.LimitEstimate(np.eye(1), 0.0, 1).increments == ()  # positional construction as before
+
+
+def _batched_failing_past(F, radius, how):
+    """Atomic F whose batch raises, or gives inf, at points past |z| = radius: its ladder starts where F's does."""
+
+    def batch(zs):
+        far = np.abs(zs) > radius
+        if how == "raise" and far.any():
+            raise ValueError(f"no value past |z| = {radius}")
+        return np.where(far[:, None, None], np.inf, F.batch_fn(zs))
+
+    G = sk.Evaluator.of_batch(F.q, F.excluded, batch)
+    object.__setattr__(G, "_kernel", F._kernel)
+    return G
+
+
+def reads(ladder, *args):
+    """What ladder(*args) returns or raises, and the number of points of each Evaluator.batch_raw call it made."""
+    with mock.patch.object(sk.Evaluator, "batch_raw", autospec=True, side_effect=sk.Evaluator.batch_raw) as spy:
+        try:
+            result = ladder(*args)
+        except sk.StieltjesKitError as exc:
+            result = exc
+    return result, [c.args[1].size for c in spy.call_args_list]
+
+
+def test_a_ladder_reads_every_rung_in_one_call():
+    """One read of K_MAX + 1 rungs; a failing rung is found, point by point if the batch raised, and read up to.
+
+    Past the stop the cut read gives the same estimate; at the stop the failure is raised at its rung.
+    """
+    rng, n = np.random.default_rng(31), sk.limits.K_MAX + 1
+    F = sk.evaluator(random_s0(rng, q=2))
+    est, calls = reads(sk.limit_at_infinity, F, "y_scaled")
+    assert isinstance(est, sk.LimitEstimate) and calls == [n]
+    grows, calls = reads(sk.limit_at_infinity, sk.evaluator(random_pair(rng, q=2)), "y_scaled")  # -i y gamma
+    assert isinstance(grows, sk.NoConvergence) and grows.estimate is not None and calls == [n]
+    stop, y = len(est.increments), 2.0**est.ladder_depth  # the stopping rung: its index and its y
+    for how, searched in (("raise", 1), ("inf", 0)):  # the gate searches a raising batch point by point
+        past, calls = reads(sk.limit_at_infinity, _batched_failing_past(F, 1.5 * y, how), "y_scaled")
+        assert past == est and calls == [n, *[1] * (searched * (stop + 2)), stop + 1]
+        at, calls = reads(sk.limit_at_infinity, _batched_failing_past(F, 0.75 * y, how), "y_scaled")
+        assert isinstance(at, sk.EvaluationFailed) and at.witness == 1j * y
+        assert calls == [n, *[1] * (searched * (stop + 1)), stop]
 
 
 def far_atom(side, t=1e8, W=1e-3):
@@ -486,7 +539,7 @@ def test_node_past_the_last_rung_raises_and_is_no_mismatch(side, claim, node):
     for mode in ("plain_iy", "y_scaled"):
         with pytest.raises(sk.NoConvergence, match=re.escape(f"node {node} lies past the first-rung ceiling")) as info:
             sk.limit_at_infinity(spy, mode)
-        assert info.value.last_estimates is None
+        assert info.value.estimate is None and info.value.last_rung == 2.0**sk.limits.RUNG_CEILING
     with pytest.raises(sk.NoConvergence, match="first-rung ceiling"):  # a member: not a ClassMismatch
         sk.extract_params(spy, 0.0, claim)
     assert not calls
