@@ -36,11 +36,11 @@ from .errors import (
     PreconditionUnmet,
     UnsupportedKind,
 )
-from .limits import K_MAX, limit_at_infinity
+from .limits import K_MAX, LimitEstimate, limit_at_infinity
 from .matmeasure import DECAY_TOL, EPS_MERGE, FIT_RTOL, NULL_RTOL_FACTOR, NULL_TOL, PARAMS_TOL, PROJ_TOL, RANK_ZERO
 from .matmeasure import RTOL_RANK, RUNG_CEILING, TOL_CERT, TOL_FIT, _finite_entries, _herm, _im, _scaled_gram, is_psd
-from .matmeasure import as_endpoint, finite, fro, least_singular_vector, left_ray, norm2, pow2_scaled, range_split
-from .matmeasure import right_ray, svd_rank
+from .matmeasure import as_endpoint, finite, fro, is_count, least_singular_vector, left_ray, norm2, pow2_scaled
+from .matmeasure import range_split, right_ray, svd_rank
 from .representations import (
     KINDS,
     Evaluator,
@@ -64,8 +64,8 @@ class GridConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if min(self.n_upper, self.n_lower, self.n_gap) < 1:
-            raise InvalidArgument("all grid counts must be >= 1")
+        if not (all(is_count(n) for n in (self.n_upper, self.n_lower, self.n_gap)) and is_count(self.seed, 0)):
+            raise InvalidArgument(f"grid counts must be integers >= 1 and the seed an integer >= 0: {self}")
 
 
 DEFAULT_GRID = GridConfig()
@@ -117,11 +117,6 @@ class ClassSpec:
         return 1 if self.side == "right" else -1
 
 
-def _mirror(spec: ClassSpec) -> ClassSpec:
-    """The T class of an S class."""
-    return replace(spec, side="left", phi=0.0, gap=-spec.gap)
-
-
 _S = partial(ClassSpec, "right", math.pi)
 _S_CLASSES = {
     "s": _S(gap=1, half_plane=True, params=True),
@@ -130,7 +125,8 @@ _S_CLASSES = {
     "sdot": _S(gap=1, half_plane=True, infinity="decay_at_infinity", params=True),
     "sinf": _S(gap=-1),
 }
-CLASSES = {**_S_CLASSES, **{"t" + name[1:]: _mirror(spec) for name, spec in _S_CLASSES.items()}}
+# Each T class mirrors its S class: off a left ray, radial along phi = 0, with the gap condition's sign flipped.
+CLASSES = {**_S_CLASSES, **{"t" + n[1:]: replace(s, side="left", phi=0.0, gap=-s.gap) for n, s in _S_CLASSES.items()}}
 
 
 def _class_spec(kind: str) -> ClassSpec:
@@ -280,38 +276,30 @@ def _holomorphy(
     return -float(depth[i]), complex(nodes[i])
 
 
-def _y_norm_bounded(F: Evaluator) -> tuple[float, complex]:
+def _y_norm_bounded(F: Evaluator, mass: LimitEstimate) -> tuple[float, complex]:
     """(margin, witness) of the bounded-growth condition: the ratio of y ||F(iy)|| from y to 2y, ~1 if bounded.
 
-    y is the least power of two past ||mass|| / PARAMS_TOL, where a constant of PARAMS_TOL (the largest
-    plain limit extract_params lets a bounded class keep) would match the mass, and no nearer than the
-    stop of the mass ladder: a constant under a heavy far atom hides on every rung the ladder runs, and a
-    probe farther out would read y times the rounding of a value at infinity that cancels.  y stays at
-    or below the top rung of a ladder at the ceiling.
+    y is the least power of two past ||mass|| / PARAMS_TOL, where a constant of PARAMS_TOL (the largest plain
+    limit extract_params lets a bounded class keep) would match the mass, and no nearer than the stop of the
+    mass ladder: a constant under a heavy far atom hides on every rung the ladder runs, and a probe farther out
+    would read y times the rounding of a value at infinity that cancels.  y stays at or below the top rung of
+    a ladder at the ceiling.  Each probe is a read of its own: one batch of both moves some certificates' bits.
     """
-    try:
-        mass = limit_at_infinity(F, "y_scaled")
-    except NoConvergence as exc:
-        return -1.0, 1j * exc.last_rung
     past = math.frexp(float(fro(mass.value)) / PARAMS_TOL)[1]
     y = 2.0 ** min(max(mass.ladder_depth, past), RUNG_CEILING + K_MAX)
     s1, s2 = (v * float(fro(sampled_values(F, [1j * v]))) for v in (y, 2.0 * y))
     return 0.5 - ((1.0 if s1 <= 1e-300 else s2 / s1) - 1.0), 2j * y
 
 
-def _decay_at_infinity(F: Evaluator) -> tuple[float, complex]:
+def _decay_at_infinity(F: Evaluator, plain: LimitEstimate) -> tuple[float, complex]:
     """(margin, witness) of the vanishing plain limit of the decaying classes, witnessed at the ladder's stop."""
-    try:
-        plain = limit_at_infinity(F, "plain_iy")
-    except NoConvergence as exc:
-        return -1.0, 1j * exc.last_rung
     return DECAY_TOL - float(fro(plain.value)), 1j * 2.0**plain.ladder_depth
 
 
-# Condition at infinity -> (its certificate margin, what a nonzero gamma contradicts in extract_params).
+# Condition at infinity -> (its ladder's mode, its margin from F and the estimate, what a nonzero gamma contradicts).
 _AT_INFINITY = {
-    "y_norm_bounded": (_y_norm_bounded, "bounded class requires a vanishing plain limit"),
-    "decay_at_infinity": (_decay_at_infinity, "plain limit does not vanish for the decaying class"),
+    "y_norm_bounded": ("y_scaled", _y_norm_bounded, "bounded class requires a vanishing plain limit"),
+    "decay_at_infinity": ("plain_iy", _decay_at_infinity, "plain limit does not vanish for the decaying class"),
 }
 
 
@@ -423,7 +411,11 @@ def certify_class(
             margin, witness = _worst(zs[mask], margins[mask])
             conditions.append({"name": name, "margin": margin, "witness": witness})
     if spec.infinity is not None:
-        margin, witness = _AT_INFINITY[spec.infinity][0](F)
+        mode, margin_of, _ = _AT_INFINITY[spec.infinity]
+        try:
+            margin, witness = margin_of(F, limit_at_infinity(F, mode))
+        except NoConvergence as exc:
+            margin, witness = -1.0, 1j * exc.last_rung
         conditions.append({"name": spec.infinity, "margin": margin, "witness": witness})
 
     verdict = all(c["margin"] >= -tol_cert for c in conditions)
@@ -460,7 +452,7 @@ def extract_params(F: Evaluator, alpha: float, claimed: str) -> dict:
         if gap > budget:
             raise ClassMismatch(f"vertical and radial limits disagree by {gap:.3e} (budget {budget:.3e})")
     if spec.infinity is not None and float(fro(plain.value)) > PARAMS_TOL:
-        raise ClassMismatch(_AT_INFINITY[spec.infinity][1])
+        raise ClassMismatch(_AT_INFINITY[spec.infinity][2])
     if spec.infinity == "y_norm_bounded":
         record["mass"] = limit_at_infinity(F, "y_scaled")
     return record

@@ -51,9 +51,9 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _dump_grid(F: Evaluator, endpoint: float, side: str, seed: int) -> list:
-    """F at the 20 sample points of ``seed`` off the excluded ray, with the points."""
-    pts = sample_points(endpoint, side, n=20, seed=seed)
+def _dump_grid(F: Evaluator, r, seed: int) -> list:
+    """F at the 20 sample points of ``seed`` off the excluded ray of the representation r, with the points."""
+    pts = sample_points(*endpoint_side(r), n=20, seed=seed)
     return [{"z": [z.real, z.imag], "F": matrix_to_json(V)} for z, V in zip(pts, sampled_values(F, pts))]
 
 
@@ -78,12 +78,11 @@ def _moments_json(mu: MatrixMeasure, m: int) -> dict:
 
 
 def _cmd_eval(args, r) -> tuple[int, dict]:
-    endpoint, side = endpoint_side(r)
     return 0, {
         "command": "eval",
         "kind": r.KIND,
         "grid_seed": args.grid_seed,
-        "grid": _dump_grid(evaluator(r), endpoint, side, args.grid_seed),
+        "grid": _dump_grid(evaluator(r), r, args.grid_seed),
     }
 
 
@@ -129,7 +128,7 @@ def _cmd_convert(args, r) -> tuple[int, dict]:
 
 
 def _cmd_transform(args, r) -> tuple[int, dict]:
-    endpoint, side = endpoint_side(r)
+    _, side = endpoint_side(r)
     op = args.op
     if op == "dual":
         target = args.beta if side == "right" else args.alpha
@@ -145,7 +144,7 @@ def _cmd_transform(args, r) -> tuple[int, dict]:
         "command": "transform",
         "op": op,
         "grid_seed": args.grid_seed,
-        "grid": _dump_grid(G, endpoint, side, args.grid_seed),
+        "grid": _dump_grid(G, r, args.grid_seed),
     }
 
 
@@ -155,15 +154,14 @@ def _cmd_moments(args, r) -> tuple[int, dict]:
 
 
 def _cmd_report(args, r) -> tuple[int, dict]:
-    endpoint, side = endpoint_side(r)
-    cert = _certificate(args, r, endpoint)
+    cert = _certificate(args, r, endpoint_side(r)[0])
     return (0 if cert.verdict else 2), {
         "command": "report",
         "kind": r.KIND,
         "grid_seed": args.grid_seed,
         "certificate": cert.to_json(),
         **_moments_json(measure_of(r), args.m),  # before the samples: an error in the moments is the one reported
-        "samples": _dump_grid(evaluator(r), endpoint, side, args.grid_seed),
+        "samples": _dump_grid(evaluator(r), r, args.grid_seed),
     }
 
 

@@ -83,7 +83,9 @@ def _read(F: Evaluator, zs: np.ndarray) -> tuple[np.ndarray, EvaluationFailed | 
         return V, earlier or exc
 
 
-def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, phi: float = math.pi) -> LimitEstimate:
+def limit_at_infinity(
+    F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, phi: float | None = None
+) -> LimitEstimate:
     """Richardson-extrapolated limit along the geometric ladder y = 2^j, ..., 2^(j + K_MAX).
 
     2^j is the least power of two past the reach max |t - c| over the nodes t
@@ -96,16 +98,18 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
     finite, or the last rung, where ``estimate`` holds the ladder's extrapolant;
     a reach or a horizon at or past 2^RUNG_CEILING raises before any
     evaluation, naming the farthest node or the horizon, at 2^RUNG_CEILING.
+    A radial ``phi`` defaults to the gap away from F's ray, 0 off a left ray and else pi; with no ray side, any phi.
     """
     if mode not in MODES:
         raise InvalidArgument(f"mode must be one of {MODES}")
     if mode == "radial":
         alpha = as_endpoint(alpha)
-        # The sector whose rays run along the real gap, away from the excluded ray.
-        left = F.excluded is not None and F.excluded.side == "left"
-        lo, hi = (-math.pi / 2, math.pi / 2) if left else (math.pi / 2, 3 * math.pi / 2)
-        if not lo < phi < hi:
-            raise InvalidArgument("phi must lie in (-pi/2, pi/2)" if left else "phi must lie in (pi/2, 3*pi/2)")
+        # The sector whose rays run along the real gap, away from the excluded ray; phi = None is its middle.
+        side = None if F.excluded is None else F.excluded.side
+        lo = -math.pi / 2 if side == "left" else math.pi / 2
+        phi = lo + math.pi / 2 if phi is None else phi
+        if side is not None and not lo < phi < lo + math.pi:
+            raise InvalidArgument("phi must lie in (-pi/2, pi/2)" if lo < 0 else "phi must lie in (pi/2, 3*pi/2)")
     nodes, c, W, constant = (np.empty(0), None, None, None) if F._kernel is None else F._kernel
     dist = np.abs(nodes - (alpha if mode == "radial" else 0.0))
     guard = 2.0 * EPS_NEAR * (1.0 + abs(alpha)) if mode == "radial" else 0.0  # a radial rung at y lies y off the ray
@@ -120,7 +124,7 @@ def limit_at_infinity(F: Evaluator, mode: str = "plain_iy", alpha: float = 0.0, 
             raise NoConvergence(f"the rounding horizon {h:.3g} lies past {_CEILING}", 2.0**RUNG_CEILING)
         j = max(j, math.frexp(h)[1])  # the least 2^j past max(reach, h)
 
-    direction = complex(math.cos(phi), math.sin(phi))
+    direction = complex(math.cos(phi), math.sin(phi)) if mode == "radial" else None
     ys = [2.0 ** (j + i) for i in range(K_MAX + 1)]
     S, failed = _read(F, np.array([alpha + y * direction if mode == "radial" else 1j * y for y in ys]))
     increments = []

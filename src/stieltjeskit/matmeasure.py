@@ -103,6 +103,11 @@ def as_endpoint(value) -> float:
     return float(e)
 
 
+def is_count(n, least: int = 1) -> bool:
+    """Whether n is an integer, numpy's too, of at least ``least``."""
+    return isinstance(n, (int, np.integer)) and n >= least
+
+
 def _scaled_gram(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X* X, m) per matrix of a stack: m its largest |entry|, nan if one is not finite; X = M / m, 0 if m is 0 or nan.
 
@@ -356,7 +361,7 @@ class MatrixMeasure:
         (n, q, q), finiteness, hermiticity and PSD), then the nodes.  A
         non-finite node lies outside every support set, whatever its weight.
         """
-        if not isinstance(q, (int, np.integer)) or q < 1:
+        if not is_count(q):
             raise DimensionMismatch(f"q must be a positive integer, got {q!r}")
         if not len(weights):
             try:
@@ -490,7 +495,7 @@ def quadrature_ingest(
     The atom at node t_i carries weight w_i * density(t_i); every sampled
     density value must pass the PSD tolerance.
     """
-    if not (a < b):
+    if not ((a := as_endpoint(a)) < (b := as_endpoint(b))):  # typed before any arithmetic: a non-finite end raises
         raise InvalidArgument("interval must satisfy a < b")
     if n < 1:
         raise InvalidArgument("need at least one node")

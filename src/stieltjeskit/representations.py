@@ -46,7 +46,7 @@ from .errors import (
 )
 from .matmeasure import EPS_CONVERT, EPS_MERGE, EPS_NEAR, RANK_ZERO, RESIDUE_TOL, RTOL_RANK, MatrixMeasure, SupportSet
 from .matmeasure import as_endpoint, as_hermitian, as_psd, atom_sum, left_ray, matrix_from_json, matrix_to_json
-from .matmeasure import finite, fro, read_fields, right_ray, svd_rank, total_mass, whole_line
+from .matmeasure import finite, fro, is_count, read_fields, right_ray, svd_rank, total_mass, whole_line
 
 # Field roles in a KindSpec.
 ENDPOINT, PSD, HERM, MEASURE = "endpoint", "psd", "herm", "measure"
@@ -191,16 +191,7 @@ class TInfTriple(_Record):
     rho: MatrixMeasure
 
 
-Representation = (
-    StieltjesPair
-    | KKPair
-    | NevanlinnaTriple
-    | S0Measure
-    | SInfTriple
-    | TPair
-    | T0Measure
-    | TInfTriple
-)
+Representation = _Record  # any record of KINDS, the one list of the kinds
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +487,10 @@ def _sample_offsets(side: str, n: int, seed: int) -> np.ndarray:
 def sample_points(endpoint: float, side: str, n: int = 10, seed: int = 7):
     """Deterministic off-ray sample points mixing both half-planes and the gap.
 
+    ``side`` is "right" or "left", ``n`` an integer count of at least 1 and ``seed`` an integer of at least 0.
     Scaled by offset_scale, every point lies 2 EPS_NEAR (1 + |endpoint|) or more from the ray: past the pole guard."""
+    if side not in ("right", "left") or not (is_count(n) and is_count(seed, 0)):
+        raise InvalidArgument(f"sample points need side 'right' or 'left', n >= 1, seed >= 0: {side=}, {n=}, {seed=}")
     return (endpoint + offset_scale(endpoint) * _sample_offsets(side, n, seed)).tolist()
 
 

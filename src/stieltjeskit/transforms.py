@@ -82,15 +82,17 @@ def ep_im_identity_defect(M) -> float:
     return float(norm2(lhs - rhs))
 
 
-def _svd_input(F, endpoint: float | None, side: str) -> tuple[Evaluator, float, str]:
+def _svd_input(F, endpoint: float | None, side: str | None) -> tuple[Evaluator, float, str]:
     """(evaluator, endpoint, side) for the SVD path; a bare Evaluator is rank-probed first.
 
     A representation supplies its own endpoint and side, and its rank is that of its structural sum.
     """
     if not isinstance(F, Evaluator):
         return evaluator(F), *endpoint_side(F)
-    if endpoint is None:
-        raise InvalidArgument("endpoint is required for a bare Evaluator input")
+    ray = None if F.excluded is None else F.excluded.side
+    if endpoint is None or (ray is not None and side not in (None, ray)):
+        raise InvalidArgument(f"a bare Evaluator needs an endpoint, and no side but its ray's: {endpoint=}, {side=}")
+    side = ray or side or "right"
     rank_constancy(F, sample_points(endpoint, side, n=8, seed=11))  # raises RankInstability
     return F, endpoint, side
 
@@ -197,7 +199,7 @@ def _pinv_image(r: Representation) -> Representation:
     return _pair_pinv(convert(r, "stieltjes_pair"))
 
 
-def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator:
+def pinv_map(F, endpoint: float | None = None, side: str | None = None) -> Evaluator:
     """z -> -(z - a)^{-1} F(z)^+ (right ray) or -(b - z)^{-1} F(z)^+ (left).
 
     Maps the right-ray class into itself and dually for the left-ray
@@ -205,8 +207,10 @@ def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator
     as its atomic evaluator, except for an sinf/tinf triple (its image has
     a double pole at the endpoint) and a measure of more than
     _CLOSED_FORM_COLUMNS columns: those, and a bare Evaluator, take one SVD
-    per point.  A bare Evaluator must have constant rank off the ray; an
-    8-point rank probe refuses one whose numerical rank jumps.
+    per point.  A bare Evaluator needs ``endpoint``; its side is its ray's,
+    and ``side`` ("right" by default) serves only an F without a ray side:
+    one that contradicts the ray is an InvalidArgument.  An 8-point rank
+    probe refuses a bare Evaluator whose numerical rank jumps off the ray.
     """
     if _closed_form(F, "pinv_map") and F.KIND not in _PAIR:
         return evaluator(_pinv_image(F))
@@ -215,14 +219,15 @@ def pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator
     return Evaluator.of_batch(ev.q, ev.excluded, lambda zs: _neg_pinv(ev, zs) / (sign * (zs - endpoint))[:, None, None])
 
 
-def neg_pinv_map(F, endpoint: float | None = None, side: str = "right") -> Evaluator:
+def neg_pinv_map(F, endpoint: float | None = None, side: str | None = None) -> Evaluator:
     """z -> -F(z)^+; exchanges the plain and product-form classes.
 
     Involutive on class members: applying it twice returns the original
     values wherever the rank is constant.  A representation's image is
     built in closed form as pinv_map's is: -F^+ = (z - a) G for a plain F
     with pinv_map image G, and -F^+ = -(z - a)^{-1} P^+ for a product form
-    F = (z - a) P (mirrored on the left ray).
+    F = (z - a) P (mirrored on the left ray).  A bare Evaluator takes
+    ``endpoint`` and ``side`` as in pinv_map, for its rank probe.
     """
     if not _closed_form(F, "neg_pinv_map"):
         ev, _, _ = _svd_input(F, endpoint, side)

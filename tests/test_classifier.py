@@ -529,6 +529,16 @@ def test_the_screen_reads_values_gated_finite(monkeypatch):
     assert seen == [True]
 
 
+def test_an_entire_t_member_gives_its_parameters():
+    """A = -I, B = 0 and no atoms: F = -I, entire, a T member with gamma = I whose plain limit does not vanish."""
+    F = sk.evaluator(sk.NevanlinnaTriple(-I2, np.zeros((2, 2)), sk.MatrixMeasure(2, sk.whole_line(), [])))
+    record = sk.extract_params(F, 0.0, "t")
+    assert np.array_equal(record["gamma"].value, I2) and np.array_equal(record["gamma_radial"].value, I2)
+    with pytest.raises(sk.ClassMismatch, match="decaying"):
+        sk.extract_params(F, 0.0, "tdot")
+    assert sk.certify_class(F, 0.0, "t", SMALL_GRID).verdict
+
+
 # Atoms at 1 and 10, two of the gap points of a left-side grid at endpoint 0
 # (gap distances 1e-3 .. 1e3 by decades): the first failing point in
 # evaluation order (upper, lower, then gap points) is z = 1.

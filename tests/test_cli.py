@@ -355,6 +355,28 @@ def test_failures_are_json_errors_exit_one(tmp_path, capsys, argv):
     assert "error" in json.loads(captured.err)
 
 
+def test_a_negative_grid_seed_is_one_json_error_naming_it(tmp_path, capsys):
+    path = write_repr(tmp_path, one_atom_pair(np.random.default_rng(14)))
+    for command in ("eval", "certify", "report"):
+        assert run([command, "--grid-seed", "-1", "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed" in json.loads(captured.err)["error"]
+
+
+def test_params_of_an_entire_t_member(tmp_path, capsys):
+    """The triple A = -I, B = 0 without atoms is entire: t takes its gamma from the gap at phi = 0, tdot fails."""
+    entire = sk.NevanlinnaTriple(-np.eye(1), np.zeros((1, 1)), sk.MatrixMeasure(1, sk.whole_line(), []))
+    path = write_repr(tmp_path, entire)
+    assert run(["params", "--kind", "t", "--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass" and report["gamma"]["value"] == [[[1.0, -0.0]]]
+    assert run(["params", "--kind", "tdot", "--input", path]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+    assert run(["params", "--kind", "t", "--mode", "radial", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["phi"] == 0.0
+
+
 # The flags each command reads, besides --input and --out.
 COMMAND_FLAGS = {
     "eval": {"--grid-seed"},

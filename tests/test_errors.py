@@ -12,7 +12,7 @@ import pytest
 import stieltjeskit as sk
 from stieltjeskit.classifier import sample_points
 
-from genutil import random_pair, random_s0
+from genutil import random_pair, random_s0, random_tpair
 
 I1 = np.eye(1)
 I2 = np.eye(2)
@@ -32,6 +32,9 @@ HEAVY_MU = sk.MatrixMeasure(1, sk.right_ray(0.0), [(1.0, 1e308 * I1), (2.0, 1e30
 SPIKED = sk.Evaluator(2, sk.right_ray(0.0), lambda z: HUGE if z == 5j else I2)
 BARE = sk.Evaluator.of_batch(2, sk.right_ray(0.0), F.batch_raw)  # no endpoint of its own
 S0 = sk.evaluator(random_s0(np.random.default_rng(3)))
+T_PAIR = random_tpair(np.random.default_rng(3), q=2)
+LEFT = sk.Evaluator(T_PAIR.q, sk.left_ray(T_PAIR.beta), sk.evaluator(T_PAIR).fn)  # bare, off a left ray
+ENTIRE = sk.Evaluator(1, None, lambda z: -I1)  # no ray: a side is read, and must be one
 
 INVALID_ARGUMENTS = {
     "grid count 0": lambda: sk.GridConfig(n_gap=0),
@@ -43,6 +46,19 @@ INVALID_ARGUMENTS = {
     "no quadrature node": lambda: sk.quadrature_ingest(lambda t: I1, 1, 0.0, 1.0, 0),
     "zero projection vector": lambda: sk.scalar_projection(MU, [0.0, 0.0]),
     "bare evaluator, no endpoint": lambda: sk.pinv_map(BARE),
+    "pinv map, side against the evaluator's ray": lambda: sk.pinv_map(LEFT, T_PAIR.beta, side="right"),
+    "neg pinv map, side against the evaluator's ray": lambda: sk.neg_pinv_map(LEFT, T_PAIR.beta, side="right"),
+    "pinv map, side up": lambda: sk.pinv_map(LEFT, T_PAIR.beta, side="up"),
+    "neg pinv map, side up": lambda: sk.neg_pinv_map(LEFT, T_PAIR.beta, side="up"),
+    "pinv map of an entire evaluator, side up": lambda: sk.pinv_map(ENTIRE, 0.0, side="up"),
+    "neg pinv map of an entire evaluator, side up": lambda: sk.neg_pinv_map(ENTIRE, 0.0, side="up"),
+    "sample points, side up": lambda: sample_points(0.0, "up"),
+    "no sample point": lambda: sample_points(0.0, "right", n=0),
+    "fractional sample count": lambda: sample_points(0.0, "right", n=2.5),
+    "negative sample seed": lambda: sample_points(0.0, "right", seed=-1),
+    "fractional grid count": lambda: sk.GridConfig(n_upper=2.5),
+    "negative grid seed": lambda: sk.GridConfig(seed=-1),
+    "fractional grid seed": lambda: sk.GridConfig(seed=1.5),
     "no congruence term": lambda: sk.congruence_sum([]),
 }
 
@@ -95,6 +111,8 @@ OTHER_RAISES = {
     "radial ladder at an infinite alpha": (lambda: sk.limit_at_infinity(F, "radial", alpha=np.inf),
                                            sk.StieltjesKitError),
     "parameters at a nan endpoint": (lambda: sk.extract_params(S0, np.nan, "s0"), sk.StieltjesKitError),
+    "quadrature over an infinite interval": (lambda: sk.quadrature_ingest(lambda t: I1, 1, -np.inf, np.inf, 3),
+                                              sk.StieltjesKitError),
 }
 
 

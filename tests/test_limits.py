@@ -1,3 +1,4 @@
+import functools
 import math
 import pickle
 import re
@@ -187,6 +188,24 @@ def test_radial_sector_follows_the_excluded_ray():
             sk.limit_at_infinity(F, "radial", alpha=t.beta, phi=phi)
     est = sk.limit_at_infinity(F, "radial", alpha=t.beta, phi=0.0)
     np.testing.assert_allclose(-est.value, t.gamma, atol=1e-7)
+
+
+def test_the_radial_default_runs_along_the_gap_away_from_the_ray():
+    t = random_tpair(np.random.default_rng(33), q=2)
+    F = sk.evaluator(t)
+    radial = functools.partial(sk.limit_at_infinity, mode="radial")
+    assert radial(F, alpha=t.beta) == radial(F, alpha=t.beta, phi=0.0)
+    p = random_pair(np.random.default_rng(33), q=2)
+    G = sk.evaluator(p)
+    assert radial(G, alpha=p.alpha) == radial(G, alpha=p.alpha, phi=math.pi)
+
+
+def test_an_entire_evaluator_takes_any_radial_phi():
+    F = sk.evaluator(sk.NevanlinnaTriple(-I2, np.zeros((2, 2)), sk.MatrixMeasure(2, sk.whole_line(), [])))
+    assert F.excluded is None
+    for phi in (0.0, 1.0, math.pi, 5.0):
+        assert np.array_equal(sk.limit_at_infinity(F, "radial", alpha=0.5, phi=phi).value, -I2)
+    assert sk.limit_at_infinity(F, "radial") == sk.limit_at_infinity(F, "radial", phi=math.pi)
 
 
 def test_limit_estimate_equality_is_exact():

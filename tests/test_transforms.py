@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import stieltjeskit as sk
 from stieltjeskit import classifier, transforms
-from stieltjeskit.representations import endpoint_side
+from stieltjeskit.representations import endpoint_side, sample_points
 from stieltjeskit.transforms import _pinv_image, ep_im_identity_defect
 
 from genutil import (
@@ -143,6 +143,36 @@ def test_pinv_map_t_side():
     F = sk.pinv_map(g)
     cert = sk.certify_class(F, g.beta, "t", SMALL_GRID)
     assert cert.verdict
+
+
+def left_ray_pair_and_evaluator():
+    t = random_tpair(np.random.default_rng(3), q=2)
+    return t, sk.evaluator(t)
+
+
+def test_a_bare_left_ray_evaluator_gets_the_left_ray_pinv_map():
+    """No side given: the bare evaluator's own ray says left, so the map is -(beta - z)^{-1} F(z)^+."""
+    t, F = left_ray_pair_and_evaluator()
+    G = sk.pinv_map(sk.Evaluator(F.q, F.excluded, F.fn), t.beta)
+    zs = sample_points(t.beta, "left", 20) + [t.beta - 1 + 0.5j]
+    want = sk.pinv_map(t).batch(zs)
+    assert np.abs(G.batch(zs) - want).max() <= 1e-12 * np.abs(want).max()
+    assert sk.certify_class(G, t.beta, "t", SMALL_GRID).verdict
+
+
+def test_a_bare_left_ray_evaluator_is_rank_probed_off_its_ray():
+    """The 8-point probe of neg_pinv_map reads F on the left ray's gap, never on the ray itself."""
+    t, F = left_ray_pair_and_evaluator()
+
+    def fn(z):
+        if z.imag == 0.0 and z.real <= t.beta:
+            raise ZeroDivisionError(f"z = {z} lies on the excluded ray")
+        return F.fn(z)
+
+    G = sk.neg_pinv_map(sk.Evaluator(F.q, F.excluded, fn), t.beta)
+    zs = sample_points(t.beta, "left", 20)
+    want = sk.neg_pinv_map(t).batch(zs)
+    assert np.abs(G.batch(zs) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_pinv_map_gamma_of_output_is_pinv_of_mass():
