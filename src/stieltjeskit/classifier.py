@@ -6,9 +6,10 @@ condition together with the witness point, so failures are reproducible.
 
 Margins are scale-free: PSD conditions use lambda_min(.)/(1 + ||F(z)||_2),
 norms (scaled Gram eigenvalues) and lambda_min from one stacked eigvalsh.
-From q = 4 on, ``_screen`` first drops every point whose margin provably
-lies above its condition's worst; LAPACK factors each matrix of a stack on
-its own, so the margins kept, worst margins and witnesses keep their bits.
+From q = 2 on, ``_screen`` first drops every matrix of the stack whose
+margin Gershgorin's bound or an LDL* factorization proves to lie above its
+condition's worst; LAPACK factors each matrix of a stack on its own, so the
+margins kept, worst margins and witnesses keep their bits.
 Holomorphy is exact for an atomic evaluator (built from a representation,
 its only poles are the nodes, which must lie in the claimed ray).  For an
 opaque one it reads the grid values already taken: a set-valued AAA
@@ -303,48 +304,64 @@ _AT_INFINITY = {
 }
 
 
-# Certificates screen from q = _SCREEN_MIN_Q on.  The screen's cost is mostly numpy's per-call overhead, 140, 190
-# and 280 us a certificate at q = 2, 4 and 8 (one Xeon core, OpenBLAS 0.3.31), while a stacked eigvalsh costs about
-# 0.06, 1.2, 2.4, 3.7 and 8.5 us a matrix at q = 1, 2, 3, 4 and 8.  Screened, certificates of 1-5 atoms ran 58%
-# slower at q = 1 and within noise at q = 2 and 3; certificates of 50 atoms ran 31% faster at q = 4, 34% at q = 8.
-_SCREEN_MIN_Q = 4
+# Certificates screen from q = _SCREEN_MIN_Q on.  The screen's cost is mostly numpy's per-call overhead, about 120,
+# 145, 175 and 445 us a certificate at q = 2, 3, 4 and 8 (one Xeon core, OpenBLAS 0.3.31), while a stacked eigvalsh
+# costs about 0.03, 0.5, 1.1, 1.8 and 5.3 us a matrix at q = 1, 2, 3, 4 and 8.  Screened, certificates of 1-5 atoms
+# ran 59% slower at q = 1 and 10% and 25% faster at q = 2 and 3; certificates of 50 atoms 37% faster at q = 4, 43% at 8.
+_SCREEN_MIN_Q = 2
+_PAIRS = lru_cache(maxsize=16)(lambda q: np.triu_indices(q, 1))  # the 2 x 2 principal submatrices' indices
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _screen(V: np.ndarray, blocks: list) -> tuple[np.ndarray, list]:
-    """(need, blocks): the grid points whose scaled Gram is needed, each block narrowed to the points it keeps.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _screen(V: np.ndarray, index: np.ndarray, H: np.ndarray, c: np.ndarray, C: np.ndarray) -> tuple:
+    """(keep, need): the matrices of the stack H that may hold a worst margin, and the grid points they are at.
 
-    A margin lambda_min(H) / (1 + c ||V||_2) is bounded on both sides without an eigen-solve.  lambda_min(H)
-    lies between Gershgorin's min_k (H_kk - sum_{j != k} |H_kj|) and min_k H_kk, each widened by 64 q (eps rho
-    + tiny), rho the largest absolute row sum of H: eigvalsh's backward error (Weyl, ||H||_2 <= rho) and the
-    bounds' rounding, down to underflow.  ||V||_2 lies between fro(V) / sqrt(q) (the largest float / sqrt(q)
-    if fro(V) overflows) and fro(V), each widened by a relative 1e-12.  Rounding is monotone, so the computed
-    margin lies between the computed bounds.  Under each condition's mask a point is dropped only if its lower
-    bound is strictly above the least upper bound: it is no minimum and ties none.  A NaN bound is never above
-    and a NaN upper bound keeps its whole mask, so overflow here keeps points and warns of nothing.
+    H[j] is taken at grid point index[j], where F is V[index[j]], and serves each condition k with C[k, j]; its
+    margin is lambda_min(H) / (1 + c ||V||_2), as _margins computes it.  ||V||_2 lies between fro(V) / sqrt(q)
+    (the largest float / sqrt(q) if fro(V) overflows) and fro(V), each widened by a relative 1e-12; rounding is
+    monotone, so the computed denominator lies between D_lo and D_hi, the ones at those bounds; D_lo is capped
+    at the largest float, past which _margins takes the margin's equal, within lam / fmax of 0.  With rho the
+    largest absolute row sum of H, E(x) = max(64, q + 1) q (eps (rho + |x|) + tiny) bounds eigvalsh's backward
+    error in lambda_min at x = 0 (Weyl, with ||H||_2 <= rho), and the backward error of an LDL* (Cholesky) of
+    H - x I that runs to the end, the shift's rounding included (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, thm 10.3), down to underflow.
+
+    By interlacing lambda_min(H) is at most the least eigenvalue of each 2 x 2 principal submatrix, m -
+    hypot((a - d) / 2, |b|).  That, widened by 2 E(0) for eigvalsh and its own rounding, over D_lo or D_hi,
+    whichever is larger, bounds the margin above; T_k, the least such bound under condition k, is at least its
+    worst margin.  A matrix is dropped only if it proves its margin above t, the largest T_k of its conditions.
+    Gershgorin's min_k (H_kk - sum_{j != k} |H_kj|), less 2 E(0), over D_lo or D_hi, whichever is smaller,
+    bounds the margin below and proves it if it exceeds t.  Else, with t+ the next float above t and s0 = t+
+    D_lo or t+ D_hi, whichever is larger, the LDL* of H - s I, s = s0 + 3 E(s0), must have positive, finite
+    pivots: then lambda_min(H) > s - E(s), eigvalsh's lambda_min exceeds t+ D, and the computed margin is at
+    least t+ > t.  Either way it is no minimum and ties none.  A NaN or infinite bound, shift or pivot drops
+    nothing (at q = 1, without a 2 x 2 submatrix, every upper bound is inf), so overflow keeps matrices.
     """
-    q = V.shape[-1]
+    q = H.shape[-1]
     fmax, eps, tiny = np.finfo(float).max, np.finfo(float).eps, np.finfo(float).tiny
-    f = fro(V, axis=(1, 2))
-    n_lo, n_hi = np.minimum(f, fmax) * ((1.0 - 1e-12) / math.sqrt(q)), f * (1.0 + 1e-12)
+    f = fro(V, axis=(1, 2))[index]
+    den_lo = np.minimum(1.0 + c * (np.minimum(f, fmax) * ((1.0 - 1e-12) / math.sqrt(q))), fmax)
+    den_hi = 1.0 + c * (f * (1.0 + 1e-12))
+    rows, factor = np.abs(H).sum(axis=2), max(64, q + 1) * q
+    rho = rows.max(axis=1)
+    E = lambda x, times: (rho + np.abs(x)) * (times * factor * eps) + times * factor * tiny  # noqa: E731
+    d, e0, (i, j) = H.diagonal(axis1=1, axis2=2).real, E(0.0, 2), _PAIRS(q)
+    a, b = 0.5 * d[:, i], 0.5 * d[:, j]  # halved, so that a + b cannot overflow
+    lam_hi = (a + b - np.hypot(a - b, np.abs(H[:, i, j]))).min(axis=1, initial=np.inf) + e0
+    hi = np.maximum(lam_hi / den_lo, lam_hi / den_hi)
+    t = np.nextafter(np.where(C, np.where(C, hi, np.inf).min(axis=1, keepdims=True), -np.inf).max(axis=0), np.inf)
+    lam_lo = (d + np.abs(d) - rows).min(axis=1) - e0  # Gershgorin's
+    keep = ~(np.minimum(lam_lo / den_lo, lam_lo / den_hi) > t)
+    s0 = np.maximum(t * den_lo, t * den_hi)
+    A = H[keep]
+    A.reshape(len(A), -1)[:, :: q + 1] -= (s0 + E(s0, 3))[keep, None]
+    for k in range(q - 1):  # Schur complements, the column divided by its pivot first: weights of 1e300 do not overflow
+        A[:, k + 1 :, k + 1 :] -= (A[:, k + 1 :, k] / A[:, k, k, None].real)[:, :, None] * A[:, None, k, k + 1 :]
+    pivots = A.diagonal(axis1=1, axis2=2).real
+    keep[keep] = ~((pivots > 0.0) & (pivots < np.inf)).all(axis=1)
     need = np.zeros(len(V), dtype=bool)
-    kept_blocks = []
-    for points, H, c, names in blocks:
-        d, rows = H.diagonal(axis1=1, axis2=2).real, np.abs(H).sum(axis=2)
-        slack = 64 * q * (eps * rows.max(axis=1) + tiny)
-        lam_lo, lam_hi = (d + np.abs(d) - rows).min(axis=1) - slack, d.min(axis=1) + slack
-        # the smaller the denominator, the larger |lambda| / (1 + c ||V||_2)
-        lo = lam_lo / (1.0 + c * np.where(lam_lo >= 0, n_hi[points], n_lo[points]))
-        hi = lam_hi / (1.0 + c * np.where(lam_hi >= 0, n_lo[points], n_hi[points]))
-        keep = np.zeros(len(H), dtype=bool)
-        for _, mask in names:
-            sub = mask[points]
-            keep |= sub & ~(lo > hi[sub].min())
-        kept = points.copy()
-        kept[points] = keep
-        need |= kept
-        kept_blocks.append((kept, H[keep], c if np.isscalar(c) else c[keep], names))
-    return need, kept_blocks
+    need[index[keep]] = True
+    return keep, need
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -398,18 +415,27 @@ def certify_class(
         product = f"{'(z - alpha)' if spec.sign > 0 else '(beta - z)'} F(z) is not finite"
         P = finite(lambda: factor[:, None, None] * V[is_upper], lambda P: _non_finite_at(zs[is_upper], P, product))
         blocks.append((is_upper, _herm(_im(P)), np.abs(factor), (("herglotz_upper_mulz", is_upper),)))
-    need, blocks = _screen(V, blocks) if F.q >= _SCREEN_MIN_Q else (slice(None), blocks)
+    # One stack of every block's H: the grid point of each matrix, its c, and C[k, j], whether matrix j serves
+    # condition k.
+    index = np.concatenate([points.nonzero()[0] for points, *_ in blocks])
+    H = np.concatenate([h for _, h, _, _ in blocks])
+    c = np.concatenate([np.full(len(h), ch) for _, h, ch, _ in blocks])
+    names = [name for *_, serves in blocks for name, _ in serves]
+    C, k, start = np.zeros((len(names), len(H)), dtype=bool), 0, 0
+    for points, h, _, serves in blocks:
+        for _, mask in serves:
+            C[k, start : start + len(h)] = mask[points]
+            k += 1
+        start += len(h)
+    keep, need = _screen(V, index, H, c, C) if F.q >= _SCREEN_MIN_Q else (slice(None), slice(None))
     gram, m = _scaled_gram(V[need])  # then one eigvalsh, per matrix: each lambda_min keeps its bits
-    lam = np.linalg.eigvalsh(np.concatenate([gram] + [H for _, H, _, _ in blocks]))
+    lam = np.linalg.eigvalsh(np.concatenate([gram, H[keep]]))
     peak, root = np.zeros(zs.size), np.zeros(zs.size)  # ||V||_2 = peak root, kept apart: the product may overflow
     peak[need], root[need] = m, np.sqrt(lam[: len(gram), -1])
-    ends = np.cumsum([len(gram)] + [len(H) for _, H, _, _ in blocks])
-    for (points, _, c, names), start, stop in zip(blocks, ends, ends[1:]):
-        margins = np.full(zs.size, np.inf)  # a point screened out holds no worst margin
-        margins[points] = _margins(lam[start:stop, 0], c, peak[points], root[points])
-        for name, mask in names:  # the worst margin at the masked points, witnessed in grid order
-            margin, witness = _worst(zs[mask], margins[mask])
-            conditions.append({"name": name, "margin": margin, "witness": witness})
+    at = index[keep]
+    margins = np.where(C[:, keep], _margins(lam[len(gram) :, 0], c[keep], peak[at], root[at]), np.inf)
+    for name, row, i in zip(names, margins, np.argmin(margins, axis=1)):  # the first least in grid order, or NaN
+        conditions.append({"name": name, "margin": float(row[i]), "witness": complex(zs[at[i]])})
     if spec.infinity is not None:
         mode, margin_of, _ = _AT_INFINITY[spec.infinity]
         try:

@@ -477,9 +477,12 @@ def image_measure(mu: MatrixMeasure, a: float, b: float) -> MatrixMeasure:
 
 def moments(mu: MatrixMeasure, m: int) -> list[np.ndarray]:
     """Power moments s_0 .. s_m, s_j = sum t_k^j W_k, each Hermitian; one that is not finite raises NonFiniteKernel."""
-    if m < 0:
-        raise InvalidArgument("m must be nonnegative")
+    if not is_count(m, 0):
+        raise InvalidArgument(f"m must be an integer >= 0, got {m!r}")
     return [integrate(mu, lambda t, j=j: t**j) for j in range(m + 1)]
+
+
+QUADRATURE_MAX_NODES = 4096  # leggauss's companion matrix: 4096^2 doubles, 128 MiB
 
 
 def quadrature_ingest(
@@ -490,15 +493,16 @@ def quadrature_ingest(
     n: int,
     support: SupportSet | None = None,
 ) -> MatrixMeasure:
-    """Discretize a matrix density on [a, b] with n-point Gauss-Legendre.
+    """Discretize a matrix density on [a, b] with n-point Gauss-Legendre, 1 <= n <= QUADRATURE_MAX_NODES.
 
     The atom at node t_i carries weight w_i * density(t_i); every sampled
-    density value must pass the PSD tolerance.
+    density value must pass the PSD tolerance.  numpy's leggauss builds a
+    dense n x n companion matrix, so the ceiling keeps it at 128 MiB.
     """
     if not ((a := as_endpoint(a)) < (b := as_endpoint(b))):  # typed before any arithmetic: a non-finite end raises
         raise InvalidArgument("interval must satisfy a < b")
-    if n < 1:
-        raise InvalidArgument("need at least one node")
+    if not (is_count(n) and n <= QUADRATURE_MAX_NODES):
+        raise InvalidArgument(f"the node count must be an integer from 1 to {QUADRATURE_MAX_NODES}, got {n!r}")
     x, w = np.polynomial.legendre.leggauss(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     scale = 0.5 * (b - a)

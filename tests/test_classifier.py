@@ -451,15 +451,25 @@ def test_a_certificate_is_one_eigvalsh_and_no_svd(linalg_calls, cls, q):
         assert linalg_calls == {"eigvalsh": 1}
 
 
-def test_an_s_certificate_at_q8_hands_eigvalsh_under_half_its_matrices(monkeypatch):
-    """The screen keeps 160 of the 388 matrices: unscreened, the 160 Grams and 228 block matrices."""
-    r = random_pair(np.random.default_rng(8), q=8, n_atoms=500)
+def _eigvalsh_sizes(monkeypatch, q, n_atoms):
+    """The stack sizes eigvalsh takes in an s certificate of a random pair, screened and then unscreened."""
+    r = random_pair(np.random.default_rng(8), q=q, n_atoms=n_atoms)
     F, sizes, real = sk.evaluator(r), [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: sizes.append(len(H)) or real(H))
     sk.certify_class(F, r.alpha, "s")
     monkeypatch.setattr(classifier, "_SCREEN_MIN_Q", 2**62)
     sk.certify_class(F, r.alpha, "s")
-    assert sizes == [160, 388]
+    return sizes
+
+
+def test_an_s_certificate_at_q8_hands_eigvalsh_under_half_its_matrices(monkeypatch):
+    """The screen keeps 108 of the 388 matrices: unscreened, the 160 Grams and 228 block matrices."""
+    assert _eigvalsh_sizes(monkeypatch, 8, 500) == [108, 388]
+
+
+def test_an_s_certificate_at_q3_hands_eigvalsh_under_a_sixth_of_its_matrices(monkeypatch):
+    """The screen keeps 60 of the 388 matrices, at 5 atoms."""
+    assert _eigvalsh_sizes(monkeypatch, 3, 5) == [60, 388]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8])
@@ -477,12 +487,13 @@ def test_screened_certificates_are_the_unscreened_bytes(q, seed, kind):
         assert screened == unscreened, cls
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("cls", list(CLASSES))
-def test_screened_zero_function_ties_at_its_first_grid_points(cls):
+def test_screened_zero_function_ties_at_its_first_grid_points(cls, q):
     """Every PSD margin of the zero function is 0 at every point: the screen keeps them all, witness the first."""
     spec = CLASSES[cls]
     ray = sk.right_ray(0.0) if spec.side == "right" else sk.left_ray(0.0)
-    zero = sk.Evaluator(4, ray, lambda z: np.zeros((4, 4), dtype=complex))
+    zero = sk.Evaluator(q, ray, lambda z: np.zeros((q, q), dtype=complex))
     screened, unscreened = screened_and_unscreened(zero, 0.0, cls, SMALL_GRID)
     assert screened == unscreened
     zs = _grid_offsets(spec.side, SMALL_GRID)
@@ -498,10 +509,10 @@ def test_screened_zero_function_ties_at_its_first_grid_points(cls):
 
 
 def test_the_screen_keeps_a_point_whose_bounds_overflow():
-    """A row sum past the largest float makes a lower bound -inf, and c ||V|| past it too NaN: the point stays.
+    """Entries of 1e308 make point 1's slack inf, and c ||V|| past the largest float too NaN: the point stays.
 
-    Point 2's margin 2.5 lies above point 0's 1 and is dropped while the bounds are finite or -inf; a NaN
-    upper bound (inf / inf) keeps every point.
+    Point 2's margin 2.5 lies above point 0's 1 and is dropped while point 1 only keeps itself; a NaN upper
+    bound (inf / inf) keeps every point.
     """
     eye, off = np.eye(4), np.ones((4, 4)) - np.eye(4)
     H = np.stack([2.0 * eye, 3.0 * eye + 1e308 * off, 5.0 * eye]).astype(complex)
@@ -510,15 +521,25 @@ def test_the_screen_keeps_a_point_whose_bounds_overflow():
         (np.stack([eye, eye, eye]), 1.0, [True, True, False]),
         (np.stack([eye, 1e300 * eye, eye]), np.array([1.0, 1e10, 1.0]), [True, True, True]),
     ]:
-        need, ((kept, H_kept, c_kept, _),) = classifier._screen(V.astype(complex), [(points, H, c, (("m", points),))])
-        assert need.tolist() == kept.tolist() == want
-        assert np.array_equal(H_kept, H[kept]) and np.array_equal(c_kept, c if np.isscalar(c) else c[kept])
+        keep, need = classifier._screen(V.astype(complex), np.arange(3), H, np.broadcast_to(c, 3), points[None])
+        assert need.tolist() == keep.tolist() == want
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_the_screen_keeps_the_least_margin_beside_an_overflowing_denominator(sign):
+    """Point 0's c ||V||_2 = 1e310 is past the largest float: its margin +-1e8 / 1e310 lies within 1e8 / fmax of 0,
+    not at 0.  The least margin is point 1's 1e-303 (sign 1), which an upper bound of 0 at point 0 dropped, or
+    point 0's -1e-302 (sign -1), which a lower bound of -0 there dropped."""
+    eye = np.eye(2)
+    V, H = np.stack([1e300 * eye, eye]).astype(complex), sign * np.stack([1e8 * eye, 2e-303 * eye]).astype(complex)
+    keep, need = classifier._screen(V, np.arange(2), H, np.array([1e10, 1.0]), np.ones((1, 2), dtype=bool))
+    assert keep.tolist() == need.tolist() == [True, True]
 
 
 def test_the_screen_reads_values_gated_finite(monkeypatch):
     """sampled_values raises on a non-finite value before the screen runs: no NaN margin can be screened out."""
     seen, real = [], classifier._screen
-    monkeypatch.setattr(classifier, "_screen", lambda V, blocks: seen.append(np.isfinite(V).all()) or real(V, blocks))
+    monkeypatch.setattr(classifier, "_screen", lambda V, *stack: seen.append(np.isfinite(V).all()) or real(V, *stack))
     r = random_pair(np.random.default_rng(5), q=4)
     F = sk.evaluator(r)
     sk.certify_class(F, r.alpha, "s")

@@ -42,8 +42,12 @@ INVALID_ARGUMENTS = {
     "unknown ladder mode": lambda: sk.limit_at_infinity(F, "vertical"),
     "radial phi on the ray": lambda: sk.limit_at_infinity(F, "radial", phi=0.0),
     "negative moment order": lambda: sk.moments(MU, -1),
+    "fractional moment order": lambda: sk.moments(MU, 1.5),
     "empty quadrature interval": lambda: sk.quadrature_ingest(lambda t: I1, 1, 1.0, 1.0, 4),
     "no quadrature node": lambda: sk.quadrature_ingest(lambda t: I1, 1, 0.0, 1.0, 0),
+    "fractional quadrature node count": lambda: sk.quadrature_ingest(lambda t: I1, 1, 0.0, 1.0, 2.5),
+    # leggauss's dense companion matrix of a million nodes asked for 7.28 TiB: a raw MemoryError
+    "a million quadrature nodes": lambda: sk.quadrature_ingest(lambda t: I1, 1, 0.0, 1.0, 10**6),
     "zero projection vector": lambda: sk.scalar_projection(MU, [0.0, 0.0]),
     "bare evaluator, no endpoint": lambda: sk.pinv_map(BARE),
     "pinv map, side against the evaluator's ray": lambda: sk.pinv_map(LEFT, T_PAIR.beta, side="right"),

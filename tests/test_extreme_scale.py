@@ -480,17 +480,39 @@ def test_screened_certificates_of_badly_scaled_q4_members_are_the_unscreened_byt
         assert screened == unscreened
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("W", [1e155, 1e200, 1e300])
 @pytest.mark.parametrize("kind", list(KINDS))
-def test_screened_certificates_of_heavy_q4_members_are_the_unscreened_bytes(kind, W):
-    """A rank-two atom of weight W at 1 or 1e10 from the endpoint 0, rank-three constants: every class."""
+def test_screened_certificates_of_heavy_members_are_the_unscreened_bytes(kind, W, q):
+    """An atom of weight W and rank q // 2 at 1 or 1e10 from the endpoint 0, constants of rank q - 1: every class."""
     rng = np.random.default_rng(26)
     for t in (1.0, 1e10):
-        r = one_atom(kind, t, W=W * psd(rng, 4, rank=2), constant=psd(rng, 4, rank=3))
+        r = one_atom(kind, t, W=W * psd(rng, q, rank=q // 2), constant=psd(rng, q, rank=q - 1))
         F, (endpoint, _) = sk.evaluator(r), endpoint_side(r)
         for cls in CLASSES:
             screened, unscreened = screened_and_unscreened(F, endpoint, cls)
             assert screened == unscreened, (t, cls)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_screened_certificates_of_members_singular_everywhere_are_the_unscreened_bytes(kind, q):
+    """Constants and weights over 16 decades that share a null vector u: F(z) u = 0 at every point, so every
+    PSD margin sits at rounding level and nearly ties its worst."""
+    rng = np.random.default_rng(33)
+    u = rng.normal(size=q) + 1j * rng.normal(size=q)
+    P = np.eye(q) - np.outer(u, u.conj()) / np.vdot(u, u).real
+
+    def shared_null(rng, q, rank):
+        M = P @ _scaled(rng, q, rank) @ P
+        return 0.5 * (M + M.conj().T)
+
+    for _ in range(3):
+        r = scaled_member(rng, kind, q, weight=shared_null, constant=shared_null)
+        F, (endpoint, _) = sk.evaluator(r), endpoint_side(r)
+        for cls in CLASSES:
+            screened, unscreened = screened_and_unscreened(F, endpoint, cls)
+            assert screened == unscreened, cls
 
 
 @pytest.mark.parametrize("name", ["three atoms of 8e307", "pair (1, 1e308)"])
