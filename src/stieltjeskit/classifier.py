@@ -354,7 +354,7 @@ def _screen(V: np.ndarray, index: np.ndarray, H: np.ndarray, c: np.ndarray, C: n
     keep = ~(np.minimum(lam_lo / den_lo, lam_lo / den_hi) > t)
     s0 = np.maximum(t * den_lo, t * den_hi)
     A = H[keep]
-    A.reshape(len(A), -1)[:, :: q + 1] -= (s0 + E(s0, 3))[keep, None]
+    A.reshape(len(A), q * q)[:, :: q + 1] -= (s0 + E(s0, 3))[keep, None]
     for k in range(q - 1):  # Schur complements, the column divided by its pivot first: weights of 1e300 do not overflow
         A[:, k + 1 :, k + 1 :] -= (A[:, k + 1 :, k] / A[:, k, k, None].real)[:, :, None] * A[:, None, k, k + 1 :]
     pivots = A.diagonal(axis1=1, axis2=2).real

@@ -441,7 +441,7 @@ def linalg_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("q", [3, 4, 8])  # unscreened, then screened
+@pytest.mark.parametrize("q", [1, 3, 4, 8])  # unscreened, then screened
 @pytest.mark.parametrize("cls", list(CLASSES))
 def test_a_certificate_is_one_eigvalsh_and_no_svd(linalg_calls, cls, q):
     for r in (random_pair(np.random.default_rng(4), q=q), random_tpair(np.random.default_rng(4), q=q)):
